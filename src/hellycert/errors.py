@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class HellycertError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
+
+    ``stage`` names the pipeline stage the error left, when it left one;
+    the message then starts with it.
+    """
+
+    stage: str | None = None
+
+    def __str__(self):
+        msg = super().__str__()
+        return f"{self.stage}: {msg}" if self.stage else msg
 
 
 class InvalidMatrix(HellycertError):
@@ -14,7 +26,7 @@ class IllConditioned(HellycertError):
 
 
 class SolverStall(HellycertError):
-    """Simplex iteration limit hit without reaching a terminal status."""
+    """A solver hit its iteration limit, or its answer failed its check."""
 
 
 class EmptyBody(HellycertError):

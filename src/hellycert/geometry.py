@@ -9,13 +9,12 @@ the origin is strictly inside every body.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInterior, NotInterior, UnboundedBody
-from .lp import LinearProgram, OPTIMAL, UNBOUNDED, solve_lp, support_h_polytope
+from .lp import LinearProgram, OPTIMAL, UNBOUNDED, max_support, solve_lp
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -214,9 +213,12 @@ def polar_generators(family: BodyFamily) -> TaggedPointSet:
 def containment_factor(family: BodyFamily, selected) -> float:
     """Smallest alpha with (intersection of selected) <= alpha * (full).
 
-    Measured by LP support queries of the selected intersection in every
-    constraint direction of the full family; may be +inf when dropping
-    bodies leaves the selected intersection unbounded.
+    alpha is the largest support value of the selected intersection Q over
+    the constraint directions of the family, and at least 1. Directions of
+    selected bodies are skipped (Q lies in each of those bodies, so their
+    support is at most 1), and so is the negative row of every slab, since
+    Q = -Q. The rest go to ``max_support`` in one batch, so the value is a
+    checked upper bound; +inf when Q is unbounded in a family direction.
     """
     _require_normalized(family)
     selected = sorted(set(int(i) for i in selected))
@@ -224,15 +226,15 @@ def containment_factor(family: BodyFamily, selected) -> float:
         raise ValueError("selected body list is empty")
     if any(i < 0 or i >= len(family.bodies) for i in selected):
         raise ValueError("selected index out of range")
+    rest = sorted(set(range(len(family.bodies))) - set(selected))
+    if not rest:
+        return 1.0
     Gq, hq, _ = family.constraint_matrix(selected)
-    Gall, _, _ = family.constraint_matrix()
-    alpha = 1.0  # support of a tight constraint is exactly 1 in exact math
-    for u in Gall:
-        val = support_h_polytope(Gq, hq, u)
-        if math.isinf(val):
-            return math.inf
-        alpha = max(alpha, val)
-    return alpha
+    if family.mode == SYMMETRIC:
+        dirs = [family.bodies[i].vectors for i in rest]
+    else:
+        dirs = [family.bodies[i].normals for i in rest]
+    return max(1.0, max_support(Gq / hq[:, None], np.vstack(dirs)))
 
 
 def minkowski_functional_v(points, x, cap: float = 1e9) -> float:

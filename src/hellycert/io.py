@@ -20,7 +20,8 @@ from .errors import InvalidInstance
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, HalfspaceBody,
                        SlabBody, containment_factor, normalize_family)
 from .linalg import sym_eigen
-from .pipeline import SelectionCertificate
+from .pipeline import ALPHA_SLACK, SelectionCertificate
+from .sparsify import gamma_ratio
 
 FORMAT_NAME = "hellycert-certificate"
 REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
@@ -186,14 +187,56 @@ def _extremes(points: np.ndarray, coeffs: np.ndarray):
     return float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
 
 
+def _selection_problem(selected, count: int):
+    """Why a stored ``selected`` list names no set of the family's bodies."""
+    if not isinstance(selected, list) or not selected:
+        return "selected must be a non-empty list of body indices"
+    if not all(isinstance(i, int) and not isinstance(i, bool)
+               for i in selected):
+        return f"selected holds non-integer entries: {selected}"
+    if len(set(selected)) != len(selected):
+        return f"selected repeats indices: {selected}"
+    outside = [i for i in selected if not 0 <= i < count]
+    if outside:
+        return f"selected indices {outside} out of range for {count} bodies"
+    return None
+
+
+def _symmetric_bound_problems(cert: SelectionCertificate, n: int,
+                              alpha: float) -> list:
+    """Recompute gamma_d(d)*sqrt(n); hold the stored claim and alpha to it."""
+    try:
+        bound = gamma_ratio(float(cert.d)) * math.sqrt(n)
+        stored = float(cert.gamma_d) * math.sqrt(n)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return [f"cannot recompute the bound from d={cert.d!r}: {exc}"]
+    problems = []
+    if not (math.isclose(stored, bound, rel_tol=1e-12)
+            and math.isclose(cert.bound_claimed, bound, rel_tol=1e-12)):
+        problems.append(
+            f"bound recomputed from d={cert.d} is {bound:.12g}; stored "
+            f"gamma_d*sqrt(n) {stored:.12g}, bound_claimed "
+            f"{cert.bound_claimed:.12g}")
+    if not alpha <= bound * (1.0 + ALPHA_SLACK):
+        problems.append(f"containment factor {alpha:.9g} exceeds the bound "
+                        f"{bound:.9g}")
+    return problems
+
+
 def verify_certificate(family: BodyFamily, doc: dict):
     """Cheap re-verification of a stored certificate.
 
-    Recomputes the eigenvalue extremes of the stored operators and the LP
+    Recomputes the eigenvalue extremes of the stored operators and the
     containment factor, then rebuilds the verdicts those numbers support and
-    compares with the stored ones. MVEE and sparsifier runs are not
-    repeated. Returns (ok, list of mismatch strings).
+    compares with the stored ones. The alpha verdict is re-derived from the
+    instance, ``selected`` and ``d`` alone: symmetric certificates must
+    meet gamma_d(d)*sqrt(n), general ones must claim their own finite alpha.
+    MVEE and sparsifier runs are not repeated. Returns (ok, list of mismatch
+    strings).
     """
+    bad_selection = _selection_problem(doc.get("selected"), len(family))
+    if bad_selection:
+        return False, [bad_selection]
     cert = certificate_from_json(doc)
     problems = []
 
@@ -236,6 +279,15 @@ def verify_certificate(family: BodyFamily, doc: dict):
         problems.append(
             f"containment factor recomputed {alpha:.9g} != stored "
             f"{cert.alpha_measured:.9g}")
+    if cert.mode == SYMMETRIC:
+        problems.extend(_symmetric_bound_problems(cert, family.dim, alpha))
+    else:
+        if cert.bound_claimed != cert.alpha_measured:
+            problems.append(
+                f"bound_claimed {cert.bound_claimed:.9g} is not the "
+                f"measured alpha {cert.alpha_measured:.9g}")
+        if not math.isfinite(alpha):
+            problems.append("containment factor recomputed as infinite")
     if not cert.all_pass:
         problems.append("stored verdicts contain failures")
     return not problems, problems

@@ -1,9 +1,16 @@
-"""Dense linear programming with a two-phase primal simplex.
+"""Linear programming: a dense two-phase simplex and a batched vertex walk.
 
-The solver is deliberately boring: full tableau, Bland's anti-cycling rule,
-lowest-index tie-breaking everywhere. That makes runs deterministic and keeps
-the exact optimal basis available for certificates. Problem sizes in this
-package stay in the hundreds of rows, where a dense tableau is fine.
+The dense solver is deliberately boring: full tableau, Bland's anti-cycling
+rule, lowest-index tie-breaking everywhere. That makes runs deterministic and
+keeps the exact optimal basis available for certificates. Problem sizes in
+this package stay in the hundreds of rows, where a dense tableau is fine.
+
+Support values of one polyhedron {x : G x <= 1} in many directions, which is
+what the containment factor needs, go through ``vertex_walk`` instead: one
+primal simplex per direction, all of them advanced together by stacked n x n
+solves. The walk is not trusted. ``max_support`` turns its bases into primal
+and dual witnesses, bounds the rounding in the dual residual, and returns the
+upper end of the bracket only when the two ends meet.
 """
 
 from __future__ import annotations
@@ -13,11 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBody, SolverStall
+from .errors import EmptyBody, SolverStall, UnboundedBody
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+EPS = float(np.finfo(float).eps)
+# Along an edge d, row i blocks only when G_i d exceeds this share of
+# |G_i| |d|; a claimed ray or line is accepted under the same rule.
+PIVOT_TOL = 1e-9
+# A dual entry counts as negative below -DUAL_TOL * (1 + max |y|).
+DUAL_TOL = 1e-11
+# Ratio-test values within TIE_TOL * (1 + t_min) of the minimum are ties.
+TIE_TOL = 1e-12
+# The primal and dual witnesses must agree to GAP_TOL * (1 + |hi|).
+GAP_TOL = 1e-9
 
 
 @dataclass
@@ -199,3 +217,189 @@ def support_h_polytope(G, h, direction) -> float:
     if res.status == UNBOUNDED:
         return math.inf
     return res.value
+
+
+@dataclass
+class VertexWalk:
+    """Where a batched vertex walk over {x : G x <= 1} stopped.
+
+    Row j belongs to direction j. ``basis`` holds the n rows of G tight at
+    the last vertex ``x`` and ``y`` the multipliers with G[basis]^T y = u.
+    Where ``ray`` is set the walk left that vertex along ``edge`` and met no
+    row. ``line`` is set instead of all of these when the first-vertex
+    search found a line inside the polyhedron.
+    """
+
+    basis: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ray: np.ndarray
+    edge: np.ndarray
+    line: np.ndarray | None = None
+
+
+def _blocking(gd, slack, norms, dnorm, exclude):
+    """Bland ratio test: (step, lowest blocking row) per edge; row -1 = none.
+
+    ``gd`` and ``slack`` are (k, m) growth and slack of every row along k
+    edges; rows in ``exclude`` (k, j) never block.
+    """
+    hits = gd > PIVOT_TOL * norms[None, :] * dnorm[:, None]
+    hits[np.arange(gd.shape[0])[:, None], exclude] = False
+    t = np.where(hits, slack / np.where(hits, gd, 1.0), np.inf)
+    tmin = t.min(axis=1)
+    tied = t <= tmin[:, None] + TIE_TOL * (1.0 + tmin[:, None])
+    row = np.where(np.isfinite(tmin), np.argmax(tied, axis=1), -1)
+    return tmin, row
+
+
+def _first_vertex(G, norms):
+    """A vertex of {x : G x <= 1} by ray-shooting from the origin.
+
+    Each shot moves inside the face of the rows hit so far until one more
+    row is tight. Returns (basis, None), or (None, d) when a null direction
+    d of the hit rows is blocked neither way: the polyhedron holds a line.
+    """
+    n = G.shape[1]
+    x = np.zeros(n)
+    active = []
+    for k in range(n):
+        d = np.linalg.svd(G[active])[2][k] if active else np.eye(n)[0]
+        slack = np.maximum(1.0 - G @ x, 0.0)[None, :]
+        for sign in (1.0, -1.0):
+            gd = (sign * (G @ d))[None, :]
+            t, row = _blocking(gd, slack, norms, np.ones(1),
+                               np.array([active], dtype=int))
+            if row[0] >= 0:
+                break
+        else:
+            return None, d
+        x = x + t[0] * sign * d
+        active.append(int(row[0]))
+    return np.array(active), None
+
+
+def vertex_walk(G, U) -> VertexWalk:
+    """Maximize every row u of U over {x : G x <= 1}, all at once.
+
+    A primal vertex walk per direction, all starting from one vertex. Each
+    round solves the stacked bases for duals and vertices, lets the lowest
+    basis row with a negative dual leave, and takes the lowest blocking row
+    along the edge that opens (Bland's rule on both choices). A direction
+    stops at a nonnegative dual or on an edge no row blocks; after
+    50 (m + n) rounds the walk gives up with SolverStall. The result is not
+    trusted: ``max_support`` checks it.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    m, n = G.shape
+    k = U.shape[0]
+    norms = np.linalg.norm(G, axis=1)
+    start, line = _first_vertex(G, norms)
+    empty = np.zeros((k, n))
+    if line is not None:
+        return VertexWalk(np.zeros((k, n), dtype=int), empty, empty,
+                          np.zeros(k, dtype=bool), empty, line=line)
+    max_rounds = 50 * (m + n)
+    basis = np.tile(start, (k, 1))
+    x, y, edge = empty.copy(), empty.copy(), empty.copy()
+    ray = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for rnd in range(max_rounds + 1):
+        B = G[basis[live]]
+        yl = np.linalg.solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
+        scale = DUAL_TOL * (1.0 + np.abs(yl).max(axis=1))
+        improving = yl < -scale[:, None]
+        pos = np.argmin(np.where(improving, basis[live], m), axis=1)
+        rhs = np.zeros((live.size, n, 2))
+        rhs[:, :, 0] = 1.0
+        rhs[np.arange(live.size), pos, 1] = -1.0
+        sol = np.linalg.solve(B, rhs)
+        x[live], y[live] = sol[:, :, 0], yl
+        go = improving.any(axis=1)
+        live, pos, xl, d = live[go], pos[go], sol[go, :, 0], sol[go, :, 1]
+        if live.size == 0:
+            return VertexWalk(basis, x, y, ray, edge)
+        if rnd == max_rounds:
+            break
+        t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), norms,
+                           np.linalg.norm(d, axis=1), basis[live])
+        out = row < 0
+        ray[live[out]] = True
+        edge[live[out]] = d[out]
+        basis[live[~out], pos[~out]] = row[~out]
+        live = live[~out]
+    raise SolverStall(f"vertex walk: {live.size} of {k} directions still "
+                      f"improving after {max_rounds} rounds")
+
+
+def max_support(G, U) -> float:
+    """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}.
+
+    ``vertex_walk`` proposes the witnesses; only these checks are trusted:
+
+    * a line (G d = 0) not orthogonal to some u, or a ray (G d <= 0,
+      u.d > 0), gives +inf, each to PIVOT_TOL relative;
+    * lo = max u.x / max(1, max G x) over the walk's final vertices;
+    * hi = (sum y+ + |u - G_B^T y+|_1 M)(1 + 4(n+2)eps) with y+ = max(y, 0)
+      and the dot-product rounding bound added to the residual, where
+      M >= max |x|_inf over the polyhedron comes from the same bound on the
+      coordinate directions +-e_i, which are walked along with U.
+
+    Returns max hi. Raises SolverStall when a witness fails or hi and lo
+    differ by more than GAP_TOL, and UnboundedBody when the polyhedron is
+    unbounded only in directions orthogonal to every u.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    n = G.shape[1]
+    k = U.shape[0]
+    D = np.vstack([U, np.eye(n), -np.eye(n)])
+    walk = vertex_walk(G, D)
+    norms = np.linalg.norm(G, axis=1)
+    if walk.line is not None:
+        d = walk.line / np.linalg.norm(walk.line)
+        if np.max(np.abs(G @ d) / norms) > PIVOT_TOL:
+            raise SolverStall("vertex walk: claimed line leaves the "
+                              "polyhedron")
+        if np.any(np.abs(U @ d) > PIVOT_TOL * np.linalg.norm(U, axis=1)):
+            return math.inf
+        raise UnboundedBody("polyhedron contains a line orthogonal to every "
+                            "query direction")
+    if walk.ray.any():
+        e = walk.edge[walk.ray]
+        enorm = np.linalg.norm(e, axis=1)
+        rises = np.einsum("ij,ij->i", D[walk.ray], e) > (
+            PIVOT_TOL * np.linalg.norm(D[walk.ray], axis=1) * enorm)
+        stays = np.max((e @ G.T) / (norms[None, :] * enorm[:, None]),
+                       axis=1) <= PIVOT_TOL
+        if not np.all(rises & stays):
+            raise SolverStall("vertex walk: claimed ray is not a recession "
+                              "direction")
+        if walk.ray[:k].any():
+            return math.inf
+        raise UnboundedBody("polyhedron is unbounded only in directions "
+                            "orthogonal to every query direction")
+
+    GB = G[walk.basis]
+    yp = np.maximum(walk.y, 0.0)
+    back = np.einsum("kij,ki->kj", GB, yp)
+    rounding = (n + 1) * EPS * (np.abs(D)
+                                + np.einsum("kij,ki->kj", np.abs(GB), yp))
+    resid = (np.abs(D - back) + rounding).sum(axis=1)
+    total = yp.sum(axis=1)
+    allow = 1.0 + 4 * (n + 2) * EPS
+    rho = resid[k:].max() * allow
+    if not rho < 1.0:
+        raise SolverStall(f"vertex walk: coordinate residual {rho:.3e} "
+                          "bounds no box")
+    box = total[k:].max() * allow / (1.0 - rho) * allow
+    hi = (total + resid * box) * allow
+    scale = np.maximum(1.0, (walk.x @ G.T).max(axis=1))
+    lo = (D @ (walk.x / scale[:, None]).T).max(axis=1)
+    gap = hi - lo
+    worst = int(np.argmax(gap / (1.0 + np.abs(hi))))
+    if gap[worst] > GAP_TOL * (1.0 + abs(hi[worst])):
+        raise SolverStall(f"vertex walk: direction {worst} bracketed in "
+                          f"[{lo[worst]:.12g}, {hi[worst]:.12g}]")
+    return float(hi[:k].max())

@@ -206,15 +206,24 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
     The unit ball is inside every slab by construction; the outer inclusion
     is verified (planar instances by exact circumradius, higher dimensions
     by a covering certificate), resampling up to 20 times before giving up.
+    Fewer than n slabs always leave a line in the intersection, so that
+    fails at once; a draw whose normals span less than R^n is resampled
+    without running the certificate.
     """
     if n > MAX_DIM:
         raise OracleTooLarge(f"dimension {n} exceeds oracle cap {MAX_DIM}")
     if N > 4096:
         raise OracleTooLarge(f"slab count {N} exceeds cap 4096")
+    if N < n:
+        raise SharpnessGenFailed(
+            f"{N} slabs cannot bound dimension {n}; the intersection "
+            "contains a line")
     achieved = math.inf
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         W = _unit_rows(rng, N, n)
+        if np.linalg.matrix_rank(W) < n:
+            continue  # a line survives; resample without certifying
         bodies = tuple(SlabBody(index=j, vectors=W[j:j + 1],
                                 body_id=f"slab{j}") for j in range(N))
         family = BodyFamily(mode="symmetric", dim=n, bodies=bodies)

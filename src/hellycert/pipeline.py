@@ -70,7 +70,9 @@ def _stage(stages: dict, name: str):
     try:
         yield
     except HellycertError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        if exc.stage is None:
+            exc.stage = name
+        raise
     finally:
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
 

@@ -1,17 +1,23 @@
 """Body families, normalization, polarity, containment factors."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from hellycert.errors import DegenerateInterior, NotInterior
+from hellycert import lp
+from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
 from hellycert.geometry import (BodyFamily, HalfspaceBody, SlabBody,
                                 chebyshev_center, containment_factor,
                                 interior_margin, minkowski_functional_v,
                                 normalize_family, polar_generators,
                                 validate_family)
-from hellycert.oracle import enumerate_vertices, gen_slab_family
+from hellycert.lp import support_h_polytope
+from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
+                              gen_slab_family)
 
 from conftest import cube_halfspace_family, cube_slab_family, unit_rows
 
@@ -130,6 +136,79 @@ def test_alpha_all_bodies_is_one():
 def test_alpha_single_slab_unbounded():
     fam = cube_slab_family(2)
     assert containment_factor(fam, [0]) == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_alpha_every_cube_subset(n):
+    """Only the whole cube is bounded; a proper subset leaves a line."""
+    fam = cube_slab_family(n)
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            want = 1.0 if k == n else math.inf
+            assert containment_factor(fam, list(subset)) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(symmetric=st.booleans(), n=st.integers(2, 4), count=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_alpha_matches_dense_support_of_every_row(symmetric, n, count, seed,
+                                                  data):
+    """The batched, checked walk agrees with one dense LP per family row."""
+    if symmetric:
+        fam = gen_slab_family(n, count=count, seed=seed)
+    else:
+        raw = gen_halfspace_family(n, count=count, seed=seed)
+        fam = normalize_family(raw, chebyshev_center(raw)[0])
+    G, _, _ = fam.constraint_matrix()
+    assume(np.linalg.matrix_rank(G) == n)  # the full intersection is bounded
+    sel = data.draw(st.lists(st.integers(0, count - 1), min_size=1,
+                             unique=True))
+    Gq, hq, _ = fam.constraint_matrix(sel)
+    want = max([1.0] + [support_h_polytope(Gq, hq, u) for u in G])
+    got = containment_factor(fam, sel)
+    if math.isinf(want):
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def _forge_start_basis(walk, G, U):
+    """Every direction reports the first vertex, with its honest duals."""
+    start, _ = lp._first_vertex(G, np.linalg.norm(G, axis=1))
+    B = G[start]
+    walk.basis[:] = start
+    walk.x[:] = np.linalg.solve(B, np.ones(len(start)))
+    walk.y[:] = np.linalg.solve(B.T, U.T).T
+
+
+def _forge_negative_dual(walk, G, U):
+    j = int(np.argmax(walk.y[0]))
+    walk.y[0, j] = -walk.y[0, j]
+
+
+def _forge_ray(walk, G, U):
+    walk.ray[0] = True
+    walk.edge[0] = U[0]
+
+
+@pytest.mark.parametrize("forge", [_forge_start_basis, _forge_negative_dual,
+                                   _forge_ray])
+def test_alpha_rejects_forged_walk(forge, monkeypatch):
+    fam = gen_slab_family(3, count=12, seed=5)
+    sel = list(range(8))
+    alpha = containment_factor(fam, sel)
+    assert 1.0 < alpha < math.inf
+    real = lp.vertex_walk
+
+    def forged(G, U):
+        walk = real(G, U)
+        forge(walk, np.asarray(G), np.asarray(U))
+        return walk
+
+    monkeypatch.setattr(lp, "vertex_walk", forged)
+    with pytest.raises(SolverStall):
+        containment_factor(fam, sel)
 
 
 def test_alpha_antitone_under_growing_selection(rng):

@@ -96,6 +96,42 @@ def test_verify_flags_failed_verdicts():
     assert not ok
 
 
+@pytest.mark.parametrize("edit", [
+    lambda sel: sel + [99],
+    lambda sel: sel + [-1],
+    lambda sel: sel + sel[:1],
+    lambda sel: [],
+], ids=["out-of-range", "negative", "duplicate", "empty"])
+def test_verify_rejects_bad_selected_list(edit):
+    fam = gen_slab_family(2, count=8, seed=3)
+    doc = hio.certificate_to_json(select_symmetric(fam, d=4.0), __version__)
+    doc["selected"] = edit(doc["selected"])
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok
+    assert len(problems) == 1 and "selected" in problems[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bound_claimed", 0.1), ("gamma_d", 1.0001), ("d", 1000.0)])
+def test_verify_rederives_symmetric_bound(field, value):
+    fam = gen_slab_family(2, count=8, seed=3)
+    doc = hio.certificate_to_json(select_symmetric(fam, d=4.0), __version__)
+    assert hio.verify_certificate(fam, doc)[0]
+    doc[field] = value
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok
+    assert any("bound" in p for p in problems)
+
+
+def test_verify_rederives_general_bound():
+    fam = gen_halfspace_family(3, count=4, seed=0)
+    doc = hio.certificate_to_json(select_general(fam), __version__)
+    doc["bound_claimed"] = 0.1
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok
+    assert any("bound_claimed" in p for p in problems)
+
+
 def test_verify_general_certificate():
     fam = gen_halfspace_family(3, count=4, seed=0)
     cert = select_general(fam)

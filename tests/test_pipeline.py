@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hellycert.errors import UnboundedBody
 from hellycert.geometry import containment_factor
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
                               gen_slab_family)
-from hellycert.pipeline import (caratheodory_express, diameter_report,
-                                reduce_to_2n, select_general,
-                                select_symmetric)
+from hellycert.pipeline import (_stage, caratheodory_express,
+                                diameter_report, reduce_to_2n,
+                                select_general, select_symmetric)
 
 from conftest import (cube_halfspace_family, cube_slab_family,
                       plane_fan_family, simplex_family, unit_rows)
@@ -191,3 +192,17 @@ def test_certificate_stage_timings_present():
     cert = select_symmetric(cube_slab_family(2), d=4.0)
     assert set(cert.stages) >= {"john", "sparsify", "containment", "total"}
     assert all(t >= 0.0 for t in cert.stages.values())
+
+
+def test_stage_error_keeps_the_exception_and_names_the_stage():
+    stages = {}
+    err = UnboundedBody("no vertex")
+    err.witness = 7
+    with pytest.raises(UnboundedBody) as info:
+        with _stage(stages, "containment"):
+            raise err
+    assert info.value is err
+    assert info.value.witness == 7
+    assert info.value.stage == "containment"
+    assert str(info.value) == "containment: no vertex"
+    assert "containment" in stages
