@@ -21,8 +21,8 @@ from .io import (canonical_certificate_bytes, certificate_from_json,
                  certificate_to_json, load_certificate, load_instance,
                  save_certificate, save_instance, verify_certificate,
                  write_report)
-from .oracle import (gen_halfspace_family, gen_sharpness_instance,
-                     gen_slab_family)
+from .oracle import (check_caps, gen_halfspace_family,
+                     gen_sharpness_instance, gen_slab_family)
 from .pipeline import (diameter_report, reduce_to_2n, select_general,
                        select_symmetric)
 
@@ -58,6 +58,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_select(args, mode: str) -> int:
     family = load_instance(args.infile)
+    m = family.constraint_matrix()[0].shape[0]
+    if args.exact_oracle:
+        # the selected subfamily has a subset of these rows, so this is the
+        # cap diameter_report would hit after the selection
+        check_caps(m, family.dim)
     if mode == "symmetric":
         cert = select_symmetric(family, d=args.d, tol=args.tol)
         parameters = {"d": args.d, "tol": args.tol}
@@ -69,7 +74,6 @@ def _cmd_select(args, mode: str) -> int:
         diam_sel, diam_full, ratio = diameter_report(family, cert,
                                                      exact=True)
         diameter = {"selected": diam_sel, "full": diam_full, "ratio": ratio}
-    m = family.constraint_matrix()[0].shape[0]
     doc = certificate_to_json(cert, __version__, constraint_count=m,
                               seed=args.seed, parameters=parameters,
                               diameter=diameter)

@@ -223,6 +223,30 @@ def _symmetric_bound_problems(cert: SelectionCertificate, n: int,
     return problems
 
 
+def _cardinality_problems(cert: SelectionCertificate, n: int) -> list:
+    """Recompute the budget from d and n; hold s, the stored budget and
+    the selected list to it."""
+    problems = []
+    if cert.s != len(cert.selected):
+        problems.append(f"s={cert.s} but {len(cert.selected)} bodies are "
+                        "selected")
+    try:
+        d = float(cert.d)
+        budget = (math.ceil(d * n) if cert.mode == SYMMETRIC
+                  else math.ceil(d * (n + 1)) + n + 1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return problems + [f"cannot recompute the budget from "
+                           f"d={cert.d!r}: {exc}"]
+    stored = cert.diagnostics.get("budget")
+    if stored != budget:
+        problems.append(f"budget recomputed from d={d} is {budget}; stored "
+                        f"{stored!r}")
+    if len(cert.selected) > budget:
+        problems.append(f"{len(cert.selected)} bodies selected, above the "
+                        f"budget {budget}")
+    return problems
+
+
 def verify_certificate(family: BodyFamily, doc: dict):
     """Cheap re-verification of a stored certificate.
 
@@ -231,6 +255,8 @@ def verify_certificate(family: BodyFamily, doc: dict):
     compares with the stored ones. The alpha verdict is re-derived from the
     instance, ``selected`` and ``d`` alone: symmetric certificates must
     meet gamma_d(d)*sqrt(n), general ones must claim their own finite alpha.
+    ``s`` must count ``selected``, and the budget is recomputed from d and
+    n: ceil(d n) symmetric, ceil(d (n+1)) + n + 1 general.
     MVEE and sparsifier runs are not repeated. Returns (ok, list of mismatch
     strings).
     """
@@ -273,6 +299,7 @@ def verify_certificate(family: BodyFamily, doc: dict):
             problems.append(f"Caratheodory residual {cara:.3e} above 1e-9")
         target = normalize_family(family, cert.z)
 
+    problems.extend(_cardinality_problems(cert, family.dim))
     alpha = containment_factor(target, list(cert.selected))
     if not (math.isinf(alpha) and math.isinf(cert.alpha_measured)) \
             and not close(alpha, cert.alpha_measured):

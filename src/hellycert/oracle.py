@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
 from .geometry import (BodyFamily, HalfspaceBody, SlabBody, containment_factor)
-from .lp import support_h_polytope
+from .lp import max_support
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -38,7 +38,9 @@ class VertexSet:
         return self.vertices.shape[0]
 
 
-def _check_caps(m: int, n: int) -> None:
+def check_caps(m: int, n: int) -> None:
+    """Raise OracleTooLarge when m constraints in dimension n are over the
+    vertex-enumeration caps."""
     if n > MAX_DIM:
         raise OracleTooLarge(f"dimension {n} exceeds oracle cap {MAX_DIM}")
     limit = MAX_CONSTRAINTS_PLANAR if n == 2 else MAX_CONSTRAINTS
@@ -47,28 +49,38 @@ def _check_caps(m: int, n: int) -> None:
             f"{m} constraints exceed oracle cap {limit} in dimension {n}")
 
 
+def is_bounded(G) -> bool:
+    """Whether {x : G x <= h} is bounded for every h where it is nonempty.
+
+    That holds exactly when the recession cone {d : G d <= 0} is {0}. The
+    cone does not depend on h, so one checked vertex walk over
+    {x : G x <= 1}, which holds the origin, in the directions +-e_i decides
+    it.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    try:
+        return math.isfinite(max_support(G, np.eye(G.shape[1])))
+    except UnboundedBody:
+        return False
+
+
 def enumerate_vertices(G, h) -> VertexSet:
     """All vertices of {x : Gx <= h} by n-subset basis solving.
 
-    Raises OracleTooLarge beyond the caps and UnboundedBody when a support
-    LP in a coordinate direction is unbounded (the enumeration itself
-    assumes a polytope). Near-duplicate vertices are merged.
+    Raises OracleTooLarge beyond the caps and UnboundedBody when the
+    polyhedron is unbounded (the enumeration itself assumes a polytope).
+    Near-duplicate vertices are merged.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
     m, n = G.shape
-    _check_caps(m, n)
+    check_caps(m, n)
     if m < n:
         raise UnboundedBody(f"{m} constraints cannot bound dimension {n}")
 
-    for i in range(n):
-        e = np.zeros(n)
-        for sign in (1.0, -1.0):
-            e[i] = sign
-            if not math.isfinite(support_h_polytope(G, h, e)):
-                raise UnboundedBody(
-                    f"unbounded along coordinate {i} (sign {sign:+.0f})")
-        e[i] = 0.0
+    if not is_bounded(G):
+        raise UnboundedBody(f"{m} constraints leave a recession direction "
+                            f"in dimension {n}")
 
     feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
     verts = []
@@ -281,19 +293,7 @@ def gen_halfspace_family(n: int, count: int, seed: int,
             bodies.append(HalfspaceBody(index=j, normals=normals,
                                         offsets=offsets, body_id=f"h{j}"))
         family = BodyFamily(mode="general", dim=n, bodies=tuple(bodies))
-        G, h, _ = family.constraint_matrix()
-        bounded = True
-        for i in range(n):
-            e = np.zeros(n)
-            for sign in (1.0, -1.0):
-                e[i] = sign
-                if not math.isfinite(support_h_polytope(G, h, e)):
-                    bounded = False
-                    break
-            e[i] = 0.0
-            if not bounded:
-                break
-        if bounded:
+        if is_bounded(family.constraint_matrix()[0]):
             return family
     raise InvalidInstance(
         f"could not generate a bounded halfspace family (n={n}, "

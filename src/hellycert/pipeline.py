@@ -215,42 +215,47 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
                                residual=residual)
 
 
+def _polar_offset(family: BodyFamily, z: np.ndarray):
+    """(offset, MVEE) of the polar of the family translated to z.
+
+    The offset is the MVEE center's norm in the ellipsoid's own metric,
+    so it is a fraction of the polar's size.
+    """
+    gens = polar_generators(normalize_family(family, z))
+    ell, _ = mvee_general(gens.points, eps_mvee=1e-6)
+    c = ell.center
+    return math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell
+
+
 def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
               target: float = RECENTER_TARGET, max_iter: int = 60):
     """Move the translate until the polar's enclosing ellipsoid is centered.
 
-    Newton iteration on the ellipsoid-center map; the offset is measured in
-    the ellipsoid metric so `target` is a fraction of the polar's size.
-    Keeps a safe interior margin at every trial point.
+    Each Newton step is E c, with c the center and E = (n cov)^-1 the shape
+    of the polar's MVEE. A trial z - lam E c is accepted only if it keeps an
+    interior margin of 0.1 * radius and strictly lowers the offset;
+    otherwise lam halves, down to 1e-3. The loop stops at ``target``, when
+    no lam helps, or after ``max_iter`` steps, and returns (z, offset,
+    steps), where steps counts the Newton steps taken.
     """
     z = np.asarray(z0, dtype=float)
-    best = (math.inf, z, 0)
-    for it in range(max_iter):
-        norm = normalize_family(family, z)
-        gens = polar_generators(norm)
-        ell, u = mvee_general(gens.points, eps_mvee=1e-6)
-        c = ell.center
-        offset = math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0))
-        if offset < best[0]:
-            best = (offset, z.copy(), it)
-        if offset <= target:
-            return z, offset, it
-        X = gens.points.T @ (gens.points * u[:, None])
-        try:
-            step = np.linalg.solve(X, c)
-        except np.linalg.LinAlgError:
-            break
+    offset, ell = _polar_offset(family, z)
+    steps = 0
+    while offset > target and steps < max_iter:
+        step = ell.shape.entries @ ell.center
         lam = 1.0
         while lam > 1e-3:
             z_try = z - lam * step
             if interior_margin(family, z_try) >= 0.1 * radius:
-                break
+                offset_try, ell_try = _polar_offset(family, z_try)
+                if offset_try < offset:
+                    break
             lam /= 2.0
         else:
             break
-        z = z - lam * step
-    offset, z, it = best
-    return z, offset, it
+        z, offset, ell = z_try, offset_try, ell_try
+        steps += 1
+    return z, offset, steps
 
 
 def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,

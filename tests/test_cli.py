@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from hellycert import cli
 from hellycert import io as hio
 from hellycert.cli import main
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
 
 
 def run(args):
@@ -69,13 +71,22 @@ def test_exit_code_bad_input(tmp_path):
     assert run(["select-sym", "--in", bad, "--out", tmp_path / "c.json"]) == 3
 
 
-def test_exit_code_oracle_cap(tmp_path):
-    from hellycert.oracle import gen_slab_family
-    inst = tmp_path / "big.json"
-    hio.save_instance(gen_slab_family(6, count=30, seed=0), inst)
-    rc = run(["select-sym", "--in", inst, "--out", tmp_path / "c.json",
-              "--exact-oracle"])
-    assert rc == 4
+def test_exit_code_oracle_cap(tmp_path, monkeypatch):
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran on an instance over the caps")
+
+    # the caps are checked on the full family before any selection runs
+    monkeypatch.setattr(cli, "select_symmetric", no_selection)
+    monkeypatch.setattr(cli, "select_general", no_selection)
+    for command, family in (
+            ("select-sym", gen_slab_family(6, count=30, seed=0)),
+            ("select-gen", gen_halfspace_family(3, count=12, seed=0))):
+        inst = tmp_path / "big.json"
+        out = tmp_path / "c.json"
+        hio.save_instance(family, inst)
+        rc = run([command, "--in", inst, "--out", out, "--exact-oracle"])
+        assert rc == 4, command
+        assert not out.exists(), command
 
 
 def test_tampered_certificate_fails_certify(tmp_path):

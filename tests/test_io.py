@@ -132,6 +132,27 @@ def test_verify_rederives_general_bound():
     assert any("bound_claimed" in p for p in problems)
 
 
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+@pytest.mark.parametrize("field, value, reason", [
+    ("s", 99, "s=99"), ("budget", 1, "budget"), ("d", 0.1, "budget")])
+def test_verify_rederives_s_and_budget(mode, field, value, reason):
+    if mode == "symmetric":
+        fam = gen_slab_family(2, count=8, seed=3)
+        cert = select_symmetric(fam, d=4.0)
+    else:
+        fam = gen_halfspace_family(3, count=4, seed=0)
+        cert = select_general(fam)
+    doc = hio.certificate_to_json(cert, __version__)
+    assert hio.verify_certificate(fam, doc)[0]
+    if field == "budget":
+        doc["diagnostics"]["budget"] = value
+    else:
+        doc[field] = value
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok
+    assert any(reason in p for p in problems), problems
+
+
 def test_verify_general_certificate():
     fam = gen_halfspace_family(3, count=4, seed=0)
     cert = select_general(fam)

@@ -65,6 +65,19 @@ def test_unbounded_detected():
         enumerate_vertices(g, np.ones(2))
 
 
+def test_vertices_of_polytope_away_from_origin():
+    g = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    h = np.array([-1.0, -1.0, 3.0])
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(g, h).vertices}
+    assert got == {(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)}
+
+
+def test_unbounded_detected_away_from_origin():
+    g = np.eye(2)
+    with pytest.raises(UnboundedBody):
+        enumerate_vertices(g, np.array([-1.0, 0.0]))
+
+
 def test_square_diameter():
     assert diameter_exact(*square_rows()) == pytest.approx(2 * math.sqrt(2))
 

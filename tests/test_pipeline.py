@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hellycert.errors import UnboundedBody
-from hellycert.geometry import containment_factor
+from hellycert.geometry import chebyshev_center, containment_factor
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
                               gen_slab_family)
-from hellycert.pipeline import (_stage, caratheodory_express,
+from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
+                                _stage, caratheodory_express,
                                 diameter_report, reduce_to_2n,
                                 select_general, select_symmetric)
 
@@ -102,6 +103,25 @@ def test_general_random_families_all_verdicts():
         assert math.isfinite(cert.alpha_measured)
         assert cert.c_measured == pytest.approx(
             cert.alpha_measured / n ** 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recenter_reaches_its_target(seed):
+    cert = select_general(gen_halfspace_family(3, 8, seed))
+    assert cert.diagnostics["recenter_offset"] <= RECENTER_TARGET
+    assert cert.all_pass
+
+
+def test_recenter_offsets_strictly_decrease():
+    fam = gen_halfspace_family(3, 8, seed=2)
+    z0, radius = chebyshev_center(fam)
+    offsets = []
+    for k in range(5):
+        z, offset, steps = _recenter(fam, z0, radius, target=0.0, max_iter=k)
+        assert steps == k
+        assert offset == _polar_offset(fam, z)[0]
+        offsets.append(offset)
+    assert all(b < a for a, b in zip(offsets, offsets[1:])), offsets
 
 
 def test_caratheodory_center_of_cross():
