@@ -5,50 +5,10 @@ interior, the selectors pick a few of them whose intersection is provably
 contained in a moderate blow-up of the full intersection, and emit a
 certificate in which every claim is backed by an eigenvalue check or a
 linear program rather than by the construction that produced it.
+
+The public API lives in the submodules: ``pipeline`` (selection and
+reduction), ``io`` (file formats and ``check``), ``oracle`` (generators and
+brute-force oracles) and ``cli``.
 """
 
-from .errors import (BarrierStuck, CaratheodoryFailed, DegenerateInterior,
-                     DegenerateSpan, EmptyBody, HellycertError,
-                     IllConditioned, InvalidInstance, InvalidMatrix,
-                     JohnExtractionFailed, NotInterior, OracleTooLarge,
-                     Outside, SharpnessGenFailed, ShiftCertificateFailed,
-                     SolverStall, UnboundedBody)
-from .geometry import (BodyFamily, HalfspaceBody, SlabBody, TaggedPointSet,
-                       chebyshev_center, containment_factor,
-                       normalize_family, polar_generators, validate_family)
-from .john import (Ellipsoid, JohnDecomposition, LownerMap,
-                   john_decomposition, mvee_centered, mvee_general)
-from .linalg import SymMatrix, psd_sandwich_check, solve_linear, sym_eigen
-from .lp import LinearProgram, solve_lp, support_h_polytope
-from .oracle import (VertexSet, best_subset_bruteforce, circumradius_exact,
-                     diameter_exact, enumerate_vertices,
-                     gen_halfspace_family, gen_sharpness_instance,
-                     gen_slab_family)
-from .pipeline import (CaratheodoryWitness, SelectionCertificate,
-                       caratheodory_express, diameter_report, reduce_to_2n,
-                       select_general, select_symmetric)
-from .sparsify import (ShiftedDecomposition, SparsifierResult, bss_select,
-                       certify_operator_T, gamma_ratio, shifted_select)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BarrierStuck", "BodyFamily", "CaratheodoryFailed",
-    "CaratheodoryWitness", "DegenerateInterior", "DegenerateSpan",
-    "Ellipsoid", "EmptyBody", "HalfspaceBody", "HellycertError",
-    "IllConditioned", "InvalidInstance", "InvalidMatrix",
-    "JohnDecomposition", "JohnExtractionFailed", "LinearProgram",
-    "LownerMap", "NotInterior", "OracleTooLarge", "Outside",
-    "SelectionCertificate", "SharpnessGenFailed", "ShiftCertificateFailed",
-    "ShiftedDecomposition", "SlabBody", "SolverStall", "SparsifierResult",
-    "SymMatrix", "TaggedPointSet", "UnboundedBody", "VertexSet",
-    "best_subset_bruteforce", "bss_select", "caratheodory_express",
-    "certify_operator_T", "chebyshev_center", "circumradius_exact",
-    "containment_factor", "diameter_exact", "diameter_report",
-    "enumerate_vertices", "gamma_ratio", "gen_halfspace_family",
-    "gen_sharpness_instance", "gen_slab_family", "john_decomposition",
-    "mvee_centered", "mvee_general", "normalize_family",
-    "polar_generators", "psd_sandwich_check", "reduce_to_2n",
-    "select_general", "select_symmetric", "shifted_select", "solve_linear",
-    "solve_lp", "support_h_polytope", "sym_eigen", "validate_family",
-]

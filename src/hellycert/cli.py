@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import (BarrierStuck, CaratheodoryFailed, DegenerateInterior,
-                     DegenerateSpan, EmptyBody, IllConditioned,
+from .errors import (BarrierStuck, CaratheodoryFailed, CertificateRejected,
+                     DegenerateInterior, DegenerateSpan, EmptyBody,
                      InvalidInstance, InvalidMatrix, JohnExtractionFailed,
                      NotInterior, OracleTooLarge, SharpnessGenFailed,
                      ShiftCertificateFailed, SolverStall, UnboundedBody)
@@ -34,13 +34,13 @@ EXIT_ORACLE = 4
 _INPUT_ERRORS = (InvalidInstance, InvalidMatrix, EmptyBody, NotInterior,
                  DegenerateInterior, UnboundedBody, DegenerateSpan,
                  ValueError, OSError)
-_RUN_ERRORS = (BarrierStuck, CaratheodoryFailed, IllConditioned,
+_RUN_ERRORS = (BarrierStuck, CaratheodoryFailed, CertificateRejected,
                JohnExtractionFailed, SharpnessGenFailed,
                ShiftCertificateFailed, SolverStall)
 
 
 def _cmd_gen(args) -> int:
-    kind = "sharpness" if args.sharpness else args.kind
+    kind = args.kind
     if kind == "sharpness":
         family = gen_sharpness_instance(args.n, args.N, args.seed)
     elif kind == "slab":
@@ -136,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded instance file")
     gen.add_argument("--kind", choices=("slab", "halfspace", "sharpness"),
                      default="slab")
-    gen.add_argument("--sharpness", action="store_true",
-                     help="shorthand for --kind sharpness")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--count", type=int, default=10,
                      help="number of bodies (slab/halfspace kinds)")

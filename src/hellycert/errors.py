@@ -21,10 +21,6 @@ class InvalidMatrix(HellycertError):
     """Matrix input is malformed (not square, not finite, wrong shape)."""
 
 
-class IllConditioned(HellycertError):
-    """Linear solve rejected because the condition number is too large."""
-
-
 class SolverStall(HellycertError):
     """A solver hit its iteration limit, or its answer failed its check."""
 
@@ -43,10 +39,6 @@ class DegenerateInterior(HellycertError):
 
 class UnboundedBody(HellycertError):
     """An operation that needs a bounded set met an unbounded one."""
-
-
-class Outside(HellycertError):
-    """Gauge evaluation at a point outside the admissible cone."""
 
 
 class DegenerateSpan(HellycertError):
@@ -79,3 +71,7 @@ class SharpnessGenFailed(HellycertError):
 
 class InvalidInstance(HellycertError):
     """Instance file fails schema or consistency validation."""
+
+
+class CertificateRejected(HellycertError):
+    """A certificate's claims name no selection of the instance."""

@@ -57,9 +57,9 @@ class HalfspaceBody:
         c = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if a.shape[0] != c.shape[0]:
             raise ValueError("normals and offsets disagree in length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
             raise ValueError("halfspace data must be finite")
-        if np.any(np.linalg.norm(a, axis=1) == 0.0):
+        if not (a * a).sum(axis=1).all():
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", c)
@@ -99,9 +99,6 @@ class BodyFamily:
         if not gs:
             raise ValueError("no bodies selected")
         return np.vstack(gs), np.concatenate(hs), np.array(owners)
-
-    def ids(self):
-        return [b.body_id or str(b.index) for b in self.bodies]
 
 
 @dataclass(frozen=True)
@@ -175,9 +172,9 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
     for body in family.bodies:
         slack = body.offsets - body.normals @ z
         margins = slack / np.linalg.norm(body.normals, axis=1)
-        if np.min(margins) < INTERIOR_MARGIN:
+        if margins.min() < INTERIOR_MARGIN:
             raise NotInterior(
-                f"translate point has margin {np.min(margins):.3e} "
+                f"translate point has margin {margins.min():.3e} "
                 f"inside body {body.index}")
         bodies.append(HalfspaceBody(index=body.index,
                                     normals=body.normals / slack[:, None],
@@ -188,10 +185,10 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
 
 def _require_normalized(family: BodyFamily):
     if family.mode == GENERAL:
-        for body in family.bodies:
-            if np.max(np.abs(body.offsets - 1.0)) > 1e-9:
-                raise ValueError("family must be normalized (offsets 1); "
-                                 "call normalize_family first")
+        offsets = np.concatenate([body.offsets for body in family.bodies])
+        if np.max(np.abs(offsets - 1.0)) > 1e-9:
+            raise ValueError("family must be normalized (offsets 1); "
+                             "call normalize_family first")
 
 
 def polar_generators(family: BodyFamily) -> TaggedPointSet:
@@ -236,23 +233,3 @@ def containment_factor(family: BodyFamily, selected) -> float:
         dirs = [family.bodies[i].normals for i in rest]
     return max(1.0, max_support(Gq / hq[:, None], np.vstack(dirs)))
 
-
-def minkowski_functional_v(points, x, cap: float = 1e9) -> float:
-    """Gauge of conv(points) at x: least t >= 0 with x in t * conv(points).
-
-    Solved as min sum(nu) subject to points^T nu = x, nu >= 0; raises Outside
-    when x is not in the cone of the points or needs t beyond the cap.
-    """
-    from .errors import Outside
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.asarray(x, dtype=float)
-    m = pts.shape[0]
-    lp = LinearProgram(objective=-np.ones(m), A_eq=pts.T, b_eq=x, nonneg=True)
-    res = solve_lp(lp)
-    if res.status != OPTIMAL:
-        raise Outside("point is not in the conic hull of the generators")
-    t = -res.value
-    if t > cap:
-        raise Outside(f"gauge value {t:.3e} beyond cap {cap:.1e}")
-    return max(t, 0.0)

@@ -1,4 +1,4 @@
-"""Instance and certificate file formats.
+"""Instance and certificate file formats, and the one verdict path.
 
 Instances and certificates are plain JSON. Certificates additionally have a
 canonical byte form used for determinism checks: the JSON is re-serialized
@@ -6,6 +6,11 @@ with sorted keys and no whitespace, with the wall-time section stripped
 (times are the one legitimately run-dependent part of a certificate).
 Floats go through Python's shortest round-trip repr, so equal values give
 equal bytes on any platform.
+
+``check`` derives every verdict of a certificate, and every number behind
+them, from the instance and the certificate's claims. The selectors fill
+their certificates from it, and ``verify_certificate`` compares a stored
+certificate with it.
 """
 
 from __future__ import annotations
@@ -13,20 +18,49 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInstance
+from . import __version__
+from .errors import CertificateRejected, InvalidInstance, NotInterior
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, HalfspaceBody,
-                       SlabBody, containment_factor, normalize_family)
+                       SlabBody, containment_factor, normalize_family,
+                       polar_generators)
 from .linalg import sym_eigen
-from .pipeline import ALPHA_SLACK, SelectionCertificate
-from .sparsify import gamma_ratio
+from .sparsify import certify_operator_T, gamma_ratio
 
 FORMAT_NAME = "hellycert-certificate"
 REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
                   "alpha_over_sqrt_n", "alpha_over_n32", "verdicts_pass",
                   "diam_selected", "diam_full", "diam_ratio", "runtime_s")
+ALPHA_SLACK = 1e-5
+WITNESS_TOL = 1e-12
+WITNESSES = ("contact_vectors", "tau_vectors")
+
+
+@dataclass(frozen=True)
+class SelectionCertificate:
+    mode: str
+    selected: tuple
+    s: int
+    z: np.ndarray
+    d: float | None
+    eps: float | None
+    tol: float
+    gamma_d: float | None
+    bound_claimed: float
+    alpha_measured: float
+    c_measured: float | None
+    verdicts: dict
+    diagnostics: dict
+    stages: dict
+    payload: dict
+    notes: tuple = ()
+
+    @property
+    def all_pass(self) -> bool:
+        return all(self.verdicts.values())
 
 
 def _pyify(obj):
@@ -94,13 +128,16 @@ def family_from_json(obj) -> BodyFamily:
     return BodyFamily(mode=mode, dim=dim, bodies=tuple(bodies))
 
 
-def load_instance(path) -> BodyFamily:
+def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInstance(f"cannot read instance {path}: {exc}") from exc
-    return family_from_json(obj)
+        raise InvalidInstance(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_instance(path) -> BodyFamily:
+    return family_from_json(_read_json(path, "instance"))
 
 
 def save_instance(family: BodyFamily, path) -> None:
@@ -113,57 +150,31 @@ def certificate_to_json(cert: SelectionCertificate, version: str,
                         constraint_count: int | None = None,
                         seed=None, parameters: dict | None = None,
                         diameter: dict | None = None) -> dict:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": version,
-        "mode": cert.mode,
-        "dimension": int(cert.z.shape[0]),
-        "m": constraint_count,
-        "seed": seed,
-        "parameters": parameters or {},
-        "selected": list(cert.selected),
-        "s": cert.s,
-        "z": cert.z,
-        "d": cert.d,
-        "eps": cert.eps,
-        "gamma_d": cert.gamma_d,
-        "bound_claimed": cert.bound_claimed,
-        "alpha_measured": cert.alpha_measured,
-        "c_measured": cert.c_measured,
-        "verdicts": cert.verdicts,
-        "diagnostics": cert.diagnostics,
-        "payload": cert.payload,
-        "notes": list(cert.notes),
-        "timing": {"stages": cert.stages},
-    }
+    doc = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    doc.update(format=FORMAT_NAME, version=version,
+               dimension=int(cert.z.shape[0]), m=constraint_count, seed=seed,
+               parameters=parameters or {},
+               timing={"stages": doc.pop("stages")})
     if diameter is not None:
         doc["diameter"] = diameter
     return _pyify(doc)
 
 
 def certificate_from_json(doc) -> SelectionCertificate:
-    payload = {k: np.asarray(v, dtype=float) if isinstance(v, list) else v
-               for k, v in doc.get("payload", {}).items()}
-    return SelectionCertificate(
-        mode=doc["mode"], selected=tuple(doc["selected"]), s=int(doc["s"]),
-        z=np.asarray(doc["z"], dtype=float), d=doc.get("d"),
-        eps=doc.get("eps"), gamma_d=doc.get("gamma_d"),
-        bound_claimed=float(doc["bound_claimed"]),
-        alpha_measured=float(doc["alpha_measured"]),
-        c_measured=doc.get("c_measured"),
-        verdicts=dict(doc["verdicts"]), diagnostics=dict(doc["diagnostics"]),
-        stages=dict(doc.get("timing", {}).get("stages", {})),
-        payload=payload, notes=tuple(doc.get("notes", [])))
+    try:
+        return SelectionCertificate(**{
+            **{f.name: doc.get(f.name) for f in fields(SelectionCertificate)},
+            "selected": tuple(doc["selected"]),
+            "z": np.asarray(doc["z"], dtype=float),
+            "stages": dict(doc.get("timing", {}).get("stages", {})),
+            "notes": tuple(doc.get("notes", []))})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInstance(f"malformed certificate: {exc!r}") from exc
 
 
 def load_certificate(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInstance(
-            f"cannot read certificate {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_NAME:
+    doc = _read_json(path, "certificate")
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InvalidInstance(f"{path} is not a certificate file")
     return doc
 
@@ -181,142 +192,251 @@ def canonical_certificate_bytes(doc: dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def _field(obj, key):
+    try:
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInstance(f"certificate has no field {key!r}") from exc
+
+
+def _object(obj, key) -> dict:
+    value = _field(obj, key)
+    if not isinstance(value, dict):
+        raise InvalidInstance(f"certificate field {key!r} is not an object")
+    return dict(value)
+
+
+def _array(obj, key, shape) -> np.ndarray:
+    """Finite numeric array of ``shape``; a None entry allows any length."""
+    try:
+        a = np.array(_field(obj, key))
+    except ValueError as exc:
+        raise InvalidInstance(f"certificate field {key!r}: {exc}") from exc
+    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
+            or any(want not in (None, got)
+                   for want, got in zip(shape, a.shape))
+            or not np.isfinite(a).all()):
+        raise InvalidInstance(f"certificate field {key!r} is not a finite "
+                              f"numeric array of shape {shape}")
+    return a.astype(float)
+
+
+def _indices(obj, name: str, count: int) -> list:
+    """A stored index list, rejected unless it names a set of ``count``
+    items in increasing order."""
+    values = _pyify(_field(obj, name))
+    if not isinstance(values, list) or not values:
+        problem = "must be a non-empty list of indices"
+    elif not all(isinstance(i, int) and not isinstance(i, bool)
+                 for i in values):
+        problem = "holds non-integer entries"
+    elif any(a >= b for a, b in zip(values, values[1:])):
+        problem = "is not strictly increasing"
+    elif values[0] < 0 or values[-1] >= count:
+        problem = f"is out of range for {count} items"
+    else:
+        return values
+    raise CertificateRejected(f"{name} {problem}: {values}")
+
+
 def _extremes(points: np.ndarray, coeffs: np.ndarray):
     op = (points * coeffs[:, None]).T @ points
     spec = sym_eigen(op)
     return float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
 
 
-def _selection_problem(selected, count: int):
-    """Why a stored ``selected`` list names no set of the family's bodies."""
-    if not isinstance(selected, list) or not selected:
-        return "selected must be a non-empty list of body indices"
-    if not all(isinstance(i, int) and not isinstance(i, bool)
-               for i in selected):
-        return f"selected holds non-integer entries: {selected}"
-    if len(set(selected)) != len(selected):
-        return f"selected repeats indices: {selected}"
-    outside = [i for i in selected if not 0 <= i < count]
-    if outside:
-        return f"selected indices {outside} out of range for {count} bodies"
-    return None
+def _unit_rows(framed: np.ndarray, rows: list) -> np.ndarray:
+    """normalize(framed[rows]): the witness vectors the rows stand for."""
+    norms = np.linalg.norm(framed[rows], axis=1)
+    if not np.all(norms > 0.0):
+        raise CertificateRejected("the frame maps a witness row to 0")
+    return framed[rows] / norms[:, None]
 
 
-def _symmetric_bound_problems(cert: SelectionCertificate, n: int,
-                              alpha: float) -> list:
-    """Recompute gamma_d(d)*sqrt(n); hold the stored claim and alpha to it."""
-    try:
-        bound = gamma_ratio(float(cert.d)) * math.sqrt(n)
-        stored = float(cert.gamma_d) * math.sqrt(n)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        return [f"cannot recompute the bound from d={cert.d!r}: {exc}"]
-    problems = []
-    if not (math.isclose(stored, bound, rel_tol=1e-12)
-            and math.isclose(cert.bound_claimed, bound, rel_tol=1e-12)):
-        problems.append(
-            f"bound recomputed from d={cert.d} is {bound:.12g}; stored "
-            f"gamma_d*sqrt(n) {stored:.12g}, bound_claimed "
-            f"{cert.bound_claimed:.12g}")
-    if not alpha <= bound * (1.0 + ALPHA_SLACK):
-        problems.append(f"containment factor {alpha:.9g} exceeds the bound "
-                        f"{bound:.9g}")
-    return problems
+def check(family: BodyFamily, claims) -> SelectionCertificate:
+    """The certificate the instance and the claims support.
+
+    The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps``, ``tol`` and
+    the payload: the ``frame`` and ``frame_center``, the generator rows
+    ``sigma_rows`` with their ``coefficients`` and, in general mode, the
+    ``shift``, the Caratheodory target ``w``, its rows ``tau_rows`` and
+    weights ``rho``. Each selected body must own one of these rows (a
+    reduced selection drops some owners). Witness vectors are derived as
+    normalize((generator - frame_center) @ frame) from the instance's polar
+    generators at ``z`` and added to the payload; s, gamma_d, the bound,
+    alpha, c_measured, the verdicts and the derived diagnostics (budget,
+    spectra, residuals) are recomputed, never read. Stages, notes and the
+    producer's own diagnostics are left empty.
+
+    Raises InvalidInstance for a missing or mistyped claim, and
+    CertificateRejected for claims that name no selection of this instance.
+    """
+    n, mode = family.dim, _field(claims, "mode")
+    if mode != family.mode:
+        raise CertificateRejected(f"mode {mode!r} does not match the "
+                                  f"instance's {family.mode!r}")
+    selected = _indices(claims, "selected", len(family))
+    z = _array(claims, "z", (None,))
+    if z.shape != (n,):
+        raise CertificateRejected(f"z has {z.size} coordinates; the instance "
+                                  f"has dimension {n}")
+    d, tol = float(_array(claims, "d", ())), float(_array(claims, "tol", ()))
+    if not (d > 1.0 and math.isfinite(d * (n + 1))):
+        raise CertificateRejected(f"d={d!r} gives no bound or budget: it must "
+                                  "exceed 1 and keep d*(n+1) finite")
+    if mode == SYMMETRIC:
+        if np.any(z != 0.0) or _field(claims, "eps") is not None:
+            raise CertificateRejected("a symmetric certificate claims z = 0 "
+                                      "and no eps")
+        target, eps = family, None
+    else:
+        eps = float(_array(claims, "eps", ()))
+        if eps <= 0.0:
+            raise CertificateRejected(f"eps={eps!r} must be positive")
+        try:
+            target = normalize_family(family, z)
+        except NotInterior as exc:
+            raise CertificateRejected(f"z is not inside the family: "
+                                      f"{exc}") from exc
+
+    payload = _object(claims, "payload")
+    gens = polar_generators(target)
+    framed = ((gens.points - _array(payload, "frame_center", (n,)))
+              @ _array(payload, "frame", (n, n)))
+    sigma_rows = _indices(payload, "sigma_rows", len(gens))
+    tau_rows = ([] if mode == SYMMETRIC
+                else _indices(payload, "tau_rows", len(gens)))
+    ownerless = set(selected) - set(gens.tags[sigma_rows + tau_rows].tolist())
+    if ownerless:
+        raise CertificateRejected(f"selected bodies {sorted(ownerless)} own "
+                                  "no sigma or tau generator row")
+    vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
+    coef = _array(payload, "coefficients", (len(sigma_rows),))
+    alpha = float(containment_factor(target, selected))
+    s, gamma = len(selected), gamma_ratio(d)
+    diagnostics = {
+        "frame_radius": float(np.max(np.linalg.norm(framed, axis=1))),
+        "generators": len(gens),
+        "sigma_size": len(sigma_rows),
+    }
+
+    if mode == SYMMETRIC:
+        bound, c_measured = gamma * math.sqrt(n), None
+        budget = math.ceil(d * n)
+        lo, hi = _extremes(vecs, coef)
+        limit = gamma ** 2 * (1.0 + 1e-6) + tol
+        verdicts = {
+            "cardinality": len(sigma_rows) <= budget and s <= budget,
+            "sandwich": lo >= 1.0 - 1e-9 and hi <= limit,
+            "alpha_within_bound": alpha <= bound * (1.0 + ALPHA_SLACK),
+        }
+        diagnostics.update(lambda_min=lo, lambda_max=hi,
+                           sandwich_limit=limit, budget=budget)
+    else:
+        bound, c_measured = alpha, alpha / n ** 1.5
+        taus = payload["tau_vectors"] = _unit_rows(framed, tau_rows)
+        shift, w = _array(payload, "shift", (n,)), _array(payload, "w", (n,))
+        rho = _array(payload, "rho", (len(tau_rows),))
+        budget = math.ceil(d * (n + 1)) + n + 1
+        union = len(set(sigma_rows) | set(tau_rows))
+        opT = certify_operator_T(vecs, np.arange(len(vecs)), coef, shift, eps)
+        lo_s, hi_s = _extremes(vecs + shift, coef)
+        lo_u, hi_u = opT.unshifted_lo, opT.unshifted_hi
+        window = 1e-6 + tol
+        sum_b = float(coef.sum())
+        bary = float(np.linalg.norm(coef @ (vecs + shift)))
+        w_norm = float(np.linalg.norm(w))
+        cara = float(np.linalg.norm(taus.T @ rho - w))
+        verdicts = {
+            "cardinality": union <= budget and s <= budget,
+            "shift_barycenter": bary <= 1e-10,
+            "shift_norm": opT.verdict,
+            "sum_b": n * (1 - 1e-6) <= sum_b <= (4 + 2 * eps) * n * (1 + 1e-6),
+            "sandwich": (1 - window <= lo_s and hi_s <= 4 + eps + window
+                         or 0.5 - window <= lo_u and hi_u <= 5.5 + window),
+            "w_norm": (w_norm <= 1.0 / n + 1e-9 and bool(
+                np.array_equal(w, shift / math.sqrt(eps * n)))),
+            "caratheodory": (bool(np.all(rho >= 0.0))
+                             and len(tau_rows) <= n + 1
+                             and abs(float(rho.sum()) - 1.0) <= 1e-12
+                             and cara <= 1e-9),
+            "alpha_finite": math.isfinite(alpha),
+        }
+        diagnostics.update(
+            barycenter_residual=bary, shift_norm_bound=opT.norm_bound,
+            sum_b=sum_b, shifted_lo=lo_s, shifted_hi=hi_s,
+            unshifted_lo=lo_u, unshifted_hi=hi_u, sandwich_window=window,
+            trace_residual=opT.trace_residual, w_norm=w_norm,
+            cara_residual=cara, tau_size=len(tau_rows), union_size=union,
+            budget=budget)
+    return SelectionCertificate(
+        mode=mode, selected=tuple(selected), s=s, z=z, d=d, eps=eps, tol=tol,
+        gamma_d=gamma, bound_claimed=bound, alpha_measured=alpha,
+        c_measured=c_measured, verdicts=verdicts, diagnostics=diagnostics,
+        stages={}, payload=payload)
 
 
-def _cardinality_problems(cert: SelectionCertificate, n: int) -> list:
-    """Recompute the budget from d and n; hold s, the stored budget and
-    the selected list to it."""
-    problems = []
-    if cert.s != len(cert.selected):
-        problems.append(f"s={cert.s} but {len(cert.selected)} bodies are "
-                        "selected")
-    try:
-        d = float(cert.d)
-        budget = (math.ceil(d * n) if cert.mode == SYMMETRIC
-                  else math.ceil(d * (n + 1)) + n + 1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return problems + [f"cannot recompute the budget from "
-                           f"d={cert.d!r}: {exc}"]
-    stored = cert.diagnostics.get("budget")
-    if stored != budget:
-        problems.append(f"budget recomputed from d={d} is {budget}; stored "
-                        f"{stored!r}")
-    if len(cert.selected) > budget:
-        problems.append(f"{len(cert.selected)} bodies selected, above the "
-                        f"budget {budget}")
-    return problems
+def _same(stored, derived) -> bool:
+    return type(stored) is type(derived) and stored == derived
 
 
 def verify_certificate(family: BodyFamily, doc: dict):
-    """Cheap re-verification of a stored certificate.
+    """Re-derive a stored certificate with ``check`` and compare.
 
-    Recomputes the eigenvalue extremes of the stored operators and the
-    containment factor, then rebuilds the verdicts those numbers support and
-    compares with the stored ones. The alpha verdict is re-derived from the
-    instance, ``selected`` and ``d`` alone: symmetric certificates must
-    meet gamma_d(d)*sqrt(n), general ones must claim their own finite alpha.
-    ``s`` must count ``selected``, and the budget is recomputed from d and
-    n: ceil(d n) symmetric, ceil(d (n+1)) + n + 1 general.
-    MVEE and sparsifier runs are not repeated. Returns (ok, list of mismatch
-    strings).
+    Every derived field (``s``, ``gamma_d``, ``bound_claimed``,
+    ``alpha_measured``, ``c_measured``, each derived diagnostic) must equal
+    the recomputed value, the stored witness vectors must match the derived
+    ones to 1e-12, and the stored verdicts must be the recomputed ones, all
+    true. ``format``, ``version`` and ``dimension`` must match, and ``m``
+    must be unset or the instance's row count. Informational, not compared:
+    ``timing``, ``notes``, ``seed``, ``parameters``, ``diameter``, the John
+    residuals, the ``recenter_*``, ``chebyshev_radius`` and ``reduction_*``
+    diagnostics, and the ``reduction_growth`` verdict (re-deriving it needs
+    the exponential vertex oracle). Returns (ok, list of problems).
     """
-    bad_selection = _selection_problem(doc.get("selected"), len(family))
-    if bad_selection:
-        return False, [bad_selection]
-    cert = certificate_from_json(doc)
-    problems = []
+    try:
+        checked = check(family, doc)
+    except CertificateRejected as exc:
+        return False, [str(exc)]
+    rows = checked.diagnostics["generators"]
+    derived = (
+        ("format", FORMAT_NAME, "file format"),
+        ("version", __version__, "this hellycert's"),
+        ("dimension", family.dim, "the instance's"),
+        ("m", None if _field(doc, "m") is None else rows, "constraint rows"),
+        ("s", checked.s, "count of selected"),
+        ("gamma_d", checked.gamma_d, "the bound's ratio at d"),
+        ("bound_claimed", checked.bound_claimed, "the bound"),
+        ("alpha_measured", checked.alpha_measured, "containment factor"),
+        ("c_measured", checked.c_measured, "alpha / n^1.5"))
+    problems = [f"{key}={_field(doc, key)!r} stored, {value!r} expected "
+                f"({meaning})" for key, value, meaning in derived
+                if not _same(_field(doc, key), value)]
+    diagnostics = _field(doc, "diagnostics")
+    problems += [f"diagnostics.{key}={_field(diagnostics, key)!r} stored, "
+                 f"{value!r} recomputed"
+                 for key, value in checked.diagnostics.items()
+                 if not _same(_field(diagnostics, key), value)]
+    for key in [k for k in WITNESSES if k in checked.payload]:
+        value = checked.payload[key]
+        gap = float(np.max(np.abs(
+            _array(doc["payload"], key, value.shape) - value)))
+        if not gap <= WITNESS_TOL:
+            problems.append(f"payload {key} differ from the vectors of their "
+                            f"generator rows by {gap:.3e} (allowed "
+                            f"{WITNESS_TOL:.0e})")
 
-    def close(a, b, tol=1e-7):
-        return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
-
-    vecs = cert.payload["contact_vectors"]
-    coef = cert.payload["coefficients"]
-    if cert.mode == SYMMETRIC:
-        lo, hi = _extremes(vecs, coef)
-        if not close(hi / lo, cert.diagnostics["lambda_max"]
-                     / cert.diagnostics["lambda_min"]):
-            problems.append(
-                f"sandwich ratio recomputed {hi / lo:.9g} != stored "
-                f"{cert.diagnostics['lambda_max']:.9g}")
-        target = family
-    else:
-        shift = cert.payload["shift"]
-        lo_u, hi_u = _extremes(vecs, coef)
-        if not (close(lo_u, cert.diagnostics["unshifted_lo"])
-                and close(hi_u, cert.diagnostics["unshifted_hi"])):
-            problems.append("unshifted extremes do not match certificate")
-        lo_s, hi_s = _extremes(vecs + shift, coef)
-        if not (close(lo_s, cert.diagnostics["shifted_lo"])
-                and close(hi_s, cert.diagnostics["shifted_hi"])):
-            problems.append("shifted extremes do not match certificate")
-        bary = float(np.linalg.norm(coef @ (vecs + shift)))
-        if bary > 1e-10:
-            problems.append(f"barycenter residual {bary:.3e} above 1e-10")
-        rho = cert.payload["rho"]
-        tau_vecs = cert.payload["tau_vectors"]
-        cara = float(np.linalg.norm(tau_vecs.T @ rho - cert.payload["w"]))
-        if cara > 1e-9:
-            problems.append(f"Caratheodory residual {cara:.3e} above 1e-9")
-        target = normalize_family(family, cert.z)
-
-    problems.extend(_cardinality_problems(cert, family.dim))
-    alpha = containment_factor(target, list(cert.selected))
-    if not (math.isinf(alpha) and math.isinf(cert.alpha_measured)) \
-            and not close(alpha, cert.alpha_measured):
-        problems.append(
-            f"containment factor recomputed {alpha:.9g} != stored "
-            f"{cert.alpha_measured:.9g}")
-    if cert.mode == SYMMETRIC:
-        problems.extend(_symmetric_bound_problems(cert, family.dim, alpha))
-    else:
-        if cert.bound_claimed != cert.alpha_measured:
-            problems.append(
-                f"bound_claimed {cert.bound_claimed:.9g} is not the "
-                f"measured alpha {cert.alpha_measured:.9g}")
-        if not math.isfinite(alpha):
-            problems.append("containment factor recomputed as infinite")
-    if not cert.all_pass:
-        problems.append("stored verdicts contain failures")
+    stored = _object(doc, "verdicts")
+    verdicts = dict(checked.verdicts)
+    if "reduction_growth" in stored:
+        verdicts["reduction_growth"] = stored["reduction_growth"]
+    if stored.keys() != verdicts.keys() or any(
+            stored[k] is not v for k, v in verdicts.items()):
+        problems.append(f"stored verdicts {stored} differ from the "
+                        f"recomputed {verdicts}")
+    failed = sorted(k for k, ok in verdicts.items() if ok is not True)
+    if failed:
+        problems.append(f"verdicts fail: {', '.join(failed)}")
     return not problems, problems
 
 

@@ -37,9 +37,6 @@ class LownerMap:
     forward: np.ndarray
     center: np.ndarray
 
-    def apply(self, pts):
-        return (np.atleast_2d(pts) - self.center) @ self.forward
-
 
 @dataclass(frozen=True)
 class JohnDecomposition:
@@ -51,10 +48,6 @@ class JohnDecomposition:
     residual_identity: float
     residual_barycenter: float
     source_indices: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512):

@@ -9,13 +9,10 @@ at the matrix sizes used here (a few hundred at most).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidMatrix
-
-COND_LIMIT = 1e12
+from .errors import InvalidMatrix
 
 
 def _as_sym_array(entries) -> np.ndarray:
@@ -36,10 +33,6 @@ class SymMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_sym_array(self.entries))
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -48,16 +41,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-class SandwichVerdict(NamedTuple):
-    ok: bool
-    lam_min: float
-    lam_max: float
-
 
 def _coerce(matrix) -> np.ndarray:
     if isinstance(matrix, SymMatrix):
@@ -65,25 +48,12 @@ def _coerce(matrix) -> np.ndarray:
     return _as_sym_array(matrix)
 
 
-def sym_eigen(matrix, tol: float = 1e-12, max_sweeps: int = 60,
-              guess: np.ndarray | None = None) -> Spectrum:
-    """Full eigen-decomposition by cyclic Jacobi rotations.
-
-    ``guess`` is an optional orthonormal matrix used to pre-rotate the input;
-    passing the eigenvectors of a nearby matrix cuts the sweep count a lot
-    when the caller solves a slowly drifting sequence of problems.
-    """
+def sym_eigen(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> Spectrum:
+    """Full eigen-decomposition by cyclic Jacobi rotations."""
     a = _coerce(matrix)
     n = a.shape[0]
-    if guess is None:
-        b = a.copy()
-        v = np.eye(n)
-    else:
-        v = np.array(guess, dtype=float)
-        if v.shape != (n, n):
-            raise InvalidMatrix("eigenvector guess has wrong shape")
-        b = v.T @ a @ v
-        b = (b + b.T) / 2.0
+    b = a.copy()
+    v = np.eye(n)
 
     scale = 1.0 + float(np.sqrt(np.sum(a * a)))
     target = tol * scale
@@ -142,38 +112,3 @@ def _jacobi_sweeps(b, v, n, target, skip, max_sweeps):
                 v[:, p] = c * col_p - s * col_q
                 v[:, q] = s * col_p + c * col_q
 
-
-def psd_sandwich_check(matrix, lo: float, hi: float,
-                       tol: float = 0.0) -> SandwichVerdict:
-    """Check ``lo*I <= A <= hi*I`` up to an additive slack ``tol``."""
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise ValueError(f"invalid sandwich bounds [{lo}, {hi}]")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    spec = sym_eigen(matrix)
-    lam_min = float(spec.eigenvalues[0])
-    lam_max = float(spec.eigenvalues[-1])
-    ok = (lam_min >= lo - tol) and (lam_max <= hi + tol)
-    return SandwichVerdict(ok, lam_min, lam_max)
-
-
-def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric system through the Jacobi spectrum.
-
-    Refuses matrices whose spectral condition number exceeds ``COND_LIMIT``;
-    callers are expected to treat that as data degeneracy, not retry.
-    """
-    a = _coerce(matrix)
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise InvalidMatrix("right-hand side length does not match matrix")
-    spec = sym_eigen(a)
-    mags = np.abs(spec.eigenvalues)
-    lo = float(mags.min())
-    hi = float(mags.max())
-    if lo == 0.0 or hi / lo > COND_LIMIT:
-        raise IllConditioned(
-            f"condition number {np.inf if lo == 0.0 else hi / lo:.3e} "
-            f"exceeds limit {COND_LIMIT:.1e}")
-    y = spec.eigenvectors.T @ b
-    return spec.eigenvectors @ (y / spec.eigenvalues)

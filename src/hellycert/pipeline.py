@@ -2,9 +2,10 @@
 
 Both selectors follow the same shape: dualize the family to a point set,
 extract a John decomposition, sparsify it, map the survivors back to the
-bodies that contributed them, and then certify by LP what the construction
-promises. The certificate never takes the theory's word for anything a
-linear program or an eigenvalue check can confirm directly.
+bodies that contributed them, and then hand the resulting claims to
+``io.check``, which derives every verdict and number in the certificate.
+The certificate never takes the theory's word for anything a linear program
+or an eigenvalue check can confirm directly.
 """
 
 from __future__ import annotations
@@ -17,50 +18,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CaratheodoryFailed, HellycertError, UnboundedBody
-from .geometry import (BodyFamily, chebyshev_center, containment_factor,
-                       interior_margin, normalize_family, polar_generators,
-                       validate_family)
+from .geometry import (BodyFamily, chebyshev_center, interior_margin,
+                       normalize_family, polar_generators, validate_family)
+from .io import SelectionCertificate, check
 from .john import john_decomposition, mvee_general
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .oracle import circumradius_exact, diameter_exact
-from .sparsify import (EPS_SHIFT_DEFAULT, bss_select, certify_operator_T,
-                       gamma_ratio, shifted_select)
+from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
-ALPHA_SLACK = 1e-5
-BARVINOK_SAMPLES = 200
-BARVINOK_SEED = 0
 RECENTER_TARGET = 0.05
 GROWTH_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class SelectionCertificate:
-    mode: str
-    selected: tuple
-    s: int
-    z: np.ndarray
-    d: float | None
-    eps: float | None
-    gamma_d: float | None
-    bound_claimed: float
-    alpha_measured: float
-    c_measured: float | None
-    verdicts: dict
-    diagnostics: dict
-    stages: dict
-    payload: dict
-    notes: tuple = ()
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
 
 
 @dataclass(frozen=True)
 class CaratheodoryWitness:
     tau: np.ndarray
     rho: np.ndarray
-    target: np.ndarray
     residual: float
 
 
@@ -81,29 +54,13 @@ def _owners(tags: np.ndarray, rows) -> tuple:
     return tuple(int(t) for t in np.unique(tags[np.asarray(rows, dtype=int)]))
 
 
-def _barvinok_sample(points: np.ndarray, rows, bound: float,
-                     samples: int = BARVINOK_SAMPLES):
-    """Sampled two-sided support comparison between kept rows and all rows."""
-    rng = np.random.default_rng(BARVINOK_SEED)
-    n = points.shape[1]
-    Z = rng.standard_normal((samples, n))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    all_max = np.abs(Z @ points.T).max(axis=1)
-    kept_max = np.abs(Z @ points[np.asarray(rows, dtype=int)].T).max(axis=1)
-    left_ok = bool(np.all(kept_max <= all_max * (1.0 + 1e-12) + 1e-15))
-    worst = float(np.max(all_max / np.maximum(kept_max * bound, 1e-300)))
-    return left_ok and worst <= 1.0 + ALPHA_SLACK, worst
-
-
 def select_symmetric(family: BodyFamily, d: float = 4.0,
                      tol: float = 1e-5) -> SelectionCertificate:
     """Pick at most ceil(d*n) bodies whose intersection stays within
-    gamma_d*sqrt(n) times the full intersection, and certify it by LP."""
+    gamma_d*sqrt(n) times the full intersection; ``check`` certifies it."""
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
-    gamma = gamma_ratio(d)
-    bound = gamma * math.sqrt(n)
 
     with _stage(stages, "validate"):
         validate_family(family)
@@ -113,45 +70,19 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
     with _stage(stages, "sparsify"):
         res = bss_select(decomp.vectors, decomp.weights, d)
     rows = decomp.source_indices[res.sigma]
-    selected = _owners(gens.tags, rows)
     with _stage(stages, "containment"):
-        alpha = containment_factor(family, list(selected))
-    with _stage(stages, "barvinok"):
-        barvinok_ok, barvinok_worst = _barvinok_sample(
-            gens.points, rows, bound)
-
-    budget = math.ceil(d * n)
-    sandwich_hi = gamma ** 2 * (1.0 + 1e-6) + decomp.residual_identity
-    verdicts = {
-        "john_identity": decomp.residual_identity <= tol,
-        "sandwich": (res.lambda_max / res.lambda_min) <= sandwich_hi,
-        "cardinality": len(res.sigma) <= budget and len(selected) <= budget,
-        "barvinok": barvinok_ok,
-        "alpha_within_bound": alpha <= bound * (1.0 + ALPHA_SLACK),
-    }
-    diagnostics = {
-        "residual_identity": decomp.residual_identity,
-        "lambda_min": res.lambda_min,
-        "lambda_max": res.lambda_max,
-        "sigma_size": int(len(res.sigma)),
-        "budget": budget,
-        "barvinok_worst": barvinok_worst,
-        "alpha": alpha,
-    }
-    payload = {
-        "contact_vectors": decomp.vectors[res.sigma],
-        "coefficients": res.b * decomp.weights[res.sigma],
-        "frame": lmap.forward,
-        "frame_center": lmap.center,
-        "generator_rows": rows,
-    }
+        cert = check(family, {
+            "mode": "symmetric", "z": np.zeros(n),
+            "selected": _owners(gens.tags, rows), "d": d, "eps": None,
+            "tol": tol, "payload": {
+                "coefficients": res.b * decomp.weights[res.sigma],
+                "frame": lmap.forward,
+                "frame_center": lmap.center,
+                "sigma_rows": rows,
+            }})
     stages["total"] = time.perf_counter() - t_start
-    return SelectionCertificate(
-        mode="symmetric", selected=selected, s=len(selected),
-        z=np.zeros(n), d=d, eps=None, gamma_d=gamma,
-        bound_claimed=bound, alpha_measured=alpha, c_measured=None,
-        verdicts=verdicts, diagnostics=diagnostics, stages=stages,
-        payload=payload)
+    return replace(cert, stages=stages, diagnostics={
+        "residual_identity": decomp.residual_identity, **cert.diagnostics})
 
 
 def caratheodory_express(w, points) -> CaratheodoryWitness:
@@ -211,8 +142,7 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
         raise CaratheodoryFailed(
             f"witness residual {residual:.3e} with support {tau.size} "
             f"(allowed n+1 = {n + 1})")
-    return CaratheodoryWitness(tau=tau, rho=rho_final, target=w,
-                               residual=residual)
+    return CaratheodoryWitness(tau=tau, rho=rho_final, residual=residual)
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):
@@ -282,80 +212,38 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
         decomp, lmap = john_decomposition(gens, centered=True, tol_john=tol)
     with _stage(stages, "sparsify"):
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
-        opT = certify_operator_T(decomp.vectors, shifted.sigma, shifted.b,
-                                 shifted.v, eps)
     with _stage(stages, "caratheodory"):
         w = shifted.v / math.sqrt(eps * n)
         witness = caratheodory_express(w, decomp.vectors)
 
-    certs = shifted.certificates
-    union = np.unique(np.concatenate([shifted.sigma, witness.tau]))
-    rows = decomp.source_indices[union]
-    selected = _owners(gens.tags, rows)
-    budget = math.ceil(certs.d * (n + 1)) + n + 1
+    sigma_rows = decomp.source_indices[shifted.sigma]
+    tau_rows = decomp.source_indices[witness.tau]
+    selected = _owners(gens.tags, np.concatenate([sigma_rows, tau_rows]))
     with _stage(stages, "containment"):
-        alpha = containment_factor(norm, list(selected))
-    c_measured = alpha / n ** 1.5
-    w_norm = float(np.linalg.norm(w))
-
-    verdicts = {
-        "john_identity": decomp.residual_identity <= tol,
-        "john_barycenter": decomp.residual_barycenter <= tol,
-        "shift_barycenter": certs.barycenter_residual <= 1e-10,
-        "shift_norm": certs.shift_norm_ok,
-        "sum_b": certs.sum_ok,
-        "sandwich": certs.shifted_ok or certs.unshifted_ok,
-        "operator_T": opT.verdict,
-        "w_norm": w_norm <= 1.0 / n + 1e-9,
-        "caratheodory": witness.residual <= 1e-9
-        and witness.tau.size <= n + 1,
-        "cardinality": int(union.size) <= budget,
-        "alpha_finite": math.isfinite(alpha),
-    }
-    diagnostics = {
-        "residual_identity": decomp.residual_identity,
-        "residual_barycenter": decomp.residual_barycenter,
-        "barycenter_residual": certs.barycenter_residual,
-        "shift_norm_bound": certs.shift_norm_bound,
-        "sum_b": shifted.sum_b,
-        "shifted_lo": certs.shifted_lo,
-        "shifted_hi": certs.shifted_hi,
-        "unshifted_lo": certs.unshifted_lo,
-        "unshifted_hi": certs.unshifted_hi,
-        "operator_T_bound": opT.norm_bound,
-        "trace_residual": opT.trace_residual,
-        "w_norm": w_norm,
-        "cara_residual": witness.residual,
-        "sigma_size": int(shifted.sigma.size),
-        "tau_size": int(witness.tau.size),
-        "union_size": int(union.size),
-        "budget": budget,
-        "d_used": certs.d,
-        "chebyshev_radius": radius,
-        "recenter_offset": offset,
-        "recenter_iters": recenter_iters,
-        "alpha": alpha,
-    }
-    payload = {
-        "contact_vectors": decomp.vectors[shifted.sigma],
-        "coefficients": shifted.b,
-        "shift": shifted.v,
-        "w": w,
-        "tau_vectors": decomp.vectors[witness.tau],
-        "rho": witness.rho,
-        "frame": lmap.forward,
-        "frame_center": lmap.center,
-        "generator_rows": rows,
-    }
-    notes = (f"recentered translate after {recenter_iters} Newton steps "
-             f"(offset {offset:.2e})",)
+        cert = check(family, {
+            "mode": "general", "z": z, "selected": selected,
+            "d": float(shifted.certificates.d), "eps": eps, "tol": tol,
+            "payload": {
+                "coefficients": shifted.b,
+                "shift": shifted.v,
+                "w": w,
+                "rho": witness.rho,
+                "frame": lmap.forward,
+                "frame_center": lmap.center,
+                "sigma_rows": sigma_rows,
+                "tau_rows": tau_rows,
+            }})
     stages["total"] = time.perf_counter() - t_start
-    return SelectionCertificate(
-        mode="general", selected=selected, s=len(selected), z=z,
-        d=float(certs.d), eps=eps, gamma_d=gamma_ratio(certs.d),
-        bound_claimed=alpha, alpha_measured=alpha, c_measured=c_measured,
-        verdicts=verdicts, diagnostics=diagnostics, stages=stages,
-        payload=payload, notes=notes)
+    return replace(
+        cert, stages=stages, diagnostics={
+            "residual_identity": decomp.residual_identity,
+            "residual_barycenter": decomp.residual_barycenter,
+            "chebyshev_radius": radius,
+            "recenter_offset": offset,
+            "recenter_iters": recenter_iters,
+            **cert.diagnostics},
+        notes=(f"recentered translate after {recenter_iters} Newton steps "
+               f"(offset {offset:.2e})",))
 
 
 def _subfamily_radius(norm: BodyFamily, subset) -> float:
@@ -380,11 +268,7 @@ def reduce_to_2n(family: BodyFamily,
         return selection
     stages = dict(selection.stages)
     t0 = time.perf_counter()
-    if selection.mode == "general":
-        norm = normalize_family(family, selection.z)
-    else:
-        validate_family(family)
-        norm = family
+    norm = normalize_family(family, selection.z)
 
     radius = _subfamily_radius(norm, sel)
     start_radius = radius
@@ -405,30 +289,27 @@ def reduce_to_2n(family: BodyFamily,
         sel.remove(best_j)
         radius = best_r
 
-    alpha = containment_factor(norm, sel)
+    cert = check(family, {
+        "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
+        "d": selection.d, "eps": selection.eps, "tol": selection.tol,
+        "payload": selection.payload})
     stages["reduce"] = time.perf_counter() - t0
     stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
-    verdicts = dict(selection.verdicts)
-    verdicts["reduction_growth"] = growth_ok
-    diagnostics = dict(selection.diagnostics)
-    diagnostics["alpha"] = alpha
-    diagnostics["reduction_start_radius"] = start_radius
-    diagnostics["reduction_final_radius"] = radius
-    diagnostics["reduction_cumulative_growth"] = radius / start_radius
-    diagnostics["reduction_cumulative_bound"] = float(
-        math.comb(len(selection.selected), 2 * n))
-    notes = selection.notes + tuple(
-        f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
-        f"(growth {g:.4f}, limit {lim:.4f})"
-        for j, r0, r1, g, lim in chain)
-    c_measured = (alpha / n ** 1.5 if selection.mode == "general" else None)
     return replace(
-        selection, selected=tuple(sorted(sel)), s=len(sel),
-        alpha_measured=alpha, c_measured=c_measured,
-        bound_claimed=(alpha if selection.mode == "general"
-                       else selection.bound_claimed),
-        verdicts=verdicts, diagnostics=diagnostics, stages=stages,
-        notes=notes)
+        cert, stages=stages,
+        verdicts={**cert.verdicts, "reduction_growth": growth_ok},
+        diagnostics={
+            **selection.diagnostics, **cert.diagnostics,
+            "reduction_start_radius": start_radius,
+            "reduction_final_radius": radius,
+            "reduction_cumulative_growth": radius / start_radius,
+            "reduction_cumulative_bound": float(
+                math.comb(len(selection.selected), 2 * n)),
+        },
+        notes=selection.notes + tuple(
+            f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
+            f"(growth {g:.4f}, limit {lim:.4f})"
+            for j, r0, r1, g, lim in chain))
 
 
 def diameter_report(family: BodyFamily, selection: SelectionCertificate,
@@ -441,10 +322,7 @@ def diameter_report(family: BodyFamily, selection: SelectionCertificate,
     """
     if not exact:
         return math.nan, math.nan, selection.alpha_measured
-    if selection.mode == "general":
-        norm = normalize_family(family, selection.z)
-    else:
-        norm = family
+    norm = normalize_family(family, selection.z)
     G_s, h_s, _ = norm.constraint_matrix(list(selection.selected))
     G_f, h_f, _ = norm.constraint_matrix()
     diam_sel = diameter_exact(G_s, h_s)

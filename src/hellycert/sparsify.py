@@ -37,8 +37,6 @@ class SparsifierResult:
     b: np.ndarray
     lambda_min: float
     lambda_max: float
-    d: float
-    gamma_d: float
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class ShiftedDecomposition:
     sigma: np.ndarray
     b: np.ndarray
     v: np.ndarray
-    eps: float
     sum_b: float
     certificates: ShiftCertificates
 
@@ -142,8 +139,7 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     return SparsifierResult(
         sigma=sigma, b=b,
         lambda_min=1.0,
-        lambda_max=float(spec.eigenvalues[-1] / lam_min_raw),
-        d=d, gamma_d=gamma_ratio(d))
+        lambda_max=float(spec.eigenvalues[-1] / lam_min_raw))
 
 
 def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
@@ -194,7 +190,7 @@ def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
             unshifted_lo=lo_u, unshifted_hi=hi_u, unshifted_ok=unshifted_ok)
         if certs.all_ok:
             return ShiftedDecomposition(
-                sigma=sigma, b=b, v=shift, eps=eps, sum_b=s,
+                sigma=sigma, b=b, v=shift, sum_b=s,
                 certificates=certs)
         trail.append(certs)
 

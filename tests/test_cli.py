@@ -18,7 +18,7 @@ def run(args):
 def test_generate_then_select_then_certify(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
-    assert run(["gen", "--sharpness", "--n", 2, "--N", 64, "--seed", 7,
+    assert run(["gen", "--kind", "sharpness", "--n", 2, "--N", 64, "--seed", 7,
                 "--out", inst]) == 0
     assert run(["select-sym", "--in", inst, "--d", 4, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
@@ -125,3 +125,22 @@ def test_seed_recorded_in_certificate(tmp_path):
     doc = hio.load_certificate(cert)
     assert doc["seed"] == 12
     assert doc["parameters"]["d"] == 4.0
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda doc: doc.update(mode="symmetric"), 2),
+    (lambda doc: doc.update(dimension=doc["dimension"] + 1), 2),
+    (lambda doc: doc.pop("payload"), 3),
+    (lambda doc: doc["payload"].update(rho="heavy"), 3),
+], ids=["mode-flipped", "dimension", "payload-missing", "rho-string"])
+def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
+    inst = tmp_path / "hs.json"
+    cert = tmp_path / "cert.json"
+    assert run(["gen", "--kind", "halfspace", "--n", 3, "--count", 4,
+                "--seed", 0, "--out", inst]) == 0
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    assert run(["certify", "--in", inst, "--cert", cert]) == 0
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    assert run(["certify", "--in", inst, "--cert", cert]) == code

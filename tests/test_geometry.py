@@ -12,14 +12,13 @@ from hellycert import lp
 from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
 from hellycert.geometry import (BodyFamily, HalfspaceBody, SlabBody,
                                 chebyshev_center, containment_factor,
-                                interior_margin, minkowski_functional_v,
-                                normalize_family, polar_generators,
-                                validate_family)
+                                interior_margin, normalize_family,
+                                polar_generators, validate_family)
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
 
-from conftest import cube_halfspace_family, cube_slab_family, unit_rows
+from conftest import cube_halfspace_family, cube_slab_family
 
 
 def triangle_family():
@@ -237,29 +236,6 @@ def test_normalized_chebyshev_keeps_margin():
 def test_validate_family_accepts_generated():
     fam = gen_slab_family(4, count=5, seed=9)
     validate_family(fam)
-
-
-def test_minkowski_cross_polytope_diagonal():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert minkowski_functional_v(pts, np.array([1.0, 1.0])) == pytest.approx(2.0)
-
-
-def test_minkowski_zero():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert minkowski_functional_v(pts, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_minkowski_boundary_scaling(rng):
-    pts = unit_rows(rng, 12, 3)
-    pts = np.vstack([pts, -pts])
-    for _ in range(8):
-        x = 0.2 * rng.standard_normal(3)
-        p = minkowski_functional_v(pts, x)
-        if p < 1e-9:
-            continue
-        # x/p sits on the hull boundary: its gauge is 1
-        back = minkowski_functional_v(pts, x / p)
-        assert back == pytest.approx(1.0, abs=1e-6)
 
 
 def test_polarity_consistency_small():

@@ -1,7 +1,9 @@
 """JSON formats, certificate re-verification, report writing."""
 
+import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,3 +205,139 @@ def test_report_blank_diameter_in_bound_mode(tmp_path):
     cols = {name: i for i, name in enumerate(rows[0])}
     assert rows[1][cols["diam_selected"]] == ""
     assert rows[1][cols["eps"]] != ""
+
+
+# The tamper matrix: one edit per case, over every field of a certificate of
+# each mode. Only the informational fields may absorb an edit.
+TOP_FIELDS = ("format", "version", "mode", "dimension", "m", "seed",
+              "parameters", "selected", "s", "z", "d", "eps", "tol",
+              "gamma_d", "bound_claimed", "alpha_measured", "c_measured",
+              "notes", "timing")
+VERDICTS = {
+    "symmetric": ("cardinality", "sandwich", "alpha_within_bound"),
+    "general": ("cardinality", "shift_barycenter", "shift_norm", "sum_b",
+                "sandwich", "w_norm", "caratheodory", "alpha_finite"),
+}
+DIAGNOSTICS = {
+    "symmetric": ("residual_identity", "frame_radius", "generators",
+                  "sigma_size", "lambda_min", "lambda_max", "sandwich_limit",
+                  "budget"),
+    "general": ("residual_identity", "residual_barycenter",
+                "chebyshev_radius", "recenter_offset", "recenter_iters",
+                "frame_radius", "generators", "sigma_size",
+                "barycenter_residual",
+                "shift_norm_bound", "sum_b", "shifted_lo", "shifted_hi",
+                "unshifted_lo", "unshifted_hi", "sandwich_window",
+                "trace_residual", "w_norm", "cara_residual", "tau_size",
+                "union_size", "budget"),
+}
+PAYLOAD = {
+    "symmetric": ("coefficients", "frame", "frame_center", "sigma_rows",
+                  "contact_vectors"),
+    "general": ("coefficients", "frame", "frame_center", "sigma_rows",
+                "contact_vectors", "shift", "w", "rho", "tau_rows",
+                "tau_vectors"),
+}
+WITNESS_VECTORS = ("contact_vectors", "tau_vectors")
+INFORMATIONAL = {"seed", "parameters", "notes", "timing",
+                 "diagnostics.residual_identity",
+                 "diagnostics.residual_barycenter",
+                 "diagnostics.chebyshev_radius",
+                 "diagnostics.recenter_offset",
+                 "diagnostics.recenter_iters"}
+
+
+def _tamper_cases():
+    for mode in ("symmetric", "general"):
+        yield from ((mode, f) for f in TOP_FIELDS)
+        yield mode, "verdicts={}"
+        for k in VERDICTS[mode]:
+            yield mode, f"verdicts.{k}:delete"
+            yield mode, f"verdicts.{k}:flip"
+        yield mode, "verdicts.extra:add"
+        yield from ((mode, f"diagnostics.{k}") for k in DIAGNOSTICS[mode])
+        for k in PAYLOAD[mode]:
+            yield mode, f"payload.{k}"
+            if k in WITNESS_VECTORS:
+                yield mode, f"payload.{k}:rotate"
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    docs = {}
+    for mode, fam, select in (
+            ("symmetric", gen_slab_family(2, count=8, seed=3),
+             lambda f: select_symmetric(f, d=4.0)),
+            ("general", gen_halfspace_family(3, count=4, seed=0),
+             select_general)):
+        m = fam.constraint_matrix()[0].shape[0]
+        doc = hio.certificate_to_json(select(fam), __version__,
+                                      constraint_count=m, seed=3,
+                                      parameters={"tol": 1e-5})
+        docs[mode] = (fam, json.loads(json.dumps(doc)))
+    return docs
+
+
+def _bump(value):
+    """A same-type edit: flip, step, scale by 1.001 (offset if all zero)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value is None:
+        return 1.0
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, dict):
+        return {"edited": True}
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value + ["edited"]
+    if isinstance(value, list) and all(isinstance(v, int) for v in value):
+        # an index list: swap the last index for the smallest unused one
+        fresh = min(set(range(max(value) + 2)) - set(value))
+        return sorted(value[:-1] + [fresh])
+    a = np.asarray(value, dtype=float)
+    return (a * 1.001 if np.any(a != 0.0) else a + 1e-3).tolist()
+
+
+def _tamper(doc, case):
+    target, _, how = case.partition(":")
+    if target == "verdicts={}":
+        doc["verdicts"] = {}
+        return doc
+    section, _, key = target.rpartition(".")
+    where = doc[section] if section else doc
+    if how == "delete":
+        del where[key]
+    elif how == "add":
+        where[key] = True
+    elif how == "rotate":
+        c, s = math.cos(0.01), math.sin(0.01)
+        a = np.asarray(where[key])
+        a[:, :2] = a[:, :2] @ np.array([[c, -s], [s, c]])
+        where[key] = a.tolist()
+    else:
+        where[key] = _bump(where[key])
+    return doc
+
+
+def test_tamper_matrix_covers_every_field(certificates):
+    for mode, (_, doc) in certificates.items():
+        assert set(doc) == set(TOP_FIELDS) | {"verdicts", "diagnostics",
+                                               "payload"}
+        assert set(doc["verdicts"]) == set(VERDICTS[mode])
+        assert set(doc["diagnostics"]) == set(DIAGNOSTICS[mode])
+        assert set(doc["payload"]) == set(PAYLOAD[mode])
+
+
+@pytest.mark.parametrize("mode, case", list(_tamper_cases()))
+def test_tamper_matrix(certificates, mode, case):
+    fam, doc = certificates[mode]
+    assert hio.verify_certificate(fam, doc) == (True, [])
+    edited = _tamper(copy.deepcopy(doc), case)
+    assert edited != doc
+    ok, problems = hio.verify_certificate(fam, edited)
+    if case.partition(":")[0] in INFORMATIONAL:
+        assert ok, problems
+    else:
+        assert not ok and problems

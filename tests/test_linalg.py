@@ -1,12 +1,10 @@
-"""Eigen kernel, sandwich checks, and the dense solve."""
+"""Eigen kernel."""
 
 import numpy as np
 import pytest
 
-from hellycert.errors import IllConditioned, InvalidMatrix
-from hellycert.linalg import SymMatrix, psd_sandwich_check, solve_linear, sym_eigen
-
-from conftest import unit_rows
+from hellycert.errors import InvalidMatrix
+from hellycert.linalg import SymMatrix, sym_eigen
 
 
 def test_eigen_identity():
@@ -48,61 +46,3 @@ def test_eigen_symmetrizes_input():
     a = np.array([[1.0, 0.3 + 1e-14], [0.3, 2.0]])
     spec = sym_eigen(SymMatrix(a))
     assert spec.eigenvalues[0] < spec.eigenvalues[1]
-
-
-def test_sandwich_exact_bounds():
-    verdict = psd_sandwich_check(SymMatrix(np.diag([1.0, 2.0])), 1.0, 2.0, 0.0)
-    assert verdict.ok
-    assert verdict.lam_min == pytest.approx(1.0)
-    assert verdict.lam_max == pytest.approx(2.0)
-
-
-def test_sandwich_rejects_low_eigenvalue():
-    verdict = psd_sandwich_check(SymMatrix(np.diag([0.5, 2.0])), 1.0, 9.0, 1e-9)
-    assert not verdict.ok
-    assert verdict.lam_min == pytest.approx(0.5)
-
-
-def test_sandwich_loosening_is_monotone(rng):
-    for _ in range(20):
-        raw = rng.standard_normal((4, 4))
-        a = SymMatrix(raw @ raw.T + 0.1 * np.eye(4))
-        lo = rng.uniform(0.0, 1.0)
-        hi = lo + rng.uniform(0.0, 5.0)
-        tight = psd_sandwich_check(a, lo, hi, 0.0)
-        loose = psd_sandwich_check(a, lo - 0.5, hi + 0.5, 0.0)
-        if tight.ok:
-            assert loose.ok
-
-
-def test_solve_identity():
-    x = solve_linear(SymMatrix(np.eye(3)), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(x, [1.0, 2.0, 3.0])
-
-
-def test_solve_diagonal():
-    x = solve_linear(SymMatrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0])
-
-
-def test_solve_random_spd_residual(rng):
-    for _ in range(10):
-        raw = rng.standard_normal((5, 5))
-        a = SymMatrix(raw @ raw.T + np.eye(5))
-        rhs = rng.standard_normal(5)
-        x = solve_linear(a, rhs)
-        assert np.linalg.norm(a.entries @ x - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
-
-
-def test_solve_flags_singular():
-    a = SymMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(IllConditioned):
-        solve_linear(a, np.array([1.0, 0.0]))
-
-
-def test_solve_roundtrip_on_random_directions(rng):
-    raw = rng.standard_normal((6, 6))
-    a = SymMatrix(raw @ raw.T + 2.0 * np.eye(6))
-    for u in unit_rows(rng, 5, 6):
-        x = solve_linear(a, a.entries @ u)
-        assert np.linalg.norm(x - u) <= 1e-8 * (1.0 + np.linalg.norm(u))
