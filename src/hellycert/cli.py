@@ -146,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
-    for name, mode in (("select-sym", "symmetric"),
-                       ("select-gen", "general")):
+    for name, mode, option, default in (
+            ("select-sym", "symmetric", "--d", 4.0),
+            ("select-gen", "general", "--eps", 0.5)):
         sel = sub.add_parser(name, help=f"run the {mode} selection pipeline")
         sel.add_argument("--in", dest="infile", required=True)
         sel.add_argument("--out", required=True)
-        sel.add_argument("--d", type=float, default=4.0)
-        sel.add_argument("--eps", type=float, default=0.5)
+        sel.add_argument(option, type=float, default=default)
         sel.add_argument("--tol", type=float, default=1e-5)
         sel.add_argument("--seed", type=int, default=None)
         sel.add_argument("--exact-oracle", action="store_true",

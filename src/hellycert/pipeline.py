@@ -146,7 +146,7 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):
-    """(offset, MVEE) of the polar of the family translated to z.
+    """(offset, MVEE, generators) of the polar of the family translated to z.
 
     The offset is the MVEE center's norm in the ellipsoid's own metric,
     so it is a fraction of the polar's size.
@@ -154,7 +154,7 @@ def _polar_offset(family: BodyFamily, z: np.ndarray):
     gens = polar_generators(normalize_family(family, z))
     ell, _ = mvee_general(gens.points, eps_mvee=1e-6)
     c = ell.center
-    return math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell
+    return math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell, gens
 
 
 def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
@@ -166,10 +166,11 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
     interior margin of 0.1 * radius and strictly lowers the offset;
     otherwise lam halves, down to 1e-3. The loop stops at ``target``, when
     no lam helps, or after ``max_iter`` steps, and returns (z, offset,
-    steps), where steps counts the Newton steps taken.
+    steps, generators), where steps counts the Newton steps taken and the
+    generators are the polar's at the returned z.
     """
     z = np.asarray(z0, dtype=float)
-    offset, ell = _polar_offset(family, z)
+    offset, ell, gens = _polar_offset(family, z)
     steps = 0
     while offset > target and steps < max_iter:
         step = ell.shape.entries @ ell.center
@@ -177,15 +178,15 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
         while lam > 1e-3:
             z_try = z - lam * step
             if interior_margin(family, z_try) >= 0.1 * radius:
-                offset_try, ell_try = _polar_offset(family, z_try)
-                if offset_try < offset:
+                trial = _polar_offset(family, z_try)
+                if trial[0] < offset:
                     break
             lam /= 2.0
         else:
             break
-        z, offset, ell = z_try, offset_try, ell_try
+        z, (offset, ell, gens) = z_try, trial
         steps += 1
-    return z, offset, steps
+    return z, offset, steps, gens
 
 
 def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
@@ -204,10 +205,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
 
     with _stage(stages, "center"):
         z0, radius = chebyshev_center(family)
-        z, offset, recenter_iters = _recenter(family, z0, radius)
-    with _stage(stages, "normalize"):
-        norm = normalize_family(family, z)
-        gens = polar_generators(norm)
+        z, offset, recenter_iters, gens = _recenter(family, z0, radius)
     with _stage(stages, "john"):
         decomp, lmap = john_decomposition(gens, centered=True, tol_john=tol)
     with _stage(stages, "sparsify"):
@@ -222,7 +220,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
     with _stage(stages, "containment"):
         cert = check(family, {
             "mode": "general", "z": z, "selected": selected,
-            "d": float(shifted.certificates.d), "eps": eps, "tol": tol,
+            "d": float(shifted.d), "eps": eps, "tol": tol,
             "payload": {
                 "coefficients": shifted.b,
                 "shift": shifted.v,

@@ -5,8 +5,11 @@ given sum a_j v_j v_j^T = I it keeps at most ceil(d*n) indices whose
 reweighted sum is spectrally sandwiched with ratio gamma_d^2,
 gamma_d = (sqrt(d)+1)/(sqrt(d)-1). ``shifted_select`` adds the barycenter
 condition for decompositions of general (non-symmetric) bodies by lifting
-to dimension n+1, selecting there, and shifting back; every claim it makes
-is re-certified by an eigenvalue check rather than trusted.
+to dimension n+1, selecting there, and shifting back. Its four claims are
+judged by ``certify_operator_T``, the one function that computes them: it
+decides when ``shifted_select`` stops escalating d, and ``io.check`` calls
+it again on a certificate's stored witnesses. Every eigenvalue behind them
+comes from the residual-checked ``linalg.sym_eigen``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BarrierStuck, ShiftCertificateFailed
-from .linalg import sym_eigen
+from .linalg import extremes
 
 D_ESCALATION = (9, 16, 25, 36)
 EPS_SHIFT_DEFAULT = 0.5
@@ -40,38 +43,11 @@ class SparsifierResult:
 
 
 @dataclass(frozen=True)
-class ShiftCertificates:
-    d: float
-    barycenter_residual: float
-    shift_norm_bound: float
-    shift_norm_ok: bool
-    sum_ok: bool
-    shifted_lo: float
-    shifted_hi: float
-    shifted_ok: bool
-    unshifted_lo: float
-    unshifted_hi: float
-    unshifted_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.barycenter_residual <= 1e-10 and self.shift_norm_ok
-                and self.sum_ok and (self.shifted_ok or self.unshifted_ok))
-
-
-@dataclass(frozen=True)
 class ShiftedDecomposition:
     sigma: np.ndarray
     b: np.ndarray
     v: np.ndarray
-    sum_b: float
-    certificates: ShiftCertificates
-
-
-def _input_residual(vectors, weights):
-    n = vectors.shape[1]
-    op = (vectors * weights[:, None]).T @ vectors
-    return float(np.linalg.norm(op - np.eye(n), 2))
+    d: float
 
 
 def bss_select(vectors, weights, d: float) -> SparsifierResult:
@@ -132,14 +108,10 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
         lam, V = np.linalg.eigh((A + A.T) / 2.0)
 
     sigma = np.nonzero(coeff > 0.0)[0]
-    sub = v[sigma] * np.sqrt(coeff[sigma] * a[sigma])[:, None]
-    spec = sym_eigen(sub.T @ sub)
-    lam_min_raw = float(spec.eigenvalues[0])
-    b = coeff[sigma] / lam_min_raw
+    lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])
     return SparsifierResult(
-        sigma=sigma, b=b,
-        lambda_min=1.0,
-        lambda_max=float(spec.eigenvalues[-1] / lam_min_raw))
+        sigma=sigma, b=coeff[sigma] / lam_min_raw,
+        lambda_min=1.0, lambda_max=lam_max_raw / lam_min_raw)
 
 
 def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
@@ -149,92 +121,64 @@ def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
     Given sum a_j v_j v_j^T = I and sum a_j v_j ~ 0, lifts each v_j to
     (v_j, 1/sqrt(n)), runs bss_select in dimension n+1, and shifts by
     v := -(sum b_j v_j)/(sum b_j) so sum b_j (v_j + v) = 0 holds exactly.
-    Retries over the d escalation schedule until the certificates pass.
+    Retries over the d escalation schedule until every verdict of
+    ``certify_operator_T`` holds, in a sandwich window widened by the input's
+    identity residual.
     """
     v_in = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(weights, dtype=float)
     m, n = v_in.shape
-    resid_in = _input_residual(v_in, a)
-    window = 1e-6 + resid_in
+    op = (v_in * a[:, None]).T @ v_in
+    window = 1e-6 + float(np.linalg.norm(op - np.eye(n), 2))
     lifted = np.hstack([v_in, np.full((m, 1), 1.0 / math.sqrt(n))])
 
     trail = []
     for d in escalation:
         res = bss_select(lifted, a, d)
-        sigma = res.sigma
-        b = res.b * a[sigma]
-        sub = v_in[sigma]
-        s = float(b.sum())
-        g = b @ sub
-        shift = -g / s
-
-        bary = float(np.linalg.norm(b @ (sub + shift)))
-        shift_norm_ok = float(s * (shift @ shift)) <= eps
-        sum_ok = (n * (1.0 - 1e-6) <= s <= (4.0 + 2.0 * eps) * n
-                  * (1.0 + 1e-6))
-
-        shifted_pts = sub + shift
-        spec_s = sym_eigen((shifted_pts * b[:, None]).T @ shifted_pts)
-        lo_s, hi_s = float(spec_s.eigenvalues[0]), float(spec_s.eigenvalues[-1])
-        shifted_ok = (1.0 - window <= lo_s) and (hi_s <= 4.0 + eps + window)
-
-        spec_u = sym_eigen((sub * b[:, None]).T @ sub)
-        lo_u, hi_u = float(spec_u.eigenvalues[0]), float(spec_u.eigenvalues[-1])
-        unshifted_ok = (0.5 - window <= lo_u) and (hi_u <= 5.5 + window)
-
-        certs = ShiftCertificates(
-            d=d, barycenter_residual=bary,
-            shift_norm_bound=float(s * (shift @ shift)),
-            shift_norm_ok=shift_norm_ok, sum_ok=sum_ok,
-            shifted_lo=lo_s, shifted_hi=hi_s, shifted_ok=shifted_ok,
-            unshifted_lo=lo_u, unshifted_hi=hi_u, unshifted_ok=unshifted_ok)
-        if certs.all_ok:
-            return ShiftedDecomposition(
-                sigma=sigma, b=b, v=shift, sum_b=s,
-                certificates=certs)
-        trail.append(certs)
-
-    lines = ", ".join(
-        f"d={c.d}: bary={c.barycenter_residual:.2e} "
-        f"Tnorm={c.shift_norm_bound:.3f} sum_ok={c.sum_ok} "
-        f"sandwich=({c.shifted_ok}|{c.unshifted_ok})" for c in trail)
-    raise ShiftCertificateFailed(f"all retries failed: {lines}")
+        b = res.b * a[res.sigma]
+        shift = -(b @ v_in[res.sigma]) / b.sum()
+        verdicts, diag = certify_operator_T(v_in[res.sigma], b, shift, eps,
+                                            window)
+        if all(verdicts.values()):
+            return ShiftedDecomposition(sigma=res.sigma, b=b, v=shift, d=d)
+        failed = ",".join(k for k, ok in verdicts.items() if not ok)
+        trail.append(f"d={d}: {failed} failed; " + " ".join(
+            f"{k}={x:.3g}" for k, x in diag.items()))
+    raise ShiftCertificateFailed(f"all retries failed: {'; '.join(trail)}")
 
 
-@dataclass(frozen=True)
-class OperatorTCertificate:
-    norm_bound: float
-    verdict: bool
-    unshifted_lo: float
-    unshifted_hi: float
-    unshifted_ok: bool
-    trace_residual: float
+def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray,
+                       eps: float, window: float):
+    """(verdicts, diagnostics) of kept rows p_j, coefficients b, shift v.
 
-
-def certify_operator_T(vectors, sigma, b, v,
-                       eps: float = EPS_SHIFT_DEFAULT) -> OperatorTCertificate:
-    """Certify the rank-one defect between shifted and unshifted sums.
-
-    The difference T of the two operators satisfies |<Tx, x>| =
-    (sum b_j) <x, v>^2, so its norm is bounded by (sum b_j)*||v||^2. Also
-    eigen-checks the unshifted sum against [1/2, 11/2] and the exact trace
-    identity tr(shifted) = sum b_j - (sum b_j)*||v||^2.
+    - shift_barycenter: |sum b_j (p_j + v)| <= 1e-10.
+    - shift_norm: the rank-one defect T between the shifted and unshifted
+      sums has |<Tx, x>| = (sum b_j) <x, v>^2, so ||T|| <= (sum b_j) |v|^2,
+      which must not exceed eps.
+    - sum_b: n <= sum b_j <= (4 + 2 eps) n, with relative slack 1e-6.
+    - sandwich: the shifted sum's spectrum lies in [1, 4 + eps] or the
+      unshifted one's in [1/2, 11/2], both widened by ``window``.
+    The diagnostics add the residual of the exact trace identity
+    tr(shifted) = sum b_j - (sum b_j) |v|^2.
     """
-    pts = np.atleast_2d(np.asarray(vectors, dtype=float))[np.asarray(sigma)]
-    b = np.asarray(b, dtype=float)
-    v = np.asarray(v, dtype=float)
+    n = vectors.shape[1]
     s = float(b.sum())
-    bound = float(s * (v @ v))
-
-    spec_u = sym_eigen((pts * b[:, None]).T @ pts)
-    lo_u, hi_u = float(spec_u.eigenvalues[0]), float(spec_u.eigenvalues[-1])
-    unshifted_ok = (0.5 - 1e-6 <= lo_u) and (hi_u <= 5.5 + 1e-6)
-
-    shifted_pts = pts + v
-    tr_shifted = float(np.sum((shifted_pts ** 2) * b[:, None]))
-    trace_residual = abs(tr_shifted - (s - bound))
-
-    return OperatorTCertificate(
-        norm_bound=bound, verdict=bound <= eps,
-        unshifted_lo=lo_u, unshifted_hi=hi_u, unshifted_ok=unshifted_ok,
-        trace_residual=trace_residual)
+    norm_bound = float(s * (v @ v))
+    shifted = vectors + v
+    bary = float(np.linalg.norm(b @ shifted))
+    lo_s, hi_s = extremes(shifted, b)
+    lo_u, hi_u = extremes(vectors, b)
+    tr_shifted = float(np.sum((shifted ** 2) * b[:, None]))
+    verdicts = {
+        "shift_barycenter": bary <= 1e-10,
+        "shift_norm": norm_bound <= eps,
+        "sum_b": n * (1 - 1e-6) <= s <= (4 + 2 * eps) * n * (1 + 1e-6),
+        "sandwich": (1 - window <= lo_s and hi_s <= 4 + eps + window
+                     or 0.5 - window <= lo_u and hi_u <= 5.5 + window),
+    }
+    return verdicts, {
+        "barycenter_residual": bary, "shift_norm_bound": norm_bound,
+        "sum_b": s, "shifted_lo": lo_s, "shifted_hi": hi_s,
+        "unshifted_lo": lo_u, "unshifted_hi": hi_u,
+        "sandwich_window": window,
+        "trace_residual": abs(tr_shifted - (s - norm_bound))}

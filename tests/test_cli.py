@@ -69,6 +69,28 @@ def test_exit_code_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run(["select-sym", "--in", bad, "--out", tmp_path / "c.json"]) == 3
+    # a constraint without "c", a body that is a list, a constraint that is
+    # a list
+    for name, body in (
+            ("no_c", {"constraints": [{"a": [1.0, 0.0]}]}),
+            ("list_body", [{"a": [1.0, 0.0], "c": 1.0}]),
+            ("list_constraint", {"constraints": [[1.0, 0.0, 1.0]]})):
+        bad.write_text(json.dumps({"mode": "symmetric", "dimension": 2,
+                                   "bodies": [body]}))
+        assert run(["select-sym", "--in", bad,
+                    "--out", tmp_path / "c.json"]) == 3, name
+
+
+@pytest.mark.parametrize("command, own, other", [
+    ("select-sym", "--d", "--eps"), ("select-gen", "--eps", "--d")])
+def test_select_takes_only_its_own_parameter(command, own, other):
+    parser = cli.build_parser()
+    args = ["--in", "i.json", "--out", "c.json"]
+    assert vars(parser.parse_args([command, *args, own, "9"]))[
+        own.lstrip("-")] == 9.0
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *args, other, "9"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_oracle_cap(tmp_path, monkeypatch):

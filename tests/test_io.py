@@ -341,3 +341,19 @@ def test_tamper_matrix(certificates, mode, case):
         assert ok, problems
     else:
         assert not ok and problems
+
+
+def test_verify_rejects_general_certificate_on_a_failed_sandwich(
+        certificates, monkeypatch):
+    fam, doc = certificates["general"]
+    assert hio.verify_certificate(fam, copy.deepcopy(doc)) == (True, [])
+    real = hio.certify_operator_T
+
+    def forged(*args):
+        verdicts, diagnostics = real(*args)
+        return {**verdicts, "sandwich": False}, diagnostics
+
+    monkeypatch.setattr(hio, "certify_operator_T", forged)
+    ok, problems = hio.verify_certificate(fam, copy.deepcopy(doc))
+    assert not ok
+    assert "verdicts fail: sandwich" in problems

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hellycert.errors import InvalidMatrix
-from hellycert.linalg import SymMatrix, sym_eigen
+from hellycert.errors import InvalidMatrix, SolverStall
+from hellycert.linalg import SymMatrix, extremes, sym_eigen
 
 
 def test_eigen_identity():
@@ -46,3 +46,32 @@ def test_eigen_symmetrizes_input():
     a = np.array([[1.0, 0.3 + 1e-14], [0.3, 2.0]])
     spec = sym_eigen(SymMatrix(a))
     assert spec.eigenvalues[0] < spec.eigenvalues[1]
+
+
+def _move_one_eigenvalue(lam, v):
+    return lam + 1e-9 * (np.arange(lam.size) == 2), v
+
+
+def _stretch_one_vector(lam, v):
+    return lam, v * (1.0 + 1e-9 * (np.arange(lam.size) == 2))
+
+
+@pytest.mark.parametrize("forge", [_move_one_eigenvalue, _stretch_one_vector])
+def test_eigen_rejects_forged_eigh(rng, forge, monkeypatch):
+    raw = rng.standard_normal((6, 6))
+    a = SymMatrix(raw + raw.T)
+    sym_eigen(a)
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: forge(*real(m)))
+    with pytest.raises(SolverStall):
+        sym_eigen(a)
+
+
+def test_extremes_of_weighted_outer_products():
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    lo, hi = extremes(pts, np.array([2.0, 3.0, 0.0]))
+    assert (lo, hi) == pytest.approx((2.0, 3.0), abs=1e-14)
+    spec = sym_eigen(2.0 * np.outer(pts[0], pts[0])
+                     + 5.0 * np.outer(pts[2], pts[2]))
+    assert extremes(pts, np.array([2.0, 0.0, 5.0])) == pytest.approx(
+        (spec.eigenvalues[0], spec.eigenvalues[-1]), abs=1e-12)

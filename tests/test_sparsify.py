@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from hellycert import sparsify
+from hellycert.errors import ShiftCertificateFailed
 from hellycert.geometry import TaggedPointSet
 from hellycert.john import john_decomposition
 from hellycert.linalg import SymMatrix, sym_eigen
@@ -106,6 +108,13 @@ def test_bss_deterministic(rng):
     assert r1.lambda_min == r2.lambda_min
 
 
+def shift_check(vectors, weights, out, eps=0.5):
+    """certify_operator_T on a shifted selection, in shifted_select's window."""
+    op = (vectors * weights[:, None]).T @ vectors
+    window = 1e-6 + np.linalg.norm(op - np.eye(vectors.shape[1]), 2)
+    return certify_operator_T(vectors[out.sigma], out.b, out.v, eps, window)
+
+
 def tripod():
     ang = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     return np.column_stack([np.cos(ang), np.sin(ang)]), np.full(3, 2.0 / 3.0)
@@ -115,8 +124,9 @@ def test_tripod_all_kept_and_certified():
     v, a = tripod()
     out = shifted_select(v, a, eps=0.5)
     assert sorted(out.sigma.tolist()) == [0, 1, 2]
-    assert out.certificates.all_ok
-    assert out.certificates.barycenter_residual <= 1e-10
+    verdicts, diag = shift_check(v, a, out)
+    assert all(verdicts.values())
+    assert diag["barycenter_residual"] <= 1e-10
     # the shift comes out exactly opposite the weighted selected barycenter
     recon = -(out.b @ v[out.sigma]) / out.b.sum()
     np.testing.assert_allclose(out.v, recon, atol=1e-15)
@@ -131,8 +141,8 @@ def test_tripod_frozen_values():
         rtol=1e-12)
     np.testing.assert_allclose(
         out.v, [-0.043519947886892334, -0.049229188517716266], rtol=1e-10)
-    assert out.sum_b == pytest.approx(2.295650921828601, rel=1e-12)
-    assert out.certificates.d == 9
+    assert out.b.sum() == pytest.approx(2.295650921828601, rel=1e-12)
+    assert out.d == 9
 
 
 def test_lifted_vectors_give_identity(rng):
@@ -154,29 +164,31 @@ def test_random_centered_4d(rng):
     dec, _ = john_decomposition(TaggedPointSet(pts, np.arange(40)),
                                 centered=True, eps_mvee=1e-9)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
-    assert out.certificates.all_ok
-    assert 4.0 - 1e-6 <= out.sum_b <= 20.0 + 1e-6
-    assert out.certificates.barycenter_residual <= 1e-10
+    verdicts, diag = shift_check(dec.vectors, dec.weights, out)
+    assert all(verdicts.values())
+    assert 4.0 - 1e-6 <= out.b.sum() <= 20.0 + 1e-6
+    assert diag["barycenter_residual"] <= 1e-10
 
 
 def test_operator_bound_zero_shift():
-    cert = certify_operator_T(np.eye(2), np.array([0, 1]),
-                              np.array([1.0, 1.0]), np.zeros(2), eps=0.5)
-    assert cert.norm_bound == 0.0
-    assert cert.verdict
-    assert cert.trace_residual <= 1e-12
+    verdicts, diag = certify_operator_T(np.eye(2), np.array([1.0, 1.0]),
+                                        np.zeros(2), eps=0.5, window=1e-6)
+    assert diag["shift_norm_bound"] == 0.0
+    assert verdicts["shift_norm"]
+    assert diag["trace_residual"] <= 1e-12
 
 
 def test_operator_certificate_tripod():
     v, a = tripod()
     out = shifted_select(v, a, eps=0.5)
-    cert = certify_operator_T(v, out.sigma, out.b, out.v, eps=0.5)
-    assert cert.verdict
-    assert cert.norm_bound == pytest.approx(out.sum_b * float(out.v @ out.v),
-                                            rel=1e-12)
-    assert 0.5 - 1e-6 <= cert.unshifted_lo
-    assert cert.unshifted_hi <= 5.5 + 1e-6
-    assert cert.trace_residual <= 1e-8
+    verdicts, diag = certify_operator_T(v[out.sigma], out.b, out.v, eps=0.5,
+                                        window=1e-6)
+    assert verdicts["shift_norm"]
+    assert diag["shift_norm_bound"] == pytest.approx(
+        out.b.sum() * float(out.v @ out.v), rel=1e-12)
+    assert 0.5 - 1e-6 <= diag["unshifted_lo"]
+    assert diag["unshifted_hi"] <= 5.5 + 1e-6
+    assert diag["trace_residual"] <= 1e-8
 
 
 def test_operator_trace_identity_random(rng):
@@ -184,6 +196,21 @@ def test_operator_trace_identity_random(rng):
     dec, _ = john_decomposition(TaggedPointSet(pts, np.arange(25)),
                                 centered=True, eps_mvee=1e-9)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
-    cert = certify_operator_T(dec.vectors, out.sigma, out.b, out.v, eps=0.5)
-    assert cert.trace_residual <= 1e-8
-    assert cert.unshifted_ok
+    _, diag = certify_operator_T(dec.vectors[out.sigma], out.b, out.v,
+                                 eps=0.5, window=1e-6)
+    assert diag["trace_residual"] <= 1e-8
+    assert 0.5 - 1e-6 <= diag["unshifted_lo"]
+    assert diag["unshifted_hi"] <= 5.5 + 1e-6
+
+
+def test_shifted_select_escalates_on_a_failed_sandwich(monkeypatch):
+    v, a = tripod()
+    real = sparsify.certify_operator_T
+
+    def forged(*args):
+        verdicts, diagnostics = real(*args)
+        return {**verdicts, "sandwich": False}, diagnostics
+
+    monkeypatch.setattr(sparsify, "certify_operator_T", forged)
+    with pytest.raises(ShiftCertificateFailed, match="sandwich failed"):
+        shifted_select(v, a, eps=0.5)
