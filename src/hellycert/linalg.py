@@ -60,10 +60,11 @@ def sym_eigen(matrix) -> Spectrum:
     (Ostrowski's theorem). It equals Lambda + E Lambda + V^T R, so they are
     within ||E|| ||Lambda|| + ||V|| ||R|| of the computed ones (Weyl's
     inequality). The check asks ||R||_F + 2 (1 + ||A||_F) ||E||_F, with the
-    rounding of forming R and E added, to be at most 1e-12 (1 + ||A||_F).
-    That forces ||E|| <= 5e-13, so ||V|| <= 1 + ||E||/2 and ||Lambda|| <=
-    ||A|| + 2 ||R||, and each sorted computed eigenvalue is within the
-    checked bound of the sorted true one. Raises SolverStall otherwise.
+    rounding of forming R and E added, to be at most tol (1 + ||A||_F); tol =
+    max(1e-12, 4 (n + 3)^2 u) exceeds that rounding, about 2.5 (n + 3)^2 u at
+    most for the unit roundoff u. So ||E|| <= tol / 2, ||V|| <= 1 + ||E|| / 2
+    and ||Lambda|| <= ||A|| + 2 ||R||: each sorted computed eigenvalue is
+    within the checked bound of the sorted true one. Else raises SolverStall.
     """
     a = _coerce(matrix)
     n = a.shape[0]
@@ -80,9 +81,10 @@ def sym_eigen(matrix) -> Spectrum:
               + gamma * np.linalg.norm(abs_v.T @ abs_v + np.eye(n)))
     scale = 1.0 + float(np.linalg.norm(a))
     bound = float(r_norm + 2.0 * scale * e_norm)
-    if not bound <= TOL_EIGEN * scale:
+    tol = max(TOL_EIGEN, 4.0 * (n + 3) ** 2 * _UNIT_ROUNDOFF)
+    if not bound <= tol * scale:
         raise SolverStall(f"eigh fails its residual check: bound {bound:.3e}"
-                          f" > {TOL_EIGEN:.0e} * (1 + ||A||_F)")
+                          f" > {tol:.3e} * (1 + ||A||_F)")
     order = np.argsort(lam, kind="stable")
     return Spectrum(eigenvalues=lam[order], eigenvectors=v[:, order])
 

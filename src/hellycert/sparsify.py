@@ -128,8 +128,8 @@ def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
     v_in = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(weights, dtype=float)
     m, n = v_in.shape
-    op = (v_in * a[:, None]).T @ v_in
-    window = 1e-6 + float(np.linalg.norm(op - np.eye(n), 2))
+    lo, hi = extremes(v_in, a)
+    window = 1e-6 + max(1.0 - lo, hi - 1.0)
     lifted = np.hstack([v_in, np.full((m, 1), 1.0 / math.sqrt(n))])
 
     trail = []

@@ -28,7 +28,7 @@ def test_eigen_rejects_nonfinite():
         sym_eigen(SymMatrix(bad))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 34])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 34, 89, 144, 300])
 def test_eigen_reconstruction_and_orthonormality(rng, n):
     raw = rng.standard_normal((n, n))
     a = SymMatrix(raw + raw.T)
@@ -63,6 +63,23 @@ def test_eigen_rejects_forged_eigh(rng, forge, monkeypatch):
     sym_eigen(a)
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: forge(*real(m)))
+    with pytest.raises(SolverStall):
+        sym_eigen(a)
+
+
+def test_eigen_rejects_forgery_at_large_n(rng, monkeypatch):
+    # the tolerance grows with n but stays far below 1e-9 (1 + ||A||_F)
+    raw = rng.standard_normal((144, 144))
+    a = SymMatrix(raw + raw.T)
+    sym_eigen(a)
+    move = 1e-9 * (1.0 + np.linalg.norm(a.entries))
+    real = np.linalg.eigh
+
+    def forged(m):
+        lam, v = real(m)
+        return lam + move * (np.arange(lam.size) == 7), v
+
+    monkeypatch.setattr(np.linalg, "eigh", forged)
     with pytest.raises(SolverStall):
         sym_eigen(a)
 

@@ -9,7 +9,7 @@ from hellycert import sparsify
 from hellycert.errors import ShiftCertificateFailed
 from hellycert.geometry import TaggedPointSet
 from hellycert.john import john_decomposition
-from hellycert.linalg import SymMatrix, sym_eigen
+from hellycert.linalg import SymMatrix, extremes, sym_eigen
 from hellycert.sparsify import (bss_select, certify_operator_T, gamma_ratio,
                                 shifted_select)
 
@@ -110,8 +110,8 @@ def test_bss_deterministic(rng):
 
 def shift_check(vectors, weights, out, eps=0.5):
     """certify_operator_T on a shifted selection, in shifted_select's window."""
-    op = (vectors * weights[:, None]).T @ vectors
-    window = 1e-6 + np.linalg.norm(op - np.eye(vectors.shape[1]), 2)
+    lo, hi = extremes(vectors, weights)
+    window = 1e-6 + max(1.0 - lo, hi - 1.0)
     return certify_operator_T(vectors[out.sigma], out.b, out.v, eps, window)
 
 
