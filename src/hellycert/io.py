@@ -211,6 +211,11 @@ def _object(obj, key) -> dict:
     return dict(value)
 
 
+def _optional_object(obj, key) -> dict:
+    """An informational object field; missing or null reads as empty."""
+    return {} if obj.get(key) is None else _object(obj, key)
+
+
 def _array(obj, key, shape) -> np.ndarray:
     """Finite numeric array of ``shape``; a None entry allows any length."""
     try:
@@ -427,25 +432,35 @@ def verify_certificate(family: BodyFamily, doc: dict):
     return not problems, problems
 
 
+def _report_row(doc) -> list:
+    try:
+        n = int(_field(doc, "dimension"))
+        alpha = float(_field(doc, "alpha_measured"))
+    except TypeError as exc:
+        raise InvalidInstance(f"certificate dimension or alpha_measured: "
+                              f"{exc}") from exc
+    diam = _optional_object(doc, "diameter")
+    stages = _optional_object(_optional_object(doc, "timing"), "stages")
+    return [
+        _field(doc, "mode"), n, doc.get("m", ""),
+        doc.get("d", ""), doc.get("eps", ""), _field(doc, "s"),
+        repr(alpha), repr(alpha / math.sqrt(n)), repr(alpha / n ** 1.5),
+        all(_object(doc, "verdicts").values()),
+        diam.get("selected", ""), diam.get("full", ""),
+        diam.get("ratio", ""), stages.get("total", ""),
+    ]
+
+
 def write_report(docs, path) -> None:
-    """One CSV row per certificate, stable column order."""
+    """One CSV row per certificate, stable column order.
+
+    Every row is built before the file is opened, so a malformed
+    certificate leaves no partial report behind.
+    """
     if not docs:
         raise ValueError("no certificates to report on")
+    rows = [_report_row(doc) for doc in docs]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for doc in docs:
-            n = int(doc["dimension"])
-            alpha = float(doc["alpha_measured"])
-            diam = doc.get("diameter") or {}
-            row = [
-                doc["mode"], n, doc.get("m", ""),
-                doc.get("d", ""), doc.get("eps", ""), doc["s"],
-                repr(alpha), repr(alpha / math.sqrt(n)),
-                repr(alpha / n ** 1.5),
-                all(doc["verdicts"].values()),
-                diam.get("selected", ""), diam.get("full", ""),
-                diam.get("ratio", ""),
-                doc.get("timing", {}).get("stages", {}).get("total", ""),
-            ]
-            writer.writerow(row)
+        writer.writerows(rows)

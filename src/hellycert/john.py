@@ -1,10 +1,18 @@
 """Minimum-volume enclosing ellipsoids and John decompositions.
 
-The MVEE solver is the classic Khachiyan coordinate ascent on the log-det
-dual, accelerated with away/drop steps so that complementary slackness also
-converges (plain ascent only controls the containment side). Dual weights of
-the solved problem directly supply John decomposition weights after mapping
-to Loewner position, which is why no separate extraction problem is solved.
+The MVEE solver maximises log det of the dual moment matrix. It runs the
+classic Khachiyan coordinate ascent with Todd-Yildirim away/drop steps, so
+that complementary slackness also converges (plain ascent only controls the
+containment side). That ascent converges linearly and can stall when a point
+sits just inside the ellipsoid, so once both gaps are small it tries Newton's
+method on the optimality conditions over the current support. Newton's
+weights are kept only when they lower the gap, and the only exit is a
+two-sided gap check on freshly computed numbers, so neither the ascent nor
+the Newton finish has to be trusted. A solve can start from the weights of
+an earlier, nearby solve; converged start weights return after that check.
+Dual weights of the solved problem directly supply John decomposition
+weights after mapping to Loewner position, which is why no separate
+extraction problem is solved.
 """
 
 from __future__ import annotations
@@ -20,6 +28,12 @@ from .linalg import SymMatrix, sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
+# Newton is tried once both ascent gaps are at most NEWTON_GAP; one try
+# takes at most NEWTON_STEPS steps, each a least-squares solve whose
+# singular values below NEWTON_RCOND (relative) are cut.
+NEWTON_GAP = 1e-2
+NEWTON_STEPS = 30
+NEWTON_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,18 +64,72 @@ class JohnDecomposition:
     source_indices: np.ndarray
 
 
-def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512):
+def _newton_weights(pts, u):
+    """Newton's method on kappa_i(u) = n over the support S = {u > 0}.
+
+    The Jacobian of kappa_S in u_S is -(K o K) with K = P_S X^-1 P_S^T. The
+    step is a least-squares solve, since the rows of +-p pairs make K o K
+    singular, and a ratio test sends a weight that would turn negative to 0,
+    which takes it out of S. Returns the weights, or None when a step
+    cannot be computed. The caller checks what it gets.
+    """
+    n = pts.shape[1]
+    u = u.copy()
+    try:
+        for _ in range(NEWTON_STEPS):
+            S = np.nonzero(u > 0.0)[0]
+            P = pts[S]
+            X = P.T @ (P * u[S, None])
+            K = P @ np.linalg.inv((X + X.T) / 2.0) @ P.T
+            r = np.diagonal(K) - n
+            if np.max(np.abs(r)) <= 1e-14 * n:
+                break
+            step = np.linalg.lstsq(K * K, r, rcond=NEWTON_RCOND)[0]
+            neg = step < 0.0
+            ratios = -u[S][neg] / step[neg]
+            t = min(1.0, float(ratios.min())) if ratios.size else 1.0
+            new = np.maximum(u[S] + t * step, 0.0)
+            if t < 1.0:
+                new[np.nonzero(neg)[0][np.argmin(ratios)]] = 0.0
+            u[S] = new
+            u /= u.sum()
+    except np.linalg.LinAlgError:
+        return None
+    return u
+
+
+def _fresh_state(pts, u):
+    """(X^-1, kappa, larger of the two gaps) computed afresh at weights u."""
+    n = pts.shape[1]
+    X = pts.T @ (pts * u[:, None])
+    Xinv = np.linalg.inv((X + X.T) / 2.0)
+    kappa = np.einsum("ij,ij->i", pts @ Xinv, pts)
+    return Xinv, kappa, max(kappa.max() / n - 1.0,
+                            1.0 - kappa[u > 0.0].min() / n)
+
+
+def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512,
+                           start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
-    Runs Khachiyan ascent with away/drop steps until the two-sided gap
+    Runs Khachiyan ascent with away/drop steps, and Newton steps on the
+    support once both gaps are at most NEWTON_GAP, until the two-sided gap
     max kappa/n - 1 <= eps and 1 - min-support kappa/n <= eps holds, where
     kappa_k = x_k^T X(u)^{-1} x_k. Sign of the points is irrelevant.
+    ``start`` gives the first weights (None: uniform); their support must
+    span the space.
     """
     pts = np.asarray(pts, dtype=float)
     m, n = pts.shape
     if m < n:
         raise DegenerateSpan(f"{m} points cannot span dimension {n}")
-    u = np.full(m, 1.0 / m)
+    if start is None:
+        u = np.full(m, 1.0 / m)
+    else:
+        u = np.maximum(np.asarray(start, dtype=float), 0.0)
+        if not u.sum() > 0.0:
+            raise DegenerateSpan("start weights are all zero")
+        u /= u.sum()
 
     def moments(u):
         X = pts.T @ (pts * u[:, None])
@@ -70,11 +138,14 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512):
     X = moments(u)
     spec = sym_eigen(X)
     if spec.eigenvalues[0] <= 1e-12 * max(spec.eigenvalues[-1], 1e-300):
-        raise DegenerateSpan("input points do not span the space")
+        raise DegenerateSpan("input points do not span the space"
+                             if start is None else
+                             "start weights' support does not span the space")
     Xinv = np.linalg.inv(X)
     kappa = np.einsum("ij,ij->i", pts @ Xinv, pts)
 
     since_refresh = 0
+    tried = None
     for _ in range(max_iter):
         jp = int(np.argmax(kappa))
         kp = kappa[jp]
@@ -95,6 +166,25 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512):
                 return u
             since_refresh = 0
             continue
+
+        if (max(gap_plus, gap_minus) <= NEWTON_GAP
+                and not np.array_equal(u > 0.0, tried)):
+            tried = u > 0.0
+            trial = _newton_weights(pts, u)
+            # the fresh check relies on u >= 0 and sum u = 1; keep both
+            if (trial is not None and trial.min() >= 0.0
+                    and 0.0 < trial.sum() < np.inf):
+                trial = trial / trial.sum()
+                try:
+                    trial_inv, trial_kappa, trial_gap = _fresh_state(pts,
+                                                                     trial)
+                except np.linalg.LinAlgError:
+                    trial_gap = np.nan
+                if trial_gap < max(gap_plus, gap_minus):
+                    u, Xinv, kappa = trial, trial_inv, trial_kappa
+                    tried = u > 0.0
+                    since_refresh = 0
+                    continue
 
         if gap_plus >= gap_minus:
             j, k = jp, kp
@@ -137,22 +227,29 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512):
         f"MVEE ascent did not reach gap {eps:.1e} in {max_iter} iterations")
 
 
-def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT):
-    """Centered MVEE of a symmetric point set (signs of points ignored)."""
+def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):
+    """Centered MVEE of a symmetric point set (signs of points ignored).
+
+    ``start`` optionally gives the solver's first weights, one per point.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    u = _centered_mvee_weights(pts, eps_mvee)
+    u = _centered_mvee_weights(pts, eps_mvee, start=start)
     X = pts.T @ (pts * u[:, None])
     M = np.linalg.inv((X + X.T) / 2.0) / n
     return Ellipsoid(center=np.zeros(n), shape=SymMatrix(M)), u
 
 
-def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT):
-    """MVEE with free center, via the standard lift to dimension n+1."""
+def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):
+    """MVEE with free center, via the standard lift to dimension n+1.
+
+    Returns the ellipsoid and the lifted problem's weights; ``start`` may
+    hand such weights from a nearby solve back as the first weights.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = pts.shape
     lifted = np.hstack([pts, np.ones((m, 1))])
-    u = _centered_mvee_weights(lifted, eps_mvee * n / (n + 1.0))
+    u = _centered_mvee_weights(lifted, eps_mvee * n / (n + 1.0), start=start)
     c = pts.T @ u
     Sn = pts.T @ (pts * u[:, None])
     cov = Sn - np.outer(c, c)
@@ -170,13 +267,14 @@ def _sqrt_spd(M: np.ndarray) -> np.ndarray:
 def john_decomposition(point_set: TaggedPointSet, centered: bool,
                        eps_mvee: float = EPS_MVEE_DEFAULT,
                        tol_john: float = TOL_JOHN_DEFAULT,
-                       weight_floor: float | None = None):
+                       weight_floor: float | None = None, start=None):
     """John decomposition of the convex hull of a tagged point set.
 
     Solves the MVEE of the points, maps them to Loewner position and turns
     the positive dual weights into decomposition weights. With ``centered``
     the MVEE center is free, the barycenter identity sum a_j v_j = 0 is part
     of the contract and a nonnegative least-squares polish is applied.
+    ``start`` is handed to the MVEE solver as its first weights.
     Returns (JohnDecomposition, LownerMap).
     """
     pts = point_set.points
@@ -185,9 +283,9 @@ def john_decomposition(point_set: TaggedPointSet, centered: bool,
         weight_floor = 1e-9 / m
 
     if centered:
-        ell, u = mvee_general(pts, eps_mvee)
+        ell, u = mvee_general(pts, eps_mvee, start)
     else:
-        ell, u = mvee_centered(pts, eps_mvee)
+        ell, u = mvee_centered(pts, eps_mvee, start)
     T = _sqrt_spd(ell.shape.entries)
     Y = (pts - ell.center) @ T
 

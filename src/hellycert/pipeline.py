@@ -116,8 +116,6 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
         eta = Vt[-1]
         if svals[-1] > 1e-10 * max(svals[0], 1.0):
             break
-        if not (eta > 1e-14).any():
-            eta = -eta
         pos = eta > 1e-14
         ratios = rho[tau][pos] / eta[pos]
         step = float(ratios.min())
@@ -146,15 +144,18 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):
-    """(offset, MVEE, generators) of the polar of the family translated to z.
+    """(offset, MVEE, generators, weights) of the polar of the family
+    translated to z.
 
     The offset is the MVEE center's norm in the ellipsoid's own metric,
-    so it is a fraction of the polar's size.
+    so it is a fraction of the polar's size. The weights are the lifted
+    MVEE weights, a warm start for a later solve on the same generators.
     """
     gens = polar_generators(normalize_family(family, z))
-    ell, _ = mvee_general(gens.points, eps_mvee=1e-6)
+    ell, u = mvee_general(gens.points, eps_mvee=1e-6)
     c = ell.center
-    return math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell, gens
+    return (math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell,
+            gens, u)
 
 
 def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
@@ -166,11 +167,11 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
     interior margin of 0.1 * radius and strictly lowers the offset;
     otherwise lam halves, down to 1e-3. The loop stops at ``target``, when
     no lam helps, or after ``max_iter`` steps, and returns (z, offset,
-    steps, generators), where steps counts the Newton steps taken and the
-    generators are the polar's at the returned z.
+    steps, generators, weights), where steps counts the Newton steps taken
+    and the generators and MVEE weights are the polar's at the returned z.
     """
     z = np.asarray(z0, dtype=float)
-    offset, ell, gens = _polar_offset(family, z)
+    offset, ell, gens, u = _polar_offset(family, z)
     steps = 0
     while offset > target and steps < max_iter:
         step = ell.shape.entries @ ell.center
@@ -184,9 +185,9 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
             lam /= 2.0
         else:
             break
-        z, (offset, ell, gens) = z_try, trial
+        z, (offset, ell, gens, u) = z_try, trial
         steps += 1
-    return z, offset, steps, gens
+    return z, offset, steps, gens, u
 
 
 def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
@@ -205,9 +206,10 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
 
     with _stage(stages, "center"):
         z0, radius = chebyshev_center(family)
-        z, offset, recenter_iters, gens = _recenter(family, z0, radius)
+        z, offset, recenter_iters, gens, u = _recenter(family, z0, radius)
     with _stage(stages, "john"):
-        decomp, lmap = john_decomposition(gens, centered=True, tol_john=tol)
+        decomp, lmap = john_decomposition(gens, centered=True, tol_john=tol,
+                                          start=u)
     with _stage(stages, "sparsify"):
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
     with _stage(stages, "caratheodory"):

@@ -57,6 +57,32 @@ def test_general_flow_with_reduce_and_report(tmp_path):
     assert lines[0].startswith("mode,n,m,")
 
 
+@pytest.mark.parametrize("edit", [
+    {"drop": "dimension"}, {"drop": "s"}, {"drop": "verdicts"},
+    {"drop": "alpha_measured"}, {"set": ("verdicts", [True])},
+    {"set": ("dimension", None)}, {"set": ("timing", [])},
+    {"set": ("diameter", 1.0)}], ids=[
+    "no-dimension", "no-s", "no-verdicts", "no-alpha", "verdicts-list",
+    "dimension-null", "timing-list", "diameter-number"])
+def test_report_rejects_malformed_certificate(tmp_path, edit):
+    inst = tmp_path / "inst.json"
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    rep = tmp_path / "report.csv"
+    hio.save_instance(gen_slab_family(2, 6, seed=1), inst)
+    assert run(["select-sym", "--in", inst, "--out", good]) == 0
+    doc = hio.load_certificate(good)
+    if "drop" in edit:
+        del doc[edit["drop"]]
+    else:
+        key, value = edit["set"]
+        doc[key] = value
+    hio.save_certificate(doc, bad)
+    # the bad certificate comes second, after a row that would be written
+    assert run(["report", good, bad, "--out", rep]) == cli.EXIT_INPUT
+    assert not rep.exists()
+
+
 def test_exit_code_verdict_failure(tmp_path):
     # impossible sharpness request: two strips in 3-space stay unbounded
     assert run(["gen", "--kind", "sharpness", "--n", 3, "--N", 2,

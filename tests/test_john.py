@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from hellycert import john
 from hellycert.errors import DegenerateSpan, JohnExtractionFailed
-from hellycert.geometry import TaggedPointSet
-from hellycert.john import john_decomposition, mvee_centered, mvee_general
+from hellycert.geometry import TaggedPointSet, chebyshev_center
+from hellycert.john import (_centered_mvee_weights, john_decomposition,
+                            mvee_centered, mvee_general)
+from hellycert.oracle import gen_halfspace_family
+from hellycert.pipeline import _recenter
 
 from conftest import unit_rows
 
@@ -13,6 +17,21 @@ from conftest import unit_rows
 def tagged(points):
     return TaggedPointSet(points=np.asarray(points, dtype=float),
                           tags=np.arange(len(points)))
+
+
+def fresh_gap(pts, u):
+    """Larger of the two MVEE gaps of the centered problem at weights u,
+    recomputed from scratch; u must be a probability vector."""
+    assert u.min() >= 0.0
+    assert u.sum() == pytest.approx(1.0, abs=1e-12)
+    n = pts.shape[1]
+    Xinv = np.linalg.inv(pts.T @ (pts * u[:, None]))
+    kappa = np.einsum("ij,ij->i", pts @ Xinv, pts)
+    return max(kappa.max() / n - 1.0, 1.0 - kappa[u > 0.0].min() / n)
+
+
+def lifted(points):
+    return np.hstack([points, np.ones((len(points), 1))])
 
 
 def test_mvee_centered_cross_polytope():
@@ -31,18 +50,22 @@ def test_mvee_centered_stretched_axes():
     np.testing.assert_allclose(ell.shape.entries, np.diag([0.25, 1.0]), atol=1e-7)
 
 
-def test_mvee_centered_duality_certificate(rng):
-    half = rng.standard_normal((25, 3))
-    pts = np.vstack([half, -half])
+def test_mvee_centered_duality_certificate():
     eps = 1e-8
-    ell, weights = mvee_centered(pts, eps)
-    m = ell.shape.entries
-    quad = np.einsum("ij,jk,ik->i", pts, m, pts)
-    assert np.max(quad) <= 1.0 + 2 * eps
-    # complementary slackness: dual mass only on near-active points
-    active = quad >= 1.0 - 1e-4
-    assert weights[~active].sum() <= 1e-6
-    assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+    for seed, n, m, dups in ((0, 3, 25, 0), (1, 2, 7, 3), (2, 5, 40, 10),
+                             (3, 6, 100, 20), (4, 4, 6, 6)):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal((m, n))
+        # +-p pairs, some repeated, make Newton's K o K singular
+        pts = np.vstack([half, -half, half[:dups], -half[:dups]])
+        ell, weights = mvee_centered(pts, eps)
+        quad = np.einsum("ij,jk,ik->i", pts, ell.shape.entries, pts)
+        assert np.max(quad) <= 1.0 + 2 * eps
+        # complementary slackness: dual mass only on near-active points
+        active = quad >= 1.0 - 1e-4
+        assert weights[~active].sum() <= 1e-6
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mvee_centered_degenerate_span():
@@ -69,15 +92,86 @@ def test_mvee_general_regular_simplex():
     np.testing.assert_allclose(ell.center, verts.mean(axis=0), atol=1e-7)
 
 
-def test_mvee_general_random_cloud(rng):
-    pts = rng.standard_normal((30, 3))
+def test_mvee_general_random_cloud():
     eps = 1e-8
-    ell, weights = mvee_general(pts, eps)
-    centered = pts - ell.center
-    quad = np.einsum("ij,jk,ik->i", centered, ell.shape.entries, centered)
-    assert np.max(quad) <= 1.0 + 2 * eps
-    active = quad >= 1.0 - 1e-4
-    assert weights[~active].sum() <= 1e-6
+    for seed, n, m, dups in ((0, 3, 30, 0), (1, 2, 12, 4), (2, 4, 50, 10),
+                             (3, 5, 80, 0), (4, 3, 8, 8)):
+        rng = np.random.default_rng(seed)
+        cloud = rng.standard_normal((m, n)) + rng.uniform(-1.0, 1.0, n)
+        # repeated rows and a symmetric copy of part of the cloud
+        pts = np.vstack([cloud, cloud[:dups], -cloud[:dups]])
+        ell, weights = mvee_general(pts, eps)
+        centered = pts - ell.center
+        quad = np.einsum("ij,jk,ik->i", centered, ell.shape.entries,
+                         centered)
+        assert np.max(quad) <= 1.0 + 2 * eps
+        active = quad >= 1.0 - 1e-4
+        assert weights[~active].sum() <= 1e-6
+        assert fresh_gap(lifted(pts), weights) <= eps
+
+
+def test_mvee_newton_finish_ends_a_stalled_ascent():
+    # at this translate the plain ascent stalls near a gap of 3e-5, with one
+    # point just inside the ellipsoid entering and leaving the support
+    fam = gen_halfspace_family(3, 8, 126)
+    z0, radius = chebyshev_center(fam)
+    gens = _recenter(fam, z0, radius)[3]
+    pts = lifted(gens.points)
+    eps = 1e-8 * 3 / 4
+    u = _centered_mvee_weights(pts, eps, max_iter=1000)
+    assert fresh_gap(pts, u) <= eps
+
+
+@pytest.mark.parametrize("forge", [
+    lambda u: -u,
+    lambda u: np.full_like(u, np.nan),
+    lambda u: np.eye(len(u))[0],
+    lambda u: np.full_like(u, 1.0),
+    lambda u: np.where(u > 0.0, 0.0, 1.0),
+    lambda u: u * (1.0 + 0.3 * np.sin(np.arange(len(u)))),
+    lambda u: np.where(u > 0.0, u, -1e-12),
+], ids=["negated", "nan", "one-point", "uniform", "off-support", "skewed",
+        "negative-entries"])
+def test_mvee_forged_newton_weights_cannot_pass(monkeypatch, forge):
+    real = john._newton_weights
+    calls = []
+
+    def forged(pts, u):
+        # forge from Newton's own answer, so a forgery can lower the gap
+        good = real(pts, u)
+        calls.append(good)
+        return forge(u if good is None else good)
+
+    monkeypatch.setattr(john, "_newton_weights", forged)
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal((15, 3))
+    for pts in (np.vstack([half, -half]), lifted(half)):
+        calls.clear()
+        eps = 1e-8
+        u = _centered_mvee_weights(pts, eps)
+        assert calls
+        assert fresh_gap(pts, u) <= eps
+
+
+def test_mvee_converged_start_returns_after_one_check(rng, monkeypatch):
+    pts = lifted(rng.standard_normal((30, 3)))
+    u = _centered_mvee_weights(pts, 1e-10)
+
+    def no_newton(pts, u):
+        raise AssertionError("a converged start needs no Newton step")
+
+    monkeypatch.setattr(john, "_newton_weights", no_newton)
+    again = _centered_mvee_weights(pts, 1e-8, max_iter=1, start=u)
+    np.testing.assert_allclose(again, u, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("support", [(), (0,), (0, 1), (0, 1, 2)])
+def test_mvee_start_without_spanning_support(rng, support):
+    pts = rng.standard_normal((12, 3))
+    start = np.zeros(len(pts))
+    start[list(support)] = 1.0
+    with pytest.raises(DegenerateSpan):
+        mvee_general(pts, 1e-8, start=start)
 
 
 def test_john_cross_polytope_exact():

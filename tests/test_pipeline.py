@@ -117,14 +117,15 @@ def test_recenter_offsets_strictly_decrease():
     z0, radius = chebyshev_center(fam)
     offsets = []
     for k in range(5):
-        z, offset, steps, gens = _recenter(fam, z0, radius, target=0.0,
-                                           max_iter=k)
+        z, offset, steps, gens, u = _recenter(fam, z0, radius, target=0.0,
+                                              max_iter=k)
         assert steps == k
         polar = _polar_offset(fam, z)
         assert offset == polar[0]
-        # the generators handed on are the polar's at the returned z
+        # the generators and weights handed on are the polar's at z
         assert np.array_equal(gens.points, polar[2].points)
         assert np.array_equal(gens.tags, polar[2].tags)
+        assert np.array_equal(u, polar[3])
         offsets.append(offset)
     assert all(b < a for a, b in zip(offsets, offsets[1:])), offsets
 
