@@ -436,9 +436,11 @@ def _report_row(doc) -> list:
     try:
         n = int(_field(doc, "dimension"))
         alpha = float(_field(doc, "alpha_measured"))
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstance(f"certificate dimension or alpha_measured: "
                               f"{exc}") from exc
+    if n < 1:
+        raise InvalidInstance(f"certificate dimension {n} is below 1")
     diam = _optional_object(doc, "diameter")
     stages = _optional_object(_optional_object(doc, "timing"), "stages")
     return [

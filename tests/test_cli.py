@@ -61,9 +61,11 @@ def test_general_flow_with_reduce_and_report(tmp_path):
     {"drop": "dimension"}, {"drop": "s"}, {"drop": "verdicts"},
     {"drop": "alpha_measured"}, {"set": ("verdicts", [True])},
     {"set": ("dimension", None)}, {"set": ("timing", [])},
-    {"set": ("diameter", 1.0)}], ids=[
-    "no-dimension", "no-s", "no-verdicts", "no-alpha", "verdicts-list",
-    "dimension-null", "timing-list", "diameter-number"])
+    {"set": ("diameter", 1.0)}, {"set": ("dimension", 0)},
+    {"set": ("dimension", float("inf"))}, {"set": ("dimension", "three")}],
+    ids=["no-dimension", "no-s", "no-verdicts", "no-alpha", "verdicts-list",
+         "dimension-null", "timing-list", "diameter-number", "dimension-0",
+         "dimension-inf", "dimension-text"])
 def test_report_rejects_malformed_certificate(tmp_path, edit):
     inst = tmp_path / "inst.json"
     good = tmp_path / "good.json"

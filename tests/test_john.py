@@ -50,14 +50,16 @@ def test_mvee_centered_stretched_axes():
     np.testing.assert_allclose(ell.shape.entries, np.diag([0.25, 1.0]), atol=1e-7)
 
 
-def test_mvee_centered_duality_certificate():
-    eps = 1e-8
+def test_mvee_centered_duality_certificate(rng):
+    half = rng.standard_normal((25, 3))
+    cases = [np.vstack([half, -half])]
     for seed, n, m, dups in ((0, 3, 25, 0), (1, 2, 7, 3), (2, 5, 40, 10),
                              (3, 6, 100, 20), (4, 4, 6, 6)):
-        rng = np.random.default_rng(seed)
-        half = rng.standard_normal((m, n))
+        half = np.random.default_rng(seed).standard_normal((m, n))
         # +-p pairs, some repeated, make Newton's K o K singular
-        pts = np.vstack([half, -half, half[:dups], -half[:dups]])
+        cases.append(np.vstack([half, -half, half[:dups], -half[:dups]]))
+    eps = 1e-8
+    for pts in cases:
         ell, weights = mvee_centered(pts, eps)
         quad = np.einsum("ij,jk,ik->i", pts, ell.shape.entries, pts)
         assert np.max(quad) <= 1.0 + 2 * eps
@@ -92,14 +94,16 @@ def test_mvee_general_regular_simplex():
     np.testing.assert_allclose(ell.center, verts.mean(axis=0), atol=1e-7)
 
 
-def test_mvee_general_random_cloud():
-    eps = 1e-8
+def test_mvee_general_random_cloud(rng):
+    cases = [rng.standard_normal((30, 3))]
     for seed, n, m, dups in ((0, 3, 30, 0), (1, 2, 12, 4), (2, 4, 50, 10),
                              (3, 5, 80, 0), (4, 3, 8, 8)):
-        rng = np.random.default_rng(seed)
-        cloud = rng.standard_normal((m, n)) + rng.uniform(-1.0, 1.0, n)
+        gen = np.random.default_rng(seed)
+        cloud = gen.standard_normal((m, n)) + gen.uniform(-1.0, 1.0, n)
         # repeated rows and a symmetric copy of part of the cloud
-        pts = np.vstack([cloud, cloud[:dups], -cloud[:dups]])
+        cases.append(np.vstack([cloud, cloud[:dups], -cloud[:dups]]))
+    eps = 1e-8
+    for pts in cases:
         ell, weights = mvee_general(pts, eps)
         centered = pts - ell.center
         quad = np.einsum("ij,jk,ik->i", centered, ell.shape.entries,
