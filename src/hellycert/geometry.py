@@ -1,15 +1,17 @@
 """Body families, normalization, polar generators and containment factors.
 
-A family is a list of convex bodies in one of two modes. ``symmetric`` bodies
-are intersections of centered slabs |<x, w>| <= 1, stored by their vectors w.
-``general`` bodies are intersections of halfspaces <a, x> <= c. Most of the
-pipeline works on normalized general families where every offset is 1, i.e.
-the origin is strictly inside every body.
+A family is one stacked constraint system G x <= h in one of two modes,
+with the index of the body that owns each row. ``symmetric`` bodies are
+intersections of centered slabs |<x, w>| <= 1: each contributes its vectors
+w and then their negatives, all at offset 1. ``general`` bodies are
+intersections of halfspaces <a, x> <= c. Most of the pipeline works on
+normalized general families where every offset is 1, i.e. the origin is
+strictly inside every body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,84 +23,76 @@ GENERAL = "general"
 INTERIOR_MARGIN = 1e-7
 
 
-@dataclass(frozen=True)
-class SlabBody:
-    """Intersection of slabs |<x, w_k>| <= 1 for the rows w_k of vectors."""
-
-    index: int
-    vectors: np.ndarray
-    body_id: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        v = np.atleast_2d(v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("slab vectors must be finite")
-        if np.any(np.linalg.norm(v, axis=1) == 0.0):
-            raise ValueError("slab vector must be nonzero")
-        object.__setattr__(self, "vectors", v)
-
-    def constraint_rows(self):
-        return np.vstack([self.vectors, -self.vectors]), np.ones(
-            2 * self.vectors.shape[0])
-
-
-@dataclass(frozen=True)
-class HalfspaceBody:
-    """Intersection of halfspaces <a_k, x> <= c_k."""
-
-    index: int
-    normals: np.ndarray
-    offsets: np.ndarray
-    body_id: str = ""
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        c = np.atleast_1d(np.asarray(self.offsets, dtype=float))
-        if a.shape[0] != c.shape[0]:
-            raise ValueError("normals and offsets disagree in length")
-        if not (np.isfinite(a).all() and np.isfinite(c).all()):
-            raise ValueError("halfspace data must be finite")
-        if not (a * a).sum(axis=1).all():
-            raise ValueError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normals", a)
-        object.__setattr__(self, "offsets", c)
-
-    def constraint_rows(self):
-        return self.normals, self.offsets
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BodyFamily:
+    """Rows G x <= h, body by body; row r belongs to body owner[r].
+
+    ``ids`` names the bodies ("" when unnamed) and ``negated`` marks the
+    negated slab rows (none in general mode). Build a family with
+    ``from_blocks``, which validates it; the arrays are read-only.
+    """
+
     mode: str
     dim: int
-    bodies: list = field(default_factory=list)
+    G: np.ndarray
+    h: np.ndarray
+    owner: np.ndarray
+    ids: tuple
+    negated: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in (SYMMETRIC, GENERAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.dim < 1:
+        for a in (self.G, self.h, self.owner, self.negated):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_blocks(cls, mode: str, dim: int, blocks, ids=None):
+        """The validated family of one block per body: a k x dim array of
+        slab vectors (symmetric) or a pair of a k x dim array of normals and
+        k offsets (general). Raises ValueError for an unknown mode, dim < 1,
+        a block of the wrong shape, non-finite data or a zero row."""
+        if mode not in (SYMMETRIC, GENERAL):
+            raise ValueError(f"unknown mode {mode!r}")
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        for body in self.bodies:
-            rows, _ = body.constraint_rows()
-            if rows.shape[1] != self.dim:
-                raise ValueError("body dimension mismatch")
+        if mode == SYMMETRIC:
+            blocks = [np.asarray(v, dtype=float) for v in blocks]
+            negated = [np.repeat([False, True], len(v)) for v in blocks]
+            blocks = [(np.concatenate([v, -v]), np.ones(2 * len(v)))
+                      for v in blocks]
+        blocks = [(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
+                  for a, c in blocks]
+        for j, (a, c) in enumerate(blocks):
+            if a.ndim != 2 or a.shape[1] != dim or not len(a):
+                raise ValueError(f"body {j}: constraint rows of shape "
+                                 f"{a.shape} are not k x {dim} with k >= 1")
+            if c.shape != (len(a),):
+                raise ValueError(f"body {j}: {len(a)} normals but offsets "
+                                 f"of shape {c.shape}")
+        ids = ("",) * len(blocks) if ids is None else tuple(map(str, ids))
+        G = np.vstack([a for a, _ in blocks])
+        h = np.concatenate([c for _, c in blocks])
+        owner = np.repeat(np.arange(len(blocks)), [len(c) for _, c in blocks])
+        for bad, what in (
+                (~(np.isfinite(G).all(axis=1) & np.isfinite(h)),
+                 "non-finite constraint data"),
+                ((G * G).sum(axis=1) == 0.0, "a zero constraint row")):
+            if bad.any():
+                raise ValueError(f"body {owner[np.argmax(bad)]} has {what}")
+        negated = (np.concatenate(negated) if mode == SYMMETRIC
+                   else np.zeros(len(h), dtype=bool))
+        return cls(mode, dim, G, h, owner, ids, negated)
 
     def __len__(self):
-        return len(self.bodies)
+        return len(self.ids)
 
     def constraint_matrix(self, selected=None):
-        """Stacked (G, h, owner) rows for the selected bodies (default all)."""
-        idx = range(len(self.bodies)) if selected is None else selected
-        gs, hs, owners = [], [], []
-        for i in idx:
-            g, h = self.bodies[i].constraint_rows()
-            gs.append(g)
-            hs.append(h)
-            owners.extend([i] * g.shape[0])
-        if not gs:
-            raise ValueError("no bodies selected")
-        return np.vstack(gs), np.concatenate(hs), np.array(owners)
+        """(G, h, owner) of the selected bodies' rows (default all)."""
+        if selected is None:
+            return self.G, self.h, self.owner
+        rows = np.isin(self.owner, selected)
+        if not rows.any() or not set(selected) <= set(range(len(self))):
+            raise ValueError(f"bodies {selected} are not in range({len(self)})")
+        return self.G[rows], self.h[rows], self.owner[rows]
 
 
 @dataclass(frozen=True)
@@ -115,15 +109,13 @@ class TaggedPointSet:
 def interior_margin(family: BodyFamily, z) -> float:
     """Smallest Euclidean distance from z to a constraint hyperplane side."""
     z = np.asarray(z, dtype=float)
-    G, h, _ = family.constraint_matrix()
-    norms = np.linalg.norm(G, axis=1)
-    return float(np.min((h - G @ z) / norms))
+    norms = np.linalg.norm(family.G, axis=1)
+    return float(np.min((family.h - family.G @ z) / norms))
 
 
 def chebyshev_center(family: BodyFamily):
     """Deepest point of the intersection: one LP over (x, r)."""
-    G, h, _ = family.constraint_matrix()
-    n = family.dim
+    G, h, n = family.G, family.h, family.dim
     norms = np.linalg.norm(G, axis=1)
     # variables (x, r), maximize r subject to <a,x> + ||a|| r <= c and r >= 0
     Ga = np.hstack([G, norms[:, None]])
@@ -142,18 +134,16 @@ def chebyshev_center(family: BodyFamily):
     return res.x[:n], float(r)
 
 
-def validate_family(family: BodyFamily, margin: float = INTERIOR_MARGIN):
+def validate_family(family: BodyFamily):
     """Reject families whose intersection has (numerically) no interior."""
     if family.mode == SYMMETRIC:
-        m = interior_margin(family, np.zeros(family.dim))
-        if m < margin:
-            raise DegenerateInterior(
-                f"margin {m:.3e} at the origin is below {margin:.1e}")
-        return np.zeros(family.dim), m
-    z, r = chebyshev_center(family)
-    if r < margin:
-        raise DegenerateInterior(f"inradius {r:.3e} is below {margin:.1e}")
-    return z, r
+        what = "margin at the origin"
+        r = interior_margin(family, np.zeros(family.dim))
+    else:
+        what, r = "inradius", chebyshev_center(family)[1]
+    if r < INTERIOR_MARGIN:
+        raise DegenerateInterior(f"{what} {r:.3e} is below "
+                                 f"{INTERIOR_MARGIN:.1e}")
 
 
 def normalize_family(family: BodyFamily, z) -> BodyFamily:
@@ -168,27 +158,21 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
             raise ValueError("symmetric families are normalized about 0 only")
         validate_family(family)
         return family
-    bodies = []
-    for body in family.bodies:
-        slack = body.offsets - body.normals @ z
-        margins = slack / np.linalg.norm(body.normals, axis=1)
-        if margins.min() < INTERIOR_MARGIN:
-            raise NotInterior(
-                f"translate point has margin {margins.min():.3e} "
-                f"inside body {body.index}")
-        bodies.append(HalfspaceBody(index=body.index,
-                                    normals=body.normals / slack[:, None],
-                                    offsets=np.ones(len(slack)),
-                                    body_id=body.body_id))
-    return BodyFamily(mode=GENERAL, dim=family.dim, bodies=bodies)
+    slack = family.h - family.G @ z
+    margins = slack / np.linalg.norm(family.G, axis=1)
+    bad = margins < INTERIOR_MARGIN
+    if bad.any():
+        body = family.owner[np.argmax(bad)]
+        raise NotInterior(
+            f"translate point has margin "
+            f"{margins[family.owner == body].min():.3e} inside body {body}")
+    return replace(family, G=family.G / slack[:, None], h=np.ones(len(slack)))
 
 
 def _require_normalized(family: BodyFamily):
-    if family.mode == GENERAL:
-        offsets = np.concatenate([body.offsets for body in family.bodies])
-        if np.max(np.abs(offsets - 1.0)) > 1e-9:
-            raise ValueError("family must be normalized (offsets 1); "
-                             "call normalize_family first")
+    if np.max(np.abs(family.h - 1.0)) > 1e-9:
+        raise ValueError("family must be normalized (offsets 1); "
+                         "call normalize_family first")
 
 
 def polar_generators(family: BodyFamily) -> TaggedPointSet:
@@ -196,15 +180,11 @@ def polar_generators(family: BodyFamily) -> TaggedPointSet:
 
     For a normalized family, the polar of the intersection is the convex hull
     of the union of the bodies' polars, and each body's polar is generated by
-    its constraint vectors (both signs for slabs).
+    its constraint vectors (both signs for slabs): the rows of G, tagged by
+    their owners.
     """
     _require_normalized(family)
-    pts, tags = [], []
-    for body in family.bodies:
-        rows, _ = body.constraint_rows()
-        pts.append(rows)
-        tags.extend([body.index] * rows.shape[0])
-    return TaggedPointSet(points=np.vstack(pts), tags=np.array(tags))
+    return TaggedPointSet(points=family.G, tags=family.owner)
 
 
 def containment_factor(family: BodyFamily, selected) -> float:
@@ -221,15 +201,10 @@ def containment_factor(family: BodyFamily, selected) -> float:
     selected = sorted(set(int(i) for i in selected))
     if not selected:
         raise ValueError("selected body list is empty")
-    if any(i < 0 or i >= len(family.bodies) for i in selected):
+    if selected[0] < 0 or selected[-1] >= len(family):
         raise ValueError("selected index out of range")
-    rest = sorted(set(range(len(family.bodies))) - set(selected))
-    if not rest:
+    inside = np.isin(family.owner, selected)
+    if inside.all():
         return 1.0
-    Gq, hq, _ = family.constraint_matrix(selected)
-    if family.mode == SYMMETRIC:
-        dirs = [family.bodies[i].vectors for i in rest]
-    else:
-        dirs = [family.bodies[i].normals for i in rest]
-    return max(1.0, max_support(Gq / hq[:, None], np.vstack(dirs)))
-
+    Gq = family.G[inside] / family.h[inside, None]
+    return max(1.0, max_support(Gq, family.G[~inside & ~family.negated]))

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CertificateRejected, InvalidInstance, NotInterior
-from .geometry import (GENERAL, SYMMETRIC, BodyFamily, HalfspaceBody,
-                       SlabBody, containment_factor, normalize_family,
-                       polar_generators)
+from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
+                       normalize_family, polar_generators)
 from .linalg import extremes
 from .sparsify import certify_operator_T, gamma_ratio
 
@@ -80,57 +79,48 @@ def _pyify(obj):
 
 
 def family_to_json(family: BodyFamily) -> dict:
-    bodies = []
-    for body in family.bodies:
-        if family.mode == SYMMETRIC:
-            cons = [{"a": list(row), "c": 1.0} for row in body.vectors]
-        else:
-            cons = [{"a": list(a), "c": float(c)}
-                    for a, c in zip(body.normals, body.offsets)]
-        bodies.append({"id": body.body_id or f"body{body.index}",
-                       "constraints": cons})
-    return _pyify({"mode": family.mode, "dimension": family.dim,
-                   "bodies": bodies})
+    kept = ~family.negated
+    bodies = [{"id": body_id or f"body{j}", "constraints": []}
+              for j, body_id in enumerate(family.ids)]
+    for j, a, c in zip(family.owner[kept].tolist(), family.G[kept].tolist(),
+                       family.h[kept].tolist()):
+        bodies[j]["constraints"].append({"a": a, "c": c})
+    return {"mode": family.mode, "dimension": family.dim, "bodies": bodies}
 
 
 def family_from_json(obj) -> BodyFamily:
     try:
-        mode = obj["mode"]
-        dim = int(obj["dimension"])
-        raw_bodies = obj["bodies"]
+        mode, dim, raw_bodies = obj["mode"], obj["dimension"], obj["bodies"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"malformed instance object: {exc}") from exc
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if type(dim) is not int or dim < 1:
+        raise InvalidInstance(f"dimension {dim!r} is not an integer >= 1")
     if mode not in (SYMMETRIC, GENERAL):
         raise InvalidInstance(f"unknown mode {mode!r}")
-    if dim < 1 or not isinstance(raw_bodies, list) or not raw_bodies:
-        raise InvalidInstance("dimension must be >= 1 and bodies a non-empty "
-                              "list")
-    bodies = []
+    if not isinstance(raw_bodies, list) or not raw_bodies:
+        raise InvalidInstance("bodies must be a non-empty list")
+    blocks, ids = [], []
     for j, raw in enumerate(raw_bodies):
         try:
             rows = [(con["a"], con["c"])
                     for con in raw.get("constraints") or []]
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise InvalidInstance(f"body {j}: a body and each constraint "
-                                  f"must be objects: {exc!r}") from exc
-        if not rows:
-            raise InvalidInstance(f"body {j} has no constraints")
-        A, c = (np.array(column, dtype=float) for column in zip(*rows))
-        if A.ndim != 2 or A.shape[1] != dim:
-            raise InvalidInstance(
-                f"body {j}: constraint vectors are not {dim}-dimensional")
-        if not np.isfinite(A).all() or not np.isfinite(c).all():
-            raise InvalidInstance(f"body {j}: non-finite constraint data")
-        if (c <= 0).any():
-            raise InvalidInstance(f"body {j}: offsets must be positive")
-        if mode == SYMMETRIC:
-            bodies.append(SlabBody(index=j, vectors=A / c[:, None],
-                                   body_id=str(raw.get("id", f"body{j}"))))
-        else:
-            bodies.append(HalfspaceBody(index=j, normals=A, offsets=c,
-                                        body_id=str(raw.get("id",
-                                                            f"body{j}"))))
-    return BodyFamily(mode=mode, dim=dim, bodies=tuple(bodies))
+            if not rows:
+                raise InvalidInstance(f"body {j} has no constraints")
+            A, c = (np.array(column, dtype=float) for column in zip(*rows))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInstance(f"body {j}: constraints are not objects "
+                                  f"with numeric a and c: {exc!r}") from exc
+        if A.ndim != 2 or c.ndim != 1 or not np.all((c > 0) & (c < np.inf)):
+            raise InvalidInstance(f"body {j}: each constraint needs a vector "
+                                  "a and a positive, finite offset c")
+        blocks.append(A / c[:, None] if mode == SYMMETRIC else (A, c))
+        ids.append(raw.get("id", f"body{j}"))
+    try:
+        return BodyFamily.from_blocks(mode, dim, blocks, ids)
+    except ValueError as exc:
+        raise InvalidInstance(str(exc)) from exc
 
 
 def _read_json(path, what: str):
@@ -171,7 +161,8 @@ def certificate_from_json(doc) -> SelectionCertificate:
             **{f.name: doc.get(f.name) for f in fields(SelectionCertificate)},
             "selected": tuple(doc["selected"]),
             "z": np.asarray(doc["z"], dtype=float),
-            "stages": dict(doc.get("timing", {}).get("stages", {})),
+            "stages": _optional_object(_optional_object(doc, "timing"),
+                                       "stages"),
             "notes": tuple(doc.get("notes", []))})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstance(f"malformed certificate: {exc!r}") from exc

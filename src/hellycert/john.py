@@ -110,8 +110,7 @@ def _fresh_state(pts, u):
                             1.0 - kappa[u > 0.0].min() / n)
 
 
-def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512,
-                           start=None):
+def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
     Runs Khachiyan ascent with away/drop steps, and Newton steps on the
@@ -214,8 +213,8 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, refresh_every=512,
             u *= 1.0 + lam
             u[j] = 0.0 if dropped else max(u[j] - lam, 0.0)
 
-        since_refresh += 1
-        if since_refresh >= refresh_every or not np.isfinite(kappa[j]):
+        since_refresh += 1  # the rank-one updates drift; refresh them
+        if since_refresh >= 512 or not np.isfinite(kappa[j]):
             u = np.maximum(u, 0.0)
             u /= u.sum()
             Xinv, kappa, _ = _fresh_state(pts, u)
@@ -262,7 +261,7 @@ def _sqrt_spd(M: np.ndarray) -> np.ndarray:
 def john_decomposition(point_set: TaggedPointSet, centered: bool,
                        eps_mvee: float = EPS_MVEE_DEFAULT,
                        tol_john: float = TOL_JOHN_DEFAULT,
-                       weight_floor: float | None = None, start=None):
+                       start=None):
     """John decomposition of the convex hull of a tagged point set.
 
     Solves the MVEE of the points, maps them to Loewner position and turns
@@ -274,8 +273,6 @@ def john_decomposition(point_set: TaggedPointSet, centered: bool,
     """
     pts = point_set.points
     m, n = pts.shape
-    if weight_floor is None:
-        weight_floor = 1e-9 / m
 
     if centered:
         ell, u = mvee_general(pts, eps_mvee, start)
@@ -284,7 +281,7 @@ def john_decomposition(point_set: TaggedPointSet, centered: bool,
     T = _sqrt_spd(ell.shape.entries)
     Y = (pts - ell.center) @ T
 
-    keep = np.nonzero(u > weight_floor)[0]
+    keep = np.nonzero(u > 1e-9 / m)[0]
     norms = np.linalg.norm(Y[keep], axis=1)
     v = Y[keep] / norms[:, None]
     a = n * u[keep] * norms ** 2

@@ -118,7 +118,7 @@ def _pivot_loop(tab, obj, basis, n_enterable, max_iter, tol_cost, tol_piv):
     raise SolverStall(f"simplex did not terminate in {max_iter} pivots")
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpResult:
+def solve_lp(lp: LinearProgram) -> LpResult:
     n = lp.n
     nx = n if lp.nonneg else 2 * n
 
@@ -147,8 +147,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpResult:
 
     scale_b = 1.0 + (float(np.max(np.abs(tab[:, -1]))) if m else 0.0)
     tol_piv = 1e-9
-    if max_iter is None:
-        max_iter = 5000 + 30 * (m + ncols)
+    max_iter = 5000 + 30 * (m + ncols)
 
     # Phase 1: minimize the sum of artificials starting from that basis.
     obj = np.zeros(ncols + 1)

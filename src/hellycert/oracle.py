@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
-from .geometry import (BodyFamily, HalfspaceBody, SlabBody, containment_factor)
+from .geometry import BodyFamily, containment_factor
 from .lp import max_support
 
 MAX_DIM = 6
@@ -236,14 +236,11 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
         W = _unit_rows(rng, N, n)
         if np.linalg.matrix_rank(W) < n:
             continue  # a line survives; resample without certifying
-        bodies = tuple(SlabBody(index=j, vectors=W[j:j + 1],
-                                body_id=f"slab{j}") for j in range(N))
-        family = BodyFamily(mode="symmetric", dim=n, bodies=bodies)
+        family = BodyFamily.from_blocks(
+            "symmetric", n, W[:, None, :], [f"slab{j}" for j in range(N)])
         if n == 2:
-            G = np.vstack([W, -W])
-            h = np.ones(2 * N)
             try:
-                achieved = circumradius_exact(G, h)
+                achieved = circumradius_exact(family.G, family.h)
             except UnboundedBody:
                 achieved = math.inf
             if achieved <= 2.0:
@@ -260,14 +257,14 @@ def gen_slab_family(n: int, count: int, seed: int,
                     max_per_body: int = 3) -> BodyFamily:
     """Seeded family of symmetric slab bodies, 1..max_per_body slabs each."""
     rng = np.random.default_rng(seed)
-    bodies = []
+    blocks = []
     for j in range(count):
         k = int(rng.integers(1, max_per_body + 1))
         dirs = _unit_rows(rng, k, n)
         widths = rng.uniform(0.5, 2.0, size=k)
-        bodies.append(SlabBody(index=j, vectors=dirs / widths[:, None],
-                               body_id=f"s{j}"))
-    return BodyFamily(mode="symmetric", dim=n, bodies=tuple(bodies))
+        blocks.append(dirs / widths[:, None])
+    return BodyFamily.from_blocks("symmetric", n, blocks,
+                                  [f"s{j}" for j in range(count)])
 
 
 def gen_halfspace_family(n: int, count: int, seed: int,
@@ -285,15 +282,15 @@ def gen_halfspace_family(n: int, count: int, seed: int,
         center = rng.uniform(-0.5, 0.5, size=n)
         # offsets below this keep every c positive, as the file format wants
         off_lo = max(margin, float(np.linalg.norm(center)) + 0.05)
-        bodies = []
+        blocks = []
         for j in range(count):
             k = int(rng.integers(lo_rows, hi_rows + 1))
             normals = _unit_rows(rng, k, n)
             offsets = normals @ center + rng.uniform(off_lo, 1.5, size=k)
-            bodies.append(HalfspaceBody(index=j, normals=normals,
-                                        offsets=offsets, body_id=f"h{j}"))
-        family = BodyFamily(mode="general", dim=n, bodies=tuple(bodies))
-        if is_bounded(family.constraint_matrix()[0]):
+            blocks.append((normals, offsets))
+        family = BodyFamily.from_blocks("general", n, blocks,
+                                        [f"h{j}" for j in range(count)])
+        if is_bounded(family.G):
             return family
     raise InvalidInstance(
         f"could not generate a bounded halfspace family (n={n}, "

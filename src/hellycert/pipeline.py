@@ -247,7 +247,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
 
 
 def _subfamily_radius(norm: BodyFamily, subset) -> float:
-    G, h, _ = norm.constraint_matrix(list(subset))
+    G, h, _ = norm.constraint_matrix(subset)
     try:
         return circumradius_exact(G, h)
     except UnboundedBody:
@@ -260,56 +260,58 @@ def reduce_to_2n(family: BodyFamily,
 
     Every candidate drop is priced by the exact circumradius oracle and the
     cheapest is taken; each step's growth is checked against the
-    m/(m - 2n) factor and the chain is recorded in the certificate.
+    m/(m - 2n) factor and the chain is recorded in the certificate. A
+    selection of at most 2n bodies is only re-checked, and keeps its
+    stages, notes and informational diagnostics and verdicts.
     """
     n = family.dim
-    sel = list(selection.selected)
-    if len(sel) <= 2 * n:
-        return selection
-    stages = dict(selection.stages)
     t0 = time.perf_counter()
-    norm = normalize_family(family, selection.z)
-
-    radius = _subfamily_radius(norm, sel)
-    start_radius = radius
-    chain = []
-    growth_ok = True
-    while len(sel) > 2 * n:
-        m = len(sel)
-        best_r = math.inf
-        best_j = None
-        for j in sel:
-            r = _subfamily_radius(norm, [i for i in sel if i != j])
-            if r < best_r:
-                best_r, best_j = r, j
-        growth = best_r / radius
-        limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
-        growth_ok = growth_ok and growth <= limit
-        chain.append((best_j, radius, best_r, growth, m / (m - 2 * n)))
-        sel.remove(best_j)
-        radius = best_r
+    sel = list(selection.selected)
+    stages, notes = dict(selection.stages), selection.notes
+    diagnostics = dict(selection.diagnostics)
+    verdicts = {k: ok for k, ok in selection.verdicts.items()
+                if k == "reduction_growth"}
+    dropping = len(sel) > 2 * n
+    if dropping:
+        norm = normalize_family(family, selection.z)
+        radius = start_radius = _subfamily_radius(norm, sel)
+        chain = []
+        growth_ok = True
+        while len(sel) > 2 * n:
+            m = len(sel)
+            best_r = math.inf
+            best_j = None
+            for j in sel:
+                r = _subfamily_radius(norm, [i for i in sel if i != j])
+                if r < best_r:
+                    best_r, best_j = r, j
+            growth = best_r / radius
+            limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
+            growth_ok = growth_ok and growth <= limit
+            chain.append((best_j, radius, best_r, growth, m / (m - 2 * n)))
+            sel.remove(best_j)
+            radius = best_r
+        verdicts = {"reduction_growth": growth_ok}
+        diagnostics.update(
+            reduction_start_radius=start_radius,
+            reduction_final_radius=radius,
+            reduction_cumulative_growth=radius / start_radius,
+            reduction_cumulative_bound=float(
+                math.comb(len(selection.selected), 2 * n)))
+        notes += tuple(f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
+                       f"(growth {g:.4f}, limit {lim:.4f})"
+                       for j, r0, r1, g, lim in chain)
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
         "d": selection.d, "eps": selection.eps, "tol": selection.tol,
         "payload": selection.payload})
-    stages["reduce"] = time.perf_counter() - t0
-    stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
-    return replace(
-        cert, stages=stages,
-        verdicts={**cert.verdicts, "reduction_growth": growth_ok},
-        diagnostics={
-            **selection.diagnostics, **cert.diagnostics,
-            "reduction_start_radius": start_radius,
-            "reduction_final_radius": radius,
-            "reduction_cumulative_growth": radius / start_radius,
-            "reduction_cumulative_bound": float(
-                math.comb(len(selection.selected), 2 * n)),
-        },
-        notes=selection.notes + tuple(
-            f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
-            f"(growth {g:.4f}, limit {lim:.4f})"
-            for j, r0, r1, g, lim in chain))
+    if dropping:
+        stages["reduce"] = time.perf_counter() - t0
+        stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
+    return replace(cert, stages=stages, notes=notes,
+                   verdicts={**cert.verdicts, **verdicts},
+                   diagnostics={**diagnostics, **cert.diagnostics})
 
 
 def diameter_report(family: BodyFamily, selection: SelectionCertificate,
@@ -323,8 +325,7 @@ def diameter_report(family: BodyFamily, selection: SelectionCertificate,
     if not exact:
         return math.nan, math.nan, selection.alpha_measured
     norm = normalize_family(family, selection.z)
-    G_s, h_s, _ = norm.constraint_matrix(list(selection.selected))
-    G_f, h_f, _ = norm.constraint_matrix()
+    G_s, h_s, _ = norm.constraint_matrix(selection.selected)
     diam_sel = diameter_exact(G_s, h_s)
-    diam_full = diameter_exact(G_f, h_f)
+    diam_full = diameter_exact(norm.G, norm.h)
     return diam_sel, diam_full, diam_sel / diam_full

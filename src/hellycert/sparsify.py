@@ -114,8 +114,8 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
         lambda_min=1.0, lambda_max=lam_max_raw / lam_min_raw)
 
 
-def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
-                   escalation=D_ESCALATION) -> ShiftedDecomposition:
+def shifted_select(vectors, weights,
+                   eps: float = EPS_SHIFT_DEFAULT) -> ShiftedDecomposition:
     """Sparse reweighting with an exact barycenter shift.
 
     Given sum a_j v_j v_j^T = I and sum a_j v_j ~ 0, lifts each v_j to
@@ -133,7 +133,7 @@ def shifted_select(vectors, weights, eps: float = EPS_SHIFT_DEFAULT,
     lifted = np.hstack([v_in, np.full((m, 1), 1.0 / math.sqrt(n))])
 
     trail = []
-    for d in escalation:
+    for d in D_ESCALATION:
         res = bss_select(lifted, a, d)
         b = res.b * a[res.sigma]
         shift = -(b @ v_in[res.sigma]) / b.sum()

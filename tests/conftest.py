@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from hellycert.geometry import BodyFamily, HalfspaceBody, SlabBody
+from hellycert.geometry import BodyFamily
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -30,24 +30,15 @@ def unit_rows(generator, m, n):
 def cube_slab_family(n):
     """The cube [-1,1]^n as n coordinate slabs."""
     eye = np.eye(n)
-    return BodyFamily(
-        mode="symmetric",
-        dim=n,
-        bodies=tuple(SlabBody(index=i, vectors=eye[i:i + 1]) for i in range(n)),
-    )
+    return BodyFamily.from_blocks(
+        "symmetric", n, [eye[i:i + 1] for i in range(n)])
 
 
 def cube_halfspace_family(n):
     """The cube [-1,1]^n as 2n single-halfspace bodies."""
     rows = np.vstack([np.eye(n), -np.eye(n)])
-    return BodyFamily(
-        mode="general",
-        dim=n,
-        bodies=tuple(
-            HalfspaceBody(index=i, normals=rows[i:i + 1], offsets=np.array([1.0]))
-            for i in range(2 * n)
-        ),
-    )
+    return BodyFamily.from_blocks(
+        "general", n, [(rows[i:i + 1], np.array([1.0])) for i in range(2 * n)])
 
 
 def simplex_family(n):
@@ -56,24 +47,13 @@ def simplex_family(n):
     _, _, vt = np.linalg.svd(centering)
     basis = vt[:n].T
     normals = basis / np.linalg.norm(basis, axis=1, keepdims=True)
-    return BodyFamily(
-        mode="general",
-        dim=n,
-        bodies=tuple(
-            HalfspaceBody(index=i, normals=normals[i:i + 1], offsets=np.array([1.0]))
-            for i in range(n + 1)
-        ),
-    )
+    return BodyFamily.from_blocks(
+        "general", n,
+        [(normals[i:i + 1], np.array([1.0])) for i in range(n + 1)])
 
 
 def plane_fan_family(count=100):
     """count equally spaced unit slabs in the plane."""
     theta = np.linspace(0.0, np.pi, count, endpoint=False)
-    return BodyFamily(
-        mode="symmetric",
-        dim=2,
-        bodies=tuple(
-            SlabBody(index=i, vectors=np.array([[np.cos(t), np.sin(t)]]))
-            for i, t in enumerate(theta)
-        ),
-    )
+    return BodyFamily.from_blocks(
+        "symmetric", 2, [np.array([[np.cos(t), np.sin(t)]]) for t in theta])

@@ -173,7 +173,7 @@ def test_criterion_4_sharpness_trend():
     for n in range(2, 7):
         big_n = 64 * 2 ** (n - 2)
         fam = gen_sharpness_instance(n, big_n, seed=SHARPNESS_SEED)
-        w = np.vstack([b.vectors for b in fam.bodies])
+        w = fam.G[~fam.negated]
         inner_ok = float(np.max(np.linalg.norm(w, axis=1))) <= 1.0 + 1e-12
         if n == 2:
             g, h, _ = fam.constraint_matrix()

@@ -107,6 +107,48 @@ def test_exit_code_bad_input(tmp_path):
                                    "bodies": [body]}))
         assert run(["select-sym", "--in", bad,
                     "--out", tmp_path / "c.json"]) == 3, name
+    # a dimension that overflows, has a fraction or is a boolean; the
+    # bodies are a valid 3-dimensional family
+    text = json.dumps(hio.family_to_json(gen_slab_family(3, 5, seed=1)))
+    for value in ("1e400", "3.7", "true"):
+        bad.write_text(text.replace('"dimension": 3', f'"dimension": {value}'))
+        assert run(["select-sym", "--in", bad,
+                    "--out", tmp_path / "c.json"]) == 3, value
+    # reduce with a certificate whose timing is not an object
+    inst, cert = tmp_path / "hs.json", tmp_path / "hs-cert.json"
+    assert run(["gen", "--kind", "halfspace", "--n", 2, "--count", 4,
+                "--seed", 3, "--out", inst]) == 0
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    doc = hio.load_certificate(cert)
+    doc["timing"] = []
+    hio.save_certificate(doc, cert)
+    assert run(["reduce", "--in", inst, "--cert", cert,
+                "--out", tmp_path / "r.json"]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reduce_rechecks_a_selection_within_2n(tmp_path):
+    inst = tmp_path / "hs.json"
+    cert = tmp_path / "cert.json"
+    red = tmp_path / "reduced.json"
+    assert run(["gen", "--kind", "halfspace", "--n", 3, "--count", 8,
+                "--seed", 103, "--out", inst]) == 0
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    doc = hio.load_certificate(cert)
+    assert doc["s"] <= 6
+    alpha = doc["alpha_measured"]
+    doc["alpha_measured"] = doc["bound_claimed"] = 0.5
+    hio.save_certificate(doc, cert)
+    assert run(["certify", "--in", inst, "--cert", cert]) == 2
+    # nothing to drop: reduce re-derives the certificate from its claims
+    assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 0
+    out = hio.load_certificate(red)
+    assert out["alpha_measured"] == alpha
+    assert out["timing"] == doc["timing"]
+    assert out["notes"] == doc["notes"]
+    assert (out["diagnostics"]["recenter_iters"]
+            == doc["diagnostics"]["recenter_iters"])
+    assert run(["certify", "--in", inst, "--cert", red]) == 0
 
 
 @pytest.mark.parametrize("command, own, other", [

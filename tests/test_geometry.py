@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from hellycert import lp
 from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
-from hellycert.geometry import (BodyFamily, HalfspaceBody, SlabBody,
-                                chebyshev_center, containment_factor,
+from hellycert.geometry import (BodyFamily, chebyshev_center, containment_factor,
                                 interior_margin, normalize_family,
                                 polar_generators, validate_family)
 from hellycert.lp import support_h_polytope
@@ -25,33 +24,79 @@ def triangle_family():
     rows = [np.array([[-1.0, 0.0]]), np.array([[0.0, -1.0]]),
             np.array([[1.0, 1.0]])]
     offs = [np.array([0.0]), np.array([0.0]), np.array([1.0])]
-    return BodyFamily(mode="general", dim=2, bodies=tuple(
-        HalfspaceBody(index=i, normals=r, offsets=o)
-        for i, (r, o) in enumerate(zip(rows, offs))))
+    return BodyFamily.from_blocks("general", 2, list(zip(rows, offs)))
+
+
+GOOD_SLAB = np.array([[1.0, 0.0], [0.0, 1.0]])
+GOOD_HALFSPACE = (GOOD_SLAB, np.ones(2))
+
+
+@pytest.mark.parametrize("mode, dim, bad, match", [
+    ("symmetric", 2, np.array([[np.nan, 1.0]]), "body 1 has non-finite"),
+    ("general", 2, (GOOD_SLAB, np.array([1.0, np.inf])),
+     "body 1 has non-finite"),
+    ("symmetric", 2, np.zeros((1, 2)), "body 1 has a zero constraint row"),
+    ("general", 2, (np.zeros((1, 2)), np.ones(1)),
+     "body 1 has a zero constraint row"),
+    ("symmetric", 2, np.ones((1, 3)), "body 1: constraint rows"),
+    ("general", 2, (np.ones(2), np.ones(1)), "body 1: constraint rows"),
+    ("general", 2, (GOOD_SLAB, np.ones(1)), "body 1: 2 normals"),
+    ("diagonal", 2, GOOD_SLAB, "unknown mode"),
+    ("symmetric", 0, np.ones((1, 0)), "dimension must be positive"),
+], ids=["nan-slab", "inf-offset", "zero-slab", "zero-normal", "slab-dim",
+        "normal-vector-not-matrix", "offset-count", "mode", "dim-0"])
+def test_from_blocks_rejects(mode, dim, bad, match):
+    good = GOOD_HALFSPACE if mode == "general" else GOOD_SLAB
+    with pytest.raises(ValueError, match=match):
+        BodyFamily.from_blocks(mode, dim, [good, bad])
+
+
+def test_family_rows_and_read_only_arrays():
+    fam = BodyFamily.from_blocks("symmetric", 2, [GOOD_SLAB, GOOD_SLAB[:1]],
+                                 ids=["a", ""])
+    np.testing.assert_array_equal(fam.G, [[1, 0], [0, 1], [-1, 0], [0, -1],
+                                          [1, 0], [-1, 0]])
+    np.testing.assert_array_equal(fam.owner, [0, 0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(fam.negated, [0, 0, 1, 1, 0, 1])
+    assert len(fam) == 2 and fam.ids == ("a", "")
+    np.testing.assert_array_equal(fam.constraint_matrix([1])[0],
+                                  [[1, 0], [-1, 0]])
+    for outside in ([], [2], [0, -1]):
+        with pytest.raises(ValueError, match="not in range"):
+            fam.constraint_matrix(outside)
+    with pytest.raises(ValueError):
+        fam.G[0, 0] = 2.0
 
 
 def test_normalize_cube_is_identity():
     fam = cube_halfspace_family(3)
     out = normalize_family(fam, np.zeros(3))
-    for before, after in zip(fam.bodies, out.bodies):
-        np.testing.assert_allclose(after.normals, before.normals)
-        np.testing.assert_allclose(after.offsets, np.ones(1))
+    np.testing.assert_allclose(out.G, fam.G)
+    np.testing.assert_allclose(out.h, np.ones(len(fam.h)))
 
 
 def test_normalize_rescales_offset_to_one():
-    fam = BodyFamily(mode="general", dim=2, bodies=(
-        HalfspaceBody(index=0, normals=np.array([[1.0, 0.0]]),
-                      offsets=np.array([3.0])),
-        HalfspaceBody(index=1, normals=np.array([[-1.0, 0.0]]),
-                      offsets=np.array([3.0])),
-        HalfspaceBody(index=2, normals=np.array([[0.0, 1.0]]),
-                      offsets=np.array([3.0])),
-        HalfspaceBody(index=3, normals=np.array([[0.0, -1.0]]),
-                      offsets=np.array([3.0])),
-    ))
+    fam = BodyFamily.from_blocks("general", 2, [
+        (np.array([[1.0, 0.0]]), np.array([3.0])),
+        (np.array([[-1.0, 0.0]]), np.array([3.0])),
+        (np.array([[0.0, 1.0]]), np.array([3.0])),
+        (np.array([[0.0, -1.0]]), np.array([3.0])),
+    ])
     out = normalize_family(fam, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(out.bodies[0].normals, [[0.5, 0.0]])
-    np.testing.assert_allclose(out.bodies[0].offsets, [1.0])
+    np.testing.assert_allclose(out.G[out.owner == 0], [[0.5, 0.0]])
+    np.testing.assert_allclose(out.h[out.owner == 0], [1.0])
+
+
+def test_normalize_matches_per_body_reference():
+    """The whole-array normalization equals a per-body loop, bit for bit."""
+    for seed in range(5):
+        fam = gen_halfspace_family(3, count=6, seed=seed)
+        z, _ = chebyshev_center(fam)
+        out = normalize_family(fam, z)
+        for j in range(len(fam)):
+            a, c = fam.G[fam.owner == j], fam.h[fam.owner == j]
+            np.testing.assert_array_equal(out.G[out.owner == j],
+                                          a / (c - a @ z)[:, None])
 
 
 def test_normalize_rejects_exterior_point():
@@ -74,26 +119,22 @@ def test_chebyshev_right_triangle():
 
 
 def test_chebyshev_parallel_slabs_midline():
-    fam = BodyFamily(mode="general", dim=2, bodies=(
-        HalfspaceBody(index=0, normals=np.array([[0.0, 1.0]]),
-                      offsets=np.array([2.0])),
-        HalfspaceBody(index=1, normals=np.array([[0.0, -1.0]]),
-                      offsets=np.array([0.0])),
-        HalfspaceBody(index=2, normals=np.array([[1.0, 0.0]]),
-                      offsets=np.array([5.0])),
-        HalfspaceBody(index=3, normals=np.array([[-1.0, 0.0]]),
-                      offsets=np.array([5.0])),
-    ))
+    fam = BodyFamily.from_blocks("general", 2, [
+        (np.array([[0.0, 1.0]]), np.array([2.0])),
+        (np.array([[0.0, -1.0]]), np.array([0.0])),
+        (np.array([[1.0, 0.0]]), np.array([5.0])),
+        (np.array([[-1.0, 0.0]]), np.array([5.0])),
+    ])
     z, r = chebyshev_center(fam)
     assert z[1] == pytest.approx(1.0, abs=1e-8)
     assert r == pytest.approx(1.0)
 
 
 def test_degenerate_interior_raises():
-    fam = BodyFamily(mode="general", dim=1, bodies=(
-        HalfspaceBody(index=0, normals=np.array([[1.0]]), offsets=np.array([0.0])),
-        HalfspaceBody(index=1, normals=np.array([[-1.0]]), offsets=np.array([0.0])),
-    ))
+    fam = BodyFamily.from_blocks("general", 1, [
+        (np.array([[1.0]]), np.array([0.0])),
+        (np.array([[-1.0]]), np.array([0.0])),
+    ])
     with pytest.raises(DegenerateInterior):
         chebyshev_center(fam)
 
@@ -113,16 +154,15 @@ def test_polar_generators_cube_slabs():
 
 
 def test_polar_generators_single_halfspace():
-    fam = BodyFamily(mode="general", dim=2, bodies=(
-        HalfspaceBody(index=0, normals=np.array([[1.0, 0.0]]),
-                      offsets=np.array([1.0])),))
+    fam = BodyFamily.from_blocks(
+        "general", 2, [(np.array([[1.0, 0.0]]), np.array([1.0]))])
     pts = polar_generators(fam)
     np.testing.assert_allclose(pts.points, [[1.0, 0.0]])
 
 
 def test_polar_generator_count_mixed():
     fam = gen_slab_family(3, count=7, seed=11)
-    per_body = [len(b.vectors) for b in fam.bodies]
+    per_body = np.bincount(fam.owner[~fam.negated])
     pts = polar_generators(fam)
     assert len(pts.points) == 2 * sum(per_body)
 
@@ -229,8 +269,7 @@ def test_normalized_chebyshev_keeps_margin():
     assert margin > 0
     _, r2 = chebyshev_center(out)
     assert r2 >= margin * (1 - 1e-6)
-    for b in out.bodies:
-        np.testing.assert_allclose(b.offsets, 1.0)
+    np.testing.assert_allclose(out.h, 1.0)
 
 
 def test_validate_family_accepts_generated():

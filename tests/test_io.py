@@ -24,8 +24,8 @@ def test_instance_roundtrip_symmetric(tmp_path):
     back = hio.load_instance(path)
     assert back.mode == "symmetric"
     assert back.dim == 3
-    for a, b in zip(fam.bodies, back.bodies):
-        np.testing.assert_allclose(a.vectors, b.vectors, rtol=1e-15)
+    np.testing.assert_array_equal(fam.owner, back.owner)
+    np.testing.assert_allclose(fam.G, back.G, rtol=1e-15)
 
 
 def test_instance_roundtrip_general(tmp_path):
@@ -34,9 +34,9 @@ def test_instance_roundtrip_general(tmp_path):
     hio.save_instance(fam, path)
     back = hio.load_instance(path)
     assert back.mode == "general"
-    for a, b in zip(fam.bodies, back.bodies):
-        np.testing.assert_allclose(a.normals, b.normals, rtol=1e-15)
-        np.testing.assert_allclose(a.offsets, b.offsets, rtol=1e-15)
+    np.testing.assert_array_equal(fam.owner, back.owner)
+    np.testing.assert_allclose(fam.G, back.G, rtol=1e-15)
+    np.testing.assert_allclose(fam.h, back.h, rtol=1e-15)
 
 
 def test_instance_schema_rejections(tmp_path):
@@ -53,6 +53,20 @@ def test_instance_schema_rejections(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(InvalidInstance):
         hio.load_instance(path)
+    # non-numeric and ragged constraint data
+    for con in ({"a": ["x", 1.0], "c": 1.0}, {"a": [1.0, 0.0], "c": "one"},
+                {"a": [[1.0], 0.0], "c": 1.0}):
+        path.write_text(json.dumps({"mode": "general", "dimension": 2,
+                                    "bodies": [{"constraints": [con]}]}))
+        with pytest.raises(InvalidInstance):
+            hio.load_instance(path)
+
+
+def test_integral_float_dimension_loads():
+    doc = hio.family_to_json(gen_slab_family(3, count=4, seed=2))
+    back = hio.family_from_json({**doc, "dimension": 3.0})
+    assert back.dim == 3 and type(back.dim) is int
+    assert hio.family_to_json(back) == doc
 
 
 def test_symmetric_constraint_scaling():

@@ -153,15 +153,15 @@ def test_sharpness_instance_plane():
     assert r == pytest.approx(1.006972781351101, rel=1e-12)
     assert r <= 2.0
     # unit offsets keep the unit ball inside every slab
-    norms = [float(np.linalg.norm(b.vectors[0])) for b in fam.bodies]
+    norms = np.linalg.norm(fam.G[~fam.negated], axis=1)
     assert max(norms) <= 1.0 + 1e-12
-    assert containment_factor(fam, list(range(len(fam.bodies)))) == pytest.approx(1.0, abs=1e-9)
+    assert containment_factor(fam, list(range(len(fam)))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sharpness_instance_3d_certified():
     fam = gen_sharpness_instance(3, 128, seed=1)
     assert fam.dim == 3
-    assert len(fam.bodies) == 128
+    assert len(fam) == 128
 
 
 def test_sharpness_generation_fails_on_flat_direction_budget():
@@ -173,17 +173,16 @@ def test_sharpness_generation_fails_on_flat_direction_budget():
 def test_sharpness_reproducible():
     a = gen_sharpness_instance(2, 32, seed=5)
     b = gen_sharpness_instance(2, 32, seed=5)
-    for x, y in zip(a.bodies, b.bodies):
-        np.testing.assert_array_equal(x.vectors, y.vectors)
+    np.testing.assert_array_equal(a.G, b.G)
+    np.testing.assert_array_equal(a.owner, b.owner)
 
 
 def test_slab_generator_schema():
     fam = gen_slab_family(4, count=6, seed=8)
     assert fam.mode == "symmetric"
     assert fam.dim == 4
-    assert 1 <= max(len(b.vectors) for b in fam.bodies) <= 3
-    for b in fam.bodies:
-        assert np.all(np.isfinite(b.vectors))
+    assert 1 <= np.bincount(fam.owner[~fam.negated]).max() <= 3
+    assert np.all(np.isfinite(fam.G))
 
 
 def test_halfspace_generator_interior_and_bounded():
@@ -191,8 +190,7 @@ def test_halfspace_generator_interior_and_bounded():
     from hellycert.geometry import chebyshev_center
     z, r = chebyshev_center(fam)
     assert r >= 0.1
-    for b in fam.bodies:
-        assert np.all(b.offsets > 0)
+    assert np.all(fam.h > 0)
     g, h, _ = fam.constraint_matrix()
     for i in range(3):
         e = np.zeros(3)
