@@ -7,6 +7,11 @@ w and then their negatives, all at offset 1. ``general`` bodies are
 intersections of halfspaces <a, x> <= c. Most of the pipeline works on
 normalized general families where every offset is 1, i.e. the origin is
 strictly inside every body.
+
+The containment scale alpha of a selection is a checked upper bound on a
+support value: producers walk for it (``containment_bases``) and store the
+walk's bases, and checking a certificate replays those bases through
+``containment_factor`` without walking.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInterior, NotInterior, UnboundedBody
-from .lp import LinearProgram, OPTIMAL, UNBOUNDED, max_support, solve_lp
+from .errors import (DegenerateInterior, NotInterior, SolverStall,
+                     UnboundedBody)
+from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support, max_support,
+                 solve_lp, walk_bases)
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -187,15 +194,13 @@ def polar_generators(family: BodyFamily) -> TaggedPointSet:
     return TaggedPointSet(points=family.G, tags=family.owner)
 
 
-def containment_factor(family: BodyFamily, selected) -> float:
-    """Smallest alpha with (intersection of selected) <= alpha * (full).
+def _containment_system(family: BodyFamily, selected):
+    """(G_Q, U): the rows of the selected intersection Q in body order, and
+    the family directions whose support over Q sets alpha.
 
-    alpha is the largest support value of the selected intersection Q over
-    the constraint directions of the family, and at least 1. Directions of
-    selected bodies are skipped (Q lies in each of those bodies, so their
-    support is at most 1), and so is the negative row of every slab, since
-    Q = -Q. The rest go to ``max_support`` in one batch, so the value is a
-    checked upper bound; +inf when Q is unbounded in a family direction.
+    Directions of selected bodies are left out (Q lies in each of those
+    bodies, so their support is at most 1), and so is the negative row of
+    every slab, since Q = -Q.
     """
     _require_normalized(family)
     selected = sorted(set(int(i) for i in selected))
@@ -204,7 +209,42 @@ def containment_factor(family: BodyFamily, selected) -> float:
     if selected[0] < 0 or selected[-1] >= len(family):
         raise ValueError("selected index out of range")
     inside = np.isin(family.owner, selected)
-    if inside.all():
+    return (family.G[inside] / family.h[inside, None],
+            family.G[~inside & ~family.negated])
+
+
+def containment_bases(family: BodyFamily, selected):
+    """The bases that ``containment_factor`` replays for this selection.
+
+    One vertex walk over Q: for each direction (the family rows outside the
+    selection, then +e_i, then -e_i) n indices into the rows of Q. None
+    when the walk met a checked ray or line (alpha is +inf), and no rows
+    when every body is selected. Nothing but a ray or a line is checked
+    here; the bases are checked when they are replayed.
+    """
+    Gq, U = _containment_system(family, selected)
+    if not len(U):
+        return np.zeros((0, family.dim), dtype=int)
+    return walk_bases(Gq, U)
+
+
+def containment_factor(family: BodyFamily, selected, bases=None) -> float:
+    """Smallest alpha with (intersection of selected) <= alpha * (full).
+
+    alpha is the largest support value of the selected intersection Q over
+    the constraint directions of the family, and at least 1. Without
+    ``bases`` the directions go to ``max_support`` in one batch (+inf when Q
+    is unbounded in a family direction). With the ``bases`` of
+    ``containment_bases`` nothing is walked: ``check_support`` replays them,
+    and raises SolverStall unless they pass its checks. Either way the
+    value is a checked upper bound.
+    """
+    Gq, U = _containment_system(family, selected)
+    if not len(U):
+        if bases is not None and len(bases):
+            raise SolverStall(f"{len(bases)} bases for no direction: every "
+                              "body is selected")
         return 1.0
-    Gq = family.G[inside] / family.h[inside, None]
-    return max(1.0, max_support(Gq, family.G[~inside & ~family.negated]))
+    value = (max_support(Gq, U) if bases is None
+             else check_support(Gq, U, bases))
+    return max(1.0, value)

@@ -16,6 +16,7 @@ certificate with it.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -23,7 +24,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .errors import CertificateRejected, InvalidInstance, NotInterior
+from .errors import (CertificateRejected, InvalidInstance, NotInterior,
+                     SolverStall)
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
                        normalize_family, polar_generators)
 from .linalg import extremes
@@ -223,14 +225,14 @@ def _array(obj, key, shape) -> np.ndarray:
 
 
 def _indices(obj, name: str, count: int) -> list:
-    """A stored index list, rejected unless it names a set of ``count``
-    items in increasing order."""
+    """A stored index list, rejected unless it names a non-empty set of
+    items of range(count) in increasing order."""
     values = _pyify(_field(obj, name))
-    if not isinstance(values, list) or not values:
-        problem = "must be a non-empty list of indices"
-    elif not all(isinstance(i, int) and not isinstance(i, bool)
-                 for i in values):
-        problem = "holds non-integer entries"
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise InvalidInstance(f"certificate field {name!r} is not a list of "
+                              f"integers: {values!r}")
+    if not values:
+        problem = "is empty"
     elif any(a >= b for a, b in zip(values, values[1:])):
         problem = "is not strictly increasing"
     elif values[0] < 0 or values[-1] >= count:
@@ -238,6 +240,25 @@ def _indices(obj, name: str, count: int) -> list:
     else:
         return values
     raise CertificateRejected(f"{name} {problem}: {values}")
+
+
+def _bases(obj, name: str) -> np.ndarray | None:
+    """A stored null, or a list of index lists as an integer array; its
+    shape and range are for ``lp.check_support`` to judge."""
+    rows = _field(obj, name)
+    if rows is None:
+        return None
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        raise InvalidInstance(f"certificate field {name!r} is neither null "
+                              "nor a list of index lists")
+    try:
+        return np.array(rows, dtype=int)
+    except (OverflowError, ValueError) as exc:
+        raise CertificateRejected(f"{name} is not a table of row indices: "
+                                  f"{exc}") from exc
 
 
 def _unit_rows(framed: np.ndarray, rows: list) -> np.ndarray:
@@ -253,18 +274,22 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
 
     The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps``, ``tol`` and
     the payload: the ``frame`` and ``frame_center``, the generator rows
-    ``sigma_rows`` with their ``coefficients`` and, in general mode, the
-    ``shift``, the Caratheodory target ``w``, its rows ``tau_rows`` and
-    weights ``rho``. Each selected body must own one of these rows (a
-    reduced selection drops some owners). Witness vectors are derived as
+    ``sigma_rows`` with their ``coefficients``, the ``support_bases`` of
+    ``geometry.containment_bases`` and, in general mode, the ``shift``, the
+    Caratheodory target ``w``, its rows ``tau_rows`` and weights ``rho``.
+    Each selected body must own one of these rows (a reduced selection drops
+    some owners). alpha comes from replaying the support bases, never from a
+    walk; null bases give alpha = +inf. Witness vectors are derived as
     normalize((generator - frame_center) @ frame) from the instance's polar
     generators at ``z`` and added to the payload; s, gamma_d, the bound,
     alpha, c_measured, the verdicts and the derived diagnostics (budget,
     spectra, residuals) are recomputed, never read. Stages, notes and the
     producer's own diagnostics are left empty.
 
-    Raises InvalidInstance for a missing or mistyped claim, and
-    CertificateRejected for claims that name no selection of this instance.
+    Raises InvalidInstance for a missing or mistyped claim,
+    CertificateRejected for claims that name no selection of this instance,
+    and SolverStall for support bases (or a spectrum) that fail their
+    check.
     """
     n, mode = family.dim, _field(claims, "mode")
     if mode != family.mode:
@@ -307,7 +332,12 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                                   "no sigma or tau generator row")
     vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
     coef = _array(payload, "coefficients", (len(sigma_rows),))
-    alpha = float(containment_factor(target, selected))
+    bases = _bases(payload, "support_bases")
+    try:
+        alpha = (math.inf if bases is None
+                 else containment_factor(target, selected, bases))
+    except SolverStall as exc:
+        raise SolverStall(f"support_bases fail their check: {exc}") from exc
     s, gamma = len(selected), gamma_ratio(d)
     diagnostics = {
         "frame_radius": float(np.max(np.linalg.norm(framed, axis=1))),
@@ -375,11 +405,13 @@ def verify_certificate(family: BodyFamily, doc: dict):
     ``timing``, ``notes``, ``seed``, ``parameters``, ``diameter``, the John
     residuals, the ``recenter_*``, ``chebyshev_radius`` and ``reduction_*``
     diagnostics, and the ``reduction_growth`` verdict (re-deriving it needs
-    the exponential vertex oracle). Returns (ok, list of problems).
+    the exponential vertex oracle). Claims that ``check`` rejects, and
+    support bases or spectra that fail their check, are problems too.
+    Returns (ok, list of problems).
     """
     try:
         checked = check(family, doc)
-    except CertificateRejected as exc:
+    except (CertificateRejected, SolverStall) as exc:
         return False, [str(exc)]
     rows = checked.diagnostics["generators"]
     derived = (

@@ -8,9 +8,13 @@ this package stay in the hundreds of rows, where a dense tableau is fine.
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
 primal simplex per direction, all of them advanced together by stacked n x n
-solves. The walk is not trusted. ``max_support`` turns its bases into primal
-and dual witnesses, bounds the rounding in the dual residual, and returns the
-upper end of the bracket only when the two ends meet.
+solves. The walk is not trusted: it only proposes one basis per direction.
+``check_support`` turns bases into primal and dual witnesses with two stacked
+solves, bounds the rounding in the dual residual, and returns the upper end
+of the bracket only when the two ends meet. ``max_support`` is the walk
+followed by that check; a certificate stores the walk's bases
+(``walk_bases``), so checking one replays them through ``check_support`` and
+never walks.
 """
 
 from __future__ import annotations
@@ -223,15 +227,12 @@ class VertexWalk:
     """Where a batched vertex walk over {x : G x <= 1} stopped.
 
     Row j belongs to direction j. ``basis`` holds the n rows of G tight at
-    the last vertex ``x`` and ``y`` the multipliers with G[basis]^T y = u.
-    Where ``ray`` is set the walk left that vertex along ``edge`` and met no
-    row. ``line`` is set instead of all of these when the first-vertex
-    search found a line inside the polyhedron.
+    the last vertex. Where ``ray`` is set the walk left that vertex along
+    ``edge`` and met no row. ``line`` is set instead of all of these when the
+    first-vertex search found a line inside the polyhedron.
     """
 
     basis: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
     ray: np.ndarray
     edge: np.ndarray
     line: np.ndarray | None = None
@@ -287,7 +288,7 @@ def vertex_walk(G, U) -> VertexWalk:
     along the edge that opens (Bland's rule on both choices). A direction
     stops at a nonnegative dual or on an edge no row blocks; after
     50 (m + n) rounds the walk gives up with SolverStall. The result is not
-    trusted: ``max_support`` checks it.
+    trusted: ``walk_bases`` and ``check_support`` check it.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -295,32 +296,30 @@ def vertex_walk(G, U) -> VertexWalk:
     k = U.shape[0]
     norms = np.linalg.norm(G, axis=1)
     start, line = _first_vertex(G, norms)
-    empty = np.zeros((k, n))
+    edge = np.zeros((k, n))
+    ray = np.zeros(k, dtype=bool)
     if line is not None:
-        return VertexWalk(np.zeros((k, n), dtype=int), empty, empty,
-                          np.zeros(k, dtype=bool), empty, line=line)
+        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge, line=line)
     max_rounds = 50 * (m + n)
     basis = np.tile(start, (k, 1))
-    x, y, edge = empty.copy(), empty.copy(), empty.copy()
-    ray = np.zeros(k, dtype=bool)
     live = np.arange(k)
     for rnd in range(max_rounds + 1):
         B = G[basis[live]]
         yl = np.linalg.solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
         scale = DUAL_TOL * (1.0 + np.abs(yl).max(axis=1))
         improving = yl < -scale[:, None]
+        go = improving.any(axis=1)
+        live, B, improving = live[go], B[go], improving[go]
+        if live.size == 0:
+            return VertexWalk(basis, ray, edge)
+        if rnd == max_rounds:
+            break
         pos = np.argmin(np.where(improving, basis[live], m), axis=1)
         rhs = np.zeros((live.size, n, 2))
         rhs[:, :, 0] = 1.0
         rhs[np.arange(live.size), pos, 1] = -1.0
         sol = np.linalg.solve(B, rhs)
-        x[live], y[live] = sol[:, :, 0], yl
-        go = improving.any(axis=1)
-        live, pos, xl, d = live[go], pos[go], sol[go, :, 0], sol[go, :, 1]
-        if live.size == 0:
-            return VertexWalk(basis, x, y, ray, edge)
-        if rnd == max_rounds:
-            break
+        xl, d = sol[:, :, 0], sol[:, :, 1]
         t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), norms,
                            np.linalg.norm(d, axis=1), basis[live])
         out = row < 0
@@ -332,28 +331,84 @@ def vertex_walk(G, U) -> VertexWalk:
                       f"improving after {max_rounds} rounds")
 
 
-def max_support(G, U) -> float:
+def _with_box(U, n) -> np.ndarray:
+    """The query directions: the rows of U, then +e_i, then -e_i."""
+    return np.vstack([U, np.eye(n), -np.eye(n)])
+
+
+def check_support(G, U, bases) -> float:
     """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}.
 
-    ``vertex_walk`` proposes the witnesses; only these checks are trusted:
+    ``bases`` holds n row indices of G for each direction: the rows of U,
+    then +e_i, then -e_i. They are not trusted. From one stacked solve of
+    G_B^T y = u and one of G_B x = 1, only these checks are:
 
-    * a line (G d = 0) not orthogonal to some u, or a ray (G d <= 0,
-      u.d > 0), gives +inf, each to PIVOT_TOL relative;
-    * lo = max u.x / max(1, max G x) over the walk's final vertices;
+    * lo = max u.x / max(1, max G x) over the bases' vertices x, each
+      scaled into the polyhedron;
     * hi = (sum y+ + |u - G_B^T y+|_1 M)(1 + 4(n+2)eps) with y+ = max(y, 0)
       and the dot-product rounding bound added to the residual, where
       M >= max |x|_inf over the polyhedron comes from the same bound on the
-      coordinate directions +-e_i, which are walked along with U.
+      coordinate directions +-e_i. By weak duality hi is an upper bound at
+      any basis, so a wrong basis can only widen the bracket.
 
-    Returns max hi. Raises SolverStall when a witness fails or hi and lo
-    differ by more than GAP_TOL, and UnboundedBody when the polyhedron is
-    unbounded only in directions orthogonal to every u.
+    Returns max hi over U. Raises SolverStall when the bases do not name n
+    distinct rows of G per direction, a basis is singular, or hi and lo of
+    some direction differ by more than GAP_TOL.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    m, n = G.shape
+    D = _with_box(np.atleast_2d(np.asarray(U, dtype=float)), n)
+    k = D.shape[0] - 2 * n
+    bases = np.asarray(bases)
+    if (bases.shape != D.shape or bases.dtype.kind not in "iu"
+            or not 0 <= bases.min() <= bases.max() < m
+            or np.any(np.diff(np.sort(bases, axis=1), axis=1) == 0)):
+        raise SolverStall(f"bases of shape {bases.shape} do not name {n} "
+                          f"distinct rows of {m} for each of {D.shape[0]} "
+                          "directions")
+    GB = G[bases]
+    try:
+        y = np.linalg.solve(np.swapaxes(GB, 1, 2), D[:, :, None])[:, :, 0]
+        x = np.linalg.solve(GB, np.ones((D.shape[0], n, 1)))[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverStall(f"a basis is singular: {exc}") from exc
+    yp = np.maximum(y, 0.0)
+    back = np.einsum("kij,ki->kj", GB, yp)
+    rounding = (n + 1) * EPS * (np.abs(D)
+                                + np.einsum("kij,ki->kj", np.abs(GB), yp))
+    resid = (np.abs(D - back) + rounding).sum(axis=1)
+    total = yp.sum(axis=1)
+    allow = 1.0 + 4 * (n + 2) * EPS
+    rho = resid[k:].max() * allow
+    if not rho < 1.0:
+        raise SolverStall(f"support check: coordinate residual {rho:.3e} "
+                          "bounds no box")
+    box = total[k:].max() * allow / (1.0 - rho) * allow
+    hi = (total + resid * box) * allow
+    scale = np.maximum(1.0, (x @ G.T).max(axis=1))
+    lo = (D @ (x / scale[:, None]).T).max(axis=1)
+    gap = hi - lo
+    worst = int(np.argmax(gap / (1.0 + np.abs(hi))))
+    if not gap[worst] <= GAP_TOL * (1.0 + abs(hi[worst])):
+        raise SolverStall(f"support check: direction {worst} bracketed in "
+                          f"[{lo[worst]:.12g}, {hi[worst]:.12g}]")
+    return float(hi[:k].max())
+
+
+def walk_bases(G, U):
+    """The bases ``vertex_walk`` proposes for the rows of U and +-e_i, for
+    ``check_support`` to check; None when the support is +inf.
+
+    Where the walk stops on a line or a ray, only this is checked: a line
+    (G d = 0) not orthogonal to some u, or a ray (G d <= 0, u.d > 0), gives
+    None, each to PIVOT_TOL relative. Raises SolverStall when that witness
+    fails, and UnboundedBody when the polyhedron is unbounded only in
+    directions orthogonal to every u.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    n = G.shape[1]
     k = U.shape[0]
-    D = np.vstack([U, np.eye(n), -np.eye(n)])
+    D = _with_box(U, G.shape[1])
     walk = vertex_walk(G, D)
     norms = np.linalg.norm(G, axis=1)
     if walk.line is not None:
@@ -362,7 +417,7 @@ def max_support(G, U) -> float:
             raise SolverStall("vertex walk: claimed line leaves the "
                               "polyhedron")
         if np.any(np.abs(U @ d) > PIVOT_TOL * np.linalg.norm(U, axis=1)):
-            return math.inf
+            return None
         raise UnboundedBody("polyhedron contains a line orthogonal to every "
                             "query direction")
     if walk.ray.any():
@@ -376,29 +431,14 @@ def max_support(G, U) -> float:
             raise SolverStall("vertex walk: claimed ray is not a recession "
                               "direction")
         if walk.ray[:k].any():
-            return math.inf
+            return None
         raise UnboundedBody("polyhedron is unbounded only in directions "
                             "orthogonal to every query direction")
+    return walk.basis
 
-    GB = G[walk.basis]
-    yp = np.maximum(walk.y, 0.0)
-    back = np.einsum("kij,ki->kj", GB, yp)
-    rounding = (n + 1) * EPS * (np.abs(D)
-                                + np.einsum("kij,ki->kj", np.abs(GB), yp))
-    resid = (np.abs(D - back) + rounding).sum(axis=1)
-    total = yp.sum(axis=1)
-    allow = 1.0 + 4 * (n + 2) * EPS
-    rho = resid[k:].max() * allow
-    if not rho < 1.0:
-        raise SolverStall(f"vertex walk: coordinate residual {rho:.3e} "
-                          "bounds no box")
-    box = total[k:].max() * allow / (1.0 - rho) * allow
-    hi = (total + resid * box) * allow
-    scale = np.maximum(1.0, (walk.x @ G.T).max(axis=1))
-    lo = (D @ (walk.x / scale[:, None]).T).max(axis=1)
-    gap = hi - lo
-    worst = int(np.argmax(gap / (1.0 + np.abs(hi))))
-    if gap[worst] > GAP_TOL * (1.0 + abs(hi[worst])):
-        raise SolverStall(f"vertex walk: direction {worst} bracketed in "
-                          f"[{lo[worst]:.12g}, {hi[worst]:.12g}]")
-    return float(hi[:k].max())
+
+def max_support(G, U) -> float:
+    """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}:
+    ``check_support`` at the bases of ``walk_bases`` (+inf without them)."""
+    bases = walk_bases(G, U)
+    return math.inf if bases is None else check_support(G, U, bases)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CaratheodoryFailed, HellycertError, UnboundedBody
-from .geometry import (BodyFamily, chebyshev_center, interior_margin,
-                       normalize_family, polar_generators, validate_family)
+from .geometry import (BodyFamily, chebyshev_center, containment_bases,
+                       interior_margin, normalize_family, polar_generators,
+                       validate_family)
 from .io import SelectionCertificate, check
 from .john import john_decomposition, mvee_general
 from .lp import OPTIMAL, LinearProgram, solve_lp
@@ -70,15 +71,16 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
     with _stage(stages, "sparsify"):
         res = bss_select(decomp.vectors, decomp.weights, d)
     rows = decomp.source_indices[res.sigma]
+    selected = _owners(gens.tags, rows)
     with _stage(stages, "containment"):
         cert = check(family, {
-            "mode": "symmetric", "z": np.zeros(n),
-            "selected": _owners(gens.tags, rows), "d": d, "eps": None,
-            "tol": tol, "payload": {
+            "mode": "symmetric", "z": np.zeros(n), "selected": selected,
+            "d": d, "eps": None, "tol": tol, "payload": {
                 "coefficients": res.b * decomp.weights[res.sigma],
                 "frame": lmap.forward,
                 "frame_center": lmap.center,
                 "sigma_rows": rows,
+                "support_bases": containment_bases(family, selected),
             }})
     stages["total"] = time.perf_counter() - t_start
     return replace(cert, stages=stages, diagnostics={
@@ -232,6 +234,8 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
                 "frame_center": lmap.center,
                 "sigma_rows": sigma_rows,
                 "tau_rows": tau_rows,
+                "support_bases": containment_bases(
+                    normalize_family(family, z), selected),
             }})
     stages["total"] = time.perf_counter() - t_start
     return replace(
@@ -262,7 +266,9 @@ def reduce_to_2n(family: BodyFamily,
     cheapest is taken; each step's growth is checked against the
     m/(m - 2n) factor and the chain is recorded in the certificate. A
     selection of at most 2n bodies is only re-checked, and keeps its
-    stages, notes and informational diagnostics and verdicts.
+    stages, notes and informational diagnostics and verdicts, and its
+    support bases. A reduced selection's bases are walked again: the
+    input's belong to the selection it came with.
     """
     n = family.dim
     t0 = time.perf_counter()
@@ -271,6 +277,7 @@ def reduce_to_2n(family: BodyFamily,
     diagnostics = dict(selection.diagnostics)
     verdicts = {k: ok for k, ok in selection.verdicts.items()
                 if k == "reduction_growth"}
+    payload = selection.payload
     dropping = len(sel) > 2 * n
     if dropping:
         norm = normalize_family(family, selection.z)
@@ -291,6 +298,8 @@ def reduce_to_2n(family: BodyFamily,
             chain.append((best_j, radius, best_r, growth, m / (m - 2 * n)))
             sel.remove(best_j)
             radius = best_r
+        payload = {**payload,
+                   "support_bases": containment_bases(norm, sorted(sel))}
         verdicts = {"reduction_growth": growth_ok}
         diagnostics.update(
             reduction_start_radius=start_radius,
@@ -305,7 +314,7 @@ def reduce_to_2n(family: BodyFamily,
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
         "d": selection.d, "eps": selection.eps, "tol": selection.tol,
-        "payload": selection.payload})
+        "payload": payload})
     if dropping:
         stages["reduce"] = time.perf_counter() - t0
         stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]

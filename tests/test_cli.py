@@ -219,12 +219,32 @@ def test_seed_recorded_in_certificate(tmp_path):
     assert doc["parameters"]["d"] == 4.0
 
 
+def _set_payload(key, value):
+    return lambda doc: doc["payload"].update({key: value})
+
+
 @pytest.mark.parametrize("edit, code", [
     (lambda doc: doc.update(mode="symmetric"), 2),
     (lambda doc: doc.update(dimension=doc["dimension"] + 1), 2),
     (lambda doc: doc.pop("payload"), 3),
     (lambda doc: doc["payload"].update(rho="heavy"), 3),
-], ids=["mode-flipped", "dimension", "payload-missing", "rho-string"])
+    # a mistyped index list is bad input; one out of order or range is not
+    (lambda doc: doc.update(selected="12"), 3),
+    (lambda doc: doc.update(selected=[0.5, 1]), 3),
+    (lambda doc: doc.update(selected=[True, 2]), 3),
+    (_set_payload("sigma_rows", "3"), 3),
+    (_set_payload("tau_rows", [[0], [1]]), 3),
+    (_set_payload("support_bases", "0 1 2"), 3),
+    (_set_payload("support_bases", [0, 1, 2]), 3),
+    (_set_payload("support_bases", [[0, 1, 2.0]]), 3),
+    (lambda doc: doc.update(selected=doc["selected"][::-1]), 2),
+    (lambda doc: doc["payload"]["support_bases"][0].__setitem__(0, 999), 2),
+    (lambda doc: doc["payload"]["support_bases"][0].pop(), 2),
+], ids=["mode-flipped", "dimension", "payload-missing", "rho-string",
+        "selected-string", "selected-fractions", "selected-bool",
+        "sigma-rows-string", "tau-rows-nested", "bases-string", "bases-flat",
+        "bases-float", "selected-reversed", "bases-out-of-range",
+        "bases-short-row"])
 def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
     inst = tmp_path / "hs.json"
     cert = tmp_path / "cert.json"
@@ -236,3 +256,17 @@ def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
     edit(doc)
     cert.write_text(json.dumps(doc))
     assert run(["certify", "--in", inst, "--cert", cert]) == code
+
+
+def test_certify_requires_support_bases(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
+    assert run(["select-sym", "--in", inst, "--out", cert]) == 0
+    doc = hio.load_certificate(cert)
+    assert doc["version"] == "0.2.0"
+    del doc["payload"]["support_bases"]
+    hio.save_certificate(doc, cert)
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == cli.EXIT_INPUT
+    assert "support_bases" in capsys.readouterr().err

@@ -213,17 +213,14 @@ def test_alpha_matches_dense_support_of_every_row(symmetric, n, count, seed,
 
 
 def _forge_start_basis(walk, G, U):
-    """Every direction reports the first vertex, with its honest duals."""
-    start, _ = lp._first_vertex(G, np.linalg.norm(G, axis=1))
-    B = G[start]
-    walk.basis[:] = start
-    walk.x[:] = np.linalg.solve(B, np.ones(len(start)))
-    walk.y[:] = np.linalg.solve(B.T, U.T).T
+    """Every direction reports the first vertex."""
+    walk.basis[:] = lp._first_vertex(G, np.linalg.norm(G, axis=1))[0]
 
 
 def _forge_negative_dual(walk, G, U):
-    j = int(np.argmax(walk.y[0]))
-    walk.y[0, j] = -walk.y[0, j]
+    """-e_1 reports the optimal basis of +e_1, where all its duals are <= 0."""
+    n = G.shape[1]
+    walk.basis[-n] = walk.basis[-2 * n]
 
 
 def _forge_ray(walk, G, U):
@@ -248,6 +245,22 @@ def test_alpha_rejects_forged_walk(forge, monkeypatch):
     monkeypatch.setattr(lp, "vertex_walk", forged)
     with pytest.raises(SolverStall):
         containment_factor(fam, sel)
+
+
+@pytest.mark.parametrize("forge", [_forge_start_basis, _forge_negative_dual])
+def test_selection_stops_on_a_forged_walk(forge, monkeypatch):
+    """The producers' walk is checked once, by the replay in io.check."""
+    from hellycert.pipeline import select_symmetric
+    real = lp.vertex_walk
+
+    def forged(G, U):
+        walk = real(G, U)
+        forge(walk, np.asarray(G), np.asarray(U))
+        return walk
+
+    monkeypatch.setattr(lp, "vertex_walk", forged)
+    with pytest.raises(SolverStall, match="support_bases"):
+        select_symmetric(gen_slab_family(3, count=12, seed=5))
 
 
 def test_alpha_antitone_under_growing_selection(rng):

@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from hellycert import __version__
+from hellycert import __version__, lp
 from hellycert import io as hio
 from hellycert.errors import InvalidInstance
+from hellycert.geometry import normalize_family
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
-from hellycert.pipeline import select_general, select_symmetric
+from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
 
 from conftest import cube_slab_family
 
@@ -247,10 +248,10 @@ DIAGNOSTICS = {
 }
 PAYLOAD = {
     "symmetric": ("coefficients", "frame", "frame_center", "sigma_rows",
-                  "contact_vectors"),
+                  "contact_vectors", "support_bases"),
     "general": ("coefficients", "frame", "frame_center", "sigma_rows",
                 "contact_vectors", "shift", "w", "rho", "tau_rows",
-                "tau_vectors"),
+                "tau_vectors", "support_bases"),
 }
 WITNESS_VECTORS = ("contact_vectors", "tau_vectors")
 INFORMATIONAL = {"seed", "parameters", "notes", "timing",
@@ -310,6 +311,14 @@ def _bump(value):
         # an index list: swap the last index for the smallest unused one
         fresh = min(set(range(max(value) + 2)) - set(value))
         return sorted(value[:-1] + [fresh])
+    if isinstance(value, list) and all(
+            isinstance(r, list) and all(isinstance(v, int) for v in r)
+            for r in value):
+        # support bases: the first basis swaps its last row for the
+        # smallest row it does not hold
+        first = value[0]
+        fresh = min(set(range(max(first) + 2)) - set(first))
+        return [first[:-1] + [fresh]] + value[1:]
     a = np.asarray(value, dtype=float)
     return (a * 1.001 if np.any(a != 0.0) else a + 1e-3).tolist()
 
@@ -371,3 +380,76 @@ def test_verify_rejects_general_certificate_on_a_failed_sandwich(
     ok, problems = hio.verify_certificate(fam, copy.deepcopy(doc))
     assert not ok
     assert "verdicts fail: sandwich" in problems
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "general", "reduced"])
+def test_certify_never_walks(certificates, kind, monkeypatch):
+    if kind == "reduced":
+        fam = gen_halfspace_family(2, count=40, seed=102)
+        selection = select_general(fam)
+        cert = reduce_to_2n(fam, selection)
+        assert selection.s > cert.s == 4
+        doc = json.loads(json.dumps(hio.certificate_to_json(cert,
+                                                            __version__)))
+    else:
+        fam, doc = certificates[kind]
+
+    def no_walk(G, U):
+        raise AssertionError("certify ran the vertex walk")
+
+    monkeypatch.setattr(lp, "vertex_walk", no_walk)
+    assert hio.verify_certificate(fam, copy.deepcopy(doc)) == (True, [])
+
+
+def _attaining_direction(fam, doc):
+    """(index of the direction whose support is alpha, rows of Q)."""
+    target = (fam if fam.mode == "symmetric"
+              else normalize_family(fam, doc["z"]))
+    inside = np.isin(target.owner, doc["selected"])
+    Gq, U = target.G[inside], target.G[~inside & ~target.negated]
+    bases = np.array(doc["payload"]["support_bases"])
+    values = [U[j] @ np.linalg.solve(Gq[bases[j]], np.ones(fam.dim))
+              for j in range(len(U))]
+    j = int(np.argmax(values))
+    assert values[j] == pytest.approx(doc["alpha_measured"], rel=1e-12)
+    return j, len(Gq)
+
+
+def _edit_row(bases, j, m):
+    bases[j][0] = min(set(range(m)) - set(bases[j]))
+    return bases
+
+
+def _swap(bases, j, m):
+    i = next(i for i, b in enumerate(bases) if set(b) != set(bases[j]))
+    bases[i], bases[j] = bases[j], bases[i]
+    return bases
+
+
+def _set_first(value):
+    def edit(bases, j, m):
+        bases[j][0] = value(bases[j], m)
+        return bases
+    return edit
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+@pytest.mark.parametrize("forge", [
+    _edit_row, _swap, _set_first(lambda b, m: m),
+    _set_first(lambda b, m: -1), _set_first(lambda b, m: b[1]),
+    lambda bases, j, m: bases[:j] + bases[j + 1:],
+    lambda bases, j, m: None,
+], ids=["edited-row", "swapped", "out-of-range", "negative", "repeated",
+        "missing-direction", "null"])
+def test_verify_rejects_forged_support_bases(certificates, mode, forge):
+    fam, doc = certificates[mode]
+    j, m = _attaining_direction(fam, doc)
+    edited = copy.deepcopy(doc)
+    payload = edited["payload"]
+    payload["support_bases"] = forge(payload["support_bases"], j, m)
+    assert edited != doc
+    ok, problems = hio.verify_certificate(fam, edited)
+    # null bases claim alpha = +inf, which contradicts the stored alpha
+    want = ("alpha_measured" if payload["support_bases"] is None
+            else "support_bases")
+    assert not ok and any(want in p for p in problems), problems
