@@ -71,8 +71,7 @@ def _cmd_select(args, mode: str) -> int:
         parameters = {"eps": args.eps, "tol": args.tol}
     diameter = None
     if args.exact_oracle:
-        diam_sel, diam_full, ratio = diameter_report(family, cert,
-                                                     exact=True)
+        diam_sel, diam_full, ratio = diameter_report(family, cert)
         diameter = {"selected": diam_sel, "full": diam_full, "ratio": ratio}
     doc = certificate_to_json(cert, __version__, constraint_count=m,
                               seed=args.seed, parameters=parameters,

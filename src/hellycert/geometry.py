@@ -218,9 +218,9 @@ def containment_bases(family: BodyFamily, selected):
 
     One vertex walk over Q: for each direction (the family rows outside the
     selection, then +e_i, then -e_i) n indices into the rows of Q. None
-    when the walk met a checked ray or line (alpha is +inf), and no rows
-    when every body is selected. Nothing but a ray or a line is checked
-    here; the bases are checked when they are replayed.
+    when the walk met a checked ray (alpha is +inf; a line counts as two
+    rays), and no rows when every body is selected. Nothing but a ray is
+    checked here; the bases are checked when they are replayed.
     """
     Gq, U = _containment_system(family, selected)
     if not len(U):

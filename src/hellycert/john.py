@@ -3,16 +3,17 @@
 The MVEE solver maximises log det of the dual moment matrix. It runs the
 classic Khachiyan coordinate ascent with Todd-Yildirim away/drop steps, so
 that complementary slackness also converges (plain ascent only controls the
-containment side). That ascent converges linearly and can stall when a point
-sits just inside the ellipsoid, so once both gaps are small it tries Newton's
-method on the optimality conditions over the current support. Newton's
-weights are kept only when they lower the gap, and the only exit is a
-two-sided gap check on freshly computed numbers, so neither the ascent nor
-the Newton finish has to be trusted. A solve can start from the weights of
-an earlier, nearby solve; converged start weights return after that check.
-Dual weights of the solved problem directly supply John decomposition
-weights after mapping to Loewner position, which is why no separate
-extraction problem is solved.
+containment side); an away step is an ascent step with a negative weight,
+so both are one signed rank-one update. That ascent converges linearly and
+can stall when a point sits just inside the ellipsoid, so once both gaps
+are small it tries Newton's method on the optimality conditions over the
+current support. Newton's weights are kept only when they lower the gap,
+and the only exit is a two-sided gap check on freshly computed numbers, so
+neither the ascent nor the Newton finish has to be trusted. A solve can
+start from the weights of an earlier, nearby solve; converged start weights
+return after that check. Dual weights of the solved problem directly supply
+John decomposition weights after mapping to Loewner position, which is why
+no separate extraction problem is solved.
 """
 
 from __future__ import annotations
@@ -110,6 +111,24 @@ def _fresh_state(pts, u):
                             1.0 - kappa[u > 0.0].min() / n)
 
 
+def _signed_step(pts, u, Xinv, kappa, j, t, drop):
+    """(u, X^-1, kappa) after u <- (1 - t) u + t e_j.
+
+    t > 0 moves weight onto point j (Khachiyan's ascent step), t < 0 takes
+    it off (Todd-Yildirim's away step). ``drop`` sets u_j to 0, where the
+    largest away step, t = -u_j / (1 - u_j), leaves it up to rounding.
+    X^-1 and kappa follow by Sherman-Morrison, so they drift from the
+    fresh values.
+    """
+    y = Xinv @ pts[j]
+    z = pts @ y
+    beta = t / ((1.0 - t) ** 2 * (1.0 + t * kappa[j] / (1.0 - t)))
+    u = u * (1.0 - t)
+    u[j] = 0.0 if drop else max(u[j] + t, 0.0)
+    return (u, Xinv / (1.0 - t) - beta * np.outer(y, y),
+            kappa / (1.0 - t) - beta * z * z)
+
+
 def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
@@ -132,11 +151,8 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
             raise DegenerateSpan("start weights are all zero")
         u /= u.sum()
 
-    def moments(u):
-        X = pts.T @ (pts * u[:, None])
-        return (X + X.T) / 2.0
-
-    spec = sym_eigen(moments(u))
+    X = pts.T @ (pts * u[:, None])
+    spec = sym_eigen((X + X.T) / 2.0)
     if spec.eigenvalues[0] <= 1e-12 * max(spec.eigenvalues[-1], 1e-300):
         raise DegenerateSpan("input points do not span the space"
                              if start is None else
@@ -156,12 +172,8 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
 
         if gap_plus <= eps and gap_minus <= eps:
             # recheck on fresh numbers before declaring convergence
-            X = moments(u)
-            Xinv = np.linalg.inv(X)
-            kappa = np.einsum("ij,ij->i", pts @ Xinv, pts)
-            kp = float(np.max(kappa))
-            km = float(np.min(np.where(u > 0.0, kappa, np.inf)))
-            if kp / n - 1.0 <= eps and 1.0 - km / n <= eps:
+            Xinv, kappa, gap = _fresh_state(pts, u)
+            if gap <= eps:
                 return u
             since_refresh = 0
             continue
@@ -186,32 +198,14 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
                     continue
 
         if gap_plus >= gap_minus:
-            j, k = jp, kp
-            lam = (k - n) / (n * (k - 1.0))
-            y = Xinv @ pts[j]
-            z = pts @ y
-            denom = 1.0 + lam * k / (1.0 - lam)
-            beta = lam / ((1.0 - lam) ** 2 * denom)
-            Xinv = Xinv / (1.0 - lam) - beta * np.outer(y, y)
-            kappa = kappa / (1.0 - lam) - beta * z * z
-            u *= 1.0 - lam
-            u[j] += lam
+            j, t, drop = jp, (kp - n) / (n * (kp - 1.0)), False
         else:
-            j, k = jm, km
+            j = jm
             cap = u[j] / (1.0 - u[j]) if u[j] < 1.0 else np.inf
-            if k > 1.0:
-                lam = min((n - k) / (n * (k - 1.0)), 0.99 / (k - 1.0), cap)
-            else:
-                lam = cap
-            dropped = lam >= cap
-            y = Xinv @ pts[j]
-            z = pts @ y
-            denom = 1.0 - lam * k / (1.0 + lam)
-            beta = lam / ((1.0 + lam) ** 2 * denom)
-            Xinv = Xinv / (1.0 + lam) + beta * np.outer(y, y)
-            kappa = kappa / (1.0 + lam) + beta * z * z
-            u *= 1.0 + lam
-            u[j] = 0.0 if dropped else max(u[j] - lam, 0.0)
+            lam = (min((n - km) / (n * (km - 1.0)), 0.99 / (km - 1.0), cap)
+                   if km > 1.0 else cap)
+            t, drop = -lam, lam >= cap
+        u, Xinv, kappa = _signed_step(pts, u, Xinv, kappa, j, t, drop)
 
         since_refresh += 1  # the rank-one updates drift; refresh them
         if since_refresh >= 512 or not np.isfinite(kappa[j]):
@@ -229,9 +223,8 @@ def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
     u = _centered_mvee_weights(pts, eps_mvee)
-    X = pts.T @ (pts * u[:, None])
-    M = np.linalg.inv((X + X.T) / 2.0) / n
-    return Ellipsoid(center=np.zeros(n), shape=SymMatrix(M)), u
+    Xinv = _fresh_state(pts, u)[0]
+    return Ellipsoid(center=np.zeros(n), shape=SymMatrix(Xinv / n)), u
 
 
 def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):

@@ -8,7 +8,8 @@ this package stay in the hundreds of rows, where a dense tableau is fine.
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
 primal simplex per direction, all of them advanced together by stacked n x n
-solves. The walk is not trusted: it only proposes one basis per direction.
+solves. The walk is not trusted: it only proposes one basis per direction,
+or a ray where the support is unbounded (a line is two rays, one per sign).
 ``check_support`` turns bases into primal and dual witnesses with two stacked
 solves, bounds the rounding in the dual residual, and returns the upper end
 of the bracket only when the two ends meet. ``max_support`` is the walk
@@ -32,7 +33,7 @@ INFEASIBLE = "infeasible"
 
 EPS = float(np.finfo(float).eps)
 # Along an edge d, row i blocks only when G_i d exceeds this share of
-# |G_i| |d|; a claimed ray or line is accepted under the same rule.
+# |G_i| |d|; a claimed ray is accepted under the same rule.
 PIVOT_TOL = 1e-9
 # A dual entry counts as negative below -DUAL_TOL * (1 + max |y|).
 DUAL_TOL = 1e-11
@@ -228,14 +229,14 @@ class VertexWalk:
 
     Row j belongs to direction j. ``basis`` holds the n rows of G tight at
     the last vertex. Where ``ray`` is set the walk left that vertex along
-    ``edge`` and met no row. ``line`` is set instead of all of these when the
-    first-vertex search found a line inside the polyhedron.
+    ``edge`` and met no row. When the first-vertex search found a line d
+    inside the polyhedron there is no vertex: every direction u that rises
+    along the line is a ray along sign(u.d) d, and no basis is set.
     """
 
     basis: np.ndarray
     ray: np.ndarray
     edge: np.ndarray
-    line: np.ndarray | None = None
 
 
 def _blocking(gd, slack, norms, dnorm, exclude):
@@ -299,7 +300,11 @@ def vertex_walk(G, U) -> VertexWalk:
     edge = np.zeros((k, n))
     ray = np.zeros(k, dtype=bool)
     if line is not None:
-        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge, line=line)
+        ud = U @ line
+        ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
+                            * np.linalg.norm(line))
+        edge[ray] = np.sign(ud[ray])[:, None] * line
+        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
     max_rounds = 50 * (m + n)
     basis = np.tile(start, (k, 1))
     live = np.arange(k)
@@ -399,11 +404,12 @@ def walk_bases(G, U):
     """The bases ``vertex_walk`` proposes for the rows of U and +-e_i, for
     ``check_support`` to check; None when the support is +inf.
 
-    Where the walk stops on a line or a ray, only this is checked: a line
-    (G d = 0) not orthogonal to some u, or a ray (G d <= 0, u.d > 0), gives
-    None, each to PIVOT_TOL relative. Raises SolverStall when that witness
-    fails, and UnboundedBody when the polyhedron is unbounded only in
-    directions orthogonal to every u.
+    Where the walk stops on a ray, only this is checked: every claimed ray
+    d rises (u.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative, and
+    one along a row of U gives None. A line is reported as rays along both
+    of its signs, so it passes this check only when G d = 0. Raises
+    SolverStall when that witness fails, and UnboundedBody when the
+    polyhedron is unbounded only in directions orthogonal to every u.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -411,15 +417,6 @@ def walk_bases(G, U):
     D = _with_box(U, G.shape[1])
     walk = vertex_walk(G, D)
     norms = np.linalg.norm(G, axis=1)
-    if walk.line is not None:
-        d = walk.line / np.linalg.norm(walk.line)
-        if np.max(np.abs(G @ d) / norms) > PIVOT_TOL:
-            raise SolverStall("vertex walk: claimed line leaves the "
-                              "polyhedron")
-        if np.any(np.abs(U @ d) > PIVOT_TOL * np.linalg.norm(U, axis=1)):
-            return None
-        raise UnboundedBody("polyhedron contains a line orthogonal to every "
-                            "query direction")
     if walk.ray.any():
         e = walk.edge[walk.ray]
         enorm = np.linalg.norm(e, axis=1)

@@ -253,13 +253,12 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
         f"(last achieved circumradius {achieved:.4g})")
 
 
-def gen_slab_family(n: int, count: int, seed: int,
-                    max_per_body: int = 3) -> BodyFamily:
-    """Seeded family of symmetric slab bodies, 1..max_per_body slabs each."""
+def gen_slab_family(n: int, count: int, seed: int) -> BodyFamily:
+    """Seeded family of symmetric slab bodies, 1 to 3 slabs each."""
     rng = np.random.default_rng(seed)
     blocks = []
     for j in range(count):
-        k = int(rng.integers(1, max_per_body + 1))
+        k = int(rng.integers(1, 4))
         dirs = _unit_rows(rng, k, n)
         widths = rng.uniform(0.5, 2.0, size=k)
         blocks.append(dirs / widths[:, None])

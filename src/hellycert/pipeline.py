@@ -90,9 +90,9 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
 def caratheodory_express(w, points) -> CaratheodoryWitness:
     """Express w as a convex combination of at most n+1 of the points.
 
-    Feasibility LP first (a basic solution already has small support),
-    then null-space pivoting until the support is within n+1, then a
-    least-squares polish on the final support.
+    A feasibility LP with n+1 equality rows, so its basic solution has at
+    most n+1 nonzeros, then a least-squares polish on that support. The
+    support size and the residual are checked, not trusted.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(w, dtype=float)
@@ -108,24 +108,6 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
             f"target at distance > tol from the hull of {k} points")
     rho = np.maximum(res.x, 0.0)
     tau = np.nonzero(rho > 1e-12)[0]
-    if tau.size == 0:
-        tau = np.array([int(np.argmax(res.x))])
-        rho[tau[0]] = 1.0
-
-    while tau.size > n + 1:
-        B = np.vstack([pts[tau].T, np.ones((1, tau.size))])
-        _, svals, Vt = np.linalg.svd(B)
-        eta = Vt[-1]
-        if svals[-1] > 1e-10 * max(svals[0], 1.0):
-            break
-        pos = eta > 1e-14
-        ratios = rho[tau][pos] / eta[pos]
-        step = float(ratios.min())
-        sub = rho[tau] - step * eta
-        sub[sub < 1e-13] = 0.0
-        rho[tau] = sub
-        tau = tau[rho[tau] > 0.0]
-
     B = np.vstack([pts[tau].T, np.ones((1, tau.size))])
     target = np.concatenate([w, [1.0]])
     fit = np.linalg.lstsq(B, target, rcond=None)[0]
@@ -135,7 +117,7 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
         rho_final = rho[tau]
     total = rho_final.sum()
     if total <= 0.0:
-        raise CaratheodoryFailed("empty convex combination after reduction")
+        raise CaratheodoryFailed("empty convex combination")
     rho_final = rho_final / total
     residual = float(np.linalg.norm(pts[tau].T @ rho_final - w))
     if residual > 1e-9 or tau.size > n + 1:
@@ -323,16 +305,9 @@ def reduce_to_2n(family: BodyFamily,
                    diagnostics={**diagnostics, **cert.diagnostics})
 
 
-def diameter_report(family: BodyFamily, selection: SelectionCertificate,
-                    exact: bool = True):
-    """(diam of the selected intersection, diam of the full one, ratio).
-
-    Exact mode prices both diameters with the vertex oracle; bound mode
-    reports only the containment-implied ratio and leaves the diameters
-    unset (containment Q - z within alpha*(P - z) caps the ratio by alpha).
-    """
-    if not exact:
-        return math.nan, math.nan, selection.alpha_measured
+def diameter_report(family: BodyFamily, selection: SelectionCertificate):
+    """(diam of the selected intersection, diam of the full one, ratio),
+    both diameters priced with the vertex oracle."""
     norm = normalize_family(family, selection.z)
     G_s, h_s, _ = norm.constraint_matrix(selection.selected)
     diam_sel = diameter_exact(G_s, h_s)

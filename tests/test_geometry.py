@@ -247,6 +247,18 @@ def test_alpha_rejects_forged_walk(forge, monkeypatch):
         containment_factor(fam, sel)
 
 
+def test_alpha_rejects_a_forged_line(monkeypatch):
+    """A claimed line is checked as two rays: G d <= 0 and G (-d) <= 0."""
+    fam = gen_slab_family(3, count=12, seed=5)
+    sel = list(range(8))
+    Gq = fam.G[np.isin(fam.owner, sel)]
+    d = Gq[0] / np.linalg.norm(Gq[0])
+    assert np.max(Gq @ d / np.linalg.norm(Gq, axis=1)) > lp.PIVOT_TOL
+    monkeypatch.setattr(lp, "_first_vertex", lambda G, norms: (None, d))
+    with pytest.raises(SolverStall, match="ray"):
+        containment_factor(fam, sel)
+
+
 @pytest.mark.parametrize("forge", [_forge_start_basis, _forge_negative_dual])
 def test_selection_stops_on_a_forged_walk(forge, monkeypatch):
     """The producers' walk is checked once, by the replay in io.check."""

@@ -114,6 +114,33 @@ def test_mvee_general_random_cloud(rng):
         assert fresh_gap(lifted(pts), weights) <= eps
 
 
+def test_mvee_signed_step_matches_fresh_state(rng):
+    """An ascent, an away and a drop step through the one signed update,
+    each checked against X^-1 and kappa recomputed at the new weights."""
+    pts = rng.standard_normal((12, 3))
+    u = rng.uniform(0.5, 1.5, 12)
+    u /= u.sum()
+    n = pts.shape[1]
+    Xinv, kappa, _ = john._fresh_state(pts, u)
+    for kind in ("ascent", "away", "drop"):
+        if kind == "ascent":
+            j = int(np.argmax(kappa))
+            t = (kappa[j] - n) / (n * (kappa[j] - 1.0))
+            assert t > 0.0
+        else:
+            j = int(np.argmin(kappa))
+            t = -0.5 * u[j] if kind == "away" else -u[j] / (1.0 - u[j])
+        u, Xinv, kappa = john._signed_step(pts, u, Xinv, kappa, j, t,
+                                           kind == "drop")
+        assert (u[j] == 0.0) == (kind == "drop")
+        assert u.min() >= 0.0
+        assert u.sum() == pytest.approx(1.0, abs=1e-14)
+        want_inv, want_kappa, _ = john._fresh_state(pts, u)
+        np.testing.assert_allclose(Xinv, want_inv, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want_inv).max())
+        np.testing.assert_allclose(kappa, want_kappa, rtol=1e-10)
+
+
 def test_mvee_newton_finish_ends_a_stalled_ascent():
     # at this translate the plain ascent stalls near a gap of 3e-5, with one
     # point just inside the ellipsoid entering and leaving the support

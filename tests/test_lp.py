@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hellycert.errors import EmptyBody
+from hellycert.errors import EmptyBody, UnboundedBody
 from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                          solve_lp, support_h_polytope)
+                          max_support, solve_lp, support_h_polytope,
+                          walk_bases)
 
 from conftest import unit_rows
 
@@ -90,6 +91,16 @@ def test_support_unbounded_direction():
     g = np.array([[0.0, 1.0], [0.0, -1.0]])
     h = np.ones(2)
     assert support_h_polytope(g, h, np.array([1.0, 0.0])) == np.inf
+
+
+def test_walk_reports_a_line_as_rays():
+    """Along a line d = e_3 the support is +inf in a direction with u.d != 0
+    (one ray per sign), and UnboundedBody in a direction orthogonal to d."""
+    G = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
+    assert max_support(G, [[1.0, 0.0, 0.5]]) == np.inf
+    assert max_support(G, [[0.0, 0.0, -1.0]]) == np.inf
+    with pytest.raises(UnboundedBody):
+        walk_bases(G, [[1.0, 0.0, 0.0]])
 
 
 def test_support_empty_body():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hellycert.errors import UnboundedBody
+from hellycert import pipeline
+from hellycert.errors import CaratheodoryFailed, UnboundedBody
 from hellycert.geometry import chebyshev_center, containment_factor
+from hellycert.lp import OPTIMAL, LpResult
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
                               gen_slab_family)
 from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
@@ -159,6 +161,16 @@ def test_caratheodory_random_hull(rng):
     np.testing.assert_allclose(wit.rho @ pts[wit.tau], target, atol=1e-8)
 
 
+def test_caratheodory_rejects_a_support_above_n_plus_one(monkeypatch):
+    # a feasible but non-basic LP answer: all four corners of the square
+    pts = np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]])
+    x = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+    monkeypatch.setattr(pipeline, "solve_lp",
+                        lambda lp: LpResult(OPTIMAL, x, 0.0))
+    with pytest.raises(CaratheodoryFailed, match="support 4"):
+        caratheodory_express(np.zeros(2), pts)
+
+
 def find_reducible(seeds, n=2, count=6):
     for seed in seeds:
         fam = gen_halfspace_family(n, count=count, seed=seed,
@@ -204,14 +216,6 @@ def test_diameter_report_plane_fan():
     d_sel, d_full, ratio = diameter_report(fam, cert)
     assert ratio <= 3.0 * math.sqrt(2) * (1 + 1e-5)
     assert d_sel >= d_full - 1e-12
-
-
-def test_diameter_report_bound_mode():
-    fam = gen_halfspace_family(5, count=4, seed=4)
-    cert = select_general(fam)
-    d_sel, d_full, ratio = diameter_report(fam, cert, exact=False)
-    assert math.isnan(d_sel) and math.isnan(d_full)
-    assert ratio == cert.alpha_measured
 
 
 def test_certificate_stage_timings_present():
