@@ -1,4 +1,4 @@
-"""Body families, normalization, polar generators and containment factors.
+"""Body families, normalization and containment factors.
 
 A family is one stacked constraint system G x <= h in one of two modes,
 with the index of the body that owns each row. ``symmetric`` bodies are
@@ -6,7 +6,8 @@ intersections of centered slabs |<x, w>| <= 1: each contributes its vectors
 w and then their negatives, all at offset 1. ``general`` bodies are
 intersections of halfspaces <a, x> <= c. Most of the pipeline works on
 normalized general families where every offset is 1, i.e. the origin is
-strictly inside every body.
+strictly inside every body. Such a family is its own polar generator set:
+the polar of the intersection is the hull of the rows of G, tagged by owner.
 
 The containment scale alpha of a selection is a checked upper bound on a
 support value: producers walk for it (``containment_bases``) and store the
@@ -102,17 +103,6 @@ class BodyFamily:
         return self.G[rows], self.h[rows], self.owner[rows]
 
 
-@dataclass(frozen=True)
-class TaggedPointSet:
-    """Points with the index of the body each one came from."""
-
-    points: np.ndarray
-    tags: np.ndarray
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
 def interior_margin(family: BodyFamily, z) -> float:
     """Smallest Euclidean distance from z to a constraint hyperplane side."""
     z = np.asarray(z, dtype=float)
@@ -136,20 +126,20 @@ def chebyshev_center(family: BodyFamily):
     if res.status != OPTIMAL:
         raise DegenerateInterior("family intersection is empty")
     r = res.value
-    if r <= 1e-9:
-        raise DegenerateInterior(f"inradius {r:.3e} below tolerance")
+    if r < INTERIOR_MARGIN:
+        raise DegenerateInterior(f"inradius {r:.3e} is below "
+                                 f"{INTERIOR_MARGIN:.1e}")
     return res.x[:n], float(r)
 
 
 def validate_family(family: BodyFamily):
     """Reject families whose intersection has (numerically) no interior."""
-    if family.mode == SYMMETRIC:
-        what = "margin at the origin"
-        r = interior_margin(family, np.zeros(family.dim))
-    else:
-        what, r = "inradius", chebyshev_center(family)[1]
+    if family.mode != SYMMETRIC:
+        chebyshev_center(family)
+        return
+    r = interior_margin(family, np.zeros(family.dim))
     if r < INTERIOR_MARGIN:
-        raise DegenerateInterior(f"{what} {r:.3e} is below "
+        raise DegenerateInterior(f"margin at the origin {r:.3e} is below "
                                  f"{INTERIOR_MARGIN:.1e}")
 
 
@@ -180,18 +170,6 @@ def _require_normalized(family: BodyFamily):
     if np.max(np.abs(family.h - 1.0)) > 1e-9:
         raise ValueError("family must be normalized (offsets 1); "
                          "call normalize_family first")
-
-
-def polar_generators(family: BodyFamily) -> TaggedPointSet:
-    """Generator points of the polar of the intersection.
-
-    For a normalized family, the polar of the intersection is the convex hull
-    of the union of the bodies' polars, and each body's polar is generated by
-    its constraint vectors (both signs for slabs): the rows of G, tagged by
-    their owners.
-    """
-    _require_normalized(family)
-    return TaggedPointSet(points=family.G, tags=family.owner)
 
 
 def _containment_system(family: BodyFamily, selected):

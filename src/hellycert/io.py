@@ -27,7 +27,7 @@ from . import __version__
 from .errors import (CertificateRejected, InvalidInstance, NotInterior,
                      SolverStall)
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
-                       normalize_family, polar_generators)
+                       normalize_family)
 from .linalg import extremes
 from .sparsify import certify_operator_T, gamma_ratio
 
@@ -280,11 +280,11 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     Each selected body must own one of these rows (a reduced selection drops
     some owners). alpha comes from replaying the support bases, never from a
     walk; null bases give alpha = +inf. Witness vectors are derived as
-    normalize((generator - frame_center) @ frame) from the instance's polar
-    generators at ``z`` and added to the payload; s, gamma_d, the bound,
-    alpha, c_measured, the verdicts and the derived diagnostics (budget,
-    spectra, residuals) are recomputed, never read. Stages, notes and the
-    producer's own diagnostics are left empty.
+    normalize((generator - frame_center) @ frame) from the polar generators,
+    the rows of the instance normalized at ``z``, and added to the payload;
+    s, gamma_d, the bound, alpha, c_measured, the verdicts and the derived
+    diagnostics (budget, spectra, residuals) are recomputed, never read.
+    Stages, notes and the producer's own diagnostics are left empty.
 
     Raises InvalidInstance for a missing or mistyped claim,
     CertificateRejected for claims that name no selection of this instance,
@@ -320,13 +320,13 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                                       f"{exc}") from exc
 
     payload = _object(claims, "payload")
-    gens = polar_generators(target)
-    framed = ((gens.points - _array(payload, "frame_center", (n,)))
+    m = len(target.G)
+    framed = ((target.G - _array(payload, "frame_center", (n,)))
               @ _array(payload, "frame", (n, n)))
-    sigma_rows = _indices(payload, "sigma_rows", len(gens))
-    tau_rows = ([] if mode == SYMMETRIC
-                else _indices(payload, "tau_rows", len(gens)))
-    ownerless = set(selected) - set(gens.tags[sigma_rows + tau_rows].tolist())
+    sigma_rows = _indices(payload, "sigma_rows", m)
+    tau_rows = [] if mode == SYMMETRIC else _indices(payload, "tau_rows", m)
+    ownerless = set(selected).difference(
+        target.owner[sigma_rows + tau_rows].tolist())
     if ownerless:
         raise CertificateRejected(f"selected bodies {sorted(ownerless)} own "
                                   "no sigma or tau generator row")
@@ -341,7 +341,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     s, gamma = len(selected), gamma_ratio(d)
     diagnostics = {
         "frame_radius": float(np.max(np.linalg.norm(framed, axis=1))),
-        "generators": len(gens),
+        "generators": m,
         "sigma_size": len(sigma_rows),
     }
 

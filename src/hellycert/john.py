@@ -24,8 +24,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DegenerateSpan, JohnExtractionFailed
-from .geometry import TaggedPointSet
-from .linalg import SymMatrix, sym_eigen
+from .linalg import sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
@@ -44,24 +43,19 @@ class Ellipsoid:
     """{x : (x - center)^T shape (x - center) <= 1}"""
 
     center: np.ndarray
-    shape: SymMatrix
-
-
-@dataclass(frozen=True)
-class LownerMap:
-    """Affine map y = forward @ (x - center) sending the MVEE to the unit ball."""
-
-    forward: np.ndarray
-    center: np.ndarray
+    shape: np.ndarray
 
 
 @dataclass(frozen=True)
 class JohnDecomposition:
-    """Unit contact vectors v_j and weights a_j with sum a_j v_j v_j^T = I."""
+    """Unit contact vectors v_j and weights a_j with sum a_j v_j v_j^T = I;
+    v_j is row source_indices[j] of (points - frame_center) @ frame, scaled
+    to norm 1. The frame map sends the MVEE to the unit ball."""
 
     vectors: np.ndarray
     weights: np.ndarray
-    centered: bool
+    frame: np.ndarray
+    frame_center: np.ndarray
     residual_identity: float
     residual_barycenter: float
     source_indices: np.ndarray
@@ -152,8 +146,8 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
         u /= u.sum()
 
     X = pts.T @ (pts * u[:, None])
-    spec = sym_eigen((X + X.T) / 2.0)
-    if spec.eigenvalues[0] <= 1e-12 * max(spec.eigenvalues[-1], 1e-300):
+    lam = sym_eigen((X + X.T) / 2.0)[0]
+    if lam[0] <= 1e-12 * max(lam[-1], 1e-300):
         raise DegenerateSpan("input points do not span the space"
                              if start is None else
                              "start weights' support does not span the space")
@@ -223,8 +217,8 @@ def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
     u = _centered_mvee_weights(pts, eps_mvee)
-    Xinv = _fresh_state(pts, u)[0]
-    return Ellipsoid(center=np.zeros(n), shape=SymMatrix(Xinv / n)), u
+    M = _fresh_state(pts, u)[0] / n
+    return Ellipsoid(center=np.zeros(n), shape=(M + M.T) / 2.0), u
 
 
 def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):
@@ -241,37 +235,35 @@ def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):
     Sn = pts.T @ (pts * u[:, None])
     cov = Sn - np.outer(c, c)
     M = np.linalg.inv((cov + cov.T) / 2.0) / n
-    return Ellipsoid(center=c, shape=SymMatrix(M)), u
+    return Ellipsoid(center=c, shape=(M + M.T) / 2.0), u
 
 
 def _sqrt_spd(M: np.ndarray) -> np.ndarray:
-    spec = sym_eigen(M)
-    if spec.eigenvalues[0] <= 0.0:
+    lam, V = sym_eigen(M)
+    if lam[0] <= 0.0:
         raise DegenerateSpan("ellipsoid shape matrix is not positive definite")
-    return (spec.eigenvectors * np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
+    return (V * np.sqrt(lam)) @ V.T
 
 
-def john_decomposition(point_set: TaggedPointSet, centered: bool,
+def john_decomposition(pts: np.ndarray, centered: bool,
                        eps_mvee: float = EPS_MVEE_DEFAULT,
                        tol_john: float = TOL_JOHN_DEFAULT,
-                       start=None):
-    """John decomposition of the convex hull of a tagged point set.
+                       start=None) -> JohnDecomposition:
+    """John decomposition of the convex hull of the rows of pts.
 
     Solves the MVEE of the points, maps them to Loewner position and turns
     the positive dual weights into decomposition weights. With ``centered``
     the MVEE center is free, the barycenter identity sum a_j v_j = 0 is part
     of the contract and a nonnegative least-squares polish is applied, and
     ``start`` may give the lifted MVEE solve's first weights (mvee_general).
-    Returns (JohnDecomposition, LownerMap).
     """
-    pts = point_set.points
     m, n = pts.shape
 
     if centered:
         ell, u = mvee_general(pts, eps_mvee, start)
     else:
         ell, u = mvee_centered(pts, eps_mvee)
-    T = _sqrt_spd(ell.shape.entries)
+    T = _sqrt_spd(ell.shape)
     Y = (pts - ell.center) @ T
 
     keep = np.nonzero(u > 1e-9 / m)[0]
@@ -306,9 +298,8 @@ def john_decomposition(point_set: TaggedPointSet, centered: bool,
             f"barycenter residual {residual_barycenter:.3e} "
             f"above {tol_john:.1e}")
 
-    decomp = JohnDecomposition(
-        vectors=v, weights=a, centered=centered,
+    return JohnDecomposition(
+        vectors=v, weights=a, frame=T, frame_center=ell.center,
         residual_identity=residual_identity,
         residual_barycenter=residual_barycenter,
         source_indices=keep)
-    return decomp, LownerMap(forward=T, center=ell.center)

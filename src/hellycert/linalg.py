@@ -9,8 +9,6 @@ itself folded in. The check, not the solver, is the trusted part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidMatrix, SolverStall
@@ -28,32 +26,9 @@ def _as_sym_array(entries) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Real symmetric matrix; the ingested array is symmetrized once."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_sym_array(self.entries))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _coerce(matrix) -> np.ndarray:
-    if isinstance(matrix, SymMatrix):
-        return matrix.entries
-    return _as_sym_array(matrix)
-
-
-def sym_eigen(matrix) -> Spectrum:
-    """LAPACK's eigen-decomposition, returned only if a residual check holds.
+def sym_eigen(matrix):
+    """(ascending eigenvalues, orthonormal eigenvector columns) of the
+    symmetrized array from LAPACK, returned only if a residual check holds.
 
     Let R = AV - V Lambda and E = V^T V - I. V^T A V is congruent to A, so
     its eigenvalues are A's scaled by factors in [1 - ||E||, 1 + ||E||]
@@ -66,7 +41,7 @@ def sym_eigen(matrix) -> Spectrum:
     and ||Lambda|| <= ||A|| + 2 ||R||: each sorted computed eigenvalue is
     within the checked bound of the sorted true one. Else raises SolverStall.
     """
-    a = _coerce(matrix)
+    a = _as_sym_array(matrix)
     n = a.shape[0]
     try:
         lam, v = np.linalg.eigh(a)
@@ -86,10 +61,10 @@ def sym_eigen(matrix) -> Spectrum:
         raise SolverStall(f"eigh fails its residual check: bound {bound:.3e}"
                           f" > {tol:.3e} * (1 + ||A||_F)")
     order = np.argsort(lam, kind="stable")
-    return Spectrum(eigenvalues=lam[order], eigenvectors=v[:, order])
+    return lam[order], v[:, order]
 
 
 def extremes(points: np.ndarray, coeffs: np.ndarray):
     """(lambda_min, lambda_max) of sum_j coeffs[j] p_j p_j^T, rows p_j."""
-    lam = sym_eigen((points * coeffs[:, None]).T @ points).eigenvalues
+    lam = sym_eigen((points * coeffs[:, None]).T @ points)[0]
     return float(lam[0]), float(lam[-1])

@@ -1,8 +1,9 @@
 """End-to-end certified subfamily selection.
 
-Both selectors follow the same shape: dualize the family to a point set,
-extract a John decomposition, sparsify it, map the survivors back to the
-bodies that contributed them, and then hand the resulting claims to
+Both selectors follow the same shape: take the rows of the family
+normalized at the translate as the polar's generators, extract their John
+decomposition, sparsify it, map the survivors back to the bodies that
+own them, and then hand the resulting claims to
 ``io.check``, which derives every verdict and number in the certificate.
 The certificate never takes the theory's word for anything a linear program
 or an eigenvalue check can confirm directly.
@@ -19,8 +20,7 @@ import numpy as np
 
 from .errors import CaratheodoryFailed, HellycertError, UnboundedBody
 from .geometry import (BodyFamily, chebyshev_center, containment_bases,
-                       interior_margin, normalize_family, polar_generators,
-                       validate_family)
+                       interior_margin, normalize_family, validate_family)
 from .io import SelectionCertificate, check
 from .john import john_decomposition, mvee_general
 from .lp import OPTIMAL, LinearProgram, solve_lp
@@ -51,8 +51,8 @@ def _stage(stages: dict, name: str):
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _owners(tags: np.ndarray, rows) -> tuple:
-    return tuple(int(t) for t in np.unique(tags[np.asarray(rows, dtype=int)]))
+def _owners(owner: np.ndarray, rows) -> tuple:
+    return tuple(int(t) for t in np.unique(owner[np.asarray(rows, dtype=int)]))
 
 
 def select_symmetric(family: BodyFamily, d: float = 4.0,
@@ -65,20 +65,19 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
 
     with _stage(stages, "validate"):
         validate_family(family)
-        gens = polar_generators(family)
     with _stage(stages, "john"):
-        decomp, lmap = john_decomposition(gens, centered=False, tol_john=tol)
+        decomp = john_decomposition(family.G, centered=False, tol_john=tol)
     with _stage(stages, "sparsify"):
         res = bss_select(decomp.vectors, decomp.weights, d)
     rows = decomp.source_indices[res.sigma]
-    selected = _owners(gens.tags, rows)
+    selected = _owners(family.owner, rows)
     with _stage(stages, "containment"):
         cert = check(family, {
             "mode": "symmetric", "z": np.zeros(n), "selected": selected,
             "d": d, "eps": None, "tol": tol, "payload": {
                 "coefficients": res.b * decomp.weights[res.sigma],
-                "frame": lmap.forward,
-                "frame_center": lmap.center,
+                "frame": decomp.frame,
+                "frame_center": decomp.frame_center,
                 "sigma_rows": rows,
                 "support_bases": containment_bases(family, selected),
             }})
@@ -128,18 +127,18 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):
-    """(offset, MVEE, generators, weights) of the polar of the family
-    translated to z.
+    """(offset, MVEE, normalized family, weights) of the polar of the
+    family translated to z.
 
-    The offset is the MVEE center's norm in the ellipsoid's own metric,
-    so it is a fraction of the polar's size. The weights are the lifted
-    MVEE weights, a warm start for a later solve on the same generators.
+    The polar is the hull of the rows of the family normalized at z. The
+    offset is its MVEE center's norm in the ellipsoid's own metric, so it
+    is a fraction of the polar's size. The weights are the lifted MVEE
+    weights, a warm start for a later solve on the same rows.
     """
-    gens = polar_generators(normalize_family(family, z))
-    ell, u = mvee_general(gens.points, eps_mvee=1e-6)
+    norm = normalize_family(family, z)
+    ell, u = mvee_general(norm.G, eps_mvee=1e-6)
     c = ell.center
-    return (math.sqrt(max(float(c @ ell.shape.entries @ c), 0.0)), ell,
-            gens, u)
+    return math.sqrt(max(float(c @ ell.shape @ c), 0.0)), ell, norm, u
 
 
 def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
@@ -151,14 +150,15 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
     interior margin of 0.1 * radius and strictly lowers the offset;
     otherwise lam halves, down to 1e-3. The loop stops at ``target``, when
     no lam helps, or after ``max_iter`` steps, and returns (z, offset,
-    steps, generators, weights), where steps counts the Newton steps taken
-    and the generators and MVEE weights are the polar's at the returned z.
+    steps, normalized family, weights), where steps counts the Newton steps
+    taken, the family is normalized at the returned z and the MVEE weights
+    are its polar's.
     """
     z = np.asarray(z0, dtype=float)
-    offset, ell, gens, u = _polar_offset(family, z)
+    offset, ell, norm, u = _polar_offset(family, z)
     steps = 0
     while offset > target and steps < max_iter:
-        step = ell.shape.entries @ ell.center
+        step = ell.shape @ ell.center
         lam = 1.0
         while lam > 1e-3:
             z_try = z - lam * step
@@ -169,9 +169,9 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
             lam /= 2.0
         else:
             break
-        z, (offset, ell, gens, u) = z_try, trial
+        z, (offset, ell, norm, u) = z_try, trial
         steps += 1
-    return z, offset, steps, gens, u
+    return z, offset, steps, norm, u
 
 
 def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
@@ -190,10 +190,10 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
 
     with _stage(stages, "center"):
         z0, radius = chebyshev_center(family)
-        z, offset, recenter_iters, gens, u = _recenter(family, z0, radius)
+        z, offset, recenter_iters, norm, u = _recenter(family, z0, radius)
     with _stage(stages, "john"):
-        decomp, lmap = john_decomposition(gens, centered=True, tol_john=tol,
-                                          start=u)
+        decomp = john_decomposition(norm.G, centered=True, tol_john=tol,
+                                    start=u)
     with _stage(stages, "sparsify"):
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
     with _stage(stages, "caratheodory"):
@@ -202,7 +202,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
 
     sigma_rows = decomp.source_indices[shifted.sigma]
     tau_rows = decomp.source_indices[witness.tau]
-    selected = _owners(gens.tags, np.concatenate([sigma_rows, tau_rows]))
+    selected = _owners(norm.owner, np.concatenate([sigma_rows, tau_rows]))
     with _stage(stages, "containment"):
         cert = check(family, {
             "mode": "general", "z": z, "selected": selected,
@@ -212,12 +212,11 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
                 "shift": shifted.v,
                 "w": w,
                 "rho": witness.rho,
-                "frame": lmap.forward,
-                "frame_center": lmap.center,
+                "frame": decomp.frame,
+                "frame_center": decomp.frame_center,
                 "sigma_rows": sigma_rows,
                 "tau_rows": tau_rows,
-                "support_bases": containment_bases(
-                    normalize_family(family, z), selected),
+                "support_bases": containment_bases(norm, selected),
             }})
     stages["total"] = time.perf_counter() - t_start
     return replace(
@@ -250,7 +249,9 @@ def reduce_to_2n(family: BodyFamily,
     selection of at most 2n bodies is only re-checked, and keeps its
     stages, notes and informational diagnostics and verdicts, and its
     support bases. A reduced selection's bases are walked again: the
-    input's belong to the selection it came with.
+    input's belong to the selection it came with. Raises UnboundedBody
+    when more than 2n selected bodies have an unbounded intersection, and
+    OracleTooLarge when they are past the vertex oracle's caps.
     """
     n = family.dim
     t0 = time.perf_counter()
@@ -264,6 +265,11 @@ def reduce_to_2n(family: BodyFamily,
     if dropping:
         norm = normalize_family(family, selection.z)
         radius = start_radius = _subfamily_radius(norm, sel)
+        # by Steinitz's theorem 2n of the m > 2n bodies already bound a
+        # bounded intersection, so only the start can price +inf
+        if math.isinf(start_radius):
+            raise UnboundedBody(f"the {len(sel)} selected bodies have an "
+                                "unbounded intersection; nothing to reduce")
         chain = []
         growth_ok = True
         while len(sel) > 2 * n:

@@ -38,7 +38,6 @@ def gamma_ratio(d: float) -> float:
 class SparsifierResult:
     sigma: np.ndarray
     b: np.ndarray
-    lambda_min: float
     lambda_max: float
 
 
@@ -111,7 +110,7 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])
     return SparsifierResult(
         sigma=sigma, b=coeff[sigma] / lam_min_raw,
-        lambda_min=1.0, lambda_max=lam_max_raw / lam_min_raw)
+        lambda_max=lam_max_raw / lam_min_raw)
 
 
 def shifted_select(vectors, weights,

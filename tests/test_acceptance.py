@@ -15,7 +15,6 @@ import pytest
 
 from hellycert import __version__
 from hellycert import io as hio
-from hellycert.geometry import TaggedPointSet
 from hellycert.john import john_decomposition
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (_covering_certified, best_subset_bruteforce,
@@ -51,7 +50,7 @@ def symmetric_cloud(seed, n, m_half):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     raw *= rng.uniform(0.5, 2.0, (m_half, 1))
     pts = np.vstack([raw, -raw])
-    return TaggedPointSet(points=pts, tags=np.arange(len(pts)))
+    return pts
 
 
 def slab_suite_params():
@@ -106,8 +105,8 @@ def test_criterion_1_john_residuals():
     for k in range(50):
         n = 2 + k % 7
         m_half = 10 + (k * 7) % 41
-        dec, _ = john_decomposition(symmetric_cloud(JOHN_SEED_BASE + k, n, m_half),
-                                    centered=False)
+        dec = john_decomposition(symmetric_cloud(JOHN_SEED_BASE + k, n, m_half),
+                                 centered=False)
         worst_id = max(worst_id, dec.residual_identity)
         worst_trace = max(worst_trace, abs(float(dec.weights.sum()) - n) / n)
         rng = np.random.default_rng(DIRECTION_SEED_BASE + k)
@@ -129,13 +128,12 @@ def test_criterion_2_sparsifier_budget_and_ratio():
     for k in range(50):
         n = 2 + k % 19
         d = (2.0, 4.0, 9.0)[k % 3]
-        dec, _ = john_decomposition(symmetric_cloud(BSS_SEED_BASE + k, n, 2 * n + 5),
-                                    centered=False)
+        dec = john_decomposition(symmetric_cloud(BSS_SEED_BASE + k, n, 2 * n + 5),
+                                 centered=False)
         res = bss_select(dec.vectors, dec.weights, d=d)
         if len(res.sigma) > math.ceil(d * n):
             over_budget += 1
-        ratio = res.lambda_max / res.lambda_min
-        worst_slack = max(worst_slack, ratio / gamma_ratio(d) ** 2)
+        worst_slack = max(worst_slack, res.lambda_max / gamma_ratio(d) ** 2)
     elapsed = time.perf_counter() - t0
     ok = over_budget == 0 and worst_slack <= 1.0 + 1e-6 and elapsed < 30.0
     record(2, ok, f"50 runs, worst ratio at {worst_slack:.3f} of limit, "

@@ -181,6 +181,19 @@ def test_exit_code_oracle_cap(tmp_path, monkeypatch):
         assert not out.exists(), command
 
 
+def test_reduce_exit_code_oracle_cap(tmp_path):
+    # s = 7 bodies of 7 rows: 49 rows, past the oracle's cap of 40 in R^3
+    inst = tmp_path / "hs.json"
+    cert = tmp_path / "cert.json"
+    red = tmp_path / "reduced.json"
+    hio.save_instance(gen_halfspace_family(3, 12, 6, rows_per_body=(7, 7)),
+                      inst)
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    assert hio.load_certificate(cert)["s"] == 7
+    assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 4
+    assert not red.exists()
+
+
 def test_tampered_certificate_fails_certify(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"

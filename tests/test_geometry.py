@@ -12,7 +12,7 @@ from hellycert import lp
 from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
 from hellycert.geometry import (BodyFamily, chebyshev_center, containment_factor,
                                 interior_margin, normalize_family,
-                                polar_generators, validate_family)
+                                validate_family)
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
@@ -139,9 +139,10 @@ def test_degenerate_interior_raises():
         chebyshev_center(fam)
 
 
-def test_polar_generators_cube_slabs():
-    pts = polar_generators(cube_slab_family(3))
-    got = {tuple(np.round(p, 12)) for p in pts.points}
+def test_polar_rows_cube_slabs():
+    # a normalized family's rows generate the polar; owner tags each row
+    fam = normalize_family(cube_slab_family(3), np.zeros(3))
+    got = {tuple(np.round(p, 12)) for p in fam.G}
     want = set()
     for i in range(3):
         e = [0.0] * 3
@@ -150,21 +151,22 @@ def test_polar_generators_cube_slabs():
         e[i] = -1.0
         want.add(tuple(e))
     assert got == want
-    assert len(pts.tags) == 6
+    assert fam.owner.tolist() == [0, 0, 1, 1, 2, 2]
 
 
-def test_polar_generators_single_halfspace():
+def test_polar_rows_single_halfspace():
     fam = BodyFamily.from_blocks(
         "general", 2, [(np.array([[1.0, 0.0]]), np.array([1.0]))])
-    pts = polar_generators(fam)
-    np.testing.assert_allclose(pts.points, [[1.0, 0.0]])
+    norm = normalize_family(fam, np.zeros(2))
+    np.testing.assert_allclose(norm.G, [[1.0, 0.0]])
+    assert norm.owner.tolist() == [0]
 
 
 def test_polar_generator_count_mixed():
     fam = gen_slab_family(3, count=7, seed=11)
     per_body = np.bincount(fam.owner[~fam.negated])
-    pts = polar_generators(fam)
-    assert len(pts.points) == 2 * sum(per_body)
+    norm = normalize_family(fam, np.zeros(3))
+    assert len(norm.G) == 2 * sum(per_body)
 
 
 def test_alpha_all_bodies_is_one():
@@ -305,13 +307,13 @@ def test_validate_family_accepts_generated():
 def test_polarity_consistency_small():
     """Every polar generator stays <= 1 against its owner body."""
     fam = gen_slab_family(3, count=4, seed=13)
-    pts = polar_generators(fam)
+    norm = normalize_family(fam, np.zeros(3))
     from hellycert.lp import support_h_polytope
-    for v, tag in zip(pts.points, pts.tags):
+    for v, tag in zip(norm.G, norm.owner):
         g, h, _ = fam.constraint_matrix(selected=[int(tag)])
         # a single slab body is unbounded, so certify via the support LP
         assert support_h_polytope(g, h, v) <= 1.0 + 1e-8
     # and against the vertices of the whole intersection
     g, h, _ = fam.constraint_matrix()
     verts = enumerate_vertices(g, h).vertices
-    assert np.max(verts @ pts.points.T) <= 1.0 + 1e-7
+    assert np.max(verts @ norm.G.T) <= 1.0 + 1e-7

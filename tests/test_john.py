@@ -5,18 +5,13 @@ import pytest
 
 from hellycert import john
 from hellycert.errors import DegenerateSpan, JohnExtractionFailed
-from hellycert.geometry import TaggedPointSet, chebyshev_center
+from hellycert.geometry import chebyshev_center
 from hellycert.john import (_centered_mvee_weights, john_decomposition,
                             mvee_centered, mvee_general)
 from hellycert.oracle import gen_halfspace_family
 from hellycert.pipeline import _recenter
 
 from conftest import unit_rows
-
-
-def tagged(points):
-    return TaggedPointSet(points=np.asarray(points, dtype=float),
-                          tags=np.arange(len(points)))
 
 
 def fresh_gap(pts, u):
@@ -37,7 +32,7 @@ def lifted(points):
 def test_mvee_centered_cross_polytope():
     pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
     ell, weights = mvee_centered(pts, 1e-10)
-    np.testing.assert_allclose(ell.shape.entries, np.eye(2), atol=1e-7)
+    np.testing.assert_allclose(ell.shape, np.eye(2), atol=1e-7)
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
     # each +- pair carries total dual mass 1/2 however it is split
     assert weights[0] + weights[1] == pytest.approx(0.5, abs=1e-6)
@@ -47,7 +42,7 @@ def test_mvee_centered_cross_polytope():
 def test_mvee_centered_stretched_axes():
     pts = np.array([[2.0, 0], [-2, 0], [0, 1], [0, -1]])
     ell, _ = mvee_centered(pts, 1e-10)
-    np.testing.assert_allclose(ell.shape.entries, np.diag([0.25, 1.0]), atol=1e-7)
+    np.testing.assert_allclose(ell.shape, np.diag([0.25, 1.0]), atol=1e-7)
 
 
 def test_mvee_centered_duality_certificate(rng):
@@ -61,7 +56,7 @@ def test_mvee_centered_duality_certificate(rng):
     eps = 1e-8
     for pts in cases:
         ell, weights = mvee_centered(pts, eps)
-        quad = np.einsum("ij,jk,ik->i", pts, ell.shape.entries, pts)
+        quad = np.einsum("ij,jk,ik->i", pts, ell.shape, pts)
         assert np.max(quad) <= 1.0 + 2 * eps
         # complementary slackness: dual mass only on near-active points
         active = quad >= 1.0 - 1e-4
@@ -79,7 +74,7 @@ def test_mvee_centered_degenerate_span():
 def test_mvee_general_interval():
     ell, _ = mvee_general(np.array([[0.0], [1.0]]), 1e-10)
     assert ell.center[0] == pytest.approx(0.5, abs=1e-8)
-    assert ell.shape.entries[0, 0] == pytest.approx(4.0, rel=1e-6)
+    assert ell.shape[0, 0] == pytest.approx(4.0, rel=1e-6)
 
 
 def test_mvee_general_regular_simplex():
@@ -89,7 +84,7 @@ def test_mvee_general_regular_simplex():
     verts = np.eye(4) @ vt[:3].T
     ell, _ = mvee_general(verts, 1e-10)
     centered = verts - ell.center
-    quad = np.einsum("ij,jk,ik->i", centered, ell.shape.entries, centered)
+    quad = np.einsum("ij,jk,ik->i", centered, ell.shape, centered)
     np.testing.assert_allclose(quad, np.ones(4), atol=1e-6)
     np.testing.assert_allclose(ell.center, verts.mean(axis=0), atol=1e-7)
 
@@ -106,7 +101,7 @@ def test_mvee_general_random_cloud(rng):
     for pts in cases:
         ell, weights = mvee_general(pts, eps)
         centered = pts - ell.center
-        quad = np.einsum("ij,jk,ik->i", centered, ell.shape.entries,
+        quad = np.einsum("ij,jk,ik->i", centered, ell.shape,
                          centered)
         assert np.max(quad) <= 1.0 + 2 * eps
         active = quad >= 1.0 - 1e-4
@@ -146,8 +141,8 @@ def test_mvee_newton_finish_ends_a_stalled_ascent():
     # point just inside the ellipsoid entering and leaving the support
     fam = gen_halfspace_family(3, 8, 126)
     z0, radius = chebyshev_center(fam)
-    gens = _recenter(fam, z0, radius)[3]
-    pts = lifted(gens.points)
+    norm = _recenter(fam, z0, radius)[3]
+    pts = lifted(norm.G)
     eps = 1e-8 * 3 / 4
     u = _centered_mvee_weights(pts, eps, max_iter=1000)
     assert fresh_gap(pts, u) <= eps
@@ -208,17 +203,17 @@ def test_mvee_start_without_spanning_support(rng, support):
 def test_john_cross_polytope_exact():
     pts = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1.0, 0],
                     [0, -1, 0], [0, 0, 1.0], [0, 0, -1]])
-    dec, lmap = john_decomposition(tagged(pts), centered=False)
+    dec = john_decomposition(pts, centered=False)
     assert dec.residual_identity <= 1e-10
     assert dec.weights.sum() == pytest.approx(3.0, abs=1e-9)
     np.testing.assert_allclose(np.abs(dec.vectors).max(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(lmap.forward, np.eye(3), atol=1e-6)
+    np.testing.assert_allclose(dec.frame, np.eye(3), atol=1e-6)
 
 
 def test_john_equally_spaced_plane_vectors():
     ang = np.arange(6) * np.pi / 3
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    dec, _ = john_decomposition(tagged(pts), centered=False)
+    dec = john_decomposition(pts, centered=False)
     assert len(dec.weights) == 6
     np.testing.assert_allclose(dec.weights, np.full(6, 1.0 / 3.0), atol=1e-8)
     assert dec.weights.sum() == pytest.approx(2.0, abs=1e-9)
@@ -229,7 +224,7 @@ def test_john_symmetric_random_residuals(rng):
         n = int(rng.integers(2, 6))
         half = unit_rows(rng, 4 * n, n) * rng.uniform(0.5, 2.0, (4 * n, 1))
         pts = np.vstack([half, -half])
-        dec, _ = john_decomposition(tagged(pts), centered=False, eps_mvee=1e-8)
+        dec = john_decomposition(pts, centered=False, eps_mvee=1e-8)
         assert dec.residual_identity <= 1e-6
         assert abs(dec.weights.sum() - n) <= n * 1e-6
         # directional identity on random unit vectors
@@ -240,8 +235,7 @@ def test_john_symmetric_random_residuals(rng):
 
 def test_john_centered_barycenter(rng):
     pts = rng.standard_normal((20, 3)) + np.array([0.4, -0.2, 0.1])
-    dec, _ = john_decomposition(tagged(pts), centered=True, eps_mvee=1e-9)
-    assert dec.centered
+    dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
     assert dec.residual_barycenter <= 1e-5
     assert dec.residual_identity <= 1e-5
     assert abs(dec.weights.sum() - 3.0) <= 3.0 * 1e-4
@@ -250,7 +244,7 @@ def test_john_centered_barycenter(rng):
 def test_john_contact_vectors_unit(rng):
     half = unit_rows(rng, 10, 4) * rng.uniform(0.8, 1.6, (10, 1))
     pts = np.vstack([half, -half])
-    dec, _ = john_decomposition(tagged(pts), centered=False)
+    dec = john_decomposition(pts, centered=False)
     norms = np.linalg.norm(dec.vectors, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
@@ -260,7 +254,7 @@ def test_john_hull_contains_scaled_ball(rng):
     n = 3
     half = unit_rows(rng, 12, n) * rng.uniform(0.6, 1.8, (12, 1))
     pts = np.vstack([half, -half])
-    dec, _ = john_decomposition(tagged(pts), centered=False)
+    dec = john_decomposition(pts, centered=False)
     for u in unit_rows(rng, 50, n):
         reach = np.max(np.abs(dec.vectors @ u))
         assert reach >= 1.0 / np.sqrt(n) - 1e-4
@@ -269,10 +263,8 @@ def test_john_hull_contains_scaled_ball(rng):
 def test_john_source_tags_point_back(rng):
     half = unit_rows(rng, 8, 2)
     pts = np.vstack([half, -half])
-    tags = np.concatenate([np.arange(8), np.arange(8)])
-    dec, lmap = john_decomposition(TaggedPointSet(points=pts, tags=tags),
-                                   centered=False)
-    mapped = pts[dec.source_indices] @ lmap.forward.T
+    dec = john_decomposition(pts, centered=False)
+    mapped = pts[dec.source_indices] @ dec.frame.T
     np.testing.assert_allclose(mapped, dec.vectors, atol=1e-6)
 
 
@@ -280,5 +272,5 @@ def test_john_impossible_tolerance_raises(rng):
     half = unit_rows(rng, 9, 3) * rng.uniform(0.5, 2.0, (9, 1))
     pts = np.vstack([half, -half])
     with pytest.raises(JohnExtractionFailed):
-        john_decomposition(tagged(pts), centered=False, eps_mvee=1e-4,
+        john_decomposition(pts, centered=False, eps_mvee=1e-4,
                            tol_john=1e-15)

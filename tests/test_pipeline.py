@@ -1,13 +1,16 @@
 """End-to-end selection pipelines, both symmetry modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hellycert import pipeline
-from hellycert.errors import CaratheodoryFailed, UnboundedBody
-from hellycert.geometry import chebyshev_center, containment_factor
+from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
+                              UnboundedBody)
+from hellycert.geometry import (BodyFamily, chebyshev_center,
+                                containment_factor)
 from hellycert.lp import OPTIMAL, LpResult
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
                               gen_slab_family)
@@ -119,14 +122,15 @@ def test_recenter_offsets_strictly_decrease():
     z0, radius = chebyshev_center(fam)
     offsets = []
     for k in range(5):
-        z, offset, steps, gens, u = _recenter(fam, z0, radius, target=0.0,
+        z, offset, steps, norm, u = _recenter(fam, z0, radius, target=0.0,
                                               max_iter=k)
         assert steps == k
         polar = _polar_offset(fam, z)
         assert offset == polar[0]
-        # the generators and weights handed on are the polar's at z
-        assert np.array_equal(gens.points, polar[2].points)
-        assert np.array_equal(gens.tags, polar[2].tags)
+        # the family and weights handed on are the polar's at z
+        assert np.array_equal(norm.G, polar[2].G)
+        assert np.array_equal(norm.owner, polar[2].owner)
+        assert np.array_equal(norm.h, np.ones(len(norm.h)))
         assert np.array_equal(u, polar[3])
         offsets.append(offset)
     assert all(b < a for a, b in zip(offsets, offsets[1:])), offsets
@@ -200,6 +204,28 @@ def test_reduce_greedy_chain():
     assert red.diagnostics["reduction_cumulative_bound"] == pytest.approx(
         math.comb(m, 4))
     assert red.diagnostics["reduction_cumulative_growth"] <= math.comb(m, 4)
+
+
+def test_reduce_rejects_an_unbounded_selection():
+    # five halfspaces whose normals all point into the upper half-plane
+    # leave the intersection open downwards; every drop prices +inf
+    ang = np.arange(8) * np.pi / 4
+    rows = np.column_stack([np.cos(ang), np.sin(ang)])
+    fam = BodyFamily.from_blocks(
+        "general", 2, [(rows[i:i + 1], np.ones(1)) for i in range(8)])
+    cert = replace(select_general(fam), selected=(0, 1, 2, 3, 4))
+    with pytest.raises(UnboundedBody, match="5 selected bodies"):
+        reduce_to_2n(fam, cert)
+
+
+def test_general_thin_slab_fails_at_the_inradius():
+    # one threshold: the Chebyshev center already rejects an inradius below
+    # the interior margin, before any translate is normalized
+    fam = BodyFamily.from_blocks("general", 2, [(
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        np.array([5e-8, 5e-8, 1.0, 1.0]))])
+    with pytest.raises(DegenerateInterior, match="inradius 5.000e-08"):
+        select_general(fam)
 
 
 def test_diameter_report_cube():
