@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: gen, select-sym, select-gen, reduce, certify, report.
+Subcommands: gen, select-sym, select-gen, reduce, certify, report,
+canonical.
 Exit codes: 0 success with all verdicts green, 2 completed but some
 certificate verdict failed, 3 invalid or degenerate input, 4 oracle caps
 exceeded. Diagnostics go to standard error, results to files.

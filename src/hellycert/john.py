@@ -13,7 +13,10 @@ neither the ascent nor the Newton finish has to be trusted. A solve can
 start from the weights of an earlier, nearby solve; converged start weights
 return after that check. Dual weights of the solved problem directly supply
 John decomposition weights after mapping to Loewner position, which is why
-no separate extraction problem is solved.
+no separate extraction problem is solved. With a free center those weights
+are polished by nonnegative least squares (``linalg.nnls``, started from
+their support); the residual checks that follow decide whether the result
+is accepted.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .errors import DegenerateSpan, JohnExtractionFailed
-from .linalg import sym_eigen
+from .errors import DegenerateSpan, JohnExtractionFailed, SolverStall
+from .linalg import nnls, sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
@@ -254,8 +256,10 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     Solves the MVEE of the points, maps them to Loewner position and turns
     the positive dual weights into decomposition weights. With ``centered``
     the MVEE center is free, the barycenter identity sum a_j v_j = 0 is part
-    of the contract and a nonnegative least-squares polish is applied, and
-    ``start`` may give the lifted MVEE solve's first weights (mvee_general).
+    of the contract and a nonnegative least-squares polish, warm-started from
+    the weights' support, is applied, and ``start`` may give the lifted MVEE
+    solve's first weights (mvee_general). A polish that reaches its solve cap
+    raises JohnExtractionFailed.
     """
     m, n = pts.shape
 
@@ -278,7 +282,10 @@ def john_decomposition(pts: np.ndarray, centered: bool,
             cols[:n * n, idx] = np.outer(v[idx], v[idx]).ravel()
             cols[n * n:, idx] = v[idx]
         target = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
-        a_fit, _ = nnls(cols, target)
+        try:
+            a_fit = nnls(cols, target, start=a)
+        except SolverStall as exc:
+            raise JohnExtractionFailed(f"polish: {exc}") from exc
         pos = a_fit > 0.0
         keep = keep[pos]
         v = v[pos]

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hellycert import cli
+import hellycert
+from hellycert import cli, linalg
 from hellycert import io as hio
 from hellycert.cli import main
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
@@ -192,6 +197,51 @@ def test_reduce_exit_code_oracle_cap(tmp_path):
     assert hio.load_certificate(cert)["s"] == 7
     assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 4
     assert not red.exists()
+
+
+def test_nnls_cap_exits_naming_the_john_stage(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "hs.json"
+    cert = tmp_path / "cert.json"
+    hio.save_instance(gen_halfspace_family(2, 4, 3), inst)
+    monkeypatch.setattr(linalg, "NNLS_SOLVES_PER_COLUMN", 0)
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 2
+    err = capsys.readouterr().err
+    assert "JohnExtractionFailed: john: polish: nnls stopped after 0" in err
+    assert not cert.exists()
+
+
+def _python(code, cwd):
+    src = str(Path(hellycert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only reference; every subcommand runs on numpy alone
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hellycert.cli import main\n"
+        "for args in (\n"
+        "        ['gen', '--kind', 'halfspace', '--n', '2', '--count', '40',\n"
+        "         '--seed', '102', '--out', 'hs.json'],\n"
+        "        ['select-gen', '--in', 'hs.json', '--out', 'cert.json'],\n"
+        "        ['reduce', '--in', 'hs.json', '--cert', 'cert.json',\n"
+        "         '--out', 'reduced.json'],\n"
+        "        ['certify', '--in', 'hs.json', '--cert', 'reduced.json']):\n"
+        "    assert main(args) == 0, args\n")
+    out = _python(code, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert hio.load_certificate(tmp_path / "reduced.json")["s"] == 4
+
+
+def test_import_loads_no_scipy(tmp_path):
+    out = _python("import sys\n"
+                  "import hellycert.cli, hellycert.pipeline\n"
+                  "assert 'scipy' not in sys.modules\n", tmp_path)
+    assert out.returncode == 0, out.stderr
 
 
 def test_tampered_certificate_fails_certify(tmp_path):
