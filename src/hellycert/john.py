@@ -4,19 +4,21 @@ The MVEE solver maximises log det of the dual moment matrix. It runs the
 classic Khachiyan coordinate ascent with Todd-Yildirim away/drop steps, so
 that complementary slackness also converges (plain ascent only controls the
 containment side); an away step is an ascent step with a negative weight,
-so both are one signed rank-one update. That ascent converges linearly and
+so both are one signed rank-one update. A cold solve starts on a core set
+of n points (Kumar-Yildirim), so the ascent adds the few points it needs
+instead of dropping nearly all of them. The ascent converges linearly and
 can stall when a point sits just inside the ellipsoid, so once both gaps
 are small it tries Newton's method on the optimality conditions over the
 current support. Newton's weights are kept only when they lower the gap,
 and the only exit is a two-sided gap check on freshly computed numbers, so
-neither the ascent nor the Newton finish has to be trusted. A solve can
-start from the weights of an earlier, nearby solve; converged start weights
-return after that check. Dual weights of the solved problem directly supply
-John decomposition weights after mapping to Loewner position, which is why
-no separate extraction problem is solved. With a free center those weights
-are polished by nonnegative least squares (``linalg.nnls``, started from
-their support); the residual checks that follow decide whether the result
-is accepted.
+neither the ascent nor the Newton finish, nor the core set, has to be
+trusted. A solve can start from the weights of an earlier, nearby solve;
+converged start weights return after that check. Dual weights of the solved
+problem directly supply John decomposition weights after mapping to Loewner
+position, which is why no separate extraction problem is solved. With a
+free center those weights are polished by nonnegative least squares
+(``linalg.nnls``, started from their support); the residual checks that
+follow decide whether the result is accepted.
 """
 
 from __future__ import annotations
@@ -132,20 +134,20 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     support once both gaps are at most NEWTON_GAP, until the two-sided gap
     max kappa/n - 1 <= eps and 1 - min-support kappa/n <= eps holds, where
     kappa_k = x_k^T X(u)^{-1} x_k. Sign of the points is irrelevant.
-    ``start`` gives the first weights (None: uniform); their support must
-    span the space.
+    ``start`` gives the first weights, whose support must span the space.
+    Without it, the input points must span, and the first weights are
+    uniform on a core set of n rows: pivoted Gram-Schmidt picks the row of
+    largest residual norm (lowest index on ties) and projects it out.
     """
     pts = np.asarray(pts, dtype=float)
     m, n = pts.shape
     if m < n:
         raise DegenerateSpan(f"{m} points cannot span dimension {n}")
-    if start is None:
-        u = np.full(m, 1.0 / m)
-    else:
-        u = np.maximum(np.asarray(start, dtype=float), 0.0)
-        if not u.sum() > 0.0:
-            raise DegenerateSpan("start weights are all zero")
-        u /= u.sum()
+    u = (np.ones(m) if start is None
+         else np.maximum(np.asarray(start, dtype=float), 0.0))
+    if not u.sum() > 0.0:
+        raise DegenerateSpan("start weights are all zero")
+    u /= u.sum()
 
     X = pts.T @ (pts * u[:, None])
     lam = sym_eigen((X + X.T) / 2.0)[0]
@@ -153,6 +155,12 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
         raise DegenerateSpan("input points do not span the space"
                              if start is None else
                              "start weights' support does not span the space")
+    if start is None:
+        R, u = pts.copy(), np.zeros(m)
+        for _ in range(n):
+            j = int(np.argmax(np.einsum("ij,ij->i", R, R)))
+            u[j] = 1.0 / n
+            R -= np.outer(R @ R[j], R[j] / (R[j] @ R[j]))
     Xinv, kappa, _ = _fresh_state(pts, u)
 
     since_refresh = 0

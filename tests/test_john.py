@@ -5,11 +5,11 @@ import pytest
 
 from hellycert import john
 from hellycert.errors import DegenerateSpan, JohnExtractionFailed
-from hellycert.geometry import chebyshev_center
+from hellycert.geometry import BodyFamily, chebyshev_center
 from hellycert.john import (_centered_mvee_weights, john_decomposition,
                             mvee_centered, mvee_general)
-from hellycert.oracle import gen_halfspace_family
-from hellycert.pipeline import _recenter
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
+from hellycert.pipeline import _recenter, select_symmetric
 
 from conftest import unit_rows
 
@@ -65,10 +65,21 @@ def test_mvee_centered_duality_certificate(rng):
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mvee_centered_degenerate_span():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(DegenerateSpan):
+    with pytest.raises(DegenerateSpan, match="input points do not span"):
         mvee_centered(pts, 1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_select_symmetric_planar_family_raises():
+    # bounded in the plane x3 = 0 only: the polar does not span R^3, and
+    # projecting out two of these rows leaves exact zeros
+    fam = BodyFamily.from_blocks("symmetric", 3, [
+        np.array([row]) for row in ([1.0, 0, 0], [0, 1.0, 0], [1.0, 1, 0])])
+    with pytest.raises(DegenerateSpan, match="input points do not span"):
+        select_symmetric(fam)
 
 
 def test_mvee_general_interval():
@@ -191,6 +202,75 @@ def test_mvee_converged_start_returns_after_one_check(rng, monkeypatch):
     np.testing.assert_allclose(again, u, rtol=1e-15, atol=0.0)
 
 
+def cold_start_cases():
+    """Spanning point sets of the kinds the solver meets, named."""
+    cases = {}
+    for seed, n, m, dups in ((0, 3, 25, 0), (1, 6, 100, 20), (2, 2, 7, 7)):
+        half = np.random.default_rng(seed).standard_normal((m, n))
+        cases[f"sym-{n}-{m}-{dups}"] = np.vstack(
+            [half, -half, half[:dups], -half[:dups]])
+    for seed, n, m in ((3, 3, 8), (4, 5, 60)):
+        gen = np.random.default_rng(seed)
+        cloud = gen.standard_normal((m, n)) + gen.uniform(-1.0, 1.0, n)
+        cases[f"lifted-{n}-{m}"] = lifted(cloud)
+    flat = np.random.default_rng(5).standard_normal((40, 4))
+    flat[:, 2] *= 1e-5
+    cases["flat-axis"] = flat
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(cold_start_cases()))
+def test_mvee_cold_start_is_a_spanning_core_set(monkeypatch, name):
+    pts = cold_start_cases()[name]
+    n = pts.shape[1]
+    real = john._fresh_state
+
+    def first_weights():
+        seen = []
+
+        def spy(pts, u):
+            seen.append(u.copy())
+            return real(pts, u)
+
+        monkeypatch.setattr(john, "_fresh_state", spy)
+        _centered_mvee_weights(pts, 1e-8)
+        return seen[0]
+
+    first, *reruns = (first_weights() for _ in range(3))
+    support = np.nonzero(first)[0]
+    assert support.size == n
+    assert np.linalg.matrix_rank(pts[support]) == n
+    np.testing.assert_array_equal(first[support], np.full(n, 1.0 / n))
+    for again in reruns:
+        np.testing.assert_array_equal(again, first)
+
+
+@pytest.mark.parametrize("name", sorted(cold_start_cases()))
+def test_mvee_cold_start_matches_uniform_start(name):
+    pts = cold_start_cases()[name]
+    m, n = pts.shape
+    eps = 1e-8
+    cold = _centered_mvee_weights(pts, eps)
+    uniform = _centered_mvee_weights(pts, eps, start=np.ones(m))
+    assert fresh_gap(pts, cold) <= eps
+    shape, want = (john._fresh_state(pts, u)[0] / n for u in (cold, uniform))
+    assert np.linalg.norm(shape - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_mvee_cold_start_step_guard(monkeypatch):
+    # 16 signed steps from the core set; 439 from uniform weights on all rows
+    real = john._signed_step
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(john, "_signed_step", counted)
+    john_decomposition(gen_slab_family(6, 100, 100).G, centered=False)
+    assert 0 < len(calls) <= 100
+
+
 @pytest.mark.parametrize("support", [(), (0,), (0, 1), (0, 1, 2)])
 def test_mvee_start_without_spanning_support(rng, support):
     pts = rng.standard_normal((12, 3))
@@ -214,9 +294,14 @@ def test_john_equally_spaced_plane_vectors():
     ang = np.arange(6) * np.pi / 3
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     dec = john_decomposition(pts, centered=False)
-    assert len(dec.weights) == 6
-    np.testing.assert_allclose(dec.weights, np.full(6, 1.0 / 3.0), atol=1e-8)
+    # rows i and i + 3 are a +- pair: every optimal dual gives each pair
+    # 2/3 in total, however it splits it
+    w = np.zeros(6)
+    w[dec.source_indices] = dec.weights
+    np.testing.assert_allclose(w[:3] + w[3:], np.full(3, 2.0 / 3.0),
+                               atol=1e-8)
     assert dec.weights.sum() == pytest.approx(2.0, abs=1e-9)
+    assert dec.residual_identity <= 1e-8
 
 
 def test_john_symmetric_random_residuals(rng):
@@ -273,4 +358,4 @@ def test_john_impossible_tolerance_raises(rng):
     pts = np.vstack([half, -half])
     with pytest.raises(JohnExtractionFailed):
         john_decomposition(pts, centered=False, eps_mvee=1e-4,
-                           tol_john=1e-15)
+                           tol_john=0.0)
