@@ -8,8 +8,11 @@ this package stay in the hundreds of rows, where a dense tableau is fine.
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
 primal simplex per direction, all of them advanced together by stacked n x n
-solves. The walk is not trusted: it only proposes one basis per direction,
-or a ray where the support is unbounded (a line is two rays, one per sign).
+solves and priced by the most negative dual. ``walk_bases`` walks the
+directions +-e_i first and starts every other direction from the best of
+their vertices. The walk is not trusted: it only proposes one basis per
+direction, or a ray where the support is unbounded (a line is two rays, one
+per sign).
 ``check_support`` turns bases into primal and dual witnesses with two stacked
 solves, bounds the rounding in the dual residual, and returns the upper end
 of the bracket only when the two ends meet. ``max_support`` is the walk
@@ -280,50 +283,59 @@ def _first_vertex(G, norms):
     return np.array(active), None
 
 
-def vertex_walk(G, U) -> VertexWalk:
+def vertex_walk(G, U, start=None) -> VertexWalk:
     """Maximize every row u of U over {x : G x <= 1}, all at once.
 
-    A primal vertex walk per direction, all starting from one vertex. Each
-    round solves the stacked bases for duals and vertices, lets the lowest
-    basis row with a negative dual leave, and takes the lowest blocking row
-    along the edge that opens (Bland's rule on both choices). A direction
-    stops at a nonnegative dual or on an edge no row blocks; after
-    50 (m + n) rounds the walk gives up with SolverStall. The result is not
-    trusted: ``walk_bases`` and ``check_support`` check it.
+    A primal vertex walk per direction. Direction j starts at the basis
+    ``start[j]`` when given, else all start at one vertex found by
+    ``_first_vertex``. Each round solves the stacked bases for duals and
+    vertices, lets the basis row with the most negative dual leave
+    (Dantzig's rule, ties to the lowest row), and takes the lowest blocking
+    row along the edge that opens. After a step of zero length the leaving
+    row is the lowest one with a negative dual instead (Bland's rule), so a
+    degenerate vertex cannot make the walk cycle. A direction stops at a
+    nonnegative dual or on an edge no row blocks; after 50 (m + n) rounds,
+    or at a singular basis, the walk gives up with SolverStall. The result
+    is not trusted: ``walk_bases`` and ``check_support`` check it.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m, n = G.shape
     k = U.shape[0]
     norms = np.linalg.norm(G, axis=1)
-    start, line = _first_vertex(G, norms)
     edge = np.zeros((k, n))
     ray = np.zeros(k, dtype=bool)
-    if line is not None:
-        ud = U @ line
-        ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
-                            * np.linalg.norm(line))
-        edge[ray] = np.sign(ud[ray])[:, None] * line
-        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
+    if start is None:
+        first, line = _first_vertex(G, norms)
+        if line is not None:
+            ud = U @ line
+            ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
+                                * np.linalg.norm(line))
+            edge[ray] = np.sign(ud[ray])[:, None] * line
+            return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
+        start = np.tile(first, (k, 1))
     max_rounds = 50 * (m + n)
-    basis = np.tile(start, (k, 1))
+    basis = np.array(start, dtype=int)
+    bland = np.zeros(k, dtype=bool)
     live = np.arange(k)
     for rnd in range(max_rounds + 1):
         B = G[basis[live]]
-        yl = np.linalg.solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
+        yl = _solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
         scale = DUAL_TOL * (1.0 + np.abs(yl).max(axis=1))
         improving = yl < -scale[:, None]
         go = improving.any(axis=1)
-        live, B, improving = live[go], B[go], improving[go]
+        live, B, improving, yl = live[go], B[go], improving[go], yl[go]
         if live.size == 0:
             return VertexWalk(basis, ray, edge)
         if rnd == max_rounds:
             break
-        pos = np.argmin(np.where(improving, basis[live], m), axis=1)
+        steepest = yl == np.where(improving, yl, 0.0).min(axis=1)[:, None]
+        leaving = improving & (bland[live, None] | steepest)
+        pos = np.argmin(np.where(leaving, basis[live], m), axis=1)
         rhs = np.zeros((live.size, n, 2))
         rhs[:, :, 0] = 1.0
         rhs[np.arange(live.size), pos, 1] = -1.0
-        sol = np.linalg.solve(B, rhs)
+        sol = _solve(B, rhs)
         xl, d = sol[:, :, 0], sol[:, :, 1]
         t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), norms,
                            np.linalg.norm(d, axis=1), basis[live])
@@ -331,9 +343,18 @@ def vertex_walk(G, U) -> VertexWalk:
         ray[live[out]] = True
         edge[live[out]] = d[out]
         basis[live[~out], pos[~out]] = row[~out]
+        bland[live] = t <= TIE_TOL
         live = live[~out]
     raise SolverStall(f"vertex walk: {live.size} of {k} directions still "
                       f"improving after {max_rounds} rounds")
+
+
+def _solve(A, b):
+    """np.linalg.solve for the walk, where a singular basis is a stall."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverStall(f"vertex walk: a basis is singular: {exc}") from exc
 
 
 def _with_box(U, n) -> np.ndarray:
@@ -404,18 +425,30 @@ def walk_bases(G, U):
     """The bases ``vertex_walk`` proposes for the rows of U and +-e_i, for
     ``check_support`` to check; None when the support is +inf.
 
-    Where the walk stops on a ray, only this is checked: every claimed ray
-    d rises (u.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative, and
-    one along a row of U gives None. A line is reported as rays along both
-    of its signs, so it passes this check only when G d = 0. Raises
-    SolverStall when that witness fails, and UnboundedBody when the
-    polyhedron is unbounded only in directions orthogonal to every u.
+    The box directions +-e_i are walked first. Each row u of U then starts
+    from the box basis whose vertex maximizes u.x, or from the first vertex
+    when the box walk met a ray; U may have no rows. Where a walk stops on
+    a ray, only this is checked: every claimed ray d rises (u.d > 0) and
+    stays (G d <= 0), each to PIVOT_TOL relative, and one along a row of U
+    gives None. A line is reported as rays along both of its signs, so it
+    passes this check only when G d = 0. Raises SolverStall when that
+    witness fails, and UnboundedBody when the polyhedron is unbounded only
+    in directions orthogonal to every u.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    k = U.shape[0]
-    D = _with_box(U, G.shape[1])
-    walk = vertex_walk(G, D)
+    k, n = U.shape[0], G.shape[1]
+    D = _with_box(U, n)
+    walk = vertex_walk(G, D[k:])
+    if k:
+        start = None
+        if not walk.ray.any():
+            corners = _solve(G[walk.basis], np.ones((2 * n, n, 1)))[:, :, 0]
+            start = walk.basis[np.argmax(U @ corners.T, axis=1)]
+        front = vertex_walk(G, U, start=start)
+        walk = VertexWalk(np.vstack([front.basis, walk.basis]),
+                          np.concatenate([front.ray, walk.ray]),
+                          np.vstack([front.edge, walk.edge]))
     norms = np.linalg.norm(G, axis=1)
     if walk.ray.any():
         e = walk.edge[walk.ray]

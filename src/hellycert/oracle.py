@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
 from .geometry import BodyFamily, containment_factor
-from .lp import max_support
+from .lp import check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -53,15 +53,19 @@ def is_bounded(G) -> bool:
     """Whether {x : G x <= h} is bounded for every h where it is nonempty.
 
     That holds exactly when the recession cone {d : G d <= 0} is {0}. The
-    cone does not depend on h, so one checked vertex walk over
-    {x : G x <= 1}, which holds the origin, in the directions +-e_i decides
-    it.
+    cone does not depend on h, so one vertex walk over {x : G x <= 1},
+    which holds the origin, in the directions +-e_i decides it: a checked
+    ray says no, and ``check_support`` replaying the +e_i bases as those
+    of U = I says yes.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
+    n = G.shape[1]
     try:
-        return math.isfinite(max_support(G, np.eye(G.shape[1])))
+        box = walk_bases(G, np.zeros((0, n)))
     except UnboundedBody:
         return False
+    return math.isfinite(check_support(G, np.eye(n),
+                                       np.concatenate([box[:n], box])))
 
 
 def enumerate_vertices(G, h) -> VertexSet:

@@ -239,8 +239,8 @@ def test_alpha_rejects_forged_walk(forge, monkeypatch):
     assert 1.0 < alpha < math.inf
     real = lp.vertex_walk
 
-    def forged(G, U):
-        walk = real(G, U)
+    def forged(G, U, start=None):
+        walk = real(G, U, start=start)
         forge(walk, np.asarray(G), np.asarray(U))
         return walk
 
@@ -261,14 +261,63 @@ def test_alpha_rejects_a_forged_line(monkeypatch):
         containment_factor(fam, sel)
 
 
+def _start_at_worst_corner(G, U, start):
+    """Each direction starts at the offered vertex that minimizes u.x."""
+    offered = np.unique(start, axis=0)
+    corners = np.linalg.solve(G[offered],
+                              np.ones((len(offered), G.shape[1], 1)))[:, :, 0]
+    return offered[np.argmin(U @ corners.T, axis=1)]
+
+
+def _start_outside(G, U, start):
+    """Every direction starts at n rows whose common point violates G."""
+    n = G.shape[1]
+    for rows in itertools.combinations(range(len(G)), n):
+        x = np.linalg.solve(G[list(rows)], np.ones(n))
+        if np.max(G @ x) > 1.5:
+            return np.tile(rows, (len(U), 1))
+    raise AssertionError("every basis of Q is feasible")
+
+
+def _start_singular(G, U, start):
+    forged = start.copy()
+    forged[:, 1] = forged[:, 0]
+    return forged
+
+
+@pytest.mark.parametrize("forge", [_start_at_worst_corner, _start_outside,
+                                   _start_singular])
+def test_forged_start_never_moves_alpha(forge, monkeypatch):
+    """A start basis is a hint: the walk from a worse vertex, from a point
+    outside Q or from a singular basis gives the same alpha or SolverStall."""
+    fam = gen_slab_family(3, count=12, seed=5)
+    sel = list(range(8))
+    alpha = containment_factor(fam, sel)
+    real = lp.vertex_walk
+    forged_starts = []
+
+    def forged(G, U, start=None):
+        if start is not None:
+            start = forge(np.asarray(G), np.asarray(U), start)
+            forged_starts.append(start)
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", forged)
+    try:
+        assert containment_factor(fam, sel) == pytest.approx(alpha, rel=1e-12)
+    except SolverStall:
+        pass
+    assert len(forged_starts) == 1
+
+
 @pytest.mark.parametrize("forge", [_forge_start_basis, _forge_negative_dual])
 def test_selection_stops_on_a_forged_walk(forge, monkeypatch):
     """The producers' walk is checked once, by the replay in io.check."""
     from hellycert.pipeline import select_symmetric
     real = lp.vertex_walk
 
-    def forged(G, U):
-        walk = real(G, U)
+    def forged(G, U, start=None):
+        walk = real(G, U, start=start)
         forge(walk, np.asarray(G), np.asarray(U))
         return walk
 

@@ -394,7 +394,7 @@ def test_certify_never_walks(certificates, kind, monkeypatch):
     else:
         fam, doc = certificates[kind]
 
-    def no_walk(G, U):
+    def no_walk(G, U, start=None):
         raise AssertionError("certify ran the vertex walk")
 
     monkeypatch.setattr(lp, "vertex_walk", no_walk)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from hellycert import lp
 from hellycert.errors import EmptyBody, UnboundedBody
 from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                          max_support, solve_lp, support_h_polytope,
-                          walk_bases)
+                          check_support, max_support, solve_lp,
+                          support_h_polytope, walk_bases)
+from hellycert.oracle import gen_slab_family
+from hellycert.pipeline import select_symmetric
 
 from conftest import unit_rows
 
@@ -140,3 +143,67 @@ def test_agrees_with_scipy_linprog(rng):
                                      method="highs")
         assert mine.status == OPTIMAL and ref.status == 0
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def _fan_through_corner(rng, n, count):
+    """The cube plus count rows tight at its corner (1, ..., 1), then every
+    third row again: a degenerate vertex with duplicated rows."""
+    v = np.ones(n)
+    w = 0.3 * rng.standard_normal((count, n))
+    w -= np.outer(w @ v, v) / n
+    G = np.vstack([np.eye(n), -np.eye(n), v / n + w])
+    return np.vstack([G, G[::3]])
+
+
+def _counted_rounds(monkeypatch):
+    """Rounds of every walk and direction-rounds (one per live direction
+    per round); a first-vertex shot counts as one of each."""
+    real = lp._blocking
+    count = {"rounds": 0, "directions": 0}
+
+    def counted(gd, *args):
+        count["rounds"] += 1
+        count["directions"] += gd.shape[0]
+        return real(gd, *args)
+
+    monkeypatch.setattr(lp, "_blocking", counted)
+    return count
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
+    """Each proposed basis is optimal for its direction, cold and warm, on
+    random polytopes and on a corner where many rows and duplicates meet;
+    the three walks together stay under one walk's 50 (m + n) round cap."""
+    for _ in range(6):
+        n = int(rng.integers(2, 6))
+        if degenerate:
+            G = _fan_through_corner(rng, n, 3 * n)
+            U = np.vstack([unit_rows(rng, 6, n), G[2 * n:], np.ones(n)])
+        else:
+            extra = unit_rows(rng, 4 * n, n)
+            G = np.vstack([np.eye(n), -np.eye(n),
+                           extra / rng.uniform(0.2, 1.5, (4 * n, 1))])
+            U = unit_rows(rng, 12, n)
+        ref = np.array([-scipy.optimize.linprog(
+            -u, A_ub=G, b_ub=np.ones(len(G)), bounds=(None, None),
+            method="highs").fun for u in U])
+        rounds = _counted_rounds(monkeypatch)
+        warm = walk_bases(G, U)
+        cold = lp.vertex_walk(G, U)
+        assert not cold.ray.any()
+        assert rounds["rounds"] < 50 * (len(G) + n)  # all three walks
+        for bases in (warm[:len(U)], cold.basis):
+            x = np.linalg.solve(G[bases], np.ones((len(U), n, 1)))[:, :, 0]
+            np.testing.assert_allclose(np.einsum("ij,ij->i", U, x), ref,
+                                       rtol=1e-9, atol=1e-12)
+        assert check_support(G, U, warm) == pytest.approx(ref.max(),
+                                                          rel=1e-9)
+
+
+def test_walk_round_guard(monkeypatch):
+    # 2 066 direction-rounds from the +-e_i vertices with Dantzig pricing;
+    # 6 519 with every direction from one vertex by Bland's rule
+    rounds = _counted_rounds(monkeypatch)
+    select_symmetric(gen_slab_family(8, 200, 0))
+    assert 0 < rounds["directions"] <= 3000

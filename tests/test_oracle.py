@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hellycert import lp
 from hellycert.errors import (OracleTooLarge, SharpnessGenFailed,
                               UnboundedBody)
 from hellycert.geometry import containment_factor
@@ -12,7 +13,7 @@ from hellycert.lp import support_h_polytope
 from hellycert.oracle import (best_subset_bruteforce, circumradius_exact,
                               diameter_exact, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
-                              gen_slab_family)
+                              gen_slab_family, is_bounded)
 
 from conftest import cube_slab_family, unit_rows
 
@@ -70,6 +71,23 @@ def test_vertices_of_polytope_away_from_origin():
     h = np.array([-1.0, -1.0, 3.0])
     got = {tuple(np.round(v, 9)) for v in enumerate_vertices(g, h).vertices}
     assert got == {(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("extra, bounded", [([-1.0, -1.0, -1.0], True),
+                                            ([0.0, 0.0, 1.0], False)])
+def test_is_bounded_walks_each_box_direction_once(extra, bounded,
+                                                  monkeypatch):
+    g = np.vstack([np.eye(3), -np.eye(3)[:2], [extra]])
+    real = lp.vertex_walk
+    walked = []
+
+    def counted(G, U, start=None):
+        walked.append(len(U))
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", counted)
+    assert is_bounded(g) is bounded
+    assert walked == [6]
 
 
 def test_unbounded_detected_away_from_origin():
