@@ -15,10 +15,10 @@ neither the ascent nor the Newton finish, nor the core set, has to be
 trusted. A solve can start from the weights of an earlier, nearby solve;
 converged start weights return after that check. Dual weights of the solved
 problem directly supply John decomposition weights after mapping to Loewner
-position, which is why no separate extraction problem is solved. With a
-free center those weights are polished by nonnegative least squares
-(``linalg.nnls``, started from their support); the residual checks that
-follow decide whether the result is accepted.
+position, which is why no separate extraction problem is solved: the
+ellipsoid's center and shape come from the same weights, so the identity
+holds by construction, and the barycenter is off by O(n eps_mvee). The
+residual checks that follow decide whether the result is accepted.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpan, JohnExtractionFailed, SolverStall
-from .linalg import nnls, sym_eigen
+from .errors import DegenerateSpan, JohnExtractionFailed
+from .linalg import sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
@@ -262,12 +262,11 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     """John decomposition of the convex hull of the rows of pts.
 
     Solves the MVEE of the points, maps them to Loewner position and turns
-    the positive dual weights into decomposition weights. With ``centered``
-    the MVEE center is free, the barycenter identity sum a_j v_j = 0 is part
-    of the contract and a nonnegative least-squares polish, warm-started from
-    the weights' support, is applied, and ``start`` may give the lifted MVEE
-    solve's first weights (mvee_general). A polish that reaches its solve cap
-    raises JohnExtractionFailed.
+    the positive dual weights u into decomposition weights a = n u ||y||^2,
+    one path for both modes. With ``centered`` the MVEE center is free, the
+    barycenter identity sum a_j v_j = 0 is part of the contract, and
+    ``start`` may give the lifted MVEE solve's first weights (mvee_general).
+    A residual above tol_john raises JohnExtractionFailed.
     """
     m, n = pts.shape
 
@@ -282,24 +281,6 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     norms = np.linalg.norm(Y[keep], axis=1)
     v = Y[keep] / norms[:, None]
     a = n * u[keep] * norms ** 2
-
-    if centered:
-        # polish: min ||sum a v v^T - I||_F^2 + ||sum a v||^2 over a >= 0
-        cols = np.empty((n * n + n, keep.size))
-        for idx in range(keep.size):
-            cols[:n * n, idx] = np.outer(v[idx], v[idx]).ravel()
-            cols[n * n:, idx] = v[idx]
-        target = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
-        try:
-            a_fit = nnls(cols, target, start=a)
-        except SolverStall as exc:
-            raise JohnExtractionFailed(f"polish: {exc}") from exc
-        pos = a_fit > 0.0
-        keep = keep[pos]
-        v = v[pos]
-        a = a_fit[pos]
-    else:
-        a *= n / a.sum()
 
     op = (v * a[:, None]).T @ v
     residual_identity = float(np.linalg.norm(op - np.eye(n)))

@@ -1,14 +1,10 @@
-"""Dense linear-algebra kernels: symmetric eigenpairs and NNLS.
+"""Dense linear-algebra kernels: symmetric eigenpairs.
 
 Every eigenvalue a certificate reports comes through ``sym_eigen``. The
 solver is LAPACK (``numpy.linalg.eigh``) and is not trusted: its answer is
 returned only after a residual check that bounds the distance of each
 computed eigenvalue from the true one, with the rounding of the check
 itself folded in. The check, not the solver, is the trusted part.
-
-``nnls`` is the Lawson-Hanson active-set method for nonnegative least
-squares, on numpy's least-squares solver. Its answer is not trusted either:
-the John polish that calls it checks the residuals it needs.
 """
 
 from __future__ import annotations
@@ -18,8 +14,6 @@ import numpy as np
 from .errors import InvalidMatrix, SolverStall
 
 TOL_EIGEN = 1e-12
-# nnls gives up after this many least-squares solves per column of A
-NNLS_SOLVES_PER_COLUMN = 3
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -75,67 +69,3 @@ def extremes(points: np.ndarray, coeffs: np.ndarray):
     lam = sym_eigen((points * coeffs[:, None]).T @ points)[0]
     return float(lam[0]), float(lam[-1])
 
-
-def nnls(A, b, start=None) -> np.ndarray:
-    """x >= 0 minimising ||Ax - b||, by Lawson and Hanson's active-set method.
-
-    The passive set P holds the columns free to be positive. Each outer step
-    moves the column of largest gradient (A^T (b - Ax))_j into P; a least-
-    squares solution on P that is not strictly positive is followed by a
-    step toward it that stops where the first weight reaches 0, and that
-    column leaves P. It ends when no gradient entry off P exceeds a rounding
-    tolerance; a column whose own solved weight is not positive right after
-    it enters is set aside until x moves. The first P is the support of
-    ``start``, kept if the least-squares solution on it is strictly
-    positive; otherwise P starts empty. Raises SolverStall after
-    NNLS_SOLVES_PER_COLUMN least-squares solves per column of A.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, k = A.shape
-    cap = NNLS_SOLVES_PER_COLUMN * k
-    tol = 10.0 * max(m, k) * np.finfo(float).eps * float(
-        np.linalg.norm(A) * np.linalg.norm(b))
-    x = np.zeros(k)
-    solves = 0
-
-    def solve(P):
-        nonlocal solves
-        if solves >= cap:
-            raise SolverStall(
-                f"nnls stopped after {solves} least-squares solves (cap "
-                f"{cap}); residual {np.linalg.norm(A @ x - b):.3e}")
-        solves += 1
-        return np.linalg.lstsq(A[:, P], b, rcond=None)[0]
-
-    P = np.zeros(k, dtype=bool) if start is None else np.asarray(start) > 0.0
-    if P.any():
-        z = solve(P)
-        if z.min() > 0.0:
-            x[P] = z
-        else:
-            P[:] = False
-    aside = np.zeros(k, dtype=bool)
-    while True:
-        w = np.where(P | aside, -np.inf, A.T @ (b - A @ x))
-        j = int(np.argmax(w))
-        if not w[j] > tol:
-            return x
-        P[j] = True
-        z = solve(P)
-        if z[np.count_nonzero(P[:j])] <= 0.0:
-            P[j] = False
-            aside[j] = True
-            continue
-        aside[:] = False
-        while z.size and z.min() <= 0.0:
-            xp = x[P]
-            neg = z <= 0.0
-            ratios = xp[neg] / (xp[neg] - z[neg])
-            x[P] = xp + ratios.min() * (z - xp)
-            x[np.nonzero(P)[0][np.nonzero(neg)[0][np.argmin(ratios)]]] = 0.0
-            P &= x > 0.0
-            x[~P] = 0.0
-            z = solve(P)
-        x[:] = 0.0
-        x[P] = z

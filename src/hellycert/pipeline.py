@@ -90,8 +90,9 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
     """Express w as a convex combination of at most n+1 of the points.
 
     A feasibility LP with n+1 equality rows, so its basic solution has at
-    most n+1 nonzeros, then a least-squares polish on that support. The
-    support size and the residual are checked, not trusted.
+    most n+1 nonzeros; its weights above 1e-12 are kept as they are, up to
+    normalization. The support size and the residual are checked, not
+    trusted.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(w, dtype=float)
@@ -105,25 +106,16 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
     if res.status != OPTIMAL:
         raise CaratheodoryFailed(
             f"target at distance > tol from the hull of {k} points")
-    rho = np.maximum(res.x, 0.0)
-    tau = np.nonzero(rho > 1e-12)[0]
-    B = np.vstack([pts[tau].T, np.ones((1, tau.size))])
-    target = np.concatenate([w, [1.0]])
-    fit = np.linalg.lstsq(B, target, rcond=None)[0]
-    if fit.min() >= -1e-10:
-        rho_final = np.maximum(fit, 0.0)
-    else:
-        rho_final = rho[tau]
-    total = rho_final.sum()
-    if total <= 0.0:
+    tau = np.nonzero(res.x > 1e-12)[0]
+    if tau.size == 0:
         raise CaratheodoryFailed("empty convex combination")
-    rho_final = rho_final / total
-    residual = float(np.linalg.norm(pts[tau].T @ rho_final - w))
+    rho = res.x[tau] / res.x[tau].sum()
+    residual = float(np.linalg.norm(pts[tau].T @ rho - w))
     if residual > 1e-9 or tau.size > n + 1:
         raise CaratheodoryFailed(
             f"witness residual {residual:.3e} with support {tau.size} "
             f"(allowed n+1 = {n + 1})")
-    return CaratheodoryWitness(tau=tau, rho=rho_final, residual=residual)
+    return CaratheodoryWitness(tau=tau, rho=rho, residual=residual)
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hellycert
-from hellycert import cli, linalg
+from hellycert import cli
 from hellycert import io as hio
 from hellycert.cli import main
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
@@ -197,17 +197,6 @@ def test_reduce_exit_code_oracle_cap(tmp_path):
     assert hio.load_certificate(cert)["s"] == 7
     assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 4
     assert not red.exists()
-
-
-def test_nnls_cap_exits_naming_the_john_stage(tmp_path, monkeypatch, capsys):
-    inst = tmp_path / "hs.json"
-    cert = tmp_path / "cert.json"
-    hio.save_instance(gen_halfspace_family(2, 4, 3), inst)
-    monkeypatch.setattr(linalg, "NNLS_SOLVES_PER_COLUMN", 0)
-    assert run(["select-gen", "--in", inst, "--out", cert]) == 2
-    err = capsys.readouterr().err
-    assert "JohnExtractionFailed: john: polish: nnls stopped after 0" in err
-    assert not cert.exists()
 
 
 def _python(code, cwd):

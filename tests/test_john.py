@@ -310,8 +310,10 @@ def test_john_symmetric_random_residuals(rng):
         half = unit_rows(rng, 4 * n, n) * rng.uniform(0.5, 2.0, (4 * n, 1))
         pts = np.vstack([half, -half])
         dec = john_decomposition(pts, centered=False, eps_mvee=1e-8)
-        assert dec.residual_identity <= 1e-6
-        assert abs(dec.weights.sum() - n) <= n * 1e-6
+        # the weights are the MVEE's own: the identity and sum a = n hold
+        # by construction, up to rounding
+        assert dec.residual_identity <= 1e-12
+        assert abs(dec.weights.sum() - n) <= 1e-12
         # directional identity on random unit vectors
         for z in unit_rows(rng, 20, n):
             val = float(np.sum(dec.weights * (dec.vectors @ z) ** 2))
@@ -319,11 +321,18 @@ def test_john_symmetric_random_residuals(rng):
 
 
 def test_john_centered_barycenter(rng):
+    # the MVEE's own weights: the identity holds by construction, and the
+    # barycenter sum a v = n sum u (||y|| - 1) y is bounded by the MVEE gap
+    eps = 1e-9
     pts = rng.standard_normal((20, 3)) + np.array([0.4, -0.2, 0.1])
-    dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
-    assert dec.residual_barycenter <= 1e-5
-    assert dec.residual_identity <= 1e-5
-    assert abs(dec.weights.sum() - 3.0) <= 3.0 * 1e-4
+    cold = john_decomposition(pts, centered=True, eps_mvee=eps)
+    # a warm solve, started as _recenter hands the weights on
+    start = mvee_general(pts, eps_mvee=1e-6)[1]
+    warm = john_decomposition(pts, centered=True, eps_mvee=eps, start=start)
+    for dec in (cold, warm):
+        assert dec.residual_identity <= 1e-12
+        assert dec.residual_barycenter <= 3 * eps
+        assert abs(dec.weights.sum() - 3.0) <= 1e-12
 
 
 def test_john_contact_vectors_unit(rng):

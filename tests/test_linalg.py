@@ -1,11 +1,10 @@
-"""Eigen and NNLS kernels."""
+"""Eigen kernels."""
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from hellycert.errors import InvalidMatrix, SolverStall
-from hellycert.linalg import extremes, nnls, sym_eigen
+from hellycert.linalg import extremes, sym_eigen
 
 
 def test_eigen_identity():
@@ -94,49 +93,3 @@ def test_extremes_of_weighted_outer_products():
     assert extremes(pts, np.array([2.0, 0.0, 5.0])) == pytest.approx(
         (lam[0], lam[-1]), abs=1e-12)
 
-
-def _random_nnls_problems(rng, count, tall=False):
-    """Random (A, b); with ``tall``, A has at least as many rows as columns,
-    so it has full column rank and the minimiser is unique."""
-    for _ in range(count):
-        m, k = (int(v) for v in rng.integers(1, 25, size=2))
-        if tall:
-            m, k = max(m, k), min(m, k)
-        yield rng.standard_normal((m, k)), rng.standard_normal(m)
-
-
-def test_nnls_matches_scipy(rng):
-    for A, b in _random_nnls_problems(rng, 300):
-        x = nnls(A, b)
-        ref, _ = scipy.optimize.nnls(A, b)
-        np.testing.assert_allclose(x, ref, rtol=0.0,
-                                   atol=1e-10 * max(1.0, np.abs(ref).max()))
-        np.testing.assert_array_equal(x > 0.0, ref > 0.0)
-
-
-def test_nnls_kkt_conditions(rng):
-    for A, b in _random_nnls_problems(rng, 300):
-        x = nnls(A, b)
-        grad = A.T @ (b - A @ x)
-        tol = 1e-10 * (1.0 + np.linalg.norm(A) * np.linalg.norm(b))
-        assert x.min() >= 0.0
-        assert np.all(grad[x == 0.0] <= tol)
-        np.testing.assert_allclose(grad[x > 0.0], 0.0, atol=tol)
-
-
-def test_nnls_warm_start_does_not_change_the_answer(rng):
-    for A, b in _random_nnls_problems(rng, 200, tall=True):
-        cold = nnls(A, b)
-        wrong = np.where(cold > 0.0, 0.0, 1.0)
-        for start in (wrong, np.zeros(A.shape[1]), cold, -np.ones(A.shape[1])):
-            np.testing.assert_allclose(nnls(A, b, start=start), cold,
-                                       rtol=0.0, atol=1e-10)
-
-
-def test_nnls_leaves_a_positive_but_wrong_start():
-    # the start's support {1} has the positive solution 0.5, which is not
-    # optimal: column 0 enters, and column 1 leaves at its zero crossing
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([1.0, 0.0])
-    np.testing.assert_allclose(nnls(A, b, start=np.array([0.0, 1.0])),
-                               [1.0, 0.0], atol=1e-15)

@@ -160,7 +160,7 @@ def test_caratheodory_random_hull(rng):
     target = lam @ pts
     wit = caratheodory_express(target, pts)
     assert len(wit.tau) <= 6
-    assert wit.residual <= 1e-9
+    assert wit.residual <= 1e-12
     assert np.all(wit.rho >= -1e-12)
     np.testing.assert_allclose(wit.rho @ pts[wit.tau], target, atol=1e-8)
 
@@ -172,6 +172,17 @@ def test_caratheodory_rejects_a_support_above_n_plus_one(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_lp",
                         lambda lp: LpResult(OPTIMAL, x, 0.0))
     with pytest.raises(CaratheodoryFailed, match="support 4"):
+        caratheodory_express(np.zeros(2), pts)
+
+
+def test_caratheodory_keeps_the_lp_weights(monkeypatch):
+    # a basic LP answer whose equality misses by 1e-8: the weights are kept
+    # as the LP gives them, so the residual check names the miss
+    pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+    x = np.array([0.5 + 1e-8, 0.5, 0.0, 0.0])
+    monkeypatch.setattr(pipeline, "solve_lp",
+                        lambda lp: LpResult(OPTIMAL, x, 0.0))
+    with pytest.raises(CaratheodoryFailed, match="witness residual 1.000e-08"):
         caratheodory_express(np.zeros(2), pts)
 
 
