@@ -10,21 +10,23 @@ strictly inside every body. Such a family is its own polar generator set:
 the polar of the intersection is the hull of the rows of G, tagged by owner.
 
 The containment scale alpha of a selection is a checked upper bound on a
-support value: producers walk for it (``containment_bases``) and store the
-walk's bases, and checking a certificate replays those bases through
-``containment_factor`` without walking.
+support value, and it is always one proposal and one replay:
+``containment_bases`` walks and proposes bases, and ``containment_factor``
+replays them and never walks. Producers, ``certify`` and the brute-force
+oracle all take alpha this way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DegenerateInterior, NotInterior, SolverStall,
                      UnboundedBody)
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support, max_support,
-                 solve_lp, walk_bases)
+from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support, solve_lp,
+                 walk_bases)
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -133,10 +135,8 @@ def chebyshev_center(family: BodyFamily):
 
 
 def validate_family(family: BodyFamily):
-    """Reject families whose intersection has (numerically) no interior."""
-    if family.mode != SYMMETRIC:
-        chebyshev_center(family)
-        return
+    """Reject a symmetric family whose intersection has (numerically) no
+    interior around the origin."""
     r = interior_margin(family, np.zeros(family.dim))
     if r < INTERIOR_MARGIN:
         raise DegenerateInterior(f"margin at the origin {r:.3e} is below "
@@ -166,12 +166,6 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
     return replace(family, G=family.G / slack[:, None], h=np.ones(len(slack)))
 
 
-def _require_normalized(family: BodyFamily):
-    if np.max(np.abs(family.h - 1.0)) > 1e-9:
-        raise ValueError("family must be normalized (offsets 1); "
-                         "call normalize_family first")
-
-
 def _containment_system(family: BodyFamily, selected):
     """(G_Q, U): the rows of the selected intersection Q in body order, and
     the family directions whose support over Q sets alpha.
@@ -180,7 +174,9 @@ def _containment_system(family: BodyFamily, selected):
     bodies, so their support is at most 1), and so is the negative row of
     every slab, since Q = -Q.
     """
-    _require_normalized(family)
+    if np.max(np.abs(family.h - 1.0)) > 1e-9:
+        raise ValueError("family must be normalized (offsets 1); "
+                         "call normalize_family first")
     selected = sorted(set(int(i) for i in selected))
     if not selected:
         raise ValueError("selected body list is empty")
@@ -206,23 +202,21 @@ def containment_bases(family: BodyFamily, selected):
     return walk_bases(Gq, U)
 
 
-def containment_factor(family: BodyFamily, selected, bases=None) -> float:
+def containment_factor(family: BodyFamily, selected, bases) -> float:
     """Smallest alpha with (intersection of selected) <= alpha * (full).
 
     alpha is the largest support value of the selected intersection Q over
-    the constraint directions of the family, and at least 1. Without
-    ``bases`` the directions go to ``max_support`` in one batch (+inf when Q
-    is unbounded in a family direction). With the ``bases`` of
-    ``containment_bases`` nothing is walked: ``check_support`` replays them,
-    and raises SolverStall unless they pass its checks. Either way the
-    value is a checked upper bound.
+    the constraint directions of the family, and at least 1. Nothing is
+    walked: ``check_support`` replays the ``bases`` of ``containment_bases``
+    and raises SolverStall unless they pass its checks, so the value is a
+    checked upper bound. None (the walk met a checked ray) gives +inf.
     """
     Gq, U = _containment_system(family, selected)
+    if bases is None:
+        return math.inf
     if not len(U):
-        if bases is not None and len(bases):
+        if len(bases):
             raise SolverStall(f"{len(bases)} bases for no direction: every "
                               "body is selected")
         return 1.0
-    value = (max_support(Gq, U) if bases is None
-             else check_support(Gq, U, bases))
-    return max(1.0, value)
+    return max(1.0, check_support(Gq, U, bases))

@@ -334,8 +334,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     coef = _array(payload, "coefficients", (len(sigma_rows),))
     bases = _bases(payload, "support_bases")
     try:
-        alpha = (math.inf if bases is None
-                 else containment_factor(target, selected, bases))
+        alpha = containment_factor(target, selected, bases)
     except SolverStall as exc:
         raise SolverStall(f"support_bases fail their check: {exc}") from exc
     s, gamma = len(selected), gamma_ratio(d)

@@ -15,10 +15,10 @@ direction, or a ray where the support is unbounded (a line is two rays, one
 per sign).
 ``check_support`` turns bases into primal and dual witnesses with two stacked
 solves, bounds the rounding in the dual residual, and returns the upper end
-of the bracket only when the two ends meet. ``max_support`` is the walk
-followed by that check; a certificate stores the walk's bases
-(``walk_bases``), so checking one replays them through ``check_support`` and
-never walks.
+of the bracket only when the two ends meet. Every support value is one
+proposal and one replay: ``walk_bases`` proposes, a certificate stores its
+bases, and ``check_support`` replays them, in the producer and in checking
+alike, and never walks.
 """
 
 from __future__ import annotations
@@ -465,10 +465,3 @@ def walk_bases(G, U):
         raise UnboundedBody("polyhedron is unbounded only in directions "
                             "orthogonal to every query direction")
     return walk.basis
-
-
-def max_support(G, U) -> float:
-    """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}:
-    ``check_support`` at the bases of ``walk_bases`` (+inf without them)."""
-    bases = walk_bases(G, U)
-    return math.inf if bases is None else check_support(G, U, bases)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
-from .geometry import BodyFamily, containment_factor
+from .geometry import BodyFamily, containment_bases, containment_factor
 from .lp import check_support, walk_bases
 
 MAX_DIM = 6
@@ -27,15 +26,6 @@ MAX_SUBSETS = 200_000
 FEAS_TOL = 1e-8
 MERGE_TOL = 1e-7
 _CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    vertices: np.ndarray
-    active_sets: tuple
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
 
 
 def check_caps(m: int, n: int) -> None:
@@ -68,12 +58,13 @@ def is_bounded(G) -> bool:
                                        np.concatenate([box[:n], box])))
 
 
-def enumerate_vertices(G, h) -> VertexSet:
-    """All vertices of {x : Gx <= h} by n-subset basis solving.
+def enumerate_vertices(G, h) -> np.ndarray:
+    """All vertices of {x : Gx <= h} by n-subset basis solving, as rows in
+    lexicographic order.
 
     Raises OracleTooLarge beyond the caps and UnboundedBody when the
     polyhedron is unbounded (the enumeration itself assumes a polytope).
-    Near-duplicate vertices are merged.
+    Near-duplicate vertices are merged, the first one found kept.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
@@ -88,7 +79,6 @@ def enumerate_vertices(G, h) -> VertexSet:
 
     feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
     verts = []
-    active = []
     combos = itertools.combinations(range(m), n)
     while True:
         chunk = np.fromiter(itertools.chain.from_iterable(
@@ -109,40 +99,35 @@ def enumerate_vertices(G, h) -> VertexSet:
             xs = np.stack([np.linalg.lstsq(bases[good][i], h[idx[i]],
                                            rcond=None)[0]
                            for i in range(idx.shape[0])])
-        ok = np.all(xs @ G.T <= h + feas, axis=1)
-        for row, combo in zip(xs[ok], idx[ok]):
-            verts.append(row)
-            active.append(tuple(int(c) for c in combo))
+        verts.extend(xs[np.all(xs @ G.T <= h + feas, axis=1)])
 
-    kept_v = []
-    kept_a = []
-    for row, combo in zip(verts, active):
-        if all(np.linalg.norm(row - kv) > MERGE_TOL for kv in kept_v):
-            kept_v.append(row)
-            kept_a.append(combo)
-    if not kept_v:
+    kept = []
+    for row in verts:
+        if all(np.linalg.norm(row - kv) > MERGE_TOL for kv in kept):
+            kept.append(row)
+    if not kept:
         raise UnboundedBody("no vertex found; polyhedron empty or degenerate")
-    order = np.lexsort(np.array(kept_v).T[::-1])
-    return VertexSet(
-        vertices=np.array(kept_v)[order],
-        active_sets=tuple(kept_a[i] for i in order))
+    kept = np.array(kept)
+    return kept[np.lexsort(kept.T[::-1])]
 
 
 def diameter_exact(G, h) -> float:
     """Max pairwise vertex distance (attained at vertices for polytopes)."""
-    vs = enumerate_vertices(G, h).vertices
+    vs = enumerate_vertices(G, h)
     diffs = vs[:, None, :] - vs[None, :, :]
     return float(np.sqrt((diffs ** 2).sum(axis=2).max()))
 
 
 def circumradius_exact(G, h) -> float:
     """Max vertex norm, i.e. the radius seen from the origin."""
-    vs = enumerate_vertices(G, h).vertices
+    vs = enumerate_vertices(G, h)
     return float(np.linalg.norm(vs, axis=1).max())
 
 
 def best_subset_bruteforce(family: BodyFamily, s: int):
-    """Exact minimum containment factor over all size-s subfamilies."""
+    """Exact minimum containment factor over all size-s subfamilies, each
+    walked by ``containment_bases`` and replayed by ``containment_factor``
+    as a producer's is."""
     k = len(family)
     if s > k:
         raise ValueError(f"subset size {s} exceeds family size {k}")
@@ -153,11 +138,19 @@ def best_subset_bruteforce(family: BodyFamily, s: int):
     best_alpha = math.inf
     best = None
     for combo in itertools.combinations(range(k), s):
-        alpha = containment_factor(family, list(combo))
+        alpha = containment_factor(family, combo,
+                                   containment_bases(family, combo))
         if alpha < best_alpha - 1e-15:
             best_alpha = alpha
             best = combo
     return best_alpha, best
+
+
+def _require_sizes(**sizes) -> None:
+    """Raise InvalidInstance for a generator size below 1, before any draw."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise InvalidInstance(f"{name}={value} is below 1")
 
 
 def _unit_rows(rng, count: int, n: int) -> np.ndarray:
@@ -226,6 +219,7 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
     fails at once; a draw whose normals span less than R^n is resampled
     without running the certificate.
     """
+    _require_sizes(n=n, N=N)
     if n > MAX_DIM:
         raise OracleTooLarge(f"dimension {n} exceeds oracle cap {MAX_DIM}")
     if N > 4096:
@@ -259,6 +253,7 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
 
 def gen_slab_family(n: int, count: int, seed: int) -> BodyFamily:
     """Seeded family of symmetric slab bodies, 1 to 3 slabs each."""
+    _require_sizes(n=n, count=count)
     rng = np.random.default_rng(seed)
     blocks = []
     for j in range(count):
@@ -279,17 +274,21 @@ def gen_halfspace_family(n: int, count: int, seed: int,
     (hidden, nonzero) point, and the family intersection is bounded; the
     construction resamples until a boundedness check passes.
     """
+    _require_sizes(n=n, count=count)
     lo_rows, hi_rows = rows_per_body or (n + 1, 2 * n + 1)
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         center = rng.uniform(-0.5, 0.5, size=n)
-        # offsets below this keep every c positive, as the file format wants
+        # offsets below this keep every c positive, as the file format wants;
+        # the center's norm grows like sqrt(n / 12), so from about n = 24
+        # off_lo can pass 1.5, and the draw then takes [off_lo, off_lo + 1]
         off_lo = max(margin, float(np.linalg.norm(center)) + 0.05)
+        off_hi = 1.5 if off_lo <= 1.5 else off_lo + 1.0
         blocks = []
         for j in range(count):
             k = int(rng.integers(lo_rows, hi_rows + 1))
             normals = _unit_rows(rng, k, n)
-            offsets = normals @ center + rng.uniform(off_lo, 1.5, size=k)
+            offsets = normals @ center + rng.uniform(off_lo, off_hi, size=k)
             blocks.append((normals, offsets))
         family = BodyFamily.from_blocks("general", n, blocks,
                                         [f"h{j}" for j in range(count)])

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import CaratheodoryFailed, HellycertError, UnboundedBody
+from .errors import (CaratheodoryFailed, HellycertError, InvalidInstance,
+                     UnboundedBody)
 from .geometry import (BodyFamily, chebyshev_center, containment_bases,
                        interior_margin, normalize_family, validate_family)
 from .io import SelectionCertificate, check
@@ -29,13 +30,6 @@ from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
 RECENTER_TARGET = 0.05
 GROWTH_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class CaratheodoryWitness:
-    tau: np.ndarray
-    rho: np.ndarray
-    residual: float
 
 
 @contextmanager
@@ -55,10 +49,17 @@ def _owners(owner: np.ndarray, rows) -> tuple:
     return tuple(int(t) for t in np.unique(owner[np.asarray(rows, dtype=int)]))
 
 
+def _require_mode(family: BodyFamily, mode: str) -> None:
+    if family.mode != mode:
+        raise InvalidInstance(f"{mode} selection needs a {mode} family; this "
+                              f"instance is {family.mode}")
+
+
 def select_symmetric(family: BodyFamily, d: float = 4.0,
                      tol: float = 1e-5) -> SelectionCertificate:
     """Pick at most ceil(d*n) bodies whose intersection stays within
     gamma_d*sqrt(n) times the full intersection; ``check`` certifies it."""
+    _require_mode(family, "symmetric")
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -86,8 +87,9 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
         "residual_identity": decomp.residual_identity, **cert.diagnostics})
 
 
-def caratheodory_express(w, points) -> CaratheodoryWitness:
-    """Express w as a convex combination of at most n+1 of the points.
+def caratheodory_express(w, points):
+    """(tau, rho): w as the convex combination rho of at most n+1 of the
+    points, the rows tau.
 
     A feasibility LP with n+1 equality rows, so its basic solution has at
     most n+1 nonzeros; its weights above 1e-12 are kept as they are, up to
@@ -115,7 +117,7 @@ def caratheodory_express(w, points) -> CaratheodoryWitness:
         raise CaratheodoryFailed(
             f"witness residual {residual:.3e} with support {tau.size} "
             f"(allowed n+1 = {n + 1})")
-    return CaratheodoryWitness(tau=tau, rho=rho, residual=residual)
+    return tau, rho
 
 
 def _polar_offset(family: BodyFamily, z: np.ndarray):
@@ -176,6 +178,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
     witness so the selected bodies keep the translate well inside. Every
     stage's claim lands in the certificate.
     """
+    _require_mode(family, "general")
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -190,10 +193,10 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
     with _stage(stages, "caratheodory"):
         w = shifted.v / math.sqrt(eps * n)
-        witness = caratheodory_express(w, decomp.vectors)
+        tau, rho = caratheodory_express(w, decomp.vectors)
 
     sigma_rows = decomp.source_indices[shifted.sigma]
-    tau_rows = decomp.source_indices[witness.tau]
+    tau_rows = decomp.source_indices[tau]
     selected = _owners(norm.owner, np.concatenate([sigma_rows, tau_rows]))
     with _stage(stages, "containment"):
         cert = check(family, {
@@ -203,7 +206,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
                 "coefficients": shifted.b,
                 "shift": shifted.v,
                 "w": w,
-                "rho": witness.rho,
+                "rho": rho,
                 "frame": decomp.frame,
                 "frame_center": decomp.frame_center,
                 "sigma_rows": sigma_rows,

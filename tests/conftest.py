@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from hellycert.geometry import BodyFamily
+from hellycert.geometry import (BodyFamily, containment_bases,
+                                containment_factor)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -25,6 +26,12 @@ def unit_rows(generator, m, n):
     """m random unit vectors as rows, rejection-free."""
     raw = generator.standard_normal((m, n))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def walked_alpha(family, selected):
+    """alpha as producers take it: walk for the bases, then replay them."""
+    return containment_factor(family, selected,
+                              containment_bases(family, selected))
 
 
 def cube_slab_family(n):

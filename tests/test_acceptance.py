@@ -151,7 +151,7 @@ def test_criterion_3_symmetric_end_to_end(slab_suite):
                                cert.alpha_measured / (3.0 * math.sqrt(n) * (1 + 1e-5)))
         if n == 2:
             gsel, hsel, _ = fam.constraint_matrix(selected=list(cert.selected))
-            verts = enumerate_vertices(gsel, hsel).vertices
+            verts = enumerate_vertices(gsel, hsel)
             gfull, hfull, _ = fam.constraint_matrix()
             alpha_oracle = max(1.0, float(np.max((verts @ gfull.T) / hfull)))
             if abs(alpha_oracle - cert.alpha_measured) > 1e-6:
@@ -244,7 +244,7 @@ def test_criterion_7_oracle_equivalence():
         g = np.vstack([np.eye(n), -np.eye(n), extra])
         h = np.concatenate([rng.uniform(0.5, 1.5, 2 * n),
                             rng.uniform(0.4, 1.4, len(extra))])
-        verts = enumerate_vertices(g, h).vertices
+        verts = enumerate_vertices(g, h)
         dirs = rng.standard_normal((6, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         for u in dirs:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hellycert
-from hellycert import cli
+from hellycert import cli, pipeline
 from hellycert import io as hio
 from hellycert.cli import main
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
@@ -199,12 +199,46 @@ def test_reduce_exit_code_oracle_cap(tmp_path):
     assert not red.exists()
 
 
-def _python(code, cwd):
+@pytest.mark.parametrize("command, kind", [("select-sym", "halfspace"),
+                                           ("select-gen", "slab")])
+def test_mode_mismatch_fails_before_any_stage(tmp_path, monkeypatch, capsys,
+                                              command, kind):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran on an instance of the other mode")
+
+    for name in ("validate_family", "chebyshev_center", "john_decomposition"):
+        monkeypatch.setattr(pipeline, name, no_stage)
+    inst, out = tmp_path / "inst.json", tmp_path / "c.json"
+    assert run(["gen", "--kind", kind, "--n", 2, "--count", 6,
+                "--out", inst]) == 0
+    assert run([command, "--in", inst, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "InvalidInstance" in err
+    assert "symmetric" in err and "general" in err
+    assert not out.exists()
+
+
+def _python(code, cwd, timeout=300):
     src = str(Path(hellycert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("slab", "n"), ("halfspace", "n"), ("sharpness", "n"),
+    ("slab", "count"), ("halfspace", "count"), ("sharpness", "N")])
+def test_gen_rejects_sizes_below_one_at_once(tmp_path, kind, size):
+    # in a subprocess, so that a generator that keeps drawing fails the
+    # test instead of hanging it
+    args = ["gen", "--kind", kind, "--n", "2", f"--{size}", "0",
+            "--out", "inst.json"]
+    out = _python("import sys\nfrom hellycert.cli import main\n"
+                  f"sys.exit(main({args!r}))\n", tmp_path, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert f"InvalidInstance: {size}=0 is below 1" in out.stderr
+    assert not (tmp_path / "inst.json").exists()
 
 
 def test_cli_runs_without_scipy(tmp_path):

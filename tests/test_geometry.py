@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from hellycert import lp
 from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
-from hellycert.geometry import (BodyFamily, chebyshev_center, containment_factor,
+from hellycert.geometry import (BodyFamily, chebyshev_center,
+                                containment_bases, containment_factor,
                                 interior_margin, normalize_family,
                                 validate_family)
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
 
-from conftest import cube_halfspace_family, cube_slab_family
+from conftest import cube_halfspace_family, cube_slab_family, walked_alpha
 
 
 def triangle_family():
@@ -171,12 +172,12 @@ def test_polar_generator_count_mixed():
 
 def test_alpha_all_bodies_is_one():
     fam = cube_slab_family(3)
-    assert containment_factor(fam, list(range(3))) == 1.0
+    assert walked_alpha(fam, list(range(3))) == 1.0
 
 
 def test_alpha_single_slab_unbounded():
     fam = cube_slab_family(2)
-    assert containment_factor(fam, [0]) == math.inf
+    assert walked_alpha(fam, [0]) == math.inf
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -186,7 +187,7 @@ def test_alpha_every_cube_subset(n):
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
             want = 1.0 if k == n else math.inf
-            assert containment_factor(fam, list(subset)) == want
+            assert walked_alpha(fam, list(subset)) == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -207,11 +208,30 @@ def test_alpha_matches_dense_support_of_every_row(symmetric, n, count, seed,
                              unique=True))
     Gq, hq, _ = fam.constraint_matrix(sel)
     want = max([1.0] + [support_h_polytope(Gq, hq, u) for u in G])
-    got = containment_factor(fam, sel)
+    got = walked_alpha(fam, sel)
     if math.isinf(want):
         assert got == math.inf
     else:
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_alpha_only_replays(monkeypatch):
+    """Stored bases give the walked alpha with the walk gone, None gives +inf."""
+    fam = gen_slab_family(3, count=12, seed=5)
+    sel = list(range(8))
+    bases = containment_bases(fam, sel)
+    alpha = walked_alpha(fam, sel)
+    assert 1.0 < alpha < math.inf
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("containment_factor walked")
+
+    monkeypatch.setattr(lp, "vertex_walk", no_walk)
+    monkeypatch.setattr(lp, "_first_vertex", no_walk)
+    assert containment_factor(fam, sel, bases) == alpha
+    assert containment_factor(fam, sel, None) == math.inf
+    with pytest.raises(AssertionError, match="walked"):
+        containment_bases(fam, sel)
 
 
 def _forge_start_basis(walk, G, U):
@@ -235,7 +255,7 @@ def _forge_ray(walk, G, U):
 def test_alpha_rejects_forged_walk(forge, monkeypatch):
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
-    alpha = containment_factor(fam, sel)
+    alpha = walked_alpha(fam, sel)
     assert 1.0 < alpha < math.inf
     real = lp.vertex_walk
 
@@ -246,7 +266,7 @@ def test_alpha_rejects_forged_walk(forge, monkeypatch):
 
     monkeypatch.setattr(lp, "vertex_walk", forged)
     with pytest.raises(SolverStall):
-        containment_factor(fam, sel)
+        walked_alpha(fam, sel)
 
 
 def test_alpha_rejects_a_forged_line(monkeypatch):
@@ -258,7 +278,7 @@ def test_alpha_rejects_a_forged_line(monkeypatch):
     assert np.max(Gq @ d / np.linalg.norm(Gq, axis=1)) > lp.PIVOT_TOL
     monkeypatch.setattr(lp, "_first_vertex", lambda G, norms: (None, d))
     with pytest.raises(SolverStall, match="ray"):
-        containment_factor(fam, sel)
+        walked_alpha(fam, sel)
 
 
 def _start_at_worst_corner(G, U, start):
@@ -292,7 +312,7 @@ def test_forged_start_never_moves_alpha(forge, monkeypatch):
     outside Q or from a singular basis gives the same alpha or SolverStall."""
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
-    alpha = containment_factor(fam, sel)
+    alpha = walked_alpha(fam, sel)
     real = lp.vertex_walk
     forged_starts = []
 
@@ -304,7 +324,7 @@ def test_forged_start_never_moves_alpha(forge, monkeypatch):
 
     monkeypatch.setattr(lp, "vertex_walk", forged)
     try:
-        assert containment_factor(fam, sel) == pytest.approx(alpha, rel=1e-12)
+        assert walked_alpha(fam, sel) == pytest.approx(alpha, rel=1e-12)
     except SolverStall:
         pass
     assert len(forged_starts) == 1
@@ -331,7 +351,7 @@ def test_alpha_antitone_under_growing_selection(rng):
     order = list(rng.permutation(8))
     prev = math.inf
     for k in range(2, 9):
-        alpha = containment_factor(fam, order[:k])
+        alpha = walked_alpha(fam, order[:k])
         assert alpha <= prev + 1e-9
         prev = alpha
 
@@ -364,5 +384,5 @@ def test_polarity_consistency_small():
         assert support_h_polytope(g, h, v) <= 1.0 + 1e-8
     # and against the vertices of the whole intersection
     g, h, _ = fam.constraint_matrix()
-    verts = enumerate_vertices(g, h).vertices
+    verts = enumerate_vertices(g, h)
     assert np.max(verts @ norm.G.T) <= 1.0 + 1e-7

@@ -1,21 +1,23 @@
 """Small-scale exact oracles and seeded instance generators."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from hellycert import lp
 from hellycert.errors import (OracleTooLarge, SharpnessGenFailed,
                               UnboundedBody)
-from hellycert.geometry import containment_factor
+from hellycert.io import save_instance
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (best_subset_bruteforce, circumradius_exact,
                               diameter_exact, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
                               gen_slab_family, is_bounded)
 
-from conftest import cube_slab_family, unit_rows
+from conftest import cube_slab_family, unit_rows, walked_alpha
 
 
 def square_rows():
@@ -25,8 +27,8 @@ def square_rows():
 
 def test_square_vertices():
     vs = enumerate_vertices(*square_rows())
-    assert len(vs.vertices) == 4
-    got = {tuple(np.round(v, 9)) for v in vs.vertices}
+    assert len(vs) == 4
+    got = {tuple(np.round(v, 9)) for v in vs}
     assert got == {(1., 1.), (1., -1.), (-1., 1.), (-1., -1.)}
 
 
@@ -34,18 +36,18 @@ def test_triangle_vertices():
     g = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     h = np.array([0.0, 0.0, 1.0])
     vs = enumerate_vertices(g, h)
-    assert len(vs.vertices) == 3
+    assert len(vs) == 3
 
 
 def test_vertex_self_checks_random(rng):
     g = np.vstack([np.eye(3), -np.eye(3), unit_rows(rng, 5, 3)])
     h = np.concatenate([np.ones(6), rng.uniform(0.4, 1.2, 5)])
     vs = enumerate_vertices(g, h)
-    for v, active in zip(vs.vertices, vs.active_sets):
+    assert np.array_equal(vs, vs[np.lexsort(vs.T[::-1])])
+    for v in vs:
         assert np.all(g @ v <= h + 1e-8)
-        rows = g[list(active)]
-        assert np.linalg.matrix_rank(rows) == 3
-        np.testing.assert_allclose(rows @ v, h[list(active)], atol=1e-7)
+        tight = np.abs(g @ v - h) <= 1e-7
+        assert np.linalg.matrix_rank(g[tight]) == 3
 
 
 def test_dimension_cap():
@@ -69,7 +71,7 @@ def test_unbounded_detected():
 def test_vertices_of_polytope_away_from_origin():
     g = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     h = np.array([-1.0, -1.0, 3.0])
-    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(g, h).vertices}
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(g, h)}
     assert got == {(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)}
 
 
@@ -129,7 +131,7 @@ def test_diameter_dominates_sampled_distances(rng):
     fam = gen_slab_family(3, count=5, seed=21)
     g, h, _ = fam.constraint_matrix()
     d = diameter_exact(g, h)
-    vs = enumerate_vertices(g, h).vertices
+    vs = enumerate_vertices(g, h)
     idx = rng.integers(0, len(vs), size=(40, 2))
     samp = np.linalg.norm(vs[idx[:, 0]] - vs[idx[:, 1]], axis=1)
     assert np.all(samp <= d + 1e-9)
@@ -138,7 +140,7 @@ def test_diameter_dominates_sampled_distances(rng):
 def test_support_matches_vertex_maximum(rng):
     fam = gen_slab_family(2, count=5, seed=3)
     g, h, _ = fam.constraint_matrix()
-    vs = enumerate_vertices(g, h).vertices
+    vs = enumerate_vertices(g, h)
     for u in unit_rows(rng, 10, 2):
         lp_val = support_h_polytope(g, h, u)
         assert lp_val == pytest.approx(float(np.max(vs @ u)), abs=1e-8)
@@ -173,7 +175,7 @@ def test_sharpness_instance_plane():
     # unit offsets keep the unit ball inside every slab
     norms = np.linalg.norm(fam.G[~fam.negated], axis=1)
     assert max(norms) <= 1.0 + 1e-12
-    assert containment_factor(fam, list(range(len(fam)))) == pytest.approx(1.0, abs=1e-9)
+    assert walked_alpha(fam, list(range(len(fam)))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sharpness_instance_3d_certified():
@@ -201,6 +203,30 @@ def test_slab_generator_schema():
     assert fam.dim == 4
     assert 1 <= np.bincount(fam.owner[~fam.negated]).max() <= 3
     assert np.all(np.isfinite(fam.G))
+
+
+def test_halfspace_generator_at_high_n():
+    """At n=24 the hidden center's norm plus 0.05 passes 1.5 for about half
+    the seeds; the offset range then widens instead of being empty."""
+    for seed in range(20):
+        fam = gen_halfspace_family(24, count=48, seed=seed)
+        assert np.all(fam.h > 0), seed
+        # bounded: the rows have rank n and a combination with every weight
+        # >= 1 sums to 0, so G d <= 0 forces G d = 0 and then d = 0
+        assert np.linalg.matrix_rank(fam.G) == 24, seed
+        res = scipy.optimize.linprog(
+            np.zeros(len(fam.G)), A_eq=fam.G.T, b_eq=np.zeros(24),
+            bounds=(1.0, None), method="highs")
+        assert res.status == 0, seed
+
+
+def test_halfspace_generator_bytes_are_pinned(tmp_path):
+    """gen-n3 and reduce-n2n3 are built by this generator, so its instance
+    files must not change."""
+    path = tmp_path / "inst.json"
+    save_instance(gen_halfspace_family(3, 8, 100), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "548253c24eaec491037b801f8499f225be6b859869c95c1e932b2efdff5d6cdb")
 
 
 def test_halfspace_generator_interior_and_bounded():
