@@ -10,10 +10,12 @@ strictly inside every body. Such a family is its own polar generator set:
 the polar of the intersection is the hull of the rows of G, tagged by owner.
 
 The containment scale alpha of a selection is a checked upper bound on a
-support value, and it is always one proposal and one replay:
-``containment_bases`` walks and proposes bases, and ``containment_factor``
-replays them and never walks. Producers, ``certify`` and the brute-force
-oracle all take alpha this way.
+support value in every family direction, each a replayed basis or a checked
+closed-form dual bound: ``containment_bases`` walks the directions that can
+set alpha and proposes their bases, and ``containment_factor`` replays
+those bases, checks the dual bound of every other direction against alpha,
+and never walks. Producers, ``certify`` and the brute-force oracle all take
+alpha this way.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import (DegenerateInterior, NotInterior, SolverStall,
                      UnboundedBody)
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support, solve_lp,
-                 walk_bases)
+from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support,
+                 dual_bounds, solve_lp, walk_bases)
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -166,7 +168,7 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
     return replace(family, G=family.G / slack[:, None], h=np.ones(len(slack)))
 
 
-def _containment_system(family: BodyFamily, selected):
+def containment_system(family: BodyFamily, selected):
     """(G_Q, U): the rows of the selected intersection Q in body order, and
     the family directions whose support over Q sets alpha.
 
@@ -182,36 +184,52 @@ def _containment_system(family: BodyFamily, selected):
         raise ValueError("selected body list is empty")
     if selected[0] < 0 or selected[-1] >= len(family):
         raise ValueError("selected index out of range")
-    inside = np.isin(family.owner, selected)
+    inside = np.zeros(len(family), dtype=bool)
+    inside[selected] = True
+    inside = inside[family.owner]
     return (family.G[inside] / family.h[inside, None],
             family.G[~inside & ~family.negated])
 
 
 def containment_bases(family: BodyFamily, selected):
-    """The bases that ``containment_factor`` replays for this selection.
+    """The walk that ``containment_factor`` replays for this selection:
+    (directions, bases).
 
-    One vertex walk over Q: for each direction (the family rows outside the
-    selection, then +e_i, then -e_i) n indices into the rows of Q. None
-    when the walk met a checked ray (alpha is +inf; a line counts as two
-    rays), and no rows when every body is selected. Nothing but a ray is
-    checked here; the bases are checked when they are replayed.
+    One vertex walk over Q (``lp.walk_bases``) in the family directions of
+    ``containment_system`` that can set alpha. In a symmetric family every
+    direction whose closed-form dual bound is at most the support already
+    walked is left out; in a general one every direction is walked.
+    ``directions`` are the strictly increasing indices of the walked ones,
+    and ``bases`` hold n indices into the rows of Q for each of them, then
+    for +e_i, then for -e_i. ``bases`` is None when the walk met a checked
+    ray (alpha is +inf; a line counts as two rays), and then every
+    direction was walked; both are empty when every body is selected.
+    Nothing but a ray is checked here; the bases are checked when they are
+    replayed.
     """
-    Gq, U = _containment_system(family, selected)
+    Gq, U = containment_system(family, selected)
     if not len(U):
-        return np.zeros((0, family.dim), dtype=int)
-    return walk_bases(Gq, U)
+        return np.zeros(0, dtype=int), np.zeros((0, family.dim), dtype=int)
+    walk = walk_bases(Gq, U, symmetric=family.mode == SYMMETRIC)
+    return (np.arange(len(U)), None) if walk is None else walk
 
 
-def containment_factor(family: BodyFamily, selected, bases) -> float:
+def containment_factor(family: BodyFamily, selected, walk) -> float:
     """Smallest alpha with (intersection of selected) <= alpha * (full).
 
     alpha is the largest support value of the selected intersection Q over
     the constraint directions of the family, and at least 1. Nothing is
-    walked: ``check_support`` replays the ``bases`` of ``containment_bases``
-    and raises SolverStall unless they pass its checks, so the value is a
-    checked upper bound. None (the walk met a checked ray) gives +inf.
+    walked. ``walk`` is the (directions, bases) of ``containment_bases``,
+    the directions strictly increasing. ``check_support`` replays the bases
+    of those directions, and alpha is the largest of its checked upper
+    bounds. Every other direction must have a dual bound of at most alpha:
+    ``lp.dual_bounds`` in a symmetric family, +inf in a general one. So the
+    value is a checked upper bound on every direction's support. Raises
+    SolverStall when a replay or a dual bound fails its check. Bases of
+    None (the walk met a checked ray) give +inf.
     """
-    Gq, U = _containment_system(family, selected)
+    Gq, U = containment_system(family, selected)
+    directions, bases = walk
     if bases is None:
         return math.inf
     if not len(U):
@@ -219,4 +237,15 @@ def containment_factor(family: BodyFamily, selected, bases) -> float:
             raise SolverStall(f"{len(bases)} bases for no direction: every "
                               "body is selected")
         return 1.0
-    return max(1.0, check_support(Gq, U, bases))
+    alpha = max(1.0, check_support(Gq, U[directions], bases))
+    skipped = np.ones(len(U), dtype=bool)
+    skipped[directions] = False
+    if skipped.any():
+        beta = (dual_bounds(Gq, U) if family.mode == SYMMETRIC
+                else np.full(len(U), math.inf))
+        worst = int(np.argmax(np.where(skipped, beta, -math.inf)))
+        if not beta[worst] <= alpha:
+            raise SolverStall(f"direction {worst} has no basis, and its dual "
+                              f"bound {beta[worst]:.12g} exceeds alpha "
+                              f"{alpha:.12g}")
+    return alpha

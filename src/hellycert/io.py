@@ -27,7 +27,7 @@ from . import __version__
 from .errors import (CertificateRejected, InvalidInstance, NotInterior,
                      SolverStall)
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
-                       normalize_family)
+                       containment_system, normalize_family)
 from .linalg import extremes
 from .sparsify import certify_operator_T, gamma_ratio
 
@@ -37,6 +37,11 @@ REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
                   "diam_selected", "diam_full", "diam_ratio", "runtime_s")
 ALPHA_SLACK = 1e-5
 WITNESS_TOL = 1e-12
+# A stored derived float must lie within this relative distance of the one
+# recomputed, so that a certificate written with one numpy/LAPACK build
+# checks on another. It sits below the slack of every verdict (1e-9 and
+# up), and verdicts are recomputed, never read.
+DERIVED_RTOL = 1e-10
 WITNESSES = ("contact_vectors", "tau_vectors")
 
 
@@ -225,17 +230,19 @@ def _array(obj, key, shape) -> np.ndarray:
 
 
 def _indices(obj, name: str, count: int) -> list:
-    """A stored index list, rejected unless it names a non-empty set of
-    items of range(count) in increasing order."""
-    values = _pyify(_field(obj, name))
-    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
-        raise InvalidInstance(f"certificate field {name!r} is not a list of "
-                              f"integers: {values!r}")
-    if not values:
+    """A stored index list, rejected unless it names a set of items of
+    range(count) in increasing order, non-empty when range(count) is."""
+    values = _field(obj, name)
+    if type(values) is not list or set(map(type, values)) - {int}:
+        values = _pyify(values)
+        if not isinstance(values, list) or set(map(type, values)) - {int}:
+            raise InvalidInstance(f"certificate field {name!r} is not a list "
+                                  f"of integers: {values!r}")
+    if count and not values:
         problem = "is empty"
-    elif any(a >= b for a, b in zip(values, values[1:])):
+    elif values != sorted(set(values)):
         problem = "is not strictly increasing"
-    elif values[0] < 0 or values[-1] >= count:
+    elif values and (values[0] < 0 or values[-1] >= count):
         problem = f"is out of range for {count} items"
     else:
         return values
@@ -274,16 +281,19 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
 
     The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps``, ``tol`` and
     the payload: the ``frame`` and ``frame_center``, the generator rows
-    ``sigma_rows`` with their ``coefficients``, the ``support_bases`` of
+    ``sigma_rows`` with their ``coefficients``, the walked
+    ``support_directions`` and their ``support_bases`` of
     ``geometry.containment_bases`` and, in general mode, the ``shift``, the
     Caratheodory target ``w``, its rows ``tau_rows`` and weights ``rho``.
     Each selected body must own one of these rows (a reduced selection drops
-    some owners). alpha comes from replaying the support bases, never from a
-    walk; null bases give alpha = +inf. Witness vectors are derived as
+    some owners). alpha comes from replaying the support bases and checking
+    the dual bound of every other direction against it, never from a walk;
+    null bases give alpha = +inf. Witness vectors are derived as
     normalize((generator - frame_center) @ frame) from the polar generators,
     the rows of the instance normalized at ``z``, and added to the payload;
     s, gamma_d, the bound, alpha, c_measured, the verdicts and the derived
-    diagnostics (budget, spectra, residuals) are recomputed, never read.
+    diagnostics (budget, spectra, residuals, walked and screened direction
+    counts) are recomputed, never read.
     Stages, notes and the producer's own diagnostics are left empty.
 
     Raises InvalidInstance for a missing or mistyped claim,
@@ -332,9 +342,11 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                                   "no sigma or tau generator row")
     vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
     coef = _array(payload, "coefficients", (len(sigma_rows),))
+    count = len(containment_system(target, selected)[1])
+    directions = _indices(payload, "support_directions", count)
     bases = _bases(payload, "support_bases")
     try:
-        alpha = containment_factor(target, selected, bases)
+        alpha = containment_factor(target, selected, (directions, bases))
     except SolverStall as exc:
         raise SolverStall(f"support_bases fail their check: {exc}") from exc
     s, gamma = len(selected), gamma_ratio(d)
@@ -342,6 +354,8 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
         "frame_radius": float(np.max(np.linalg.norm(framed, axis=1))),
         "generators": m,
         "sigma_size": len(sigma_rows),
+        "walked_directions": len(directions),
+        "screened_directions": count - len(directions),
     }
 
     if mode == SYMMETRIC:
@@ -389,17 +403,25 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
 
 
 def _same(stored, derived) -> bool:
-    return type(stored) is type(derived) and stored == derived
+    """Floats within DERIVED_RTOL of each other, anything else equal; the
+    types must match."""
+    if type(stored) is not type(derived):
+        return False
+    if isinstance(derived, float):
+        return math.isclose(stored, derived, rel_tol=DERIVED_RTOL)
+    return stored == derived
 
 
 def verify_certificate(family: BodyFamily, doc: dict):
     """Re-derive a stored certificate with ``check`` and compare.
 
     Every derived field (``s``, ``gamma_d``, ``bound_claimed``,
-    ``alpha_measured``, ``c_measured``, each derived diagnostic) must equal
-    the recomputed value, the stored witness vectors must match the derived
+    ``alpha_measured``, ``c_measured``, each derived diagnostic) must match
+    the recomputed value: integers, None and strings exactly, floats to the
+    relative DERIVED_RTOL. The stored witness vectors must match the derived
     ones to 1e-12, and the stored verdicts must be the recomputed ones, all
-    true. ``format``, ``version`` and ``dimension`` must match, and ``m``
+    true. The claims themselves (indices, ``z``, payload floats) are used as
+    stored. ``format``, ``version`` and ``dimension`` must match, and ``m``
     must be unset or the instance's row count. Informational, not compared:
     ``timing``, ``notes``, ``seed``, ``parameters``, ``diameter``, the John
     residuals, the ``recenter_*``, ``chebyshev_radius`` and ``reduction_*``

@@ -8,17 +8,21 @@ this package stay in the hundreds of rows, where a dense tableau is fine.
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
 primal simplex per direction, all of them advanced together by stacked n x n
-solves and priced by the most negative dual. ``walk_bases`` walks the
-directions +-e_i first and starts every other direction from the best of
-their vertices. The walk is not trusted: it only proposes one basis per
-direction, or a ray where the support is unbounded (a line is two rays, one
-per sign).
+solves and priced by the most negative dual. The walk is not trusted: it
+only proposes one basis per direction, or a ray where the support is
+unbounded (a line is two rays, one per sign).
 ``check_support`` turns bases into primal and dual witnesses with two stacked
 solves, bounds the rounding in the dual residual, and returns the upper end
-of the bracket only when the two ends meet. Every support value is one
-proposal and one replay: ``walk_bases`` proposes, a certificate stores its
-bases, and ``check_support`` replays them, in the producer and in checking
-alike, and never walks.
+of the bracket only when the two ends meet. ``dual_bounds`` bounds the
+support in every direction at once from one closed-form dual each, tight
+when the polyhedron is centrally symmetric. Both end in ``_upper_bounds``,
+the one weak-duality formula that is trusted. ``walk_bases`` walks the
+directions +-e_i first, then only the directions whose dual bound could
+exceed the support already found, each from the best of the box vertices.
+Every support value is a replayed basis or a checked closed-form dual bound:
+``walk_bases`` proposes, a certificate stores the walked directions and
+their bases, and ``check_support`` and ``dual_bounds`` check them, in the
+producer and in checking alike, and never walk.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ DUAL_TOL = 1e-11
 TIE_TOL = 1e-12
 # The primal and dual witnesses must agree to GAP_TOL * (1 + |hi|).
 GAP_TOL = 1e-9
+# ``walk_bases`` walks the directions with this many largest dual bounds
+# first; their supports decide which of the others need a walk.
+WALK_FIRST = 8
 
 
 @dataclass
@@ -362,6 +369,66 @@ def _with_box(U, n) -> np.ndarray:
     return np.vstack([U, np.eye(n), -np.eye(n)])
 
 
+def _upper_bounds(G, D, y) -> np.ndarray:
+    """The one trusted support bound: for each row d of D, an upper bound on
+    max{d.x : G x <= 1} from the duals y on rows of G.
+
+    G is a stack of k row sets (k, r, n), one per direction, or one set of
+    r rows (r, n) that every direction shares; the last 2n rows of D are
+    +e_i, then -e_i. With y+ = max(y, 0) each direction gets
+
+        hi = (sum y+ + |d - G^T y+|_1 M)(1 + 4(r+2)eps),
+
+    with the dot-product rounding bound added to the residual, where
+    M >= max |x|_inf over the polyhedron comes from the same bound on the
+    coordinate directions. By weak duality hi is an upper bound for any y,
+    so a wrong dual can only widen it. Raises SolverStall when the
+    coordinate residual bounds no box.
+    """
+    r, n = G.shape[-2:]
+    yp = np.maximum(y, 0.0)
+    if G.ndim == 3:
+        back = np.einsum("kij,ki->kj", G, yp)
+        mass = np.einsum("kij,ki->kj", np.abs(G), yp)
+    else:
+        back, mass = yp @ G, yp @ np.abs(G)
+    rounding = (r + 1) * EPS * (np.abs(D) + mass)
+    resid = (np.abs(D - back) + rounding).sum(axis=1)
+    total = yp.sum(axis=1)
+    allow = 1.0 + 4 * (r + 2) * EPS
+    rho = resid[-2 * n:].max() * allow
+    if not rho < 1.0:
+        raise SolverStall(f"support check: coordinate residual {rho:.3e} "
+                          "bounds no box")
+    box = total[-2 * n:].max() * allow / (1.0 - rho) * allow
+    return (total + resid * box) * allow
+
+
+def dual_bounds(G, U) -> np.ndarray:
+    """Checked upper bounds on max{u.x : G x <= 1}, one per row u of U,
+    each from one closed-form dual and no walk.
+
+    Let A = G^T G, w = A^-1 u and y = G w, so that G^T y = u. When the rows
+    of G come in pairs +-g (the polyhedron is centrally symmetric), moving
+    every negative entry of y to the opposite row gives the dual 2 y+ >= 0
+    with G^T (2 y+) = u and value sum |y|: Cauchy-Schwarz on a
+    decomposition of the identity, one direction at a time. The bounds are
+    ``_upper_bounds`` of the duals 2y, with the box from the same duals of
+    +-e_i, so they hold for any G; without the pairs the residual widens
+    them. One n x n solve and one product serve every direction. Raises
+    SolverStall when A is singular, which for a symmetric G means that the
+    polyhedron holds a line.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    n = G.shape[1]
+    D = _with_box(np.atleast_2d(np.asarray(U, dtype=float)), n)
+    try:
+        w = np.linalg.solve(G.T @ G, D.T)
+    except np.linalg.LinAlgError as exc:
+        raise SolverStall(f"dual bound: G^T G is singular: {exc}") from exc
+    return _upper_bounds(G, D, 2.0 * (G @ w).T)[:-2 * n]
+
+
 def check_support(G, U, bases) -> float:
     """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}.
 
@@ -371,15 +438,12 @@ def check_support(G, U, bases) -> float:
 
     * lo = max u.x / max(1, max G x) over the bases' vertices x, each
       scaled into the polyhedron;
-    * hi = (sum y+ + |u - G_B^T y+|_1 M)(1 + 4(n+2)eps) with y+ = max(y, 0)
-      and the dot-product rounding bound added to the residual, where
-      M >= max |x|_inf over the polyhedron comes from the same bound on the
-      coordinate directions +-e_i. By weak duality hi is an upper bound at
-      any basis, so a wrong basis can only widen the bracket.
+    * hi = ``_upper_bounds`` of the duals y on the basis rows G_B, so a
+      wrong basis can only widen the bracket.
 
-    Returns max hi over U. Raises SolverStall when the bases do not name n
-    distinct rows of G per direction, a basis is singular, or hi and lo of
-    some direction differ by more than GAP_TOL.
+    Returns max hi over U (-inf when U has no rows). Raises SolverStall when
+    the bases do not name n distinct rows of G per direction, a basis is
+    singular, or hi and lo of some direction differ by more than GAP_TOL.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     m, n = G.shape
@@ -398,19 +462,7 @@ def check_support(G, U, bases) -> float:
         x = np.linalg.solve(GB, np.ones((D.shape[0], n, 1)))[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SolverStall(f"a basis is singular: {exc}") from exc
-    yp = np.maximum(y, 0.0)
-    back = np.einsum("kij,ki->kj", GB, yp)
-    rounding = (n + 1) * EPS * (np.abs(D)
-                                + np.einsum("kij,ki->kj", np.abs(GB), yp))
-    resid = (np.abs(D - back) + rounding).sum(axis=1)
-    total = yp.sum(axis=1)
-    allow = 1.0 + 4 * (n + 2) * EPS
-    rho = resid[k:].max() * allow
-    if not rho < 1.0:
-        raise SolverStall(f"support check: coordinate residual {rho:.3e} "
-                          "bounds no box")
-    box = total[k:].max() * allow / (1.0 - rho) * allow
-    hi = (total + resid * box) * allow
+    hi = _upper_bounds(GB, D, y)
     scale = np.maximum(1.0, (x @ G.T).max(axis=1))
     lo = (D @ (x / scale[:, None]).T).max(axis=1)
     gap = hi - lo
@@ -418,37 +470,70 @@ def check_support(G, U, bases) -> float:
     if not gap[worst] <= GAP_TOL * (1.0 + abs(hi[worst])):
         raise SolverStall(f"support check: direction {worst} bracketed in "
                           f"[{lo[worst]:.12g}, {hi[worst]:.12g}]")
-    return float(hi[:k].max())
+    return float(hi[:k].max(initial=-math.inf))
 
 
-def walk_bases(G, U):
-    """The bases ``vertex_walk`` proposes for the rows of U and +-e_i, for
-    ``check_support`` to check; None when the support is +inf.
+def walk_bases(G, U, symmetric=False):
+    """The rows of U that ``vertex_walk`` walks, and the bases it proposes
+    for them and for +-e_i, for ``check_support`` to check; None when the
+    support is +inf.
 
-    The box directions +-e_i are walked first. Each row u of U then starts
-    from the box basis whose vertex maximizes u.x, or from the first vertex
-    when the box walk met a ray; U may have no rows. Where a walk stops on
-    a ray, only this is checked: every claimed ray d rises (u.d > 0) and
-    stays (G d <= 0), each to PIVOT_TOL relative, and one along a row of U
-    gives None. A line is reported as rays along both of its signs, so it
-    passes this check only when G d = 0. Raises SolverStall when that
-    witness fails, and UnboundedBody when the polyhedron is unbounded only
-    in directions orthogonal to every u.
+    The box directions +-e_i are walked first. When they meet no ray, every
+    row u of U gets a bound beta_u: ``dual_bounds`` when ``symmetric`` (the
+    rows of G come in pairs +-g), else +inf. The WALK_FIRST rows with the
+    largest beta, ties included, are walked, and L is the largest of their
+    supports at their own vertices scaled into the polyhedron. Then every
+    other row with beta_u > L is walked; the support of the rest is at most
+    beta_u <= L. With every beta infinite all rows are walked at once. Each
+    walk starts from the box basis whose vertex maximizes u.x. When the box
+    walk met a ray, beta is never computed, and every row is walked from
+    the first vertex; U may have no rows.
+
+    Where a walk stops on a ray, only this is checked: every claimed ray d
+    rises (u.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative, and
+    one along a row of U gives None. A line is reported as rays along both
+    of its signs, so it passes this check only when G d = 0. Raises
+    SolverStall when that witness fails, and UnboundedBody when the
+    polyhedron is unbounded only in directions orthogonal to every u.
+
+    Returns (directions, bases): the strictly increasing indices of the
+    walked rows of U, and n row indices of G for each of them, then for
+    +e_i, then for -e_i.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     k, n = U.shape[0], G.shape[1]
-    D = _with_box(U, n)
-    walk = vertex_walk(G, D[k:])
-    if k:
-        start = None
-        if not walk.ray.any():
-            corners = _solve(G[walk.basis], np.ones((2 * n, n, 1)))[:, :, 0]
-            start = walk.basis[np.argmax(U @ corners.T, axis=1)]
-        front = vertex_walk(G, U, start=start)
-        walk = VertexWalk(np.vstack([front.basis, walk.basis]),
-                          np.concatenate([front.ray, walk.ray]),
-                          np.vstack([front.edge, walk.edge]))
+    box = vertex_walk(G, _with_box(U[:0], n))
+    walked = np.ones(k, dtype=bool)
+    front = VertexWalk(np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool),
+                       np.zeros((k, n)))
+    if k and box.ray.any():
+        front = vertex_walk(G, U)
+    elif k:
+        corners = _solve(G[box.basis], np.ones((2 * n, n, 1)))[:, :, 0]
+        start = box.basis[np.argmax(U @ corners.T, axis=1)]
+        beta = dual_bounds(G, U) if symmetric else np.full(k, math.inf)
+        walked = beta >= np.sort(beta)[-min(WALK_FIRST, k)]
+        front = head = vertex_walk(G, U[walked], start=start[walked])
+        rest = ~walked
+        if rest.any():
+            ones = np.ones((len(head.basis), n, 1))
+            x = _solve(G[head.basis], ones)[:, :, 0]
+            lo = (np.einsum("ij,ij->i", U[walked], x)
+                  / np.maximum(1.0, (x @ G.T).max(axis=1)))
+            rest &= beta > lo.max()
+        if rest.any():
+            tail = vertex_walk(G, U[rest], start=start[rest])
+            order = np.argsort(np.concatenate([np.flatnonzero(walked),
+                                               np.flatnonzero(rest)]))
+            front = VertexWalk(*(np.concatenate(pair)[order] for pair in (
+                (head.basis, tail.basis), (head.ray, tail.ray),
+                (head.edge, tail.edge))))
+            walked |= rest
+    D = _with_box(U[walked], n)
+    walk = VertexWalk(np.vstack([front.basis, box.basis]),
+                      np.concatenate([front.ray, box.ray]),
+                      np.vstack([front.edge, box.edge]))
     norms = np.linalg.norm(G, axis=1)
     if walk.ray.any():
         e = walk.edge[walk.ray]
@@ -460,8 +545,8 @@ def walk_bases(G, U):
         if not np.all(rises & stays):
             raise SolverStall("vertex walk: claimed ray is not a recession "
                               "direction")
-        if walk.ray[:k].any():
+        if walk.ray[:-2 * n].any():
             return None
         raise UnboundedBody("polyhedron is unbounded only in directions "
                             "orthogonal to every query direction")
-    return walk.basis
+    return np.flatnonzero(walked), walk.basis

@@ -51,7 +51,7 @@ def is_bounded(G) -> bool:
     G = np.atleast_2d(np.asarray(G, dtype=float))
     n = G.shape[1]
     try:
-        box = walk_bases(G, np.zeros((0, n)))
+        box = walk_bases(G, np.zeros((0, n)))[1]
     except UnboundedBody:
         return False
     return math.isfinite(check_support(G, np.eye(n),

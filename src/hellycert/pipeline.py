@@ -73,6 +73,7 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
     rows = decomp.source_indices[res.sigma]
     selected = _owners(family.owner, rows)
     with _stage(stages, "containment"):
+        directions, bases = containment_bases(family, selected)
         cert = check(family, {
             "mode": "symmetric", "z": np.zeros(n), "selected": selected,
             "d": d, "eps": None, "tol": tol, "payload": {
@@ -80,7 +81,8 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
                 "frame": decomp.frame,
                 "frame_center": decomp.frame_center,
                 "sigma_rows": rows,
-                "support_bases": containment_bases(family, selected),
+                "support_directions": directions,
+                "support_bases": bases,
             }})
     stages["total"] = time.perf_counter() - t_start
     return replace(cert, stages=stages, diagnostics={
@@ -199,6 +201,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
     tau_rows = decomp.source_indices[tau]
     selected = _owners(norm.owner, np.concatenate([sigma_rows, tau_rows]))
     with _stage(stages, "containment"):
+        directions, bases = containment_bases(norm, selected)
         cert = check(family, {
             "mode": "general", "z": z, "selected": selected,
             "d": float(shifted.d), "eps": eps, "tol": tol,
@@ -211,7 +214,8 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
                 "frame_center": decomp.frame_center,
                 "sigma_rows": sigma_rows,
                 "tau_rows": tau_rows,
-                "support_bases": containment_bases(norm, selected),
+                "support_directions": directions,
+                "support_bases": bases,
             }})
     stages["total"] = time.perf_counter() - t_start
     return replace(
@@ -243,10 +247,11 @@ def reduce_to_2n(family: BodyFamily,
     m/(m - 2n) factor and the chain is recorded in the certificate. A
     selection of at most 2n bodies is only re-checked, and keeps its
     stages, notes and informational diagnostics and verdicts, and its
-    support bases. A reduced selection's bases are walked again: the
-    input's belong to the selection it came with. Raises UnboundedBody
-    when more than 2n selected bodies have an unbounded intersection, and
-    OracleTooLarge when they are past the vertex oracle's caps.
+    support directions and bases. A reduced selection is walked again: the
+    input's directions and bases belong to the selection it came with.
+    Raises UnboundedBody when more than 2n selected bodies have an
+    unbounded intersection, and OracleTooLarge when they are past the
+    vertex oracle's caps.
     """
     n = family.dim
     t0 = time.perf_counter()
@@ -281,8 +286,9 @@ def reduce_to_2n(family: BodyFamily,
             chain.append((best_j, radius, best_r, growth, m / (m - 2 * n)))
             sel.remove(best_j)
             radius = best_r
-        payload = {**payload,
-                   "support_bases": containment_bases(norm, sorted(sel))}
+        directions, bases = containment_bases(norm, sorted(sel))
+        payload = {**payload, "support_directions": directions,
+                   "support_bases": bases}
         verdicts = {"reduction_growth": growth_ok}
         diagnostics.update(
             reduction_start_radius=start_radius,

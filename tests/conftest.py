@@ -1,10 +1,12 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from hellycert.geometry import (BodyFamily, containment_bases,
-                                containment_factor)
+from hellycert.geometry import (BodyFamily, containment_system,
+                                normalize_family)
+from hellycert.lp import check_support, dual_bounds, walk_bases
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -29,9 +31,32 @@ def unit_rows(generator, m, n):
 
 
 def walked_alpha(family, selected):
-    """alpha as producers take it: walk for the bases, then replay them."""
-    return containment_factor(family, selected,
-                              containment_bases(family, selected))
+    """The reference alpha: walk every family direction, with no dual
+    bound screening any out, and replay every basis."""
+    Gq, U = containment_system(family, selected)
+    if not len(U):
+        return 1.0
+    walk = walk_bases(Gq, U)
+    if walk is None:
+        return math.inf
+    assert len(walk[0]) == len(U)
+    return max(1.0, check_support(Gq, U, walk[1]))
+
+
+def walked_supports(family, doc):
+    """(dual bounds, supports at the stored bases) of the walked directions
+    of a certificate document, in payload order; the dual bounds are +inf
+    in a general family."""
+    target = (family if family.mode == "symmetric"
+              else normalize_family(family, doc["z"]))
+    Gq, U = containment_system(target, doc["selected"])
+    walked = doc["payload"]["support_directions"]
+    bases = np.array(doc["payload"]["support_bases"])[:len(walked)]
+    x = np.linalg.solve(Gq[bases], np.ones((len(walked), family.dim, 1)))
+    support = np.einsum("ij,ij->i", U[walked], x[:, :, 0])
+    beta = (dual_bounds(Gq, U)[walked] if family.mode == "symmetric"
+            else np.full(len(walked), math.inf))
+    return beta, support
 
 
 def cube_slab_family(n):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hellycert
@@ -14,6 +15,8 @@ from hellycert import cli, pipeline
 from hellycert import io as hio
 from hellycert.cli import main
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
+
+from conftest import walked_supports
 
 
 def run(args):
@@ -350,9 +353,81 @@ def test_certify_requires_support_bases(tmp_path, capsys):
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.2.0"
+    assert doc["version"] == "0.3.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()
     assert run(["certify", "--in", inst, "--cert", cert]) == cli.EXIT_INPUT
     assert "support_bases" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory):
+    """Instance and certificate files, each certified: a symmetric one where
+    most directions are screened, and a general one."""
+    out = {}
+    for mode, gen, select in (
+            ("symmetric", ["--kind", "slab", "--n", 6, "--count", 100,
+                           "--seed", 100], "select-sym"),
+            ("general", ["--kind", "halfspace", "--n", 3, "--count", 4,
+                         "--seed", 0], "select-gen")):
+        root = tmp_path_factory.mktemp(mode)
+        inst, cert = root / "inst.json", root / "cert.json"
+        assert run(["gen", *gen, "--out", inst]) == 0
+        assert run([select, "--in", inst, "--out", cert]) == 0
+        assert run(["certify", "--in", inst, "--cert", cert]) == 0
+        out[mode] = (inst, json.loads(cert.read_text()))
+    return out
+
+
+def _drop_walked(pick):
+    """Drop one walked direction with its basis, chosen from the walked
+    directions' (dual bounds, supports, alpha)."""
+    def edit(doc, fam):
+        beta, support = walked_supports(fam, doc)
+        j = pick(beta, support, doc["alpha_measured"])
+        del doc["payload"]["support_directions"][j]
+        del doc["payload"]["support_bases"][j]
+    return edit
+
+
+def _set_directions(value):
+    def edit(doc, fam):
+        doc["payload"]["support_directions"] = value(
+            doc["payload"]["support_directions"])
+    return edit
+
+
+@pytest.mark.parametrize("mode, edit, code, message", [
+    ("symmetric", _drop_walked(lambda beta, support, alpha: next(
+        int(j) for j in np.argsort(-beta)
+        if beta[j] > alpha and j != np.argmax(support))), 2, "has no basis"),
+    ("symmetric", _drop_walked(lambda beta, support, alpha: int(
+        np.argmax(support))), 2, "has no basis"),
+    ("general", _drop_walked(lambda beta, support, alpha: 0), 2,
+     "has no basis"),
+    ("symmetric", _set_directions(lambda d: d[::-1]), 2,
+     "not strictly increasing"),
+    ("symmetric", _set_directions(lambda d: d[:1] + d[:-1]), 2,
+     "not strictly increasing"),
+    ("symmetric", _set_directions(lambda d: d[:-1] + [10 ** 6]), 2,
+     "out of range"),
+    ("symmetric", _set_directions(lambda d: []), 2, "is empty"),
+    ("symmetric", _set_directions(lambda d: " ".join(map(str, d))), 3,
+     "support_directions"),
+    ("symmetric", _set_directions(lambda d: [float(j) for j in d]), 3,
+     "support_directions"),
+    ("symmetric", _set_directions(lambda d: None), 3, "support_directions"),
+], ids=["dual-bound-above-alpha", "attaining", "general-missing",
+        "reversed", "repeated", "past-the-end", "empty", "string", "floats",
+        "null"])
+def test_certify_exit_codes_for_screened_directions(
+        certified, tmp_path, capsys, mode, edit, code, message):
+    inst, doc = certified[mode]
+    doc = json.loads(json.dumps(doc))
+    edit(doc, hio.load_instance(inst))
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == code
+    assert message in capsys.readouterr().err

@@ -12,13 +12,14 @@ from hellycert import lp
 from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
 from hellycert.geometry import (BodyFamily, chebyshev_center,
                                 containment_bases, containment_factor,
-                                interior_margin, normalize_family,
-                                validate_family)
-from hellycert.lp import support_h_polytope
+                                containment_system, interior_margin,
+                                normalize_family, validate_family)
+from hellycert.lp import dual_bounds, support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
 
-from conftest import cube_halfspace_family, cube_slab_family, walked_alpha
+from conftest import (cube_halfspace_family, cube_slab_family, unit_rows,
+                      walked_alpha)
 
 
 def triangle_family():
@@ -215,11 +216,54 @@ def test_alpha_matches_dense_support_of_every_row(symmetric, n, count, seed,
         assert got == pytest.approx(want, rel=1e-10)
 
 
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 6), count=st.integers(3, 24),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_dual_bounds_are_sound_and_screening_keeps_alpha(n, count, seed,
+                                                         data):
+    """On slab families with duplicated and near-parallel slabs, every dual
+    bound is at least the HiGHS support, and the screened alpha is the one
+    of a walk and replay of every direction, to the bit."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    rows = unit_rows(rng, count, n) / rng.uniform(0.3, 1.5, (count, 1))
+    twins = rows[:max(1, count // 4)]
+    tilted = twins + 1e-6 * unit_rows(rng, len(twins), n)
+    fam = BodyFamily.from_blocks(
+        "symmetric", n, [r[None] for r in np.vstack([rows, twins, tilted])])
+    sel = data.draw(st.lists(st.integers(0, len(fam) - 1), min_size=1,
+                             max_size=len(fam) - 1, unique=True))
+    Gq, U = containment_system(fam, sel)
+    assume(np.linalg.cond(Gq) < 1e7)  # Q is bounded, and not nearly a line
+    # HiGHS meets its rows only to its feasibility tolerance, so each of its
+    # optimal points is scaled into Q before it is compared
+    x = np.array([scipy_optimize.linprog(
+        -u, A_ub=Gq, b_ub=np.ones(len(Gq)), bounds=(None, None),
+        method="highs").x for u in U])
+    support = (np.einsum("ij,ij->i", U, x)
+               / np.maximum(1.0, (x @ Gq.T).max(axis=1)))
+    assert np.all(dual_bounds(Gq, U) >= support)
+
+    def alpha(walk_and_replay):
+        try:
+            return walk_and_replay()
+        except SolverStall:
+            return None
+
+    # A walk can stop at a basis holding two near-parallel rows, where the
+    # replay's bracket fails; the screen may leave that direction out.
+    want = alpha(lambda: walked_alpha(fam, sel))
+    got = alpha(lambda: containment_factor(fam, sel,
+                                           containment_bases(fam, sel)))
+    assert got == want or want is None
+
+
 def test_alpha_only_replays(monkeypatch):
     """Stored bases give the walked alpha with the walk gone, None gives +inf."""
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
-    bases = containment_bases(fam, sel)
+    directions, bases = containment_bases(fam, sel)
     alpha = walked_alpha(fam, sel)
     assert 1.0 < alpha < math.inf
 
@@ -228,8 +272,8 @@ def test_alpha_only_replays(monkeypatch):
 
     monkeypatch.setattr(lp, "vertex_walk", no_walk)
     monkeypatch.setattr(lp, "_first_vertex", no_walk)
-    assert containment_factor(fam, sel, bases) == alpha
-    assert containment_factor(fam, sel, None) == math.inf
+    assert containment_factor(fam, sel, (directions, bases)) == alpha
+    assert containment_factor(fam, sel, (directions, None)) == math.inf
     with pytest.raises(AssertionError, match="walked"):
         containment_bases(fam, sel)
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hellycert import __version__, lp
 from hellycert import io as hio
@@ -15,7 +17,7 @@ from hellycert.geometry import normalize_family
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
 
-from conftest import cube_slab_family
+from conftest import cube_slab_family, walked_supports
 
 
 def test_instance_roundtrip_symmetric(tmp_path):
@@ -235,11 +237,12 @@ VERDICTS = {
 }
 DIAGNOSTICS = {
     "symmetric": ("residual_identity", "frame_radius", "generators",
-                  "sigma_size", "lambda_min", "lambda_max", "sandwich_limit",
-                  "budget"),
+                  "sigma_size", "walked_directions", "screened_directions",
+                  "lambda_min", "lambda_max", "sandwich_limit", "budget"),
     "general": ("residual_identity", "residual_barycenter",
                 "chebyshev_radius", "recenter_offset", "recenter_iters",
                 "frame_radius", "generators", "sigma_size",
+                "walked_directions", "screened_directions",
                 "barycenter_residual",
                 "shift_norm_bound", "sum_b", "shifted_lo", "shifted_hi",
                 "unshifted_lo", "unshifted_hi", "sandwich_window",
@@ -248,10 +251,10 @@ DIAGNOSTICS = {
 }
 PAYLOAD = {
     "symmetric": ("coefficients", "frame", "frame_center", "sigma_rows",
-                  "contact_vectors", "support_bases"),
+                  "contact_vectors", "support_directions", "support_bases"),
     "general": ("coefficients", "frame", "frame_center", "sigma_rows",
                 "contact_vectors", "shift", "w", "rho", "tau_rows",
-                "tau_vectors", "support_bases"),
+                "tau_vectors", "support_directions", "support_bases"),
 }
 WITNESS_VECTORS = ("contact_vectors", "tau_vectors")
 INFORMATIONAL = {"seed", "parameters", "notes", "timing",
@@ -402,17 +405,14 @@ def test_certify_never_walks(certificates, kind, monkeypatch):
 
 
 def _attaining_direction(fam, doc):
-    """(index of the direction whose support is alpha, rows of Q)."""
+    """(position in support_bases of the direction whose support is alpha,
+    rows of Q)."""
+    support = walked_supports(fam, doc)[1]
+    j = int(np.argmax(support))
+    assert support[j] == pytest.approx(doc["alpha_measured"], rel=1e-12)
     target = (fam if fam.mode == "symmetric"
               else normalize_family(fam, doc["z"]))
-    inside = np.isin(target.owner, doc["selected"])
-    Gq, U = target.G[inside], target.G[~inside & ~target.negated]
-    bases = np.array(doc["payload"]["support_bases"])
-    values = [U[j] @ np.linalg.solve(Gq[bases[j]], np.ones(fam.dim))
-              for j in range(len(U))]
-    j = int(np.argmax(values))
-    assert values[j] == pytest.approx(doc["alpha_measured"], rel=1e-12)
-    return j, len(Gq)
+    return j, int(np.isin(target.owner, doc["selected"]).sum())
 
 
 def _edit_row(bases, j, m):
@@ -453,3 +453,155 @@ def test_verify_rejects_forged_support_bases(certificates, mode, forge):
     want = ("alpha_measured" if payload["support_bases"] is None
             else "support_bases")
     assert not ok and any(want in p for p in problems), problems
+
+
+@pytest.fixture(scope="module")
+def screened():
+    """A symmetric certificate where most family directions are screened."""
+    fam = gen_slab_family(6, 100, seed=100)
+    doc = hio.certificate_to_json(select_symmetric(fam), __version__)
+    doc = json.loads(json.dumps(doc))
+    walked = doc["diagnostics"]["walked_directions"]
+    assert 0 < walked < doc["diagnostics"]["screened_directions"]
+    return fam, doc
+
+
+def _drop_walked(doc, j):
+    del doc["payload"]["support_directions"][j]
+    del doc["payload"]["support_bases"][j]
+    return doc
+
+
+def _above_alpha(beta, support, alpha):
+    """A walked direction whose dual bound exceeds alpha and whose support
+    does not set it."""
+    return next(int(j) for j in np.argsort(-beta)
+                if beta[j] > alpha and j != np.argmax(support))
+
+
+@pytest.mark.parametrize("pick", [
+    _above_alpha, lambda beta, support, alpha: int(np.argmax(support))],
+    ids=["dual-bound-above-alpha", "attaining"])
+def test_verify_rejects_a_dropped_walked_direction(screened, pick):
+    fam, doc = screened
+    assert hio.verify_certificate(fam, doc) == (True, [])
+    beta, support = walked_supports(fam, doc)
+    j = pick(beta, support, doc["alpha_measured"])
+    assert beta[j] > doc["alpha_measured"]
+    ok, problems = hio.verify_certificate(
+        fam, _drop_walked(copy.deepcopy(doc), j))
+    assert not ok and "has no basis" in problems[0], problems
+
+
+def test_verify_rejects_a_general_certificate_missing_a_direction(
+        certificates):
+    fam, doc = certificates["general"]
+    for j in range(len(doc["payload"]["support_directions"])):
+        ok, problems = hio.verify_certificate(
+            fam, _drop_walked(copy.deepcopy(doc), j))
+        assert not ok and "has no basis" in problems[0], problems
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda d: d[::-1], "not strictly increasing"),
+    (lambda d: d[:1] + d[:-1], "not strictly increasing"),
+    (lambda d: d[:-1] + [10 ** 6], "out of range"),
+    (lambda d: [-1] + d[1:], "out of range"),
+    (lambda d: [], "is empty"),
+], ids=["reversed", "repeated", "past-the-end", "negative", "empty"])
+def test_verify_rejects_bad_support_directions(screened, edit, reason):
+    fam, doc = screened
+    edited = copy.deepcopy(doc)
+    payload = edited["payload"]
+    payload["support_directions"] = edit(payload["support_directions"])
+    ok, problems = hio.verify_certificate(fam, edited)
+    assert not ok and len(problems) == 1, problems
+    assert problems[0].startswith("support_directions ") and reason in (
+        problems[0])
+
+
+def test_no_family_direction_takes_no_basis():
+    """With every body selected there is no direction: the empty list is
+    the only one accepted, and alpha is 1."""
+    fam = cube_slab_family(2)
+    cert = select_symmetric(fam, d=4.0)
+    assert cert.selected == (0, 1) and cert.alpha_measured == 1.0
+    doc = json.loads(json.dumps(hio.certificate_to_json(cert, __version__)))
+    assert doc["payload"]["support_directions"] == []
+    assert hio.verify_certificate(fam, doc) == (True, [])
+    doc["payload"]["support_directions"] = [0]
+    assert not hio.verify_certificate(fam, doc)[0]
+
+
+def _nudged(fn, ulps=3):
+    """fn with every array it returns scaled by 1 + ulps eps: a stand-in for
+    another LAPACK build."""
+    factor = 1.0 + ulps * np.finfo(float).eps
+
+    def nudged(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if isinstance(out, tuple):
+            return type(out)(*(part * factor for part in out))
+        return out * factor
+    return nudged
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general", "screened"])
+def test_certificate_verifies_after_a_few_ulps_of_drift(
+        certificates, screened, mode, monkeypatch):
+    fam, doc = screened if mode == "screened" else certificates[mode]
+    monkeypatch.setattr(np.linalg, "eigh", _nudged(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "solve", _nudged(np.linalg.solve))
+    drifted = hio.check(fam, copy.deepcopy(doc))
+    assert drifted.alpha_measured != doc["alpha_measured"]
+    assert drifted.diagnostics["lambda_max" if mode != "general"
+                               else "shifted_hi"] != doc["diagnostics"][
+        "lambda_max" if mode != "general" else "shifted_hi"]
+    assert hio.verify_certificate(fam, copy.deepcopy(doc)) == (True, [])
+
+
+DERIVED_FLOATS = ("gamma_d", "bound_claimed", "alpha_measured", "c_measured")
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_verify_rejects_a_small_edit_of_each_derived_float(certificates,
+                                                           mode):
+    """1e-6 relative is far above another build's rounding, and far below
+    any edit that could change a verdict."""
+    fam, doc = certificates[mode]
+    fields = [(None, k) for k in DERIVED_FLOATS
+              if isinstance(doc[k], float)]
+    fields += [("diagnostics", k) for k, v in doc["diagnostics"].items()
+               if isinstance(v, float)
+               and f"diagnostics.{k}" not in INFORMATIONAL]
+    assert len(fields) >= (7 if mode == "symmetric" else 16)
+    for section, key in fields:
+        edited = copy.deepcopy(doc)
+        where = edited[section] if section else edited
+        assert where[key] != 0.0
+        where[key] *= 1.0 + 1e-6
+        ok, problems = hio.verify_certificate(fam, edited)
+        assert not ok and any(f"{key}=" in p for p in problems), (key,
+                                                                 problems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["symmetric", "general"]), data=st.data(),
+       scale=st.floats(-12.0, 3.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_derived_float_edits_are_judged_by_their_size(certificates, mode,
+                                                      data, scale, sign):
+    """A relative edit of a derived float is accepted when it is at most
+    DERIVED_RTOL and rejected from 10 times that on."""
+    size = 10.0 ** scale
+    fam, doc = certificates[mode]
+    keys = [k for k, v in doc["diagnostics"].items() if isinstance(v, float)
+            and f"diagnostics.{k}" not in INFORMATIONAL]
+    key = data.draw(st.sampled_from(["alpha_measured", *keys]))
+    edited = copy.deepcopy(doc)
+    where = edited if key == "alpha_measured" else edited["diagnostics"]
+    where[key] *= 1.0 + sign * size
+    ok = hio.verify_certificate(fam, edited)[0]
+    if size <= hio.DERIVED_RTOL / 2:
+        assert ok
+    elif size >= 10 * hio.DERIVED_RTOL:
+        assert not ok

@@ -189,7 +189,8 @@ def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
             -u, A_ub=G, b_ub=np.ones(len(G)), bounds=(None, None),
             method="highs").fun for u in U])
         rounds = _counted_rounds(monkeypatch)
-        warm = walk_bases(G, U)
+        directions, warm = walk_bases(G, U)
+        np.testing.assert_array_equal(directions, np.arange(len(U)))
         cold = lp.vertex_walk(G, U)
         assert not cold.ray.any()
         assert rounds["rounds"] < 50 * (len(G) + n)  # all three walks
@@ -199,6 +200,24 @@ def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
                                        rtol=1e-9, atol=1e-12)
         assert check_support(G, U, warm) == pytest.approx(ref.max(),
                                                           rel=1e-9)
+
+
+def test_screened_walk_guard(monkeypatch):
+    """At n=20 the dual bounds leave 48 of the 1 111 family directions to
+    walk; without them every direction was walked."""
+    real = lp.vertex_walk
+    walked = []
+
+    def counted(G, U, start=None):
+        if start is not None:
+            walked.append(len(U))
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", counted)
+    cert = select_symmetric(gen_slab_family(20, 600, 0))
+    assert 0 < sum(walked) <= 100
+    assert cert.diagnostics["walked_directions"] == sum(walked)
+    assert sum(walked) + cert.diagnostics["screened_directions"] == 1111
 
 
 def test_walk_round_guard(monkeypatch):
