@@ -3,8 +3,15 @@
 Vertex enumeration solves every n-subset of constraints as a linear system
 and filters by feasibility. That is exponential and proudly so: at the
 enforced caps it is trivially correct, which makes it the trust anchor the
-LP and selection code is tested against. Also hosts the seeded generators
-for slab families, halfspace families and the sharp two-ball instances.
+LP and selection code is tested against. One pass serves a system and every
+system left when the rows of one body are dropped, which is how
+``reduce_to_2n`` prices all the drops of a greedy step: a basic solution is
+a vertex of the system without body j when no row of its basis is j's and
+every row it violates is. Boundedness comes from the same bases, through a
+nonnegative dual for each of +-e_i and the trusted ``lp._upper_bounds``;
+only a system without such bases is walked by ``is_bounded``. Also hosts
+the seeded generators for slab families, halfspace families and the sharp
+two-ball instances.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ import math
 import numpy as np
 
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
-                     UnboundedBody)
+                     SolverStall, UnboundedBody)
 from .geometry import BodyFamily, containment_bases, containment_factor
-from .lp import check_support, walk_bases
+from .lp import _upper_bounds, check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -58,27 +65,90 @@ def is_bounded(G) -> bool:
                                        np.concatenate([box[:n], box])))
 
 
-def enumerate_vertices(G, h) -> np.ndarray:
-    """All vertices of {x : Gx <= h} by n-subset basis solving, as rows in
-    lexicographic order.
+def _box_duals(bases, box) -> np.ndarray:
+    """y[t, d] with bases[t]^T y = d for every row d of box, from one stacked
+    solve; NaN where a basis is singular."""
+    k, n = bases.shape[:2]
+    rhs = np.broadcast_to(box.T, (k, n, len(box)))
+    try:
+        return np.swapaxes(np.linalg.solve(np.swapaxes(bases, 1, 2), rhs),
+                           1, 2)
+    except np.linalg.LinAlgError:
+        return np.full((k, len(box), n), np.nan)
 
-    Raises OracleTooLarge beyond the caps and UnboundedBody when the
-    polyhedron is unbounded (the enumeration itself assumes a polytope).
-    Near-duplicate vertices are merged, the first one found kept.
+
+def _box_bounded(G, idx, y, covers, box) -> bool:
+    """Whether the duals y of the bases idx bound {x : G x <= 1}: for each
+    row of box the first basis marked in ``covers``, which says that its
+    dual is nonnegative, with ``lp._upper_bounds`` of those duals finite.
+    False without such a basis for some row, or when the bound raises."""
+    if not covers.any(axis=0).all():
+        return False
+    t = np.argmax(covers, axis=0)
+    try:
+        return bool(np.isfinite(_upper_bounds(
+            G[idx[t]], box, y[t, np.arange(len(box))])).all())
+    except SolverStall:
+        return False
+
+
+def _near_pairs(X):
+    """(i, j) with j < i for every pair of rows of X not more than MERGE_TOL
+    apart, i increasing: one pairwise-distance pass, in blocks of rows."""
+    step = max(1, (1 << 18) // max(len(X), 1))
+    pi, pj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for a in range(0, len(X), step):
+        dist = np.linalg.norm(X[a:a + step, None, :] - X[None, :a + step, :],
+                              axis=2)
+        i, j = np.nonzero(~(dist > MERGE_TOL))
+        below = j < i + a
+        pi.append(i[below] + a)
+        pj.append(j[below])
+    return np.concatenate(pi), np.concatenate(pj)
+
+
+def _first_kept(member, pi, pj):
+    """The rows of ``member`` left when each one within MERGE_TOL of an
+    earlier kept member is merged into it, walking in row order."""
+    both = member[pi] & member[pj]
+    pi, pj = pi[both], pj[both]
+    later = np.zeros(len(member), dtype=bool)
+    later[pi] = True
+    keep = member & ~later
+    merged = np.zeros(len(member), dtype=bool)
+    merged[pi[keep[pj]]] = True
+    # left: rows whose earlier near members all have earlier ones too (a
+    # chain of near-duplicates); settle them in order
+    for i in np.flatnonzero(later & ~merged):
+        keep[i] = not keep[pj[pi == i]].any()
+    return keep
+
+
+def _vertex_sets(G, h, owner=None) -> list:
+    """The vertices of {x : G x <= h}, then, when ``owner`` names the body of
+    every row, those of the same system without each body's rows, bodies in
+    increasing order. One pass over the n-subsets of G serves them all.
+
+    A basic solution x of the rows B is a vertex of the system without body
+    j when no row of B is j's and every row that x violates (past FEAS_TOL)
+    is j's, so only solutions that violate rows of at most one body are
+    kept. Each entry is the array of the vertices in the order found, a
+    near-duplicate merged into the first one kept, or None when the system
+    is unbounded. Bounded is decided from the bases found: for each of the
+    directions +-e_i a basis of that system whose dual G_B^T y = +-e_i is
+    nonnegative, with ``lp._upper_bounds`` of those duals finite, which
+    bounds {x : G x <= 1} and so the recession cone, whatever h is. A
+    system without such bases, or whose bound raises, is decided by
+    ``is_bounded``, so an unbounded verdict is a checked ray; the systems
+    without a body of an unbounded whole are unbounded unwalked. The caller
+    checks the caps.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    h = np.asarray(h, dtype=float)
     m, n = G.shape
-    check_caps(m, n)
-    if m < n:
-        raise UnboundedBody(f"{m} constraints cannot bound dimension {n}")
-
-    if not is_bounded(G):
-        raise UnboundedBody(f"{m} constraints leave a recession direction "
-                            f"in dimension {n}")
-
+    drops = owner is not None
+    owner = (np.unique(owner, return_inverse=True)[1] if drops
+             else np.zeros(m, dtype=np.intp))
     feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
-    verts = []
+    found_idx, found_x, found_body = [], [], []
     combos = itertools.combinations(range(m), n)
     while True:
         chunk = np.fromiter(itertools.chain.from_iterable(
@@ -99,15 +169,69 @@ def enumerate_vertices(G, h) -> np.ndarray:
             xs = np.stack([np.linalg.lstsq(bases[good][i], h[idx[i]],
                                            rcond=None)[0]
                            for i in range(idx.shape[0])])
-        verts.extend(xs[np.all(xs @ G.T <= h + feas, axis=1)])
+        out = ~(xs @ G.T <= h + feas)
+        body = np.full(len(idx), -1)
+        if drops:
+            hit = out.any(axis=1)
+            body[hit] = owner[np.argmax(out[hit], axis=1)]
+            keep = ~(out & (owner != body[:, None])).any(axis=1)
+        else:
+            keep = ~out.any(axis=1)
+        found_idx.append(idx[keep])
+        found_x.append(xs[keep])
+        found_body.append(body[keep])
+    idx = np.concatenate(found_idx or [np.zeros((0, n), dtype=np.intp)])
+    X = np.concatenate(found_x or [np.zeros((0, n))])
+    body = np.concatenate(found_body or [np.zeros(0, dtype=int)])
 
-    kept = []
-    for row in verts:
-        if all(np.linalg.norm(row - kv) > MERGE_TOL for kv in kept):
-            kept.append(row)
-    if not kept:
+    # member[t, 0]: X[t] is a vertex of the whole system; member[t, 1 + j]:
+    # of the system without body j, which has rows[1 + j] rows
+    member = (body < 0)[:, None]
+    rows = np.array([m])
+    if drops:
+        in_basis = np.zeros((len(idx), owner.max() + 1), dtype=bool)
+        in_basis[np.arange(len(idx))[:, None], owner[idx]] = True
+        member = np.hstack([member, (member | (
+            body[:, None] == np.arange(in_basis.shape[1]))) & ~in_basis])
+        rows = np.concatenate([rows, m - np.bincount(owner)])
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    y = _box_duals(G[idx], box)
+    covers = member[:, :, None] & (y >= 0).all(axis=2)[:, None, :]
+    pi, pj = _near_pairs(X)
+    sets = []
+    for c, keep in enumerate(member.T):
+        if rows[c] < n or (c and sets[0] is None):
+            sets.append(None)  # too few rows, or rows of an unbounded system
+        elif (_box_bounded(G, idx, y, covers[:, c], box)
+              or is_bounded(G[owner != c - 1])):
+            sets.append(X[_first_kept(keep, pi, pj)])
+        else:
+            sets.append(None)
+    return sets
+
+
+def enumerate_vertices(G, h) -> np.ndarray:
+    """All vertices of {x : Gx <= h} by n-subset basis solving, as rows in
+    lexicographic order.
+
+    Raises OracleTooLarge beyond the caps and UnboundedBody when the
+    polyhedron is unbounded (the enumeration itself assumes a polytope).
+    Near-duplicate vertices are merged, the first one found kept. The
+    no-drop case of ``_vertex_sets``: boundedness comes from the bases
+    found, and only a polyhedron without the box bases is walked.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    h = np.asarray(h, dtype=float)
+    m, n = G.shape
+    check_caps(m, n)
+    if m < n:
+        raise UnboundedBody(f"{m} constraints cannot bound dimension {n}")
+    kept = _vertex_sets(G, h)[0]
+    if kept is None:
+        raise UnboundedBody(f"{m} constraints leave a recession direction "
+                            f"in dimension {n}")
+    if not len(kept):
         raise UnboundedBody("no vertex found; polyhedron empty or degenerate")
-    kept = np.array(kept)
     return kept[np.lexsort(kept.T[::-1])]
 
 
@@ -119,9 +243,25 @@ def diameter_exact(G, h) -> float:
 
 
 def circumradius_exact(G, h) -> float:
-    """Max vertex norm, i.e. the radius seen from the origin."""
+    """Max vertex norm, i.e. the radius seen from the origin.
+    ``drop_circumradii`` gives it together with the radius left by each
+    one-body drop, from the same enumeration."""
     vs = enumerate_vertices(G, h)
     return float(np.linalg.norm(vs, axis=1).max())
+
+
+def drop_circumradii(G, h, owner):
+    """(radius, radii): ``circumradius_exact`` of {x : G x <= h}, and a dict
+    from each body j of ``owner`` to that of the system without j's rows,
+    all from one enumeration; +inf where a system is unbounded or has no
+    vertex. Raises OracleTooLarge beyond the caps."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    h = np.asarray(h, dtype=float)
+    check_caps(*G.shape)
+    radii = [math.inf if vs is None or not len(vs)
+             else float(np.linalg.norm(vs, axis=1).max())
+             for vs in _vertex_sets(G, h, owner)]
+    return radii[0], dict(zip(np.unique(owner).tolist(), radii[1:]))
 
 
 def best_subset_bruteforce(family: BodyFamily, s: int):

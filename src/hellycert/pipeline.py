@@ -25,7 +25,7 @@ from .geometry import (BodyFamily, chebyshev_center, containment_bases,
 from .io import SelectionCertificate, check
 from .john import john_decomposition, mvee_general
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .oracle import circumradius_exact, diameter_exact
+from .oracle import diameter_exact, drop_circumradii
 from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
 RECENTER_TARGET = 0.05
@@ -230,20 +230,14 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
                f"(offset {offset:.2e})",))
 
 
-def _subfamily_radius(norm: BodyFamily, subset) -> float:
-    G, h, _ = norm.constraint_matrix(subset)
-    try:
-        return circumradius_exact(G, h)
-    except UnboundedBody:
-        return math.inf
-
-
 def reduce_to_2n(family: BodyFamily,
                  selection: SelectionCertificate) -> SelectionCertificate:
     """Greedy one-at-a-time drops from s bodies down to 2n.
 
-    Every candidate drop is priced by the exact circumradius oracle and the
-    cheapest is taken; each step's growth is checked against the
+    Every candidate drop is priced by the exact circumradius of the bodies
+    it leaves, all of a step's from one vertex enumeration
+    (``oracle.drop_circumradii``), and the cheapest is taken, the first in
+    selection order on a tie; each step's growth is checked against the
     m/(m - 2n) factor and the chain is recorded in the certificate. A
     selection of at most 2n bodies is only re-checked, and keeps its
     stages, notes and informational diagnostics and verdicts, and its
@@ -264,22 +258,22 @@ def reduce_to_2n(family: BodyFamily,
     dropping = len(sel) > 2 * n
     if dropping:
         norm = normalize_family(family, selection.z)
-        radius = start_radius = _subfamily_radius(norm, sel)
-        # by Steinitz's theorem 2n of the m > 2n bodies already bound a
-        # bounded intersection, so only the start can price +inf
-        if math.isinf(start_radius):
-            raise UnboundedBody(f"the {len(sel)} selected bodies have an "
-                                "unbounded intersection; nothing to reduce")
+        start_radius = None
         chain = []
         growth_ok = True
         while len(sel) > 2 * n:
             m = len(sel)
-            best_r = math.inf
-            best_j = None
-            for j in sel:
-                r = _subfamily_radius(norm, [i for i in sel if i != j])
-                if r < best_r:
-                    best_r, best_j = r, j
+            whole, radii = drop_circumradii(*norm.constraint_matrix(sel))
+            if start_radius is None:
+                # by Steinitz's theorem 2n of the m > 2n bodies already bound
+                # a bounded intersection, so only the start can price +inf
+                if math.isinf(whole):
+                    raise UnboundedBody(f"the {m} selected bodies have an "
+                                        "unbounded intersection; nothing to "
+                                        "reduce")
+                radius = start_radius = whole
+            best_j = min(sel, key=radii.__getitem__)
+            best_r = radii[best_j]
             growth = best_r / radius
             limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
             growth_ok = growth_ok and growth <= limit

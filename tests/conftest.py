@@ -30,6 +30,16 @@ def unit_rows(generator, m, n):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def fan_through_corner(rng, n, count):
+    """The cube plus count rows tight at its corner (1, ..., 1), then every
+    third row again: a degenerate vertex with duplicated rows."""
+    v = np.ones(n)
+    w = 0.3 * rng.standard_normal((count, n))
+    w -= np.outer(w @ v, v) / n
+    G = np.vstack([np.eye(n), -np.eye(n), v / n + w])
+    return np.vstack([G, G[::3]])
+
+
 def walked_alpha(family, selected):
     """The reference alpha: walk every family direction, with no dual
     bound screening any out, and replay every basis."""

@@ -12,7 +12,7 @@ from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
 from hellycert.oracle import gen_slab_family
 from hellycert.pipeline import select_symmetric
 
-from conftest import unit_rows
+from conftest import fan_through_corner, unit_rows
 
 
 def box_rows(n):
@@ -145,16 +145,6 @@ def test_agrees_with_scipy_linprog(rng):
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
 
 
-def _fan_through_corner(rng, n, count):
-    """The cube plus count rows tight at its corner (1, ..., 1), then every
-    third row again: a degenerate vertex with duplicated rows."""
-    v = np.ones(n)
-    w = 0.3 * rng.standard_normal((count, n))
-    w -= np.outer(w @ v, v) / n
-    G = np.vstack([np.eye(n), -np.eye(n), v / n + w])
-    return np.vstack([G, G[::3]])
-
-
 def _counted_rounds(monkeypatch):
     """Rounds of every walk and direction-rounds (one per live direction
     per round); a first-vertex shot counts as one of each."""
@@ -178,7 +168,7 @@ def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
     for _ in range(6):
         n = int(rng.integers(2, 6))
         if degenerate:
-            G = _fan_through_corner(rng, n, 3 * n)
+            G = fan_through_corner(rng, n, 3 * n)
             U = np.vstack([unit_rows(rng, 6, n), G[2 * n:], np.ones(n)])
         else:
             extra = unit_rows(rng, 4 * n, n)

@@ -1,23 +1,27 @@
 """Small-scale exact oracles and seeded instance generators."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from hellycert import lp
+from hellycert import lp, oracle
 from hellycert.errors import (OracleTooLarge, SharpnessGenFailed,
                               UnboundedBody)
+from hellycert.geometry import normalize_family
 from hellycert.io import save_instance
 from hellycert.lp import support_h_polytope
-from hellycert.oracle import (best_subset_bruteforce, circumradius_exact,
-                              diameter_exact, enumerate_vertices,
+from hellycert.oracle import (FEAS_TOL, MERGE_TOL, best_subset_bruteforce,
+                              circumradius_exact, diameter_exact,
+                              drop_circumradii, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
                               gen_slab_family, is_bounded)
 
-from conftest import cube_slab_family, unit_rows, walked_alpha
+from conftest import (cube_slab_family, fan_through_corner, unit_rows,
+                      walked_alpha)
 
 
 def square_rows():
@@ -241,3 +245,181 @@ def test_halfspace_generator_interior_and_bounded():
         e[i] = 1.0
         assert support_h_polytope(g, h, e) < math.inf
         assert support_h_polytope(g, h, -e) < math.inf
+
+
+def reference_vertices(G, h):
+    """The reference enumeration, one system at a time: each n-subset from
+    itertools solved on its own, the Python merge loop (the first copy
+    found kept) and ``is_bounded``'s walk up front. None when the system
+    has fewer than n rows or is unbounded; the vertices in the order found
+    otherwise."""
+    m, n = G.shape
+    if m < n or not is_bounded(G):
+        return None
+    feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
+    kept = []
+    for rows in itertools.combinations(range(m), n):
+        B = G[list(rows)]
+        if not abs(np.linalg.det(B)) > 1e-12 * (np.linalg.norm(B) + 1.0) ** n:
+            continue
+        x = np.linalg.solve(B, h[list(rows)])
+        if (np.all(G @ x <= h + feas)
+                and all(np.linalg.norm(x - k) > MERGE_TOL for k in kept)):
+            kept.append(x)
+    return np.array(kept).reshape(-1, n)
+
+
+def reference_drop_radii(G, h, owner):
+    """``drop_circumradii`` by the reference, one system per drop."""
+    radii = []
+    for rows in [owner >= 0] + [owner != j for j in np.unique(owner)]:
+        kept = reference_vertices(G[rows], h[rows])
+        radii.append(math.inf if kept is None or not len(kept)
+                     else float(np.linalg.norm(kept, axis=1).max()))
+    return radii[0], dict(zip(np.unique(owner).tolist(), radii[1:]))
+
+
+def _triangle_with_a_short_body():
+    """A triangle whose body 0 holds two of the three rows: dropping body 0
+    leaves one row (fewer than n), dropping body 1 opens a cone."""
+    rows = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    return rows, np.ones(3), np.array([0, 0, 1])
+
+
+def _open_half_plane_fan():
+    """The rows of the five selected bodies of
+    ``test_reduce_rejects_an_unbounded_selection``: every normal in the
+    upper half-plane, so the intersection is open downwards."""
+    ang = np.arange(5) * np.pi / 4
+    return (np.column_stack([np.cos(ang), np.sin(ang)]), np.ones(5),
+            np.arange(5))
+
+
+@pytest.mark.parametrize("n, count, rows_per_body, seeds", [
+    (2, 6, None, range(100, 106)), (3, 6, (4, 4), range(100, 103))])
+def test_drop_pricing_matches_the_reference_bit_for_bit(n, count,
+                                                        rows_per_body, seeds):
+    for seed in seeds:
+        fam = gen_halfspace_family(n, count, seed,
+                                   rows_per_body=rows_per_body)
+        for target in (fam, normalize_family(fam, np.zeros(n))):
+            G, h, owner = target.constraint_matrix()
+            got = drop_circumradii(G, h, owner)
+            assert got == reference_drop_radii(G, h, owner), seed
+            assert math.isfinite(got[0])
+
+
+@pytest.mark.parametrize("system", [_triangle_with_a_short_body,
+                                    _open_half_plane_fan])
+def test_drop_pricing_matches_the_reference_when_drops_unbind(system):
+    G, h, owner = system()
+    got = drop_circumradii(G, h, owner)
+    assert got == reference_drop_radii(G, h, owner)
+    assert all(math.isinf(r) for r in got[1].values())
+    assert math.isinf(got[0]) is (system is _open_half_plane_fan)
+
+
+def _counted_walks(monkeypatch):
+    real = lp.vertex_walk
+    calls = []
+
+    def counted(G, U, start=None):
+        calls.append(len(U))
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", counted)
+    return calls
+
+
+def test_bounded_enumeration_never_walks(rng, monkeypatch):
+    fam = gen_halfspace_family(3, 6, 101, rows_per_body=(4, 4))
+    walks = _counted_walks(monkeypatch)
+    for n in (2, 3):
+        g = np.vstack([np.eye(n), -np.eye(n), unit_rows(rng, 6, n)])
+        enumerate_vertices(g, np.concatenate([np.ones(2 * n),
+                                              rng.uniform(0.4, 1.2, 6)]))
+        fan = fan_through_corner(rng, n, 3 * n)
+        enumerate_vertices(fan, np.ones(len(fan)))
+    drop_circumradii(*fam.constraint_matrix())
+    assert walks == []
+
+
+def test_unbounded_enumeration_is_a_walked_ray(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    with pytest.raises(UnboundedBody, match="recession direction"):
+        enumerate_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+                           np.ones(3))
+    assert walks == [4]
+
+
+@pytest.mark.parametrize("forge", [
+    lambda y: -np.abs(y), lambda y: np.abs(y), lambda y: np.ones_like(y),
+    lambda y: np.full_like(y, 1e300), lambda y: np.full_like(y, np.nan),
+    lambda y: np.zeros_like(y)])
+def test_forged_duals_never_bound_an_unbounded_set(forge, monkeypatch):
+    real = oracle._box_duals
+    monkeypatch.setattr(oracle, "_box_duals",
+                        lambda bases, box: forge(real(bases, box)))
+    walks = _counted_walks(monkeypatch)
+    with pytest.raises(UnboundedBody):
+        enumerate_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+                           np.ones(3))
+    G, h, owner = _triangle_with_a_short_body()
+    radius, radii = drop_circumradii(G, h, owner)
+    assert math.isfinite(radius) and all(map(math.isinf, radii.values()))
+    assert walks
+    # a bounded square stays bounded, and keeps its vertices
+    square = np.vstack([np.eye(2), -np.eye(2)])
+    assert len(enumerate_vertices(square, np.ones(4))) == 4
+
+
+def _corner_cuts():
+    """The square [-1, 1]^2 with two rows cutting (1, -1) into a chain of
+    vertices a, b, c, found in that order, a fan of rows through (1, 1) and
+    one row cutting (-1, -1) into two vertices 0.5 MERGE_TOL apart. b is
+    0.58 MERGE_TOL from a and from c, which are 1.13 MERGE_TOL apart, so b
+    merges into a and c stays."""
+    tol = MERGE_TOL
+    corner = np.array([1.0, -1.0])
+    a, b, c = (corner + tol * np.array(p)
+               for p in ([0.0, 0.8], [-0.3, 0.3], [-0.8, 0.0]))
+    cuts = []
+    for p, q in ((a, b), (b, c)):
+        g = np.array([p[1] - q[1], q[0] - p[0]])
+        cuts.append(g / np.linalg.norm(g))
+    fan = fan_through_corner(np.random.default_rng(5), 2, 8)[4:]
+    G = np.vstack([[1.0, 0.0], cuts[0], cuts[1], [0.0, -1.0], [0.0, 1.0],
+                   [-1.0, 0.0], fan, [-1.0, -1.0]])
+    h = np.concatenate([[1.0, cuts[0] @ a, cuts[1] @ c], np.ones(3 + len(fan)),
+                        [2.0 - 0.5 * tol / math.sqrt(2.0)]])
+    return G, h, (a, b, c)
+
+
+def test_merge_keeps_the_first_copy_like_the_reference():
+    G, h, chain = _corner_cuts()
+    got = enumerate_vertices(G, h)
+    ref = reference_vertices(G, h)
+    np.testing.assert_array_equal(got, ref[np.lexsort(ref.T[::-1])])
+
+    def near(p, tol=10 * MERGE_TOL):
+        return int((np.linalg.norm(got - p, axis=1) < tol).sum())
+
+    # (1, 1) once, one of the pair at (-1, -1), and a and c but not b
+    assert (near([1.0, 1.0]), near([-1.0, -1.0]), near([1.0, -1.0])) == (
+        1, 1, 2)
+    assert [near(p, 0.1 * MERGE_TOL) for p in chain] == [1, 0, 1]
+    assert len(got) == 5
+    # many bases meet at (1, 1) with solutions apart in their last bits;
+    # the one found first is kept
+    at_corner = [x for x in (np.linalg.solve(G[list(r)], h[list(r)])
+                             for r in itertools.combinations(range(len(G)), 2)
+                             if abs(np.linalg.det(G[list(r)])) > 1e-9)
+                 if np.linalg.norm(x - 1.0) < MERGE_TOL]
+    assert len(at_corner) > 10 and len({tuple(x) for x in at_corner}) > 1
+    assert any(np.array_equal(v, at_corner[0]) for v in got)
+    for n in (2, 3):
+        fan = fan_through_corner(np.random.default_rng(n), n, 3 * n)
+        ones = np.ones(len(fan))
+        ref = reference_vertices(fan, ones)
+        np.testing.assert_array_equal(enumerate_vertices(fan, ones),
+                                      ref[np.lexsort(ref.T[::-1])])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hellycert import pipeline
+from hellycert import lp, pipeline
 from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
                               UnboundedBody)
 from hellycert.geometry import BodyFamily, chebyshev_center
@@ -223,6 +223,49 @@ def test_reduce_rejects_an_unbounded_selection():
     cert = replace(select_general(fam), selected=(0, 1, 2, 3, 4))
     with pytest.raises(UnboundedBody, match="5 selected bodies"):
         reduce_to_2n(fam, cert)
+
+
+# The benchmark's reduce set at seed 100 (gen_halfspace_family(2, 40, 102)
+# is its first instance) and the n=3 instance the CI round trip reduces:
+# (n, count, rows per body, seed, selected, dropped in order, reduced).
+REDUCE_CHAINS = [
+    (2, 40, None, 102, (22, 24, 32, 33, 35), [22], (24, 32, 33, 35)),
+    (2, 40, None, 103, (0, 1, 19, 26, 38), [0], (1, 19, 26, 38)),
+    (3, 10, (4, 4), 109, (0, 1, 4, 5, 6, 7, 8), [1], (0, 4, 5, 6, 7, 8)),
+    (3, 10, None, 21, (0, 2, 3, 4, 5, 7, 9), [5], (0, 2, 3, 4, 7, 9)),
+]
+
+
+@pytest.mark.parametrize("n, count, rows, seed, selected, dropped, reduced",
+                         REDUCE_CHAINS)
+def test_reduce_chain_is_pinned(n, count, rows, seed, selected, dropped,
+                                reduced, monkeypatch):
+    fam = gen_halfspace_family(n, count, seed, rows_per_body=rows)
+    cert = select_general(fam)
+    assert cert.selected == selected
+    # the pricing walks only for a drop without the box bases; none here
+    real_walk, real_price = lp.vertex_walk, pipeline.drop_circumradii
+    pricing, walks = [], []
+
+    def walk(G, U, start=None):
+        walks.extend(pricing)
+        return real_walk(G, U, start=start)
+
+    def price(*args):
+        pricing.append(True)
+        try:
+            return real_price(*args)
+        finally:
+            pricing.pop()
+
+    monkeypatch.setattr(lp, "vertex_walk", walk)
+    monkeypatch.setattr(pipeline, "drop_circumradii", price)
+    red = reduce_to_2n(fam, cert)
+    assert walks == []
+    assert [int(note.split()[2].rstrip(":")) for note in red.notes
+            if note.startswith("dropped body")] == dropped
+    assert red.selected == reduced
+    assert red.all_pass
 
 
 def test_general_thin_slab_fails_at_the_inradius():
