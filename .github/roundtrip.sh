@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Round trip through the installed `hellycert` console script: generate,
+# select, reduce and certify, and check the exit codes of the documented
+# failures. Run from the repository root with the package installed:
+#
+#     bash .github/roundtrip.sh WORKDIR
+#
+# Every file it writes goes into WORKDIR.
+set -eo pipefail
+cd "$1"
+hellycert --version
+hellycert gen --kind slab --n 3 --count 12 --seed 1 --out inst.json
+hellycert select-sym --in inst.json --out cert.json
+hellycert certify --in inst.json --cert cert.json
+# a basis with a repeated row is rejected (exit 2); a certificate
+# without support_bases is malformed (exit 3)
+python -c "import json; d = json.load(open('cert.json')); b = d['payload']['support_bases'][0]; b[0] = b[1]; json.dump(d, open('bad.json', 'w'))"
+code=0; hellycert certify --in inst.json --cert bad.json || code=$?
+test "$code" -eq 2
+python -c "import json; d = json.load(open('cert.json')); del d['payload']['support_bases']; json.dump(d, open('bad.json', 'w'))"
+code=0; hellycert certify --in inst.json --cert bad.json || code=$?
+test "$code" -eq 3
+# general path: s = 5 > 2n, so reduce drops a body
+hellycert gen --kind halfspace --n 2 --count 40 --seed 102 --out hs.json
+hellycert select-gen --in hs.json --out hs-cert.json
+hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
+hellycert certify --in hs.json --cert hs-reduced.json
+# n=3, where reduce prices its drops from 3-subsets of the rows:
+# select-gen picks 7 bodies and reduce drops one
+hellycert gen --kind halfspace --n 3 --count 10 --seed 21 --out hs3.json
+hellycert select-gen --in hs3.json --out hs3-cert.json
+hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
+hellycert certify --in hs3.json --cert hs3-reduced.json
+python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs3-cert.json', 'hs3-reduced.json')]; assert s == [7, 6], s"
+# general mode at n=6, where the John support is widest and the
+# decomposition weights are the MVEE's own, unpolished
+hellycert gen --kind halfspace --n 6 --count 60 --seed 0 --out gen6.json
+hellycert select-gen --in gen6.json --out gen6-cert.json
+hellycert certify --in gen6.json --cert gen6-cert.json
+# a cold MVEE solve on ~1 000 generators, where its start matters
+hellycert gen --kind slab --n 12 --count 300 --seed 1 --out big.json
+hellycert select-sym --in big.json --out big-cert.json
+hellycert certify --in big.json --cert big-cert.json
+# 1 117 family directions at n=20: the dual bounds leave fewer
+# than 100 of them to walk, and a walked one moved out with its
+# basis is rejected (exit 2)
+hellycert gen --kind slab --n 20 --count 600 --seed 1 --out huge.json
+hellycert select-sym --in huge.json --out huge-cert.json
+hellycert certify --in huge.json --cert huge-cert.json
+python -c "import json; d = json.load(open('huge-cert.json')); w = d['payload']['support_directions']; assert len(w) < 100, len(w)"
+python -c "import json; d = json.load(open('huge-cert.json')); p = d['payload']; j = len(p['support_directions']) - 1; del p['support_directions'][j], p['support_bases'][j]; json.dump(d, open('bad.json', 'w'))"
+code=0; hellycert certify --in huge.json --cert bad.json || code=$?
+test "$code" -eq 2
+# n=24, where the hidden center's norm once emptied the offset
+# range (seed 0 raised); gen only, select-gen at n=24 is slow
+hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json
+# a size below 1 fails at once (exit 3) instead of drawing forever
+code=0; timeout 60 hellycert gen --n 0 --out zero.json || code=$?
+test "$code" -eq 3
+# select-sym refuses a general instance before any stage (exit 3)
+code=0; hellycert select-sym --in hs.json --out wrong.json || code=$?
+test "$code" -eq 3

@@ -201,11 +201,11 @@ def containment_bases(family: BodyFamily, selected):
     walked is left out; in a general one every direction is walked.
     ``directions`` are the strictly increasing indices of the walked ones,
     and ``bases`` hold n indices into the rows of Q for each of them, then
-    for +e_i, then for -e_i. ``bases`` is None when the walk met a checked
-    ray (alpha is +inf; a line counts as two rays), and then every
-    direction was walked; both are empty when every body is selected.
-    Nothing but a ray is checked here; the bases are checked when they are
-    replayed.
+    for +e_i, then for -e_i. ``bases`` is None when the box walk met a
+    checked ray (alpha is +inf; a line counts as two rays): then no family
+    direction was walked, and ``directions`` still lists them all. Both
+    are empty when every body is selected. Nothing but the box walk's ray
+    is checked here; the bases are checked when they are replayed.
     """
     Gq, U = containment_system(family, selected)
     if not len(U):

@@ -19,7 +19,9 @@ when the polyhedron is centrally symmetric. Both end in ``_upper_bounds``,
 the one weak-duality formula that is trusted. ``walk_bases`` walks the
 directions +-e_i first, then only the directions whose dual bound could
 exceed the support already found, each from the best of the box vertices.
-Every support value is a replayed basis or a checked closed-form dual bound:
+Rays matter only on the box walk: a checked ray there is the one verdict
+of an unbounded polyhedron, and then no other direction is walked. Every
+support value is a replayed basis or a checked closed-form dual bound:
 ``walk_bases`` proposes, a certificate stores the walked directions and
 their bases, and ``check_support`` and ``dual_bounds`` check them, in the
 producer and in checking alike, and never walk.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBody, SolverStall, UnboundedBody
+from .errors import EmptyBody, SolverStall
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -476,25 +478,24 @@ def check_support(G, U, bases) -> float:
 def walk_bases(G, U, symmetric=False):
     """The rows of U that ``vertex_walk`` walks, and the bases it proposes
     for them and for +-e_i, for ``check_support`` to check; None when the
-    support is +inf.
+    polyhedron is unbounded.
 
-    The box directions +-e_i are walked first. When they meet no ray, every
-    row u of U gets a bound beta_u: ``dual_bounds`` when ``symmetric`` (the
-    rows of G come in pairs +-g), else +inf. The WALK_FIRST rows with the
-    largest beta, ties included, are walked, and L is the largest of their
-    supports at their own vertices scaled into the polyhedron. Then every
-    other row with beta_u > L is walked; the support of the rest is at most
-    beta_u <= L. With every beta infinite all rows are walked at once. Each
-    walk starts from the box basis whose vertex maximizes u.x. When the box
-    walk met a ray, beta is never computed, and every row is walked from
-    the first vertex; U may have no rows.
+    The box directions +-e_i are walked first, and only that walk is asked
+    about rays. Where it stops on one, only this is checked: every claimed
+    ray d rises (e.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative
+    (a line is a ray along each sign, so it passes only when G d = 0), and
+    then None is returned with no row of U walked. Raises SolverStall when
+    that witness fails.
 
-    Where a walk stops on a ray, only this is checked: every claimed ray d
-    rises (u.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative, and
-    one along a row of U gives None. A line is reported as rays along both
-    of its signs, so it passes this check only when G d = 0. Raises
-    SolverStall when that witness fails, and UnboundedBody when the
-    polyhedron is unbounded only in directions orthogonal to every u.
+    Otherwise every row u of U gets a bound beta_u: ``dual_bounds`` when
+    ``symmetric`` (the rows of G come in pairs +-g), else +inf. The
+    WALK_FIRST rows with the largest beta, ties included, are walked, and L
+    is the largest of their supports at their own vertices scaled into the
+    polyhedron. Then every other row with beta_u > L is walked; the support
+    of the rest is at most beta_u <= L. With every beta infinite all rows
+    are walked at once. Each walk starts from the box basis whose vertex
+    maximizes u.x. A row whose walk claims a ray keeps the basis it
+    stopped at, for ``check_support`` to reject on replay.
 
     Returns (directions, bases): the strictly increasing indices of the
     walked rows of U, and n row indices of G for each of them, then for
@@ -503,50 +504,33 @@ def walk_bases(G, U, symmetric=False):
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     k, n = U.shape[0], G.shape[1]
-    box = vertex_walk(G, _with_box(U[:0], n))
-    walked = np.ones(k, dtype=bool)
-    front = VertexWalk(np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool),
-                       np.zeros((k, n)))
-    if k and box.ray.any():
-        front = vertex_walk(G, U)
-    elif k:
-        corners = _solve(G[box.basis], np.ones((2 * n, n, 1)))[:, :, 0]
-        start = box.basis[np.argmax(U @ corners.T, axis=1)]
-        beta = dual_bounds(G, U) if symmetric else np.full(k, math.inf)
-        walked = beta >= np.sort(beta)[-min(WALK_FIRST, k)]
-        front = head = vertex_walk(G, U[walked], start=start[walked])
-        rest = ~walked
-        if rest.any():
-            ones = np.ones((len(head.basis), n, 1))
-            x = _solve(G[head.basis], ones)[:, :, 0]
-            lo = (np.einsum("ij,ij->i", U[walked], x)
-                  / np.maximum(1.0, (x @ G.T).max(axis=1)))
-            rest &= beta > lo.max()
-        if rest.any():
-            tail = vertex_walk(G, U[rest], start=start[rest])
-            order = np.argsort(np.concatenate([np.flatnonzero(walked),
-                                               np.flatnonzero(rest)]))
-            front = VertexWalk(*(np.concatenate(pair)[order] for pair in (
-                (head.basis, tail.basis), (head.ray, tail.ray),
-                (head.edge, tail.edge))))
-            walked |= rest
-    D = _with_box(U[walked], n)
-    walk = VertexWalk(np.vstack([front.basis, box.basis]),
-                      np.concatenate([front.ray, box.ray]),
-                      np.vstack([front.edge, box.edge]))
-    norms = np.linalg.norm(G, axis=1)
-    if walk.ray.any():
-        e = walk.edge[walk.ray]
+    axes = _with_box(U[:0], n)
+    box = vertex_walk(G, axes)
+    if box.ray.any():
+        e = box.edge[box.ray]
         enorm = np.linalg.norm(e, axis=1)
-        rises = np.einsum("ij,ij->i", D[walk.ray], e) > (
-            PIVOT_TOL * np.linalg.norm(D[walk.ray], axis=1) * enorm)
-        stays = np.max((e @ G.T) / (norms[None, :] * enorm[:, None]),
-                       axis=1) <= PIVOT_TOL
+        rises = np.einsum("ij,ij->i", axes[box.ray], e) > PIVOT_TOL * enorm
+        stays = np.max((e @ G.T) / (np.linalg.norm(G, axis=1)[None, :]
+                                    * enorm[:, None]), axis=1) <= PIVOT_TOL
         if not np.all(rises & stays):
             raise SolverStall("vertex walk: claimed ray is not a recession "
                               "direction")
-        if walk.ray[:-2 * n].any():
-            return None
-        raise UnboundedBody("polyhedron is unbounded only in directions "
-                            "orthogonal to every query direction")
-    return np.flatnonzero(walked), walk.basis
+        return None
+    if not k:
+        return np.zeros(0, dtype=int), box.basis
+    corners = _solve(G[box.basis], np.ones((2 * n, n, 1)))[:, :, 0]
+    start = box.basis[np.argmax(U @ corners.T, axis=1)]
+    beta = dual_bounds(G, U) if symmetric else np.full(k, math.inf)
+    walked = beta >= np.sort(beta)[-min(WALK_FIRST, k)]
+    bases = np.zeros((k, n), dtype=int)
+    bases[walked] = vertex_walk(G, U[walked], start=start[walked]).basis
+    rest = ~walked
+    if rest.any():
+        x = _solve(G[bases[walked]], np.ones((walked.sum(), n, 1)))[:, :, 0]
+        lo = (np.einsum("ij,ij->i", U[walked], x)
+              / np.maximum(1.0, (x @ G.T).max(axis=1)))
+        rest &= beta > lo.max()
+    if rest.any():
+        bases[rest] = vertex_walk(G, U[rest], start=start[rest]).basis
+        walked |= rest
+    return np.flatnonzero(walked), np.vstack([bases[walked], box.basis])

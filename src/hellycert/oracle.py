@@ -52,17 +52,14 @@ def is_bounded(G) -> bool:
     That holds exactly when the recession cone {d : G d <= 0} is {0}. The
     cone does not depend on h, so one vertex walk over {x : G x <= 1},
     which holds the origin, in the directions +-e_i decides it: a checked
-    ray says no, and ``check_support`` replaying the +e_i bases as those
-    of U = I says yes.
+    ray (``walk_bases`` gives None) says no, and ``check_support``
+    replaying the +e_i bases as those of U = I says yes.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     n = G.shape[1]
-    try:
-        box = walk_bases(G, np.zeros((0, n)))[1]
-    except UnboundedBody:
-        return False
-    return math.isfinite(check_support(G, np.eye(n),
-                                       np.concatenate([box[:n], box])))
+    walk = walk_bases(G, np.zeros((0, n)))
+    return walk is not None and math.isfinite(check_support(
+        G, np.eye(n), np.concatenate([walk[1][:n], walk[1]])))
 
 
 def _box_duals(bases, box) -> np.ndarray:
@@ -159,16 +156,12 @@ def _vertex_sets(G, h, owner=None) -> list:
         bases = G[idx]
         dets = np.abs(np.linalg.det(bases))
         scale = np.linalg.norm(bases, axis=(1, 2)) + 1.0
+        # a nonzero det is an LU without a zero pivot: the solve cannot fail
         good = dets > 1e-12 * scale ** n
         if not good.any():
             continue
         idx = idx[good]
-        try:
-            xs = np.linalg.solve(bases[good], h[idx][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            xs = np.stack([np.linalg.lstsq(bases[good][i], h[idx[i]],
-                                           rcond=None)[0]
-                           for i in range(idx.shape[0])])
+        xs = np.linalg.solve(bases[good], h[idx][:, :, None])[:, :, 0]
         out = ~(xs @ G.T <= h + feas)
         body = np.full(len(idx), -1)
         if drops:

@@ -325,6 +325,55 @@ def test_alpha_rejects_a_forged_line(monkeypatch):
         walked_alpha(fam, sel)
 
 
+def _ray_at_the_optimum(walk, start):
+    """Every direction reaches its optimal basis, then claims a ray."""
+    return walk.basis
+
+
+def _ray_at_the_start(walk, start):
+    """Every direction claims a ray at once and stays at its start basis."""
+    return np.array(start)
+
+
+def _slab_family():
+    return gen_slab_family(3, count=12, seed=5)
+
+
+def _general_family():
+    raw = gen_halfspace_family(3, count=8, seed=100)
+    return normalize_family(raw, chebyshev_center(raw)[0])
+
+
+@pytest.mark.parametrize("forge", [_ray_at_the_optimum, _ray_at_the_start])
+@pytest.mark.parametrize("family", [_slab_family, _general_family])
+def test_a_ray_on_a_family_direction_never_lowers_alpha(family, forge,
+                                                        monkeypatch):
+    """On a bounded Q a family-direction walk that claims a ray keeps the
+    basis it stopped at: the replay gives the same alpha or SolverStall."""
+    fam = family()
+    sel = list(range(4))
+    want = containment_factor(fam, sel, containment_bases(fam, sel))
+    assert 1.0 < want < math.inf
+    real = lp.vertex_walk
+    forged = []
+
+    def walk(G, U, start=None):
+        if start is None:
+            return real(G, U)
+        forged.append(len(U))
+        basis = forge(real(G, U, start=start), start)
+        return lp.VertexWalk(basis, np.ones(len(U), dtype=bool),
+                             np.array(U, dtype=float))
+
+    monkeypatch.setattr(lp, "vertex_walk", walk)
+    try:
+        got = containment_factor(fam, sel, containment_bases(fam, sel))
+    except SolverStall:
+        got = None
+    assert forged
+    assert got is None or got == want
+
+
 def _start_at_worst_corner(G, U, start):
     """Each direction starts at the offered vertex that minimizes u.x."""
     offered = np.unique(start, axis=0)

@@ -5,14 +5,15 @@ import pytest
 import scipy.optimize
 
 from hellycert import lp
-from hellycert.errors import EmptyBody, UnboundedBody
+from hellycert.errors import EmptyBody
+from hellycert.geometry import containment_system
 from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                           check_support, solve_lp, support_h_polytope,
                           walk_bases)
 from hellycert.oracle import gen_slab_family
 from hellycert.pipeline import select_symmetric
 
-from conftest import fan_through_corner, unit_rows
+from conftest import cube_slab_family, fan_through_corner, unit_rows
 
 
 def box_rows(n):
@@ -97,13 +98,47 @@ def test_support_unbounded_direction():
 
 
 def test_walk_reports_a_line_as_rays():
-    """Along a line d = e_3 the support is +inf in a direction with u.d != 0
-    (one ray per sign), and UnboundedBody in a direction orthogonal to d."""
+    """Along a line d = e_3 the box walk meets a ray (one per sign), so the
+    walk gives None in every direction, also one orthogonal to d, where
+    +inf is still an upper bound on the support."""
     G = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
     assert walk_bases(G, [[1.0, 0.0, 0.5]]) is None
     assert walk_bases(G, [[0.0, 0.0, -1.0]]) is None
-    with pytest.raises(UnboundedBody):
-        walk_bases(G, [[1.0, 0.0, 0.0]])
+    assert walk_bases(G, [[1.0, 0.0, 0.0]]) is None
+
+
+def _slab_subset_line():
+    """Two of the three cube slabs: Q holds the line along e_3."""
+    return containment_system(cube_slab_family(3), [0, 1])
+
+
+def _plane_line():
+    return np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.eye(3)
+
+
+def _quadrant():
+    """x >= -1, y >= -1: a cone of rays, no line."""
+    return -np.eye(2), np.array([[1.0, 2.0], [-1.0, 0.5]])
+
+
+@pytest.mark.parametrize("system", [_slab_subset_line, _plane_line,
+                                    _quadrant])
+def test_unbounded_walk_is_the_box_walk_alone(system, monkeypatch):
+    """On an unbounded Q only the +-e_i walk runs, from the first vertex,
+    and its checked ray gives None: no row of U is walked."""
+    G, U = system()
+    real = lp.vertex_walk
+    calls = []
+
+    def counted(G, U, start=None):
+        calls.append((len(U), start))
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", counted)
+    for symmetric in (False, True):
+        calls.clear()
+        assert walk_bases(G, U, symmetric=symmetric) is None
+        assert calls == [(2 * G.shape[1], None)]
 
 
 def test_support_empty_body():

@@ -96,6 +96,14 @@ def test_is_bounded_walks_each_box_direction_once(extra, bounded,
     assert walked == [6]
 
 
+@pytest.mark.parametrize("g, bounded", [
+    (np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), False),  # the line R e_3
+    (-np.eye(2), False),  # a cone of rays without a line
+    (np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), True)])
+def test_is_bounded_answers_without_raising(g, bounded):
+    assert is_bounded(g) is bounded
+
+
 def test_unbounded_detected_away_from_origin():
     g = np.eye(2)
     with pytest.raises(UnboundedBody):
