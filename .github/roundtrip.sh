@@ -60,3 +60,13 @@ test "$code" -eq 3
 # select-sym refuses a general instance before any stage (exit 3)
 code=0; hellycert select-sym --in hs.json --out wrong.json || code=$?
 test "$code" -eq 3
+# and a d that io.check would refuse after every stage (exit 3)
+code=0; hellycert select-sym --in inst.json --out x.json --d inf || code=$?
+test "$code" -eq 3
+test ! -e x.json
+# 4 096 planar slabs (8 192 rows) certified by the covering test alone
+timeout 60 hellycert gen --kind sharpness --n 2 --N 4096 --seed 0 --out sharp2.json
+# every draw of 10 slabs in R^5 is disproved by a box centre: exit 2 at
+# once, not after a covering budget per draw
+code=0; timeout 10 hellycert gen --kind sharpness --n 5 --N 10 --seed 0 --out sharp5.json || code=$?
+test "$code" -eq 2

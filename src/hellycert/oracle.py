@@ -11,7 +11,7 @@ every row it violates is. Boundedness comes from the same bases, through a
 nonnegative dual for each of +-e_i and the trusted ``lp._upper_bounds``;
 only a system without such bases is walked by ``is_bounded``. Also hosts
 the seeded generators for slab families, halfspace families and the sharp
-two-ball instances.
+two-ball instances, whose 2B inclusion is one covering test, no oracle call.
 """
 
 from __future__ import annotations
@@ -302,8 +302,9 @@ def _covering_certified(W: np.ndarray, tau: float,
 
     Branch-and-bound over the cube facets {u_i = 1}; on each box the
     per-row inner product range gives a lower bound for max_j |.| and the
-    box corner norms an upper bound for ||u||. False only means "budget
-    exhausted or margin too thin", never that the property is false.
+    box corner norms an upper bound for ||u||. False means "budget exhausted
+    or margin too thin", or disproved by an open box's centre u, with
+    max_j |<u, w_j>| < tau ||u||: no split would ever close its box.
     """
     n = W.shape[1]
     processed = 0
@@ -329,14 +330,15 @@ def _covering_certified(W: np.ndarray, tau: float,
             if not open_mask.any():
                 break
             lo, hi = lo[open_mask], hi[open_mask]
-            widths = hi - lo
-            split = np.argmax(widths, axis=1)
-            mid = (lo[np.arange(lo.shape[0]), split]
-                   + hi[np.arange(lo.shape[0]), split]) / 2.0
+            mid = (lo + hi) / 2.0
+            if (np.abs(mid @ Wo.T + Wf).max(axis=1)
+                    < tau * np.sqrt(1.0 + (mid ** 2).sum(axis=1))).any():
+                return False
+            split = np.argmax(hi - lo, axis=1)
+            at = np.arange(lo.shape[0]), split
             lo2 = lo.copy()
             hi2 = hi.copy()
-            lo2[np.arange(lo.shape[0]), split] = mid
-            hi2[np.arange(lo.shape[0]), split] = mid
+            lo2[at] = hi2[at] = mid[at]
             lo = np.vstack([lo, lo2])
             hi = np.vstack([hi2, hi])
     return True
@@ -345,9 +347,9 @@ def _covering_certified(W: np.ndarray, tau: float,
 def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
     """N random unit slabs whose intersection provably sits inside 2B.
 
-    The unit ball is inside every slab by construction; the outer inclusion
-    is verified (planar instances by exact circumradius, higher dimensions
-    by a covering certificate), resampling up to 20 times before giving up.
+    The unit ball is inside every slab by construction; the radius along a
+    unit u is 1 / max_j |<u, w_j>|, so ``_covering_certified(W, 0.5)`` is
+    the outer inclusion in every dimension, resampling up to 20 times.
     Fewer than n slabs always leave a line in the intersection, so that
     fails at once; a draw whose normals span less than R^n is resampled
     without running the certificate.
@@ -361,27 +363,16 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
         raise SharpnessGenFailed(
             f"{N} slabs cannot bound dimension {n}; the intersection "
             "contains a line")
-    achieved = math.inf
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         W = _unit_rows(rng, N, n)
         if np.linalg.matrix_rank(W) < n:
             continue  # a line survives; resample without certifying
-        family = BodyFamily.from_blocks(
-            "symmetric", n, W[:, None, :], [f"slab{j}" for j in range(N)])
-        if n == 2:
-            try:
-                achieved = circumradius_exact(family.G, family.h)
-            except UnboundedBody:
-                achieved = math.inf
-            if achieved <= 2.0:
-                return family
-        else:
-            if _covering_certified(W, 0.5):
-                return family
-    raise SharpnessGenFailed(
-        f"no instance with n={n}, N={N} verified after 20 attempts "
-        f"(last achieved circumradius {achieved:.4g})")
+        if _covering_certified(W, 0.5):
+            return BodyFamily.from_blocks(
+                "symmetric", n, W[:, None, :], [f"slab{j}" for j in range(N)])
+    raise SharpnessGenFailed(f"no draw with n={n}, N={N} certified inside 2B "
+                             "(covering at 0.5) in 20 attempts")
 
 
 def gen_slab_family(n: int, count: int, seed: int) -> BodyFamily:
@@ -408,6 +399,8 @@ def gen_halfspace_family(n: int, count: int, seed: int,
     construction resamples until a boundedness check passes.
     """
     _require_sizes(n=n, count=count)
+    if not math.isfinite(margin):
+        raise InvalidInstance(f"margin={margin!r} is not finite")
     lo_rows, hi_rows = rows_per_body or (n + 1, 2 * n + 1)
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))

@@ -55,11 +55,25 @@ def _require_mode(family: BodyFamily, mode: str) -> None:
                               f"instance is {family.mode}")
 
 
+def _require_parameters(n: int, tol: float, d: float | None = None,
+                        eps: float | None = None) -> None:
+    """Raise InvalidInstance, before any stage, for a parameter that
+    ``io.check`` would refuse after every stage, or a negative tol."""
+    if d is not None and not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
+        raise InvalidInstance(f"d={d!r} gives no bound or budget: it must "
+                              "exceed 1 and keep d*(n+1) finite")
+    if eps is not None and not (eps > 0.0 and math.isfinite(eps)):
+        raise InvalidInstance(f"eps={eps!r} must be positive and finite")
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise InvalidInstance(f"tol={tol!r} must be nonnegative and finite")
+
+
 def select_symmetric(family: BodyFamily, d: float = 4.0,
                      tol: float = 1e-5) -> SelectionCertificate:
     """Pick at most ceil(d*n) bodies whose intersection stays within
     gamma_d*sqrt(n) times the full intersection; ``check`` certifies it."""
     _require_mode(family, "symmetric")
+    _require_parameters(family.dim, tol, d=d)
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -181,6 +195,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
     stage's claim lands in the certificate.
     """
     _require_mode(family, "general")
+    _require_parameters(family.dim, tol, eps=eps)
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim

@@ -221,6 +221,31 @@ def test_mode_mismatch_fails_before_any_stage(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("select-sym", "--d", "inf"), ("select-sym", "--d", "1e308"),
+    ("select-sym", "--d", "1"), ("select-sym", "--d", "nan"),
+    ("select-sym", "--tol", "-1"), ("select-sym", "--tol", "inf"),
+    ("select-sym", "--tol", "nan"),
+    ("select-gen", "--eps", "0"), ("select-gen", "--eps", "-1"),
+    ("select-gen", "--eps", "nan"), ("select-gen", "--eps", "inf"),
+    ("select-gen", "--tol", "-1"), ("select-gen", "--tol", "inf"),
+    ("select-gen", "--tol", "nan"),
+    ("gen", "--margin", "nan"), ("gen", "--margin", "inf")])
+def test_exit_code_bad_parameter(tmp_path, capsys, command, option, value):
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    if command == "gen":
+        args = ["gen", "--kind", "halfspace", "--n", 2, "--count", 4]
+    else:
+        hio.save_instance(gen_slab_family(2, 6, seed=1)
+                          if command == "select-sym"
+                          else gen_halfspace_family(2, 4, seed=3), inst)
+        args = [command, "--in", inst]
+    assert run([*args, option, value, "--out", out]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"InvalidInstance: {option.lstrip('-')}=" in err
+    assert not out.exists()
+
+
 def _python(code, cwd, timeout=300):
     src = str(Path(hellycert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -207,6 +208,62 @@ def test_sharpness_reproducible():
     b = gen_sharpness_instance(2, 32, seed=5)
     np.testing.assert_array_equal(a.G, b.G)
     np.testing.assert_array_equal(a.owner, b.owner)
+
+
+@pytest.mark.parametrize("n, N, seed, digest", [
+    (2, 64, 7,
+     "8a5ef2fb9bed87fa036871a05789d7fd7887e18989f8b74570bf85e34b29d838"),
+    (2, 32, 5,
+     "1542e3f69067209563fe74a05fbc7db948804a99afe27a64f09edbbda7b4cbd9"),
+    (3, 128, 1,
+     "f37d9a063bf59a81d42228ea1081c45678e3650480c5dece463ac1d342560858")])
+def test_sharpness_instance_bytes_are_pinned(tmp_path, n, N, seed, digest):
+    """The instances the tests and criterion 4 build must not change: these
+    are the files that the exact planar circumradius accepted."""
+    path = tmp_path / "inst.json"
+    save_instance(gen_sharpness_instance(n, N, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, N, seed", [(2, 64, 7), (3, 128, 1)])
+def test_sharpness_generation_never_reaches_the_vertex_oracle(monkeypatch, n,
+                                                              N, seed):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("generation reached the vertex oracle")
+
+    for name in ("circumradius_exact", "enumerate_vertices", "_vertex_sets"):
+        monkeypatch.setattr(oracle, name, no_oracle)
+    assert len(gen_sharpness_instance(n, N, seed)) == N
+
+
+def test_covering_agrees_with_the_exact_planar_radius():
+    """The radius along a unit u is 1 / max_j |<u, w_j>|, so covering at 0.5
+    is the inclusion in 2B; the exact circumradius stays the reference, on
+    the draws the generator makes."""
+    verdicts = []
+    for N in (2, 3, 4, 5, 6, 8, 16, 64):
+        for seed in range(10):
+            for attempt in range(2):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed, attempt]))
+                W = oracle._unit_rows(rng, N, 2)
+                exact = circumradius_exact(np.vstack([W, -W]),
+                                           np.ones(2 * N)) <= 2.0
+                assert oracle._covering_certified(W, 0.5) == exact, (
+                    N, seed, attempt)
+                verdicts.append(exact)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_disproved_sharpness_draws_are_refused_at_once():
+    """Every draw of (5, 10, 0) has a box centre u with max_j |<u, w_j>|
+    below 0.5 |u|. Refused there, the 20 draws take about 0.03 s; spending
+    the 2 000 000-box budget on each takes about 30 s in all."""
+    start = time.perf_counter()
+    with pytest.raises(SharpnessGenFailed,
+                       match=r"n=5, N=10.*0\.5.*20 attempts"):
+        gen_sharpness_instance(5, 10, seed=0)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_slab_generator_schema():

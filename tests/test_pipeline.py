@@ -8,7 +8,7 @@ import pytest
 
 from hellycert import lp, pipeline
 from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
-                              UnboundedBody)
+                              InvalidInstance, UnboundedBody)
 from hellycert.geometry import BodyFamily, chebyshev_center
 from hellycert.lp import OPTIMAL, LpResult
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
@@ -312,3 +312,24 @@ def test_stage_error_keeps_the_exception_and_names_the_stage():
     assert info.value.stage == "containment"
     assert str(info.value) == "containment: no vertex"
     assert "containment" in stages
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("select, name, value", [
+    *[(select_symmetric, "d", v) for v in (INF, 1e308, 1.0, NAN)],
+    *[(select_general, "eps", v) for v in (0.0, -1.0, NAN, INF)],
+    *[(select, "tol", v) for select in (select_symmetric, select_general)
+      for v in (-1.0, INF, NAN)]])
+def test_bad_parameters_fail_before_any_stage(monkeypatch, select, name,
+                                              value):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran with a parameter io.check refuses")
+
+    for stage in ("validate_family", "chebyshev_center", "john_decomposition"):
+        monkeypatch.setattr(pipeline, stage, no_stage)
+    family = (cube_slab_family(2) if select is select_symmetric
+              else cube_halfspace_family(2))
+    with pytest.raises(InvalidInstance, match=f"^{name}="):
+        select(family, **{name: value})
