@@ -54,6 +54,9 @@ test "$code" -eq 2
 # n=24, where the hidden center's norm once emptied the offset
 # range (seed 0 raised); gen only, select-gen at n=24 is slow
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json
+# n=30, the ladder's largest general size: boundedness from the closed-form
+# witness, no box walk
+timeout 20 hellycert gen --kind halfspace --n 30 --count 60 --seed 0 --out gen30.json
 # a size below 1 fails at once (exit 3) instead of drawing forever
 code=0; timeout 60 hellycert gen --n 0 --out zero.json || code=$?
 test "$code" -eq 3

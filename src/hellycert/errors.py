@@ -62,7 +62,8 @@ class CaratheodoryFailed(HellycertError):
 
 
 class OracleTooLarge(HellycertError):
-    """Brute-force oracle request exceeds its hard combinatorial caps."""
+    """A brute-force request exceeds its hard caps: the vertex oracle's, or
+    those of the sharpness generator's covering test."""
 
 
 class SharpnessGenFailed(HellycertError):

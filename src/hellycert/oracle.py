@@ -9,9 +9,14 @@ system left when the rows of one body are dropped, which is how
 a vertex of the system without body j when no row of its basis is j's and
 every row it violates is. Boundedness comes from the same bases, through a
 nonnegative dual for each of +-e_i and the trusted ``lp._upper_bounds``;
-only a system without such bases is walked by ``is_bounded``. Also hosts
-the seeded generators for slab families, halfspace families and the sharp
-two-ball instances, whose 2B inclusion is one covering test, no oracle call.
+only a system without such bases goes to ``is_bounded``. That tries
+Stiemke's witness first, a y > 0 with G^T y = 0 from one least-squares
+solve, whose +-e_i duals go through the same ``lp._upper_bounds``, and
+walks the box only when the witness is undecided, so "unbounded" is always
+a checked ray. Also hosts the seeded generators for slab families,
+halfspace families (whose boundedness check is ``is_bounded``) and the
+sharp two-ball instances, whose 2B inclusion is one covering test, no
+oracle call.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ MAX_SUBSETS = 200_000
 FEAS_TOL = 1e-8
 MERGE_TOL = 1e-7
 _CHUNK = 8192
+# caps of the sharpness generator's covering test, not of the vertex oracle
+COVER_MAX_DIM = 6
+COVER_MAX_SLABS = 4096
 
 
 def check_caps(m: int, n: int) -> None:
@@ -49,13 +57,53 @@ def check_caps(m: int, n: int) -> None:
 def is_bounded(G) -> bool:
     """Whether {x : G x <= h} is bounded for every h where it is nonempty.
 
-    That holds exactly when the recession cone {d : G d <= 0} is {0}. The
-    cone does not depend on h, so one vertex walk over {x : G x <= 1},
-    which holds the origin, in the directions +-e_i decides it: a checked
-    ray (``walk_bases`` gives None) says no, and ``check_support``
-    replaying the +e_i bases as those of U = I says yes.
+    That holds exactly when the recession cone {d : G d <= 0} is {0}, which
+    does not depend on h, so it is asked of {x : G x <= 1}, which holds the
+    origin. ``_witness_bounded`` answers first, in closed form and only
+    yes; what it leaves undecided ``_walk_bounded`` decides, so "no" is
+    always a checked ray.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
+    return _witness_bounded(G) or _walk_bounded(G)
+
+
+def _witness_bounded(G) -> bool:
+    """True when Stiemke's witness bounds {x : G x <= 1}. By Stiemke's
+    lemma the system is bounded exactly when G has rank n and some y > 0
+    has G^T y = 0.
+
+    One solve A W = [G^T 1, I] with A = G^T G gives y = 1 - G A^-1 G^T 1,
+    the all-ones vector projected onto the left null space of G, and for
+    each d = +-e_i the dual z_d = +-G A^-1 e_i with G^T z_d = d. When y > 0,
+    z_d + c_d y with the least c_d >= 0 that makes it nonnegative is a dual
+    for d, and ``lp._upper_bounds`` of those duals all finite is the
+    answer. False (undecided) when A is singular, y has an entry <= 0 or
+    the bound raises.
+    """
+    n = G.shape[1]
+    try:
+        W = np.linalg.solve(G.T @ G, np.hstack([G.sum(axis=0)[:, None],
+                                                np.eye(n)]))
+    except np.linalg.LinAlgError:
+        return False
+    y = 1.0 - G @ W[:, 0]
+    if not (y > 0).all():
+        return False
+    z = G @ W[:, 1:]
+    Z = np.vstack([z.T, -z.T])
+    Y = Z + np.maximum(0.0, (-Z / y).max(axis=1))[:, None] * y
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    try:
+        return bool(np.isfinite(_upper_bounds(G, box, Y)).all())
+    except SolverStall:
+        return False
+
+
+def _walk_bounded(G) -> bool:
+    """Whether {x : G x <= 1} is bounded, by one vertex walk in the
+    directions +-e_i: a checked ray (``walk_bases`` gives None) says no,
+    and ``check_support`` replaying the +e_i bases as those of U = I says
+    yes."""
     n = G.shape[1]
     walk = walk_bases(G, np.zeros((0, n)))
     return walk is not None and math.isfinite(check_support(
@@ -352,13 +400,18 @@ def gen_sharpness_instance(n: int, N: int, seed: int) -> BodyFamily:
     the outer inclusion in every dimension, resampling up to 20 times.
     Fewer than n slabs always leave a line in the intersection, so that
     fails at once; a draw whose normals span less than R^n is resampled
-    without running the certificate.
+    without running the certificate. Past COVER_MAX_DIM or COVER_MAX_SLABS
+    the covering test's cost raises OracleTooLarge before any draw.
     """
     _require_sizes(n=n, N=N)
-    if n > MAX_DIM:
-        raise OracleTooLarge(f"dimension {n} exceeds oracle cap {MAX_DIM}")
-    if N > 4096:
-        raise OracleTooLarge(f"slab count {N} exceeds cap 4096")
+    if n > COVER_MAX_DIM:
+        raise OracleTooLarge(
+            f"covering test: dimension {n} exceeds cap {COVER_MAX_DIM} (its "
+            "boxes of directions multiply with every dimension)")
+    if N > COVER_MAX_SLABS:
+        raise OracleTooLarge(
+            f"covering test: {N} slabs exceed cap {COVER_MAX_SLABS} (every "
+            "box costs one bound per slab)")
     if N < n:
         raise SharpnessGenFailed(
             f"{N} slabs cannot bound dimension {n}; the intersection "

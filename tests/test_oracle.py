@@ -82,19 +82,79 @@ def test_vertices_of_polytope_away_from_origin():
 
 @pytest.mark.parametrize("extra, bounded", [([-1.0, -1.0, -1.0], True),
                                             ([0.0, 0.0, 1.0], False)])
-def test_is_bounded_walks_each_box_direction_once(extra, bounded,
-                                                  monkeypatch):
+def test_is_bounded_walks_the_box_only_without_a_witness(extra, bounded,
+                                                         monkeypatch):
+    """The bounded system is settled by Stiemke's witness and walks nothing;
+    the unbounded one walks the 2n box directions once."""
     g = np.vstack([np.eye(3), -np.eye(3)[:2], [extra]])
-    real = lp.vertex_walk
-    walked = []
-
-    def counted(G, U, start=None):
-        walked.append(len(U))
-        return real(G, U, start=start)
-
-    monkeypatch.setattr(lp, "vertex_walk", counted)
+    walked = _counted_walks(monkeypatch)
     assert is_bounded(g) is bounded
-    assert walked == [6]
+    assert walked == ([] if bounded else [6])
+
+
+def random_systems(count):
+    """Seeded row sets G with n from 2 to 6, cycling through five kinds:
+    unit rows, rows confined to an open halfspace (a recession direction
+    is left), rows orthogonal to one direction (a line is left), unit rows
+    with some repeated, and small nonzero integer rows."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n, 3 * n + 4))
+        kind = seed % 5
+        g = unit_rows(rng, m, n)
+        if kind == 1:
+            v = unit_rows(rng, 1, n)[0]
+            g *= np.where(g @ v < 0, -1.0, 1.0)[:, None]
+        elif kind == 2:
+            v = unit_rows(rng, 1, n)[0]
+            g -= np.outer(g @ v, v)
+        elif kind == 3:
+            g = np.vstack([g, g[rng.integers(0, m, size=n)]])
+        elif kind == 4:
+            g = rng.integers(-2, 3, size=(m, n)).astype(float)
+            while not np.abs(g).sum(axis=1).all():
+                zero = ~np.abs(g).sum(axis=1).astype(bool)
+                g[zero] = rng.integers(-2, 3, size=(int(zero.sum()), n))
+        yield g
+
+
+def test_witness_agrees_with_the_walk_on_random_systems():
+    """The witness never says bounded where the walk says unbounded (a
+    checked ray), and ``is_bounded`` equals the walk-only answer; both
+    answers, and a walk left to decide a bounded system, are seen."""
+    seen = set()
+    for g in random_systems(600):
+        witness = oracle._witness_bounded(g)
+        walk = oracle._walk_bounded(g)
+        assert walk or not witness, g
+        assert is_bounded(g) is walk, g
+        seen.add((witness, walk))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n, count", [(24, 48), (30, 60)])
+def test_large_halfspace_families_need_no_walk(n, count, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertex_walk called")
+
+    monkeypatch.setattr(lp, "vertex_walk", refuse)
+    for seed in range(3):
+        assert gen_halfspace_family(n, count, seed).dim == n
+
+
+def test_a_bounded_system_without_a_positive_projection_is_walked(
+        monkeypatch):
+    """The rows positively span the plane, but the all-ones vector
+    projected onto their left null space has a negative entry, so the
+    witness is undecided and the walk answers."""
+    g = np.array([[-1.0, 2.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 0.0]])
+    y = 1.0 - g @ np.linalg.solve(g.T @ g, g.sum(axis=0))
+    assert y.min() < 0
+    walked = _counted_walks(monkeypatch)
+    assert not oracle._witness_bounded(g)
+    assert is_bounded(g) is True
+    assert walked == [4]
 
 
 @pytest.mark.parametrize("g, bounded", [
@@ -276,17 +336,20 @@ def test_slab_generator_schema():
 
 def test_halfspace_generator_at_high_n():
     """At n=24 the hidden center's norm plus 0.05 passes 1.5 for about half
-    the seeds; the offset range then widens instead of being empty."""
-    for seed in range(20):
-        fam = gen_halfspace_family(24, count=48, seed=seed)
-        assert np.all(fam.h > 0), seed
+    the seeds; the offset range then widens instead of being empty. n=30
+    is the largest general size of the bench ladder."""
+    cases = ([(24, 48, seed) for seed in range(20)]
+             + [(30, 60, seed) for seed in range(5)])
+    for n, count, seed in cases:
+        fam = gen_halfspace_family(n, count=count, seed=seed)
+        assert np.all(fam.h > 0), (n, seed)
         # bounded: the rows have rank n and a combination with every weight
         # >= 1 sums to 0, so G d <= 0 forces G d = 0 and then d = 0
-        assert np.linalg.matrix_rank(fam.G) == 24, seed
+        assert np.linalg.matrix_rank(fam.G) == n, (n, seed)
         res = scipy.optimize.linprog(
-            np.zeros(len(fam.G)), A_eq=fam.G.T, b_eq=np.zeros(24),
+            np.zeros(len(fam.G)), A_eq=fam.G.T, b_eq=np.zeros(n),
             bounds=(1.0, None), method="highs")
-        assert res.status == 0, seed
+        assert res.status == 0, (n, seed)
 
 
 def test_halfspace_generator_bytes_are_pinned(tmp_path):
