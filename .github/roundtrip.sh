@@ -51,6 +51,12 @@ python -c "import json; d = json.load(open('huge-cert.json')); w = d['payload'][
 python -c "import json; d = json.load(open('huge-cert.json')); p = d['payload']; j = len(p['support_directions']) - 1; del p['support_directions'][j], p['support_bases'][j]; json.dump(d, open('bad.json', 'w'))"
 code=0; hellycert certify --in huge.json --cert bad.json || code=$?
 test "$code" -eq 2
+# a symmetric Q has a closed-form box: one basis per walked direction and
+# no box bases; a certificate of format 0.3.0 is refused as input (exit 3)
+python -c "import json; p = json.load(open('huge-cert.json'))['payload']; assert len(p['support_bases']) == len(p['support_directions']), p"
+python -c "import json; d = json.load(open('huge-cert.json')); d['version'] = '0.3.0'; json.dump(d, open('old.json', 'w'))"
+code=0; hellycert certify --in huge.json --cert old.json || code=$?
+test "$code" -eq 3
 # n=24, where the hidden center's norm once emptied the offset
 # range (seed 0 raised); gen only, select-gen at n=24 is slow
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json

@@ -90,7 +90,7 @@ def _cmd_select(args, mode: str) -> int:
 
 def _cmd_reduce(args) -> int:
     family = load_instance(args.infile)
-    doc = load_certificate(args.cert)
+    doc = load_certificate(args.cert, version=__version__)
     cert = reduce_to_2n(family, certificate_from_json(doc))
     m = family.constraint_matrix()[0].shape[0]
     out_doc = certificate_to_json(cert, __version__, constraint_count=m,
@@ -103,7 +103,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_certify(args) -> int:
     family = load_instance(args.infile)
-    doc = load_certificate(args.cert)
+    doc = load_certificate(args.cert, version=__version__)
     ok, problems = verify_certificate(family, doc)
     for p in problems:
         print(p, file=sys.stderr)

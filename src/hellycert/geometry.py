@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DegenerateInterior, NotInterior, SolverStall,
                      UnboundedBody)
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, check_support,
+from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, box_bound, check_support,
                  dual_bounds, solve_lp, walk_bases)
 
 SYMMETRIC = "symmetric"
@@ -200,12 +200,12 @@ def containment_bases(family: BodyFamily, selected):
     direction whose closed-form dual bound is at most the support already
     walked is left out; in a general one every direction is walked.
     ``directions`` are the strictly increasing indices of the walked ones,
-    and ``bases`` hold n indices into the rows of Q for each of them, then
-    for +e_i, then for -e_i. ``bases`` is None when the box walk met a
-    checked ray (alpha is +inf; a line counts as two rays): then no family
-    direction was walked, and ``directions`` still lists them all. Both
-    are empty when every body is selected. Nothing but the box walk's ray
-    is checked here; the bases are checked when they are replayed.
+    and ``bases`` n rows of Q for each, then for +-e_i only where
+    ``lp.box_bound`` has no box for Q. ``bases`` is None when that box walk
+    met a checked ray (alpha is +inf; a line counts as two rays): then no
+    family direction was walked, and ``directions`` still lists them all.
+    Both are empty when every body is selected. Nothing but the box walk's
+    ray is checked here; the bases are checked when they are replayed.
     """
     Gq, U = containment_system(family, selected)
     if not len(U):
@@ -221,8 +221,9 @@ def containment_factor(family: BodyFamily, selected, walk) -> float:
     the constraint directions of the family, and at least 1. Nothing is
     walked. ``walk`` is the (directions, bases) of ``containment_bases``,
     the directions strictly increasing. ``check_support`` replays the bases
-    of those directions, and alpha is the largest of its checked upper
-    bounds. Every other direction must have a dual bound of at most alpha:
+    of those directions with the box of ``lp.box_bound`` (or of the box
+    bases), and alpha is the largest of its checked upper bounds. Every
+    other direction must have a dual bound of at most alpha:
     ``lp.dual_bounds`` in a symmetric family, +inf in a general one. So the
     value is a checked upper bound on every direction's support. Raises
     SolverStall when a replay or a dual bound fails its check. Bases of
@@ -237,11 +238,12 @@ def containment_factor(family: BodyFamily, selected, walk) -> float:
             raise SolverStall(f"{len(bases)} bases for no direction: every "
                               "body is selected")
         return 1.0
-    alpha = max(1.0, check_support(Gq, U[directions], bases))
+    box = box_bound(Gq)
+    alpha = max(1.0, check_support(Gq, U[directions], bases, box))
     skipped = np.ones(len(U), dtype=bool)
     skipped[directions] = False
     if skipped.any():
-        beta = (dual_bounds(Gq, U) if family.mode == SYMMETRIC
+        beta = (dual_bounds(Gq, U, box) if family.mode == SYMMETRIC
                 else np.full(len(U), math.inf))
         worst = int(np.argmax(np.where(skipped, beta, -math.inf)))
         if not beta[worst] <= alpha:

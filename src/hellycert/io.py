@@ -175,10 +175,15 @@ def certificate_from_json(doc) -> SelectionCertificate:
         raise InvalidInstance(f"malformed certificate: {exc!r}") from exc
 
 
-def load_certificate(path) -> dict:
+def load_certificate(path, version=None) -> dict:
+    """The certificate at ``path``, of format ``version`` when given."""
     doc = _read_json(path, "certificate")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InvalidInstance(f"{path} is not a certificate file")
+    found = doc.get("version")
+    if version is not None and found != version:
+        raise InvalidInstance(f"{path} has format version {found!r}; this "
+                              f"hellycert checks {version!r} only")
     return doc
 
 

@@ -7,28 +7,22 @@ this package stay in the hundreds of rows, where a dense tableau is fine.
 
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
-primal simplex per direction, all of them advanced together by stacked n x n
-solves and priced by the most negative dual. The walk is not trusted: it
-only proposes one basis per direction, or a ray where the support is
-unbounded (a line is two rays, one per sign).
-``check_support`` turns bases into primal and dual witnesses with two stacked
-solves, bounds the rounding in the dual residual, and returns the upper end
-of the bracket only when the two ends meet. ``dual_bounds`` bounds the
-support in every direction at once from one closed-form dual each, tight
-when the polyhedron is centrally symmetric. Both end in ``_upper_bounds``,
-the one weak-duality formula that is trusted. ``walk_bases`` walks the
-directions +-e_i first, then only the directions whose dual bound could
-exceed the support already found, each from the best of the box vertices.
-Rays matter only on the box walk: a checked ray there is the one verdict
-of an unbounded polyhedron, and then no other direction is walked. Every
-support value is a replayed basis or a checked closed-form dual bound:
-``walk_bases`` proposes, a certificate stores the walked directions and
-their bases, and ``check_support`` and ``dual_bounds`` check them, in the
-producer and in checking alike, and never walk.
+primal simplex per direction, each from its own crash vertex, all advanced
+together by stacked n x n solves and priced by the most negative dual. The
+walk only proposes a basis per direction, or a ray (a line is two rays).
+Trusted is one weak-duality formula, ``_upper_bounds``, with the box
+M >= max |x|_inf it needs: ``box_bound`` takes M from closed-form duals of
++-e_i, and only where they decide nothing does ``walk_bases`` walk +-e_i,
+whose checked ray is the one verdict of an unbounded polyhedron and whose
+bases, stored after the others, give M when replayed. ``check_support``
+replays bases into a bracket that must close; ``dual_bounds`` bounds every
+direction by one closed-form dual. ``walk_bases`` proposes, a certificate
+stores the walked directions and their bases, and the checks never walk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,10 +234,10 @@ class VertexWalk:
     """Where a batched vertex walk over {x : G x <= 1} stopped.
 
     Row j belongs to direction j. ``basis`` holds the n rows of G tight at
-    the last vertex. Where ``ray`` is set the walk left that vertex along
-    ``edge`` and met no row. When the first-vertex search found a line d
-    inside the polyhedron there is no vertex: every direction u that rises
-    along the line is a ray along sign(u.d) d, and no basis is set.
+    the last vertex. Where ``ray`` is set the walk (or its crash) left along
+    ``edge`` and met no row. When the crash found a line d inside the
+    polyhedron there is no vertex and no basis: every direction u that
+    rises along the line is a ray along sign(u.d) d.
     """
 
     basis: np.ndarray
@@ -266,67 +260,85 @@ def _blocking(gd, slack, norms, dnorm, exclude):
     return tmin, row
 
 
-def _first_vertex(G, norms):
-    """A vertex of {x : G x <= 1} by ray-shooting from the origin.
+def _off(Q, v):
+    """Each row of v minus its projection onto the orthonormal rows of Q."""
+    return v - np.einsum("lij,li->lj", Q, np.einsum("lij,lj->li", Q, v))
 
-    Each shot moves inside the face of the rows hit so far until one more
-    row is tight. Returns (basis, None), or (None, d) when a null direction
-    d of the hit rows is blocked neither way: the polyhedron holds a line.
-    """
-    n = G.shape[1]
-    x = np.zeros(n)
-    active = []
-    for k in range(n):
-        d = np.linalg.svd(G[active])[2][k] if active else np.eye(n)[0]
-        slack = np.maximum(1.0 - G @ x, 0.0)[None, :]
-        for sign in (1.0, -1.0):
-            gd = (sign * (G @ d))[None, :]
-            t, row = _blocking(gd, slack, norms, np.ones(1),
-                               np.array([active], dtype=int))
-            if row[0] >= 0:
-                break
-        else:
-            return None, d
-        x = x + t[0] * sign * d
-        active.append(int(row[0]))
-    return np.array(active), None
+
+def _crash(G, U, norms):
+    """A start vertex of {x : G x <= 1} for every row u of U at once: from
+    the origin, each step moves along u projected off the rows tight so far
+    until one more is tight, or, where that projection vanishes, along a
+    null vector of those rows, forward or back. Returns (basis, ray, edge,
+    line): n tight rows per direction, a ray where the projection ``edge``
+    met no row, and a null vector blocked neither way (a line), or None."""
+    k, n = U.shape
+    x, edge, Q = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n, n))
+    basis, ray = np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for j in range(n):  # Q[:, :j] spans the j rows tight so far
+        d = _off(Q[live, :j], U[live])
+        flat = (np.linalg.norm(d, axis=1)
+                <= PIVOT_TOL * np.linalg.norm(U[live], axis=1))
+        if flat.any():  # the coordinate axis furthest off the tight rows
+            null = np.eye(n) - np.einsum("lij,lik->ljk", Q[live[flat], :j],
+                                         Q[live[flat], :j])
+            pick = np.argmax(np.linalg.norm(null, axis=1), axis=1)
+            d[flat] = null[np.arange(len(pick)), pick]
+        slack = np.maximum(1.0 - x[live] @ G.T, 0.0)
+        t, row = _blocking(d @ G.T, slack, norms, np.linalg.norm(d, axis=1),
+                           basis[live, :j])
+        back = flat & (row < 0)
+        if back.any():
+            d[back] *= -1.0
+            t[back], row[back] = _blocking(
+                d[back] @ G.T, slack[back], norms,
+                np.linalg.norm(d[back], axis=1), basis[live[back], :j])
+            if (back & (row < 0)).any():
+                return basis, ray, edge, d[np.argmax(back & (row < 0))]
+        keep = row >= 0
+        ray[live[~keep]] = True
+        edge[live[~keep]] = d[~keep]
+        live, d, t, row = live[keep], d[keep], t[keep], row[keep]
+        x[live] += t[:, None] * d
+        basis[live, j] = row
+        g = _off(Q[live, :j], _off(Q[live, :j], G[row]))  # twice, for rounding
+        Q[live, j] = g / np.linalg.norm(g, axis=1)[:, None]
+    return basis, ray, edge, None
 
 
 def vertex_walk(G, U, start=None) -> VertexWalk:
     """Maximize every row u of U over {x : G x <= 1}, all at once.
 
     A primal vertex walk per direction. Direction j starts at the basis
-    ``start[j]`` when given, else all start at one vertex found by
-    ``_first_vertex``. Each round solves the stacked bases for duals and
-    vertices, lets the basis row with the most negative dual leave
-    (Dantzig's rule, ties to the lowest row), and takes the lowest blocking
-    row along the edge that opens. After a step of zero length the leaving
-    row is the lowest one with a negative dual instead (Bland's rule), so a
-    degenerate vertex cannot make the walk cycle. A direction stops at a
-    nonnegative dual or on an edge no row blocks; after 50 (m + n) rounds,
-    or at a singular basis, the walk gives up with SolverStall. The result
-    is not trusted: ``walk_bases`` and ``check_support`` check it.
+    ``start[j]`` when given, else at the vertex its own ``_crash`` reaches.
+    Each round solves the stacked bases for duals and vertices, lets the
+    basis row with the most negative dual leave (Dantzig's rule, ties to
+    the lowest row), and takes the lowest blocking row along the edge that
+    opens. After a step of zero length the leaving row is the lowest one
+    with a negative dual instead (Bland's rule), so a degenerate vertex
+    cannot make the walk cycle. A direction stops at a nonnegative dual or
+    on an edge no row blocks; after 50 (m + n) rounds, or at a singular
+    basis, the walk gives up with SolverStall. The result is not trusted:
+    ``walk_bases`` and ``check_support`` check it.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    m, n = G.shape
-    k = U.shape[0]
+    (m, n), k = G.shape, U.shape[0]
     norms = np.linalg.norm(G, axis=1)
-    edge = np.zeros((k, n))
-    ray = np.zeros(k, dtype=bool)
+    edge, ray = np.zeros((k, n)), np.zeros(k, dtype=bool)
     if start is None:
-        first, line = _first_vertex(G, norms)
+        start, ray, edge, line = _crash(G, U, norms)
         if line is not None:
             ud = U @ line
             ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
                                 * np.linalg.norm(line))
-            edge[ray] = np.sign(ud[ray])[:, None] * line
+            edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
             return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
-        start = np.tile(first, (k, 1))
     max_rounds = 50 * (m + n)
     basis = np.array(start, dtype=int)
     bland = np.zeros(k, dtype=bool)
-    live = np.arange(k)
+    live = np.flatnonzero(~ray)
     for rnd in range(max_rounds + 1):
         B = G[basis[live]]
         yl = _solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
@@ -366,28 +378,19 @@ def _solve(A, b):
         raise SolverStall(f"vertex walk: a basis is singular: {exc}") from exc
 
 
-def _with_box(U, n) -> np.ndarray:
-    """The query directions: the rows of U, then +e_i, then -e_i."""
-    return np.vstack([U, np.eye(n), -np.eye(n)])
+@functools.cache
+def _axes(n, sets=1) -> np.ndarray:
+    """The box directions +e_i, then -e_i, ``sets`` times (read-only)."""
+    axes = np.tile(np.concatenate((np.eye(n), -np.eye(n))), (sets, 1))
+    axes.flags.writeable = False
+    return axes
 
 
-def _upper_bounds(G, D, y) -> np.ndarray:
-    """The one trusted support bound: for each row d of D, an upper bound on
-    max{d.x : G x <= 1} from the duals y on rows of G.
-
-    G is a stack of k row sets (k, r, n), one per direction, or one set of
-    r rows (r, n) that every direction shares; the last 2n rows of D are
-    +e_i, then -e_i. With y+ = max(y, 0) each direction gets
-
-        hi = (sum y+ + |d - G^T y+|_1 M)(1 + 4(r+2)eps),
-
-    with the dot-product rounding bound added to the residual, where
-    M >= max |x|_inf over the polyhedron comes from the same bound on the
-    coordinate directions. By weak duality hi is an upper bound for any y,
-    so a wrong dual can only widen it. Raises SolverStall when the
-    coordinate residual bounds no box.
-    """
-    r, n = G.shape[-2:]
+def _duality_terms(G, D, y):
+    """(sum y+, |d - G^T y+|_1 plus its dot-product rounding bound, allow)
+    per row d of D, for duals y on the rows of G: (k, r, n), a row set per
+    direction, or (r, n), shared."""
+    r = G.shape[-2]
     yp = np.maximum(y, 0.0)
     if G.ndim == 3:
         back = np.einsum("kij,ki->kj", G, yp)
@@ -396,62 +399,102 @@ def _upper_bounds(G, D, y) -> np.ndarray:
         back, mass = yp @ G, yp @ np.abs(G)
     rounding = (r + 1) * EPS * (np.abs(D) + mass)
     resid = (np.abs(D - back) + rounding).sum(axis=1)
-    total = yp.sum(axis=1)
-    allow = 1.0 + 4 * (r + 2) * EPS
-    rho = resid[-2 * n:].max() * allow
-    if not rho < 1.0:
-        raise SolverStall(f"support check: coordinate residual {rho:.3e} "
-                          "bounds no box")
-    box = total[-2 * n:].max() * allow / (1.0 - rho) * allow
+    return yp.sum(axis=1), resid, 1.0 + 4 * (r + 2) * EPS
+
+
+def _upper_bounds(G, D, y, box) -> np.ndarray:
+    """The one trusted support bound: for each row d of D, an upper bound on
+    max{d.x : G x <= 1} from the duals y on rows of G, given a box
+    M >= max |x|_inf over the polyhedron. With y+ = max(y, 0),
+
+        hi = (sum y+ + |d - G^T y+|_1 M)(1 + 4(r+2)eps),
+
+    the dot-product rounding bound added to the residual. By weak duality
+    hi is an upper bound for any y, so a wrong dual only widens it.
+    """
+    total, resid, allow = _duality_terms(G, D, y)
     return (total + resid * box) * allow
 
 
-def dual_bounds(G, U) -> np.ndarray:
+def _box(G, y):
+    """The box M of ``_upper_bounds`` from duals y of +e_i, then -e_i, in
+    one or more stacked sets: the same bound with M on both sides, so
+    M = max sum y+ / (1 - rho) for the set's largest residual rho. The
+    least M of a set with rho < 1, else None (as for NaN duals)."""
+    n = G.shape[-1]
+    total, resid, allow = _duality_terms(G, _axes(n, len(y) // (2 * n)), y)
+    rho = resid.reshape(-1, 2 * n).max(axis=1) * allow
+    tops = total.reshape(-1, 2 * n).max(axis=1)
+    return min((float(t * allow / (1.0 - r) * allow)
+                for t, r in zip(tops, rho) if r < 1.0), default=None)
+
+
+def box_bound(G):
+    """A box M >= max |x|_inf over {x : G x <= 1} from closed-form duals of
+    +-e_i, or None when they decide nothing (or A = G^T G is singular).
+
+    With z = G A^-1 e_i (so G^T z = e_i) and Stiemke's y = 1 - G A^-1 G^T 1
+    (1 projected onto the left null space of G), each d = +-e_i gets the
+    pairing dual +-2z of ``dual_bounds``, tight for rows in pairs +-g, and,
+    when y > 0, +-z + c y with the least c >= 0 that makes it nonnegative
+    (Stiemke: for G of rank n such a y exists iff the polyhedron is
+    bounded). M is the least ``_box`` of the two.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    try:
+        z = np.linalg.solve(G.T @ G, G.T)
+    except np.linalg.LinAlgError:
+        return None
+    y = 1.0 - G.sum(axis=0) @ z
+    z = np.concatenate((z, -z))
+    if not (y > 0).all():
+        return _box(G, 2.0 * z)
+    lift = np.maximum(0.0, (-z / y).max(axis=1))
+    return _box(G, np.concatenate((2.0 * z, z + lift[:, None] * y)))
+
+
+def dual_bounds(G, U, box) -> np.ndarray:
     """Checked upper bounds on max{u.x : G x <= 1}, one per row u of U,
     each from one closed-form dual and no walk.
 
-    Let A = G^T G, w = A^-1 u and y = G w, so that G^T y = u. When the rows
-    of G come in pairs +-g (the polyhedron is centrally symmetric), moving
-    every negative entry of y to the opposite row gives the dual 2 y+ >= 0
-    with G^T (2 y+) = u and value sum |y|: Cauchy-Schwarz on a
-    decomposition of the identity, one direction at a time. The bounds are
-    ``_upper_bounds`` of the duals 2y, with the box from the same duals of
-    +-e_i, so they hold for any G; without the pairs the residual widens
-    them. One n x n solve and one product serve every direction. Raises
-    SolverStall when A is singular, which for a symmetric G means that the
-    polyhedron holds a line.
+    Let y = G A^-1 u with A = G^T G, so that G^T y = u. Where the rows of G
+    come in pairs +-g (a centrally symmetric polyhedron), moving every
+    negative entry of y to the opposite row gives the dual 2 y+ >= 0 with
+    value sum |y|. The bounds are ``_upper_bounds`` of the duals 2y, so
+    they hold for any G; without the pairs the residual widens them.
+    ``box`` is ``box_bound(G)``; SolverStall when it is None, which for a
+    symmetric G means a line in it.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    n = G.shape[1]
-    D = _with_box(np.atleast_2d(np.asarray(U, dtype=float)), n)
-    try:
-        w = np.linalg.solve(G.T @ G, D.T)
-    except np.linalg.LinAlgError as exc:
-        raise SolverStall(f"dual bound: G^T G is singular: {exc}") from exc
-    return _upper_bounds(G, D, 2.0 * (G @ w).T)[:-2 * n]
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if box is None:
+        raise SolverStall("dual bound: G^T G is singular or its closed-form "
+                          "duals bound no box")
+    w = np.linalg.solve(G.T @ G, U.T)
+    return _upper_bounds(G, U, 2.0 * (G @ w).T, box)
 
 
-def check_support(G, U, bases) -> float:
+def check_support(G, U, bases, box) -> float:
     """Certified upper bound on max over rows u of U of max{u.x : G x <= 1}.
 
-    ``bases`` holds n row indices of G for each direction: the rows of U,
-    then +e_i, then -e_i. They are not trusted. From one stacked solve of
-    G_B^T y = u and one of G_B x = 1, only these checks are:
-
-    * lo = max u.x / max(1, max G x) over the bases' vertices x, each
-      scaled into the polyhedron;
-    * hi = ``_upper_bounds`` of the duals y on the basis rows G_B, so a
-      wrong basis can only widen the bracket.
-
-    Returns max hi over U (-inf when U has no rows). Raises SolverStall when
-    the bases do not name n distinct rows of G per direction, a basis is
-    singular, or hi and lo of some direction differ by more than GAP_TOL.
+    ``bases`` holds n row indices of G for each row of U, then, only when
+    ``box``, which is ``box_bound(G)``, is None, for +e_i and -e_i, whose
+    duals give the box. They are not trusted. From
+    stacked solves of G_B^T y = u and G_B x = 1, lo = max u.x / max(1,
+    max G x) at the vertices x and hi = ``_upper_bounds`` of the duals y.
+    Returns max hi over U (-inf for no rows); SolverStall when the bases do
+    not name n distinct rows each, one is singular, the box bases bound no
+    box, or some hi - lo exceeds GAP_TOL (1 + |hi|).
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     m, n = G.shape
-    D = _with_box(np.atleast_2d(np.asarray(U, dtype=float)), n)
-    k = D.shape[0] - 2 * n
+    D = np.atleast_2d(np.asarray(U, dtype=float))
+    k = D.shape[0]
+    if box is None:
+        D = np.vstack([D, _axes(n)])
     bases = np.asarray(bases)
+    if bases.shape == D.shape == (0, n):
+        return -math.inf
     if (bases.shape != D.shape or bases.dtype.kind not in "iu"
             or not 0 <= bases.min() <= bases.max() < m
             or np.any(np.diff(np.sort(bases, axis=1), axis=1) == 0)):
@@ -464,7 +507,10 @@ def check_support(G, U, bases) -> float:
         x = np.linalg.solve(GB, np.ones((D.shape[0], n, 1)))[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SolverStall(f"a basis is singular: {exc}") from exc
-    hi = _upper_bounds(GB, D, y)
+    box = _box(GB[k:], y[k:]) if box is None else box
+    if box is None:
+        raise SolverStall("support check: the box bases bound no box")
+    hi = _upper_bounds(GB, D, y, box)
     scale = np.maximum(1.0, (x @ G.T).max(axis=1))
     lo = (D @ (x / scale[:, None]).T).max(axis=1)
     gap = hi - lo
@@ -476,54 +522,46 @@ def check_support(G, U, bases) -> float:
 
 
 def walk_bases(G, U, symmetric=False):
-    """The rows of U that ``vertex_walk`` walks, and the bases it proposes
-    for them and for +-e_i, for ``check_support`` to check; None when the
-    polyhedron is unbounded.
+    """(directions, bases): the strictly increasing indices of the rows of
+    U that ``vertex_walk`` walks, and n rows of G for each, then for +e_i
+    and -e_i where ``box_bound`` is None; for ``check_support`` to check.
 
-    The box directions +-e_i are walked first, and only that walk is asked
-    about rays. Where it stops on one, only this is checked: every claimed
-    ray d rises (e.d > 0) and stays (G d <= 0), each to PIVOT_TOL relative
-    (a line is a ray along each sign, so it passes only when G d = 0), and
-    then None is returned with no row of U walked. Raises SolverStall when
-    that witness fails.
-
-    Otherwise every row u of U gets a bound beta_u: ``dual_bounds`` when
-    ``symmetric`` (the rows of G come in pairs +-g), else +inf. The
-    WALK_FIRST rows with the largest beta, ties included, are walked, and L
-    is the largest of their supports at their own vertices scaled into the
-    polyhedron. Then every other row with beta_u > L is walked; the support
-    of the rest is at most beta_u <= L. With every beta infinite all rows
-    are walked at once. Each walk starts from the box basis whose vertex
-    maximizes u.x. A row whose walk claims a ray keeps the basis it
-    stopped at, for ``check_support`` to reject on replay.
-
-    Returns (directions, bases): the strictly increasing indices of the
-    walked rows of U, and n row indices of G for each of them, then for
-    +e_i, then for -e_i.
+    Only that box walk is asked about rays: a claimed ray d must rise
+    (e.d > 0) and stay (G d <= 0) to PIVOT_TOL relative, or SolverStall (a
+    line passes as two rays only when G d = 0), and it gives None.
+    Each row u gets beta_u, ``dual_bounds`` when ``symmetric``, else +inf.
+    The WALK_FIRST largest, ties included, walk from their crash (or the
+    best box vertex), L being their largest support, scaled into the
+    polyhedron. Every other row with beta_u > L walks from the best of
+    those vertices (or of the box); the rest have support <= beta_u <= L.
+    A row whose walk claims a ray keeps its basis, for the replay to reject.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     k, n = U.shape[0], G.shape[1]
-    axes = _with_box(U[:0], n)
-    box = vertex_walk(G, axes)
-    if box.ray.any():
-        e = box.edge[box.ray]
-        enorm = np.linalg.norm(e, axis=1)
-        rises = np.einsum("ij,ij->i", axes[box.ray], e) > PIVOT_TOL * enorm
-        stays = np.max((e @ G.T) / (np.linalg.norm(G, axis=1)[None, :]
-                                    * enorm[:, None]), axis=1) <= PIVOT_TOL
-        if not np.all(rises & stays):
-            raise SolverStall("vertex walk: claimed ray is not a recession "
-                              "direction")
-        return None
+    tail, start, box = np.zeros((0, n), dtype=int), None, box_bound(G)
+    if box is None:
+        walk = vertex_walk(G, _axes(n))
+        if walk.ray.any():
+            e = walk.edge[walk.ray]
+            enorm = np.linalg.norm(e, axis=1)
+            rises = (_axes(n)[walk.ray] * e).sum(axis=1) > PIVOT_TOL * enorm
+            stays = np.max((e @ G.T) / (np.linalg.norm(G, axis=1)[None, :]
+                                        * enorm[:, None]), axis=1) <= PIVOT_TOL
+            if not np.all(rises & stays):
+                raise SolverStall("vertex walk: claimed ray is not a "
+                                  "recession direction")
+            return None
+        tail = walk.basis
+        corners = _solve(G[tail], np.ones((2 * n, n, 1)))[:, :, 0]
+        start = tail[np.argmax(U @ corners.T, axis=1)]
     if not k:
-        return np.zeros(0, dtype=int), box.basis
-    corners = _solve(G[box.basis], np.ones((2 * n, n, 1)))[:, :, 0]
-    start = box.basis[np.argmax(U @ corners.T, axis=1)]
-    beta = dual_bounds(G, U) if symmetric else np.full(k, math.inf)
+        return np.zeros(0, dtype=int), tail
+    beta = dual_bounds(G, U, box) if symmetric else np.full(k, math.inf)
     walked = beta >= np.sort(beta)[-min(WALK_FIRST, k)]
     bases = np.zeros((k, n), dtype=int)
-    bases[walked] = vertex_walk(G, U[walked], start=start[walked]).basis
+    bases[walked] = vertex_walk(
+        G, U[walked], start=None if start is None else start[walked]).basis
     rest = ~walked
     if rest.any():
         x = _solve(G[bases[walked]], np.ones((walked.sum(), n, 1)))[:, :, 0]
@@ -531,6 +569,8 @@ def walk_bases(G, U, symmetric=False):
               / np.maximum(1.0, (x @ G.T).max(axis=1)))
         rest &= beta > lo.max()
     if rest.any():
+        if start is None:
+            start = bases[walked][np.argmax(U @ x.T, axis=1)]
         bases[rest] = vertex_walk(G, U[rest], start=start[rest]).basis
         walked |= rest
-    return np.flatnonzero(walked), np.vstack([bases[walked], box.basis])
+    return np.flatnonzero(walked), np.vstack([bases[walked], tail])

@@ -8,15 +8,13 @@ system left when the rows of one body are dropped, which is how
 ``reduce_to_2n`` prices all the drops of a greedy step: a basic solution is
 a vertex of the system without body j when no row of its basis is j's and
 every row it violates is. Boundedness comes from the same bases, through a
-nonnegative dual for each of +-e_i and the trusted ``lp._upper_bounds``;
-only a system without such bases goes to ``is_bounded``. That tries
-Stiemke's witness first, a y > 0 with G^T y = 0 from one least-squares
-solve, whose +-e_i duals go through the same ``lp._upper_bounds``, and
-walks the box only when the witness is undecided, so "unbounded" is always
-a checked ray. Also hosts the seeded generators for slab families,
-halfspace families (whose boundedness check is ``is_bounded``) and the
-sharp two-ball instances, whose 2B inclusion is one covering test, no
-oracle call.
+nonnegative dual for each of +-e_i and the trusted box of ``lp._box``;
+only a system without such bases goes to ``is_bounded``, which asks
+``lp.walk_bases``: the closed-form box of ``lp.box_bound`` first, the box
+walk only where that is undecided, so "unbounded" is always a checked ray.
+Also hosts the seeded generators for slab families, halfspace families
+(checked by ``is_bounded``) and the sharp two-ball instances, whose 2B
+inclusion is one covering test, no oracle call.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ import math
 import numpy as np
 
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
-                     SolverStall, UnboundedBody)
+                     UnboundedBody)
 from .geometry import BodyFamily, containment_bases, containment_factor
-from .lp import _upper_bounds, check_support, walk_bases
+from .lp import _box, check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -58,56 +56,16 @@ def is_bounded(G) -> bool:
     """Whether {x : G x <= h} is bounded for every h where it is nonempty.
 
     That holds exactly when the recession cone {d : G d <= 0} is {0}, which
-    does not depend on h, so it is asked of {x : G x <= 1}, which holds the
-    origin. ``_witness_bounded`` answers first, in closed form and only
-    yes; what it leaves undecided ``_walk_bounded`` decides, so "no" is
-    always a checked ray.
+    does not depend on h, so ``lp.walk_bases`` asks it of {x : G x <= 1}
+    with no direction: "yes" from the closed-form ``lp.box_bound``, else by
+    the +-e_i walk, "no" from its checked ray and "yes" once
+    ``check_support`` accepts its bases (SolverStall otherwise).
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    return _witness_bounded(G) or _walk_bounded(G)
-
-
-def _witness_bounded(G) -> bool:
-    """True when Stiemke's witness bounds {x : G x <= 1}. By Stiemke's
-    lemma the system is bounded exactly when G has rank n and some y > 0
-    has G^T y = 0.
-
-    One solve A W = [G^T 1, I] with A = G^T G gives y = 1 - G A^-1 G^T 1,
-    the all-ones vector projected onto the left null space of G, and for
-    each d = +-e_i the dual z_d = +-G A^-1 e_i with G^T z_d = d. When y > 0,
-    z_d + c_d y with the least c_d >= 0 that makes it nonnegative is a dual
-    for d, and ``lp._upper_bounds`` of those duals all finite is the
-    answer. False (undecided) when A is singular, y has an entry <= 0 or
-    the bound raises.
-    """
-    n = G.shape[1]
-    try:
-        W = np.linalg.solve(G.T @ G, np.hstack([G.sum(axis=0)[:, None],
-                                                np.eye(n)]))
-    except np.linalg.LinAlgError:
-        return False
-    y = 1.0 - G @ W[:, 0]
-    if not (y > 0).all():
-        return False
-    z = G @ W[:, 1:]
-    Z = np.vstack([z.T, -z.T])
-    Y = Z + np.maximum(0.0, (-Z / y).max(axis=1))[:, None] * y
-    box = np.vstack([np.eye(n), -np.eye(n)])
-    try:
-        return bool(np.isfinite(_upper_bounds(G, box, Y)).all())
-    except SolverStall:
-        return False
-
-
-def _walk_bounded(G) -> bool:
-    """Whether {x : G x <= 1} is bounded, by one vertex walk in the
-    directions +-e_i: a checked ray (``walk_bases`` gives None) says no,
-    and ``check_support`` replaying the +e_i bases as those of U = I says
-    yes."""
-    n = G.shape[1]
-    walk = walk_bases(G, np.zeros((0, n)))
-    return walk is not None and math.isfinite(check_support(
-        G, np.eye(n), np.concatenate([walk[1][:n], walk[1]])))
+    walk = walk_bases(G, G[:0])
+    if walk is not None and len(walk[1]):
+        check_support(G, G[:0], walk[1], None)
+    return walk is not None
 
 
 def _box_duals(bases, box) -> np.ndarray:
@@ -123,18 +81,13 @@ def _box_duals(bases, box) -> np.ndarray:
 
 
 def _box_bounded(G, idx, y, covers, box) -> bool:
-    """Whether the duals y of the bases idx bound {x : G x <= 1}: for each
-    row of box the first basis marked in ``covers``, which says that its
-    dual is nonnegative, with ``lp._upper_bounds`` of those duals finite.
-    False without such a basis for some row, or when the bound raises."""
+    """Whether the duals y of the bases idx bound {x : G x <= 1}: ``lp._box``
+    of the duals of the first basis marked in ``covers`` (a nonnegative
+    dual) for each row of box; False without one, or when they bound none."""
     if not covers.any(axis=0).all():
         return False
     t = np.argmax(covers, axis=0)
-    try:
-        return bool(np.isfinite(_upper_bounds(
-            G[idx[t]], box, y[t, np.arange(len(box))])).all())
-    except SolverStall:
-        return False
+    return _box(G[idx[t]], y[t, np.arange(len(box))]) is not None
 
 
 def _near_pairs(X):
@@ -181,9 +134,9 @@ def _vertex_sets(G, h, owner=None) -> list:
     near-duplicate merged into the first one kept, or None when the system
     is unbounded. Bounded is decided from the bases found: for each of the
     directions +-e_i a basis of that system whose dual G_B^T y = +-e_i is
-    nonnegative, with ``lp._upper_bounds`` of those duals finite, which
-    bounds {x : G x <= 1} and so the recession cone, whatever h is. A
-    system without such bases, or whose bound raises, is decided by
+    nonnegative, with ``lp._box`` of those duals, which bounds
+    {x : G x <= 1} and so the recession cone, whatever h is. A system
+    without such bases, or whose duals bound no box, is decided by
     ``is_bounded``, so an unbounded verdict is a checked ray; the systems
     without a body of an unbounded whole are unbounded unwalked. The caller
     checks the caps.

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from hellycert import lp
 from hellycert.geometry import (BodyFamily, containment_system,
                                 normalize_family)
 from hellycert.lp import check_support, dual_bounds, walk_bases
@@ -50,7 +51,7 @@ def walked_alpha(family, selected):
     if walk is None:
         return math.inf
     assert len(walk[0]) == len(U)
-    return max(1.0, check_support(Gq, U, walk[1]))
+    return max(1.0, check_support(Gq, U, walk[1], lp.box_bound(Gq)))
 
 
 def walked_supports(family, doc):
@@ -64,7 +65,8 @@ def walked_supports(family, doc):
     bases = np.array(doc["payload"]["support_bases"])[:len(walked)]
     x = np.linalg.solve(Gq[bases], np.ones((len(walked), family.dim, 1)))
     support = np.einsum("ij,ij->i", U[walked], x[:, :, 0])
-    beta = (dual_bounds(Gq, U)[walked] if family.mode == "symmetric"
+    beta = (dual_bounds(Gq, U, lp.box_bound(Gq))[walked]
+            if family.mode == "symmetric"
             else np.full(len(walked), math.inf))
     return beta, support
 

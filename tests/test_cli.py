@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import hellycert
-from hellycert import cli, pipeline
+from hellycert import cli, lp, pipeline
 from hellycert import io as hio
 from hellycert.cli import main
+from hellycert.geometry import containment_system, normalize_family
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 
 from conftest import walked_supports
@@ -378,7 +379,7 @@ def test_certify_requires_support_bases(tmp_path, capsys):
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.3.0"
+    assert doc["version"] == "0.4.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()
@@ -456,3 +457,107 @@ def test_certify_exit_codes_for_screened_directions(
     capsys.readouterr()
     assert run(["certify", "--in", inst, "--cert", cert]) == code
     assert message in capsys.readouterr().err
+
+
+def _fallback_family():
+    """A general family whose selected Q, normalized at the recentered z,
+    has a Stiemke projection with an entry below 0: no closed-form box."""
+    return gen_halfspace_family(3, 3, 282, rows_per_body=(6, 10))
+
+
+def _box_rows(fam, doc):
+    """The bases of +e_i, then -e_i, that the box walk proposes for the
+    selected Q of a certificate document."""
+    target = (fam if fam.mode == "symmetric"
+              else normalize_family(fam, doc["z"]))
+    G = containment_system(target, doc["selected"])[0]
+    return lp.vertex_walk(G, np.vstack([np.eye(fam.dim),
+                                        -np.eye(fam.dim)])).basis.tolist()
+
+
+@pytest.fixture(scope="module")
+def box_certificates(tmp_path_factory):
+    """A symmetric certificate whose Q has a closed-form box, and the
+    fallback one, which stores 2n box bases after the walked ones."""
+    root = tmp_path_factory.mktemp("box")
+    out = {}
+    for name, fam, select in (
+            ("closed-form", gen_slab_family(3, 12, seed=1),
+             pipeline.select_symmetric),
+            ("fallback", _fallback_family(), pipeline.select_general)):
+        inst, cert = root / f"{name}.json", root / f"{name}-cert.json"
+        hio.save_instance(fam, inst)
+        doc = json.loads(json.dumps(hio.certificate_to_json(
+            select(fam), hellycert.__version__)))
+        cert.write_text(json.dumps(doc))
+        assert run(["certify", "--in", inst, "--cert", cert]) == 0
+        out[name] = (fam, inst, doc)
+    return out
+
+
+def test_a_q_without_a_closed_form_box_stores_and_certifies_box_rows(
+        box_certificates):
+    fam, _, doc = box_certificates["fallback"]
+    target = normalize_family(fam, doc["z"])
+    G = containment_system(target, doc["selected"])[0]
+    y = 1.0 - G @ np.linalg.solve(G.T @ G, G.sum(axis=0))
+    assert y.min() < 0 and lp.box_bound(G) is None
+    payload = doc["payload"]
+    assert len(payload["support_bases"]) == (
+        len(payload["support_directions"]) + 2 * fam.dim)
+    assert payload["support_bases"][-2 * fam.dim:] == _box_rows(fam, doc)
+    _, inst, closed = box_certificates["closed-form"]
+    assert len(closed["payload"]["support_bases"]) == len(
+        closed["payload"]["support_directions"])
+
+
+def test_certify_refuses_a_0_3_0_certificate(box_certificates, tmp_path,
+                                             capsys):
+    """A 0.3.0 certificate carries the box bases after the walked ones; it
+    is input of another format (exit 3), whether or not its rows check."""
+    fam, inst, doc = box_certificates["closed-form"]
+    old = json.loads(json.dumps(doc))
+    old["payload"]["support_bases"] += _box_rows(fam, doc)
+    old["version"] = "0.3.0"
+    cert = tmp_path / "old.json"
+    cert.write_text(json.dumps(old))
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == cli.EXIT_INPUT
+    assert "'0.3.0'" in capsys.readouterr().err
+
+
+def _with_box_rows(fam, doc, n):
+    doc["payload"]["support_bases"] += _box_rows(fam, doc)
+
+
+def _with_repeated_tail(fam, doc, n):
+    doc["payload"]["support_bases"] += doc["payload"]["support_bases"][-n:]
+
+
+def _without_last_rows(fam, doc, n):
+    del doc["payload"]["support_bases"][-n:]
+
+
+def _with_float_rows(fam, doc, n):
+    doc["payload"]["support_bases"] += [[0.0, 1.0, 2.0]] * n
+
+
+@pytest.mark.parametrize("name, edit, code", [
+    ("closed-form", _with_box_rows, 2),
+    ("closed-form", _without_last_rows, 2),
+    ("closed-form", _with_float_rows, 3),
+    ("fallback", _with_repeated_tail, 2),
+    ("fallback", _without_last_rows, 2),
+    ("fallback", _with_float_rows, 3),
+], ids=["extra-box-rows", "missing-rows", "malformed-extra", "fallback-extra",
+        "fallback-missing-box", "fallback-malformed-extra"])
+def test_certify_rejects_2n_rows_too_many_or_too_few(
+        box_certificates, tmp_path, name, edit, code):
+    """``certify`` takes exactly one basis per walked direction where Q has
+    a closed-form box, and 2n more, the box bases, where it has none."""
+    fam, inst, doc = box_certificates[name]
+    doc = json.loads(json.dumps(doc))
+    edit(fam, doc, 2 * fam.dim)
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    assert run(["certify", "--in", inst, "--cert", cert]) == code

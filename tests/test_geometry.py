@@ -243,7 +243,7 @@ def test_dual_bounds_are_sound_and_screening_keeps_alpha(n, count, seed,
         method="highs").x for u in U])
     support = (np.einsum("ij,ij->i", U, x)
                / np.maximum(1.0, (x @ Gq.T).max(axis=1)))
-    assert np.all(dual_bounds(Gq, U) >= support)
+    assert np.all(dual_bounds(Gq, U, lp.box_bound(Gq)) >= support)
 
     def alpha(walk_and_replay):
         try:
@@ -271,7 +271,7 @@ def test_alpha_only_replays(monkeypatch):
         raise AssertionError("containment_factor walked")
 
     monkeypatch.setattr(lp, "vertex_walk", no_walk)
-    monkeypatch.setattr(lp, "_first_vertex", no_walk)
+    monkeypatch.setattr(lp, "_crash", no_walk)
     assert containment_factor(fam, sel, (directions, bases)) == alpha
     assert containment_factor(fam, sel, (directions, None)) == math.inf
     with pytest.raises(AssertionError, match="walked"):
@@ -279,8 +279,9 @@ def test_alpha_only_replays(monkeypatch):
 
 
 def _forge_start_basis(walk, G, U):
-    """Every direction reports the first vertex."""
-    walk.basis[:] = lp._first_vertex(G, np.linalg.norm(G, axis=1))[0]
+    """Every direction reports the vertex the crash along e_1 reaches."""
+    walk.basis[:] = lp._crash(G, np.eye(G.shape[1])[:1],
+                              np.linalg.norm(G, axis=1))[0][0]
 
 
 def _forge_negative_dual(walk, G, U):
@@ -297,10 +298,13 @@ def _forge_ray(walk, G, U):
 @pytest.mark.parametrize("forge", [_forge_start_basis, _forge_negative_dual,
                                    _forge_ray])
 def test_alpha_rejects_forged_walk(forge, monkeypatch):
+    """With no closed-form box the +-e_i box is walked, and a forged walk
+    of it, or of a family direction, fails its check."""
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
     alpha = walked_alpha(fam, sel)
     assert 1.0 < alpha < math.inf
+    monkeypatch.setattr(lp, "box_bound", lambda G: None)
     real = lp.vertex_walk
 
     def forged(G, U, start=None):
@@ -320,7 +324,8 @@ def test_alpha_rejects_a_forged_line(monkeypatch):
     Gq = fam.G[np.isin(fam.owner, sel)]
     d = Gq[0] / np.linalg.norm(Gq[0])
     assert np.max(Gq @ d / np.linalg.norm(Gq, axis=1)) > lp.PIVOT_TOL
-    monkeypatch.setattr(lp, "_first_vertex", lambda G, norms: (None, d))
+    monkeypatch.setattr(lp, "box_bound", lambda G: None)
+    monkeypatch.setattr(lp, "_crash", lambda G, U, norms: (None,) * 3 + (d,))
     with pytest.raises(SolverStall, match="ray"):
         walked_alpha(fam, sel)
 
@@ -349,7 +354,9 @@ def _general_family():
 def test_a_ray_on_a_family_direction_never_lowers_alpha(family, forge,
                                                         monkeypatch):
     """On a bounded Q a family-direction walk that claims a ray keeps the
-    basis it stopped at: the replay gives the same alpha or SolverStall."""
+    basis it stopped at: the replay gives the same alpha or SolverStall.
+    Q has a closed-form box, so every walk is of family directions, and a
+    cold walk's start is its crash basis."""
     fam = family()
     sel = list(range(4))
     want = containment_factor(fam, sel, containment_bases(fam, sel))
@@ -359,7 +366,7 @@ def test_a_ray_on_a_family_direction_never_lowers_alpha(family, forge,
 
     def walk(G, U, start=None):
         if start is None:
-            return real(G, U)
+            start = lp._crash(G, U, np.linalg.norm(G, axis=1))[0]
         forged.append(len(U))
         basis = forge(real(G, U, start=start), start)
         return lp.VertexWalk(basis, np.ones(len(U), dtype=bool),
@@ -402,7 +409,8 @@ def _start_singular(G, U, start):
                                    _start_singular])
 def test_forged_start_never_moves_alpha(forge, monkeypatch):
     """A start basis is a hint: the walk from a worse vertex, from a point
-    outside Q or from a singular basis gives the same alpha or SolverStall."""
+    outside Q or from a singular basis gives the same alpha or SolverStall.
+    A cold walk's start is its crash basis."""
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
     alpha = walked_alpha(fam, sel)
@@ -410,9 +418,11 @@ def test_forged_start_never_moves_alpha(forge, monkeypatch):
     forged_starts = []
 
     def forged(G, U, start=None):
-        if start is not None:
-            start = forge(np.asarray(G), np.asarray(U), start)
-            forged_starts.append(start)
+        G, U = np.asarray(G), np.asarray(U)
+        if start is None:
+            start = lp._crash(G, U, np.linalg.norm(G, axis=1))[0]
+        start = forge(G, U, start)
+        forged_starts.append(start)
         return real(G, U, start=start)
 
     monkeypatch.setattr(lp, "vertex_walk", forged)

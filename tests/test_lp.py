@@ -195,11 +195,9 @@ def _counted_rounds(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
-    """Each proposed basis is optimal for its direction, cold and warm, on
-    random polytopes and on a corner where many rows and duplicates meet;
-    the three walks together stay under one walk's 50 (m + n) round cap."""
+def _walk_cases(rng, degenerate):
+    """(G, U, supports by HiGHS): six random polytopes with the cube's rows,
+    or six corners where many rows and duplicates meet."""
     for _ in range(6):
         n = int(rng.integers(2, 6))
         if degenerate:
@@ -210,9 +208,18 @@ def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
             G = np.vstack([np.eye(n), -np.eye(n),
                            extra / rng.uniform(0.2, 1.5, (4 * n, 1))])
             U = unit_rows(rng, 12, n)
-        ref = np.array([-scipy.optimize.linprog(
+        yield G, U, np.array([-scipy.optimize.linprog(
             -u, A_ub=G, b_ub=np.ones(len(G)), bounds=(None, None),
             method="highs").fun for u in U])
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
+    """Each proposed basis is optimal for its direction, cold and warm, on
+    random polytopes and on a corner where many rows and duplicates meet;
+    the three walks together stay under one walk's 50 (m + n) round cap."""
+    for G, U, ref in _walk_cases(rng, degenerate):
+        n = G.shape[1]
         rounds = _counted_rounds(monkeypatch)
         directions, warm = walk_bases(G, U)
         np.testing.assert_array_equal(directions, np.arange(len(U)))
@@ -223,19 +230,19 @@ def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
             x = np.linalg.solve(G[bases], np.ones((len(U), n, 1)))[:, :, 0]
             np.testing.assert_allclose(np.einsum("ij,ij->i", U, x), ref,
                                        rtol=1e-9, atol=1e-12)
-        assert check_support(G, U, warm) == pytest.approx(ref.max(),
-                                                          rel=1e-9)
+        assert check_support(G, U, warm, lp.box_bound(G)) == pytest.approx(
+            ref.max(), rel=1e-9)
 
 
 def test_screened_walk_guard(monkeypatch):
     """At n=20 the dual bounds leave 48 of the 1 111 family directions to
-    walk; without them every direction was walked."""
+    walk; without them every direction was walked. The closed-form box
+    leaves no box walk, so every walk is of family directions."""
     real = lp.vertex_walk
     walked = []
 
     def counted(G, U, start=None):
-        if start is not None:
-            walked.append(len(U))
+        walked.append(len(U))
         return real(G, U, start=start)
 
     monkeypatch.setattr(lp, "vertex_walk", counted)
@@ -251,3 +258,103 @@ def test_walk_round_guard(monkeypatch):
     rounds = _counted_rounds(monkeypatch)
     select_symmetric(gen_slab_family(8, 200, 0))
     assert 0 < rounds["directions"] <= 3000
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_crash_starts_at_a_vertex_below_the_highs_optimum(rng, degenerate):
+    """Every direction's crash ends at a vertex of its polytope, n distinct
+    rows tight and every row kept, where u.x has not fallen below its value
+    at the origin nor risen past the optimum; the walk from there reaches
+    the HiGHS optimum."""
+    for G, U, ref in _walk_cases(rng, degenerate):
+        n = G.shape[1]
+        basis, ray, _, line = lp._crash(G, U, np.linalg.norm(G, axis=1))
+        assert line is None and not ray.any()
+        assert np.all(np.diff(np.sort(basis, axis=1), axis=1) > 0)
+        x = np.linalg.solve(G[basis], np.ones((len(U), n, 1)))[:, :, 0]
+        assert np.all(x @ G.T <= 1.0 + 1e-9)
+        value = np.einsum("ij,ij->i", U, x)
+        assert np.all(value >= -1e-12) and np.all(value <= ref + 1e-9)
+        walk = lp.vertex_walk(G, U)
+        x = np.linalg.solve(G[walk.basis], np.ones((len(U), n, 1)))[:, :, 0]
+        np.testing.assert_allclose(np.einsum("ij,ij->i", U, x), ref,
+                                   rtol=1e-9, atol=1e-12)
+
+
+def _tilted_line(rng, n):
+    """Unit rows orthogonal to one random direction: Q holds that line."""
+    v = unit_rows(rng, 1, n)[0]
+    g = unit_rows(rng, 3 * n, n)
+    return g - np.outer(g @ v, v)
+
+
+def _open_cone(rng, n):
+    """Unit rows confined to an open halfspace: rays but no line."""
+    g = unit_rows(rng, 3 * n, n)
+    v = unit_rows(rng, 1, n)[0]
+    return g * np.where(g @ v < 0, -1.0, 1.0)[:, None]
+
+
+@pytest.mark.parametrize("system", [_tilted_line, _open_cone])
+def test_crash_rays_pass_the_box_check(rng, system):
+    """From the crash, the +-e_i walk of an unbounded Q claims rays that
+    rise and stay, the check of ``walk_bases``, which then gives None."""
+    for n in (2, 3, 4, 5):
+        G = system(rng, n)
+        assert lp.box_bound(G) is None
+        axes = np.vstack([np.eye(n), -np.eye(n)])
+        walk = lp.vertex_walk(G, axes)
+        assert walk.ray.any()
+        e = walk.edge[walk.ray]
+        enorm = np.linalg.norm(e, axis=1)
+        assert np.all(np.einsum("ij,ij->i", axes[walk.ray], e)
+                      > lp.PIVOT_TOL * enorm)
+        assert np.all(e @ G.T <= lp.PIVOT_TOL * np.outer(
+            enorm, np.linalg.norm(G, axis=1)))
+        assert walk_bases(G, unit_rows(rng, 4, n), symmetric=True) is None
+
+
+def _box_cases(count):
+    """Seeded row sets G with n from 2 to 6, cycling through five kinds:
+    slab pairs +-g, general unit rows, either with near-duplicates (rows
+    repeated with a 1e-7 tilt), rows confined to an open halfspace, and
+    rows orthogonal to one direction (a line)."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        g = unit_rows(rng, int(rng.integers(n + 1, 3 * n + 4)), n)
+        kind = seed % 5
+        if kind in (2, 3):
+            near = g[rng.integers(0, len(g), size=n)]
+            g = np.vstack([g, near + 1e-7 * rng.standard_normal(near.shape)])
+        if kind in (0, 2):
+            g = np.vstack([g, -g])
+        elif kind == 4:
+            v = unit_rows(rng, 1, n)[0]
+            g = (g * np.where(g @ v < 0, -1.0, 1.0)[:, None] if seed % 2
+                 else g - np.outer(g @ v, v))
+        yield kind, g
+
+
+def test_box_bound_is_sound_on_random_systems():
+    """The closed-form box holds every point of Q, each HiGHS maximizer of
+    +-e_i scaled into Q, and is None wherever HiGHS finds Q unbounded; it
+    decides every bounded slab system."""
+    decided = {True: 0, False: 0}
+    for kind, g in _box_cases(150):
+        n = g.shape[1]
+        box = lp.box_bound(g)
+        runs = [scipy.optimize.linprog(
+            -d, A_ub=g, b_ub=np.ones(len(g)), bounds=(None, None),
+            method="highs") for d in np.vstack([np.eye(n), -np.eye(n)])]
+        if any(r.status == 3 for r in runs):
+            assert box is None, g
+            continue
+        assert all(r.status == 0 for r in runs)
+        assert box is not None or kind not in (0, 2), g
+        decided[box is not None] += 1
+        if box is not None:
+            x = np.array([r.x for r in runs])
+            x /= np.maximum(1.0, (x @ g.T).max(axis=1))[:, None]
+            assert np.abs(x).max() <= box, g
+    assert decided[True] and decided[False]

@@ -119,14 +119,17 @@ def random_systems(count):
         yield g
 
 
-def test_witness_agrees_with_the_walk_on_random_systems():
-    """The witness never says bounded where the walk says unbounded (a
-    checked ray), and ``is_bounded`` equals the walk-only answer; both
-    answers, and a walk left to decide a bounded system, are seen."""
+def test_witness_agrees_with_the_walk_on_random_systems(monkeypatch):
+    """The closed-form box never says bounded where the walk says unbounded
+    (a checked ray), and ``is_bounded`` equals the walk-only answer, taken
+    with ``lp.box_bound`` switched off; both answers, and a walk left to
+    decide a bounded system, are seen."""
     seen = set()
     for g in random_systems(600):
-        witness = oracle._witness_bounded(g)
-        walk = oracle._walk_bounded(g)
+        witness = lp.box_bound(g) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "box_bound", lambda G: None)
+            walk = is_bounded(g)
         assert walk or not witness, g
         assert is_bounded(g) is walk, g
         seen.add((witness, walk))
@@ -152,7 +155,7 @@ def test_a_bounded_system_without_a_positive_projection_is_walked(
     y = 1.0 - g @ np.linalg.solve(g.T @ g, g.sum(axis=0))
     assert y.min() < 0
     walked = _counted_walks(monkeypatch)
-    assert not oracle._witness_bounded(g)
+    assert lp.box_bound(g) is None
     assert is_bounded(g) is True
     assert walked == [4]
 

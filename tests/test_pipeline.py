@@ -333,3 +333,117 @@ def test_bad_parameters_fail_before_any_stage(monkeypatch, select, name,
               else cube_halfspace_family(2))
     with pytest.raises(InvalidInstance, match=f"^{name}="):
         select(family, **{name: value})
+
+
+# The walks of the sym-n6 and gen-n3 benchmark instances as the cold +-e_i
+# box walk left them: seed -> (selected, walked support_directions, alpha).
+# A general selection walks every direction, so only their count is kept.
+SYM_N6_WALKS = {
+    100: ([28, 38, 40, 44, 58, 67, 77, 79, 84],
+          [13, 30, 36, 90, 112, 116, 133, 170, 195],
+          2.5374059379381357),
+    101: ([3, 11, 16, 26, 40, 43, 49, 53, 56, 59, 69],
+          [10, 59, 63, 64, 81, 88, 152, 158],
+          2.338796425132287),
+    102: ([8, 10, 16, 21, 31, 55, 58, 61],
+          [8, 16, 19, 26, 27, 38, 57, 71, 75, 94, 98, 106, 115, 119, 130, 132,
+           133, 137, 159, 167],
+          2.2809638407001245),
+    103: ([1, 20, 34, 35, 48, 50, 52, 54, 57],
+          [94, 111, 114, 138, 143, 145, 168, 174, 178],
+          2.854512549072458),
+    104: ([14, 19, 23, 26, 40, 48, 54, 74, 76, 84, 85],
+          [7, 36, 37, 38, 87, 149, 153, 165, 175, 180, 187],
+          2.4896831590532464),
+    105: ([10, 18, 30, 31, 35, 37, 42, 46, 53],
+          [8, 12, 26, 40, 50, 55, 66, 68, 70, 89, 98, 116, 120, 134, 145, 152,
+           154, 157, 162, 173],
+          2.004071167139277),
+    106: ([0, 24, 25, 30, 35, 37, 40, 50, 56, 67],
+          [16, 20, 101, 128, 129, 133, 165, 175],
+          2.587890372753617),
+    107: ([7, 11, 12, 18, 21, 26, 37, 41, 56, 75],
+          [32, 38, 116, 140, 143, 146, 169, 170],
+          2.7345913247973788),
+}
+GEN_N3_WALKS = {
+    100: ([0, 1, 2, 3, 5], 18, 1.4701656226069717),
+    101: ([0, 1, 2, 5, 6], 15, 1.393629112860246),
+    102: ([0, 1, 2, 5, 7], 15, 1.5539670853804117),
+    103: ([0, 1, 2, 7], 20, 1.8142781314544945),
+    104: ([0, 1, 3, 4, 5, 7], 11, 1.022525646180739),
+    105: ([0, 2, 5], 27, 1.8591944264006308),
+    106: ([0, 1, 3, 5], 25, 1.7611280908885212),
+    107: ([2, 3, 4, 5], 23, 1.6911270502774907),
+    108: ([0, 2, 4, 5, 7], 16, 1.5551312108183346),
+    109: ([2, 3, 5, 6], 20, 1.7184744017433333),
+    110: ([3, 4, 5, 6], 22, 2.057585515343195),
+    111: ([0, 2, 3, 4, 5, 6], 11, 1.4368585155930669),
+    112: ([0, 2, 3, 5, 6], 14, 1.4255163577969863),
+    113: ([0, 2, 3, 4, 7], 14, 1.5923130284162774),
+    114: ([1, 2, 5, 6], 21, 1.8100563225383475),
+    115: ([0, 1, 2, 3, 4, 7], 8, 1.088510674336976),
+    116: ([0, 1, 2, 3, 5, 7], 11, 1.497610985781976),
+    117: ([0, 1, 3], 29, 2.2890855014754514),
+    118: ([1, 2, 3, 4, 5, 6], 14, 1.315609901597764),
+    119: ([0, 1, 2, 3, 4], 17, 1.6212632040658606),
+    120: ([0, 2, 3, 4], 24, 1.4481493686610585),
+    121: ([0, 1, 2, 4, 5, 7], 10, 1.2471292111524663),
+    122: ([0, 3, 4, 7], 21, 1.483292848609875),
+    123: ([0, 3, 4, 5, 6], 15, 1.246663091034457),
+    124: ([0, 1, 3, 4, 6], 14, 1.3900913144297598),
+    125: ([0, 1, 2, 3, 6, 7], 11, 1.0437408029607989),
+    126: ([0, 3, 4, 6, 7], 16, 1.3819394794766595),
+    127: ([0, 1, 2, 4, 5, 7], 12, 1.1005668707794727),
+    128: ([0, 1, 5], 27, 1.6751990031640334),
+    129: ([0, 2, 4, 6], 20, 1.63601024514553),
+    130: ([0, 1, 4, 6, 7], 12, 1.6316317111398495),
+    131: ([0, 2, 5, 6], 18, 1.682733906742385),
+    132: ([0, 1, 3, 4, 5, 6, 7], 5, 1.0),
+    133: ([0, 1, 2, 6, 7], 16, 1.5313737128546165),
+    134: ([0, 2, 5, 6, 7], 18, 1.1603597463482265),
+    135: ([0, 1, 2, 4, 5], 17, 1.9042251971609676),
+    136: ([0, 1, 2, 4, 6, 7], 11, 1.3923202224242734),
+    137: ([1, 2, 3, 4], 17, 1.859582842296912),
+    138: ([0, 2, 6], 28, 1.7135939047324518),
+    139: ([0, 1, 2, 3], 22, 2.7128425605020503),
+    140: ([0, 1, 4, 5, 7], 17, 1.2909289824418686),
+    141: ([2, 3, 4, 5, 7], 16, 1.2677496469885392),
+    142: ([1, 3, 4, 5], 23, 1.5373413349114908),
+    143: ([1, 2, 3, 4, 6], 16, 1.8855812446488704),
+    144: ([0, 1, 2, 4], 17, 1.4733248147387175),
+}
+
+
+def _walks(monkeypatch):
+    """The direction sets every ``lp.vertex_walk`` call is asked about."""
+    real, calls = lp.vertex_walk, []
+
+    def counted(G, U, start=None):
+        calls.append(np.array(U, dtype=float))
+        return real(G, U, start=start)
+
+    monkeypatch.setattr(lp, "vertex_walk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_closed_form_box_keeps_the_walked_directions(mode, monkeypatch):
+    """The closed-form box and the crash start leave the selections and the
+    walked directions of the benchmark instances as the box walk left them,
+    and alpha within 1e-12; no symmetric selection walks the box."""
+    calls = _walks(monkeypatch)
+    pins = SYM_N6_WALKS if mode == "symmetric" else GEN_N3_WALKS
+    for seed, (selected, walked, alpha) in pins.items():
+        if mode == "symmetric":
+            cert = select_symmetric(gen_slab_family(6, 100, seed))
+        else:
+            cert = select_general(gen_halfspace_family(3, 8, seed))
+            assert cert.diagnostics["screened_directions"] == 0
+            walked = list(range(walked))
+        assert list(cert.selected) == selected
+        assert list(cert.payload["support_directions"]) == walked
+        assert cert.alpha_measured == pytest.approx(alpha, rel=1e-12)
+    if mode == "symmetric":
+        box = np.vstack([np.eye(6), -np.eye(6)])
+        assert calls and not any(np.array_equal(U, box) for U in calls)
