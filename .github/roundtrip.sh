@@ -60,6 +60,11 @@ test "$code" -eq 3
 # n=24, where the hidden center's norm once emptied the offset
 # range (seed 0 raised); gen only, select-gen at n=24 is slow
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json
+# n=16: the Chebyshev LP starts on its slack basis, so select-gen takes
+# seconds, not minutes
+hellycert gen --kind halfspace --n 16 --count 32 --seed 0 --out gen16.json
+timeout 60 hellycert select-gen --in gen16.json --out gen16-cert.json
+hellycert certify --in gen16.json --cert gen16-cert.json
 # n=30, the ladder's largest general size: boundedness from the closed-form
 # witness, no box walk
 timeout 20 hellycert gen --kind halfspace --n 30 --count 60 --seed 0 --out gen30.json

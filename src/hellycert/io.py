@@ -27,7 +27,7 @@ from . import __version__
 from .errors import (CertificateRejected, InvalidInstance, NotInterior,
                      SolverStall)
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
-                       containment_system, normalize_family)
+                       normalize_family)
 from .linalg import extremes
 from .sparsify import certify_operator_T, gamma_ratio
 
@@ -347,7 +347,11 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                                   "no sigma or tau generator row")
     vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
     coef = _array(payload, "coefficients", (len(sigma_rows),))
-    count = len(containment_system(target, selected)[1])
+    # the directions of geometry.containment_system: the rows of unselected
+    # bodies, without the negative row of a slab
+    inside = np.zeros(len(target), dtype=bool)
+    inside[selected] = True
+    count = int(np.count_nonzero(~inside[target.owner] & ~target.negated))
     directions = _indices(payload, "support_directions", count)
     bases = _bases(payload, "support_bases")
     try:

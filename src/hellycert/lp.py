@@ -4,6 +4,9 @@ The dense solver is deliberately boring: full tableau, Bland's anti-cycling
 rule, lowest-index tie-breaking everywhere. That makes runs deterministic and
 keeps the exact optimal basis available for certificates. Problem sizes in
 this package stay in the hundreds of rows, where a dense tableau is fine.
+Every inequality row with h >= 0 starts on its own slack; only rows with
+h < 0 and equality rows carry an artificial through phase 1, so an LP whose
+origin is feasible (the Chebyshev center's) skips phase 1 altogether.
 
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
@@ -130,6 +133,16 @@ def _pivot_loop(tab, obj, basis, n_enterable, max_iter, tol_cost, tol_piv):
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
+    """Optimal, unbounded or infeasible, with x and the value when optimal.
+
+    Start rule: an inequality row with h >= 0 starts on its own slack, and
+    only the rows whose slack cannot start the basis, inequality rows with
+    h < 0 and every equality row, get an artificial column. Phase 1
+    minimizes the sum of those artificials (with none it is optimal at
+    once), a positive minimum means infeasible, and artificials still
+    basic are driven out or their rows retired. Phase 2 then optimizes the
+    objective with no artificial allowed to enter.
+    """
     n = lp.n
     nx = n if lp.nonneg else 2 * n
 
@@ -139,7 +152,9 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     mi = lp.G.shape[0]
     me = 0 if lp.A_eq is None else lp.A_eq.shape[0]
     m = mi + me
-    ncols = nx + mi + m  # structural + slacks + artificials
+    neg = (np.concatenate([lp.h, lp.b_eq]) if me else lp.h) < 0
+    arts = np.nonzero(neg | (np.arange(m) >= mi))[0]
+    ncols = nx + mi + arts.size  # structural + slacks + artificials
 
     tab = np.zeros((m, ncols + 1))
     if mi:
@@ -149,12 +164,11 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if me:
         tab[mi:, :nx] = expand(lp.A_eq)
         tab[mi:, -1] = lp.b_eq
-    neg = tab[:, -1] < 0
     tab[neg, :] *= -1.0
     art0 = nx + mi
-    if m:
-        tab[:, art0:art0 + m] = np.eye(m)
-    basis = np.arange(art0, art0 + m)
+    basis = np.arange(nx, nx + m)  # row i on its slack nx + i, or else
+    basis[arts] = np.arange(art0, ncols)  # on its own artificial
+    tab[arts, basis[arts]] = 1.0
 
     scale_b = 1.0 + (float(np.max(np.abs(tab[:, -1]))) if m else 0.0)
     tol_piv = 1e-9
@@ -162,8 +176,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
     # Phase 1: minimize the sum of artificials starting from that basis.
     obj = np.zeros(ncols + 1)
-    obj[art0:art0 + m] = 1.0
-    for i in range(m):
+    obj[art0:ncols] = 1.0
+    for i in arts:
         obj -= tab[i, :]
     status = _pivot_loop(tab, obj, basis, art0, max_iter,
                          1e-9 * scale_b, tol_piv)

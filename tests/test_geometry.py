@@ -132,6 +132,32 @@ def test_chebyshev_parallel_slabs_midline():
     assert r == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chebyshev_of_a_translate_needs_artificials(n):
+    """Translated by t, a family leaves the origin outside some bodies, so
+    their rows have h < 0 and start on an artificial: the center moves by t,
+    the radius stays, and r is HiGHS's optimum of the lifted LP."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    fam = gen_halfspace_family(n, 4 * n, n)
+    z, r = chebyshev_center(fam)
+    t = np.random.default_rng(n).standard_normal(n)
+    t *= 3.0 / np.linalg.norm(t)
+    moved = BodyFamily.from_blocks("general", n, [
+        (fam.G[fam.owner == j], (fam.h + fam.G @ t)[fam.owner == j])
+        for j in range(len(fam))])
+    assert (moved.h < 0).any() and (moved.h > 0).any()
+    zt, rt = chebyshev_center(moved)
+    np.testing.assert_allclose(zt, z + t, rtol=0, atol=1e-9)
+    assert rt == pytest.approx(r, rel=1e-9, abs=1e-9)
+    norms = np.linalg.norm(moved.G, axis=1)
+    ref = scipy_optimize.linprog(
+        np.concatenate([np.zeros(n), [-1.0]]),
+        A_ub=np.hstack([moved.G, norms[:, None]]), b_ub=moved.h,
+        bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert ref.status == 0
+    assert rt == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+
+
 def test_degenerate_interior_raises():
     fam = BodyFamily.from_blocks("general", 1, [
         (np.array([[1.0]]), np.array([0.0])),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hellycert import __version__, lp
+from hellycert import __version__, geometry, lp
 from hellycert import io as hio
 from hellycert.errors import InvalidInstance
 from hellycert.geometry import normalize_family
@@ -402,6 +402,22 @@ def test_certify_never_walks(certificates, kind, monkeypatch):
 
     monkeypatch.setattr(lp, "vertex_walk", no_walk)
     assert hio.verify_certificate(fam, copy.deepcopy(doc)) == (True, [])
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "general"])
+def test_certify_builds_the_containment_system_once(certificates, kind,
+                                                    monkeypatch):
+    fam, doc = certificates[kind]
+    real, calls = geometry.containment_system, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "containment_system", counted)
+    monkeypatch.setattr(hio, "containment_system", counted, raising=False)
+    assert hio.verify_certificate(fam, copy.deepcopy(doc)) == (True, [])
+    assert len(calls) == 1
 
 
 def _attaining_direction(fam, doc):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hellycert import lp
+from hellycert import geometry, lp
 from hellycert.errors import EmptyBody
 from hellycert.geometry import containment_system
 from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                           check_support, solve_lp, support_h_polytope,
                           walk_bases)
-from hellycert.oracle import gen_slab_family
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import select_symmetric
 
 from conftest import cube_slab_family, fan_through_corner, unit_rows
@@ -178,6 +178,93 @@ def test_agrees_with_scipy_linprog(rng):
                                      method="highs")
         assert mine.status == OPTIMAL and ref.status == 0
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def _mixed_lp(rng):
+    """(LinearProgram, scipy linprog arguments): inequality rows with h > 0,
+    h = 0 and h < 0, up to two equality rows, free or nonneg variables."""
+    n, mi, me = (int(rng.integers(2, 5)), int(rng.integers(1, 7)),
+                 int(rng.integers(0, 3)))
+    nonneg = bool(rng.integers(2))
+    g = rng.standard_normal((mi, n))
+    h = np.where(rng.random(mi) < 0.3, -rng.uniform(0.0, 1.0, mi),
+                 rng.uniform(0.0, 1.5, mi))
+    h[rng.random(mi) < 0.15] = 0.0
+    a, b = ((rng.standard_normal((me, n)), rng.standard_normal(me)) if me
+            else (None, None))
+    c = rng.standard_normal(n)
+    return (LinearProgram(objective=c, G=g, h=h, A_eq=a, b_eq=b,
+                          nonneg=nonneg),
+            dict(c=-c, A_ub=g, b_ub=h, A_eq=a, b_eq=b,
+                 bounds=(0, None) if nonneg else (None, None)))
+
+
+def test_mixed_start_rows_agree_with_highs():
+    """Rows that start on their slack and rows that need an artificial, in
+    every mix: status and optimal value as HiGHS has them."""
+    highs = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        problem, args = _mixed_lp(rng)
+        mine = solve_lp(problem)
+        ref = scipy.optimize.linprog(method="highs", **args)
+        assert mine.status == highs[ref.status], seed
+        seen.add((mine.status, bool((problem.h < 0).any()),
+                  problem.A_eq is not None))
+        if mine.status == OPTIMAL:
+            assert mine.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+            assert np.all(problem.G @ mine.x <= problem.h + 1e-8)
+    assert {status for status, _, _ in seen} == {OPTIMAL, INFEASIBLE,
+                                                  UNBOUNDED}
+    assert {(neg, eq) for status, neg, eq in seen if status == OPTIMAL} == {
+        (False, False), (False, True), (True, False), (True, True)}
+
+
+def _pivot_calls(monkeypatch):
+    """(basis before, basis after, enterable columns, tableau columns) of
+    every ``_pivot_loop`` call; phase 1 comes first."""
+    real, calls = lp._pivot_loop, []
+
+    def counted(tab, obj, basis, n_enterable, *args):
+        before = basis.copy()
+        status = real(tab, obj, basis, n_enterable, *args)
+        calls.append((before, basis.copy(), n_enterable, tab.shape[1] - 1))
+        return status
+
+    monkeypatch.setattr(lp, "_pivot_loop", counted)
+    return calls
+
+
+def test_nonnegative_offsets_make_no_phase_one_pivot(rng, monkeypatch):
+    """Rows with h >= 0 start on their slacks: no artificial column, and
+    phase 1 (Bland's rule never returns to a basis) leaves the basis as it
+    found it. One row with h < 0 takes an artificial that phase 1 drives
+    out."""
+    calls = _pivot_calls(monkeypatch)
+    for nonneg in (False, True):
+        g_box, h_box = box_rows(3)
+        g = np.vstack([g_box, unit_rows(rng, 4, 3)])
+        h = np.concatenate([h_box, [0.0, 0.3, 0.0, 1.2]])
+        del calls[:]
+        res = solve_lp(LinearProgram(objective=rng.standard_normal(3), G=g,
+                                     h=h, nonneg=nonneg))
+        assert res.status == OPTIMAL
+        before, after, enterable, columns = calls[0]
+        assert enterable == columns and np.array_equal(before, after)
+    del calls[:]
+    geometry.chebyshev_center(gen_halfspace_family(3, 8, 100))
+    before, after, enterable, columns = calls[0]
+    assert enterable == columns and np.array_equal(before, after)
+
+    g, h = box_rows(2)
+    h[2] = -0.5  # x >= 0.5: its slack cannot start
+    del calls[:]
+    res = solve_lp(LinearProgram(objective=np.array([-1.0, 0.0]), G=g, h=h))
+    assert res.status == OPTIMAL and res.value == pytest.approx(-0.5)
+    before, after, enterable, columns = calls[0]
+    assert columns == enterable + 1 and before[2] == enterable
+    assert np.all(after < enterable)
 
 
 def _counted_rounds(monkeypatch):

@@ -447,3 +447,78 @@ def test_closed_form_box_keeps_the_walked_directions(mode, monkeypatch):
     if mode == "symmetric":
         box = np.vstack([np.eye(6), -np.eye(6)])
         assert calls and not any(np.array_equal(U, box) for U in calls)
+
+
+# The benchmark's reduce-n2n3 scan at seed 100: every seed each part scans,
+# (n, count, rows per body) -> seed -> (selected, alpha). The scan keeps the
+# first seeds whose selection has s > 2n and passes.
+REDUCE_SCAN = {
+    (2, 40, None): {
+        100: ((8, 23, 30, 34), 1.4716567833098078),
+        101: ((1, 9, 20, 29), 1.6555831397954317),
+        102: ((22, 24, 32, 33, 35), 1.5817379230988498),
+        103: ((0, 1, 19, 26, 38), 1.3768750725895151),
+    },
+    (3, 10, (4, 4)): {
+        100: ((1, 3, 4, 5, 7, 8), 1.0),
+        101: ((2, 3, 5, 6, 7, 9), 1.6910559730489592),
+        102: ((0, 1, 3, 8, 9), 1.3436616912893142),
+        103: ((0, 2, 4, 8), 1.646881786603661),
+        104: ((0, 3, 5, 7), 1.810993260435705),
+        105: ((2, 3, 4, 8, 9), 1.3195240826082364),
+        106: ((0, 2, 3, 5, 6, 8), 1.4619499519470451),
+        107: ((0, 1, 3, 6), 1.7464655951419115),
+        108: ((0, 2, 3, 4, 9), 1.9223005400612299),
+        109: ((0, 1, 4, 5, 6, 7, 8), 1.912744483827951),
+    },
+}
+
+
+def test_reduce_scan_keeps_its_seeds():
+    kept = {}
+    for (n, count, rows), pins in REDUCE_SCAN.items():
+        for seed, (selected, alpha) in pins.items():
+            cert = select_general(gen_halfspace_family(n, count, seed,
+                                                       rows_per_body=rows))
+            assert cert.selected == selected
+            assert cert.alpha_measured == pytest.approx(alpha, rel=1e-12)
+            if cert.s > 2 * n and cert.all_pass:
+                kept.setdefault(n, []).append(seed)
+    assert kept == {2: [102, 103], 3: [109]}
+
+
+# caratheodory_express on seeded dyadic points and targets, so the inputs
+# are exact on every platform: (n, k) -> (tau, rho as float.hex).
+CARATHEODORY_PINS = {
+    (2, 6): ([2, 3, 4], [
+        "0x1.4ad4ad4ad4ad5p-1", "0x1.4dd18da6182c9p-2",
+        "0x1.c8517c43e78d6p-6"]),
+    (3, 10): ([1, 2, 6, 7], [
+        "0x1.8d4c214b5168ap-3", "0x1.2e1e2e6c2375bp-2",
+        "0x1.5d378eda93eddp-2", "0x1.5c0864273fd08p-3"]),
+    (4, 12): ([0, 1, 6, 7, 8], [
+        "0x1.bad0e0f8d3d67p-2", "0x1.edfd0c8b6d887p-3",
+        "0x1.621ea4a80865cp-5", "0x1.d8e8f0753c455p-3",
+        "0x1.abc25f8eb1ae1p-5"]),
+    (5, 20): ([0, 1, 3, 4, 5, 6], [
+        "0x1.eedd60430b7c1p-3", "0x1.72c30b7a509a3p-3",
+        "0x1.97f648d0f8ab9p-8", "0x1.d32e87f37b340p-3",
+        "0x1.40a0f4ee6adffp-2", "0x1.e97b815e59801p-6"]),
+    (6, 30): ([1, 4, 6, 7, 8, 9, 11], [
+        "0x1.ab9835dc5bc10p-5", "0x1.520b1d011a151p-4",
+        "0x1.760486e2e164cp-4", "0x1.822a6d3eeeaaep-2",
+        "0x1.a626c7c42189fp-5", "0x1.48f26d46ccec4p-2",
+        "0x1.8a75ccd35e0f2p-6"]),
+}
+
+
+def test_caratheodory_weights_are_pinned_bit_for_bit():
+    """Equality rows always start on an artificial, so the tableau and its
+    pivots, and with them (tau, rho), stay the same to the last bit."""
+    rng = np.random.default_rng(7)
+    for (n, k), (tau, rho) in CARATHEODORY_PINS.items():
+        pts = rng.integers(-8, 9, (k, n)) / 4.0
+        lam = rng.integers(1, 9, k)
+        got_tau, got_rho = caratheodory_express((lam @ pts) / lam.sum(), pts)
+        assert got_tau.tolist() == tau
+        assert [x.hex() for x in got_rho] == rho
