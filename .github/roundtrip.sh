@@ -57,6 +57,11 @@ python -c "import json; p = json.load(open('huge-cert.json'))['payload']; assert
 python -c "import json; d = json.load(open('huge-cert.json')); d['version'] = '0.3.0'; json.dump(d, open('old.json', 'w'))"
 code=0; hellycert certify --in huge.json --cert old.json || code=$?
 test "$code" -eq 3
+# n=40, the ladder's largest symmetric size: every walk starts from its
+# own crash vertex, so select-sym takes well under a second
+hellycert gen --kind slab --n 40 --count 1200 --seed 0 --out sym40.json
+timeout 30 hellycert select-sym --in sym40.json --out sym40-cert.json
+hellycert certify --in sym40.json --cert sym40-cert.json
 # n=24, where the hidden center's norm once emptied the offset
 # range (seed 0 raised); gen only, select-gen at n=24 is slow
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json

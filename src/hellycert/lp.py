@@ -10,7 +10,8 @@ origin is feasible (the Chebyshev center's) skips phase 1 altogether.
 
 Support values of one polyhedron {x : G x <= 1} in many directions, which is
 what the containment factor needs, go through ``vertex_walk`` instead: one
-primal simplex per direction, each from its own crash vertex, all advanced
+primal simplex per direction, each from its own crash vertex and from no
+other start (box directions and screened directions alike), all advanced
 together by stacked n x n solves and priced by the most negative dual. The
 walk only proposes a basis per direction, or a ray (a line is two rays).
 Trusted is one weak-duality formula, ``_upper_bounds``, with the box
@@ -321,36 +322,32 @@ def _crash(G, U, norms):
     return basis, ray, edge, None
 
 
-def vertex_walk(G, U, start=None) -> VertexWalk:
+def vertex_walk(G, U) -> VertexWalk:
     """Maximize every row u of U over {x : G x <= 1}, all at once.
 
-    A primal vertex walk per direction. Direction j starts at the basis
-    ``start[j]`` when given, else at the vertex its own ``_crash`` reaches.
-    Each round solves the stacked bases for duals and vertices, lets the
-    basis row with the most negative dual leave (Dantzig's rule, ties to
-    the lowest row), and takes the lowest blocking row along the edge that
-    opens. After a step of zero length the leaving row is the lowest one
-    with a negative dual instead (Bland's rule), so a degenerate vertex
-    cannot make the walk cycle. A direction stops at a nonnegative dual or
-    on an edge no row blocks; after 50 (m + n) rounds, or at a singular
-    basis, the walk gives up with SolverStall. The result is not trusted:
-    ``walk_bases`` and ``check_support`` check it.
+    A primal vertex walk per direction, from the vertex its own ``_crash``
+    reaches. Each round solves the stacked bases for duals and vertices,
+    lets the basis row with the most negative dual leave (Dantzig's rule,
+    ties to the lowest row), and takes the lowest blocking row along the
+    edge that opens. After a step of zero length the leaving row is the
+    lowest one with a negative dual instead (Bland's rule), so a degenerate
+    vertex cannot make the walk cycle. A direction stops at a nonnegative
+    dual or on an edge no row blocks; after 50 (m + n) rounds, or at a
+    singular basis, the walk gives up with SolverStall. The result is not
+    trusted: ``walk_bases`` and ``check_support`` check it.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     (m, n), k = G.shape, U.shape[0]
     norms = np.linalg.norm(G, axis=1)
-    edge, ray = np.zeros((k, n)), np.zeros(k, dtype=bool)
-    if start is None:
-        start, ray, edge, line = _crash(G, U, norms)
-        if line is not None:
-            ud = U @ line
-            ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
-                                * np.linalg.norm(line))
-            edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
-            return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
+    basis, ray, edge, line = _crash(G, U, norms)
+    if line is not None:
+        ud = U @ line
+        ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
+                            * np.linalg.norm(line))
+        edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
+        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
     max_rounds = 50 * (m + n)
-    basis = np.array(start, dtype=int)
     bland = np.zeros(k, dtype=bool)
     live = np.flatnonzero(~ray)
     for rnd in range(max_rounds + 1):
@@ -544,16 +541,16 @@ def walk_bases(G, U, symmetric=False):
     (e.d > 0) and stay (G d <= 0) to PIVOT_TOL relative, or SolverStall (a
     line passes as two rays only when G d = 0), and it gives None.
     Each row u gets beta_u, ``dual_bounds`` when ``symmetric``, else +inf.
-    The WALK_FIRST largest, ties included, walk from their crash (or the
-    best box vertex), L being their largest support, scaled into the
-    polyhedron. Every other row with beta_u > L walks from the best of
-    those vertices (or of the box); the rest have support <= beta_u <= L.
+    The WALK_FIRST largest, ties included, walk first, L being their
+    largest support, scaled into the polyhedron. Every other row with
+    beta_u > L walks next; the rest have support <= beta_u <= L. Every
+    walk, of the box or of rows of U, starts from its own crash vertex.
     A row whose walk claims a ray keeps its basis, for the replay to reject.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     k, n = U.shape[0], G.shape[1]
-    tail, start, box = np.zeros((0, n), dtype=int), None, box_bound(G)
+    tail, box = np.zeros((0, n), dtype=int), box_bound(G)
     if box is None:
         walk = vertex_walk(G, _axes(n))
         if walk.ray.any():
@@ -567,15 +564,12 @@ def walk_bases(G, U, symmetric=False):
                                   "recession direction")
             return None
         tail = walk.basis
-        corners = _solve(G[tail], np.ones((2 * n, n, 1)))[:, :, 0]
-        start = tail[np.argmax(U @ corners.T, axis=1)]
     if not k:
         return np.zeros(0, dtype=int), tail
     beta = dual_bounds(G, U, box) if symmetric else np.full(k, math.inf)
     walked = beta >= np.sort(beta)[-min(WALK_FIRST, k)]
     bases = np.zeros((k, n), dtype=int)
-    bases[walked] = vertex_walk(
-        G, U[walked], start=None if start is None else start[walked]).basis
+    bases[walked] = vertex_walk(G, U[walked]).basis
     rest = ~walked
     if rest.any():
         x = _solve(G[bases[walked]], np.ones((walked.sum(), n, 1)))[:, :, 0]
@@ -583,8 +577,6 @@ def walk_bases(G, U, symmetric=False):
               / np.maximum(1.0, (x @ G.T).max(axis=1)))
         rest &= beta > lo.max()
     if rest.any():
-        if start is None:
-            start = bases[walked][np.argmax(U @ x.T, axis=1)]
-        bases[rest] = vertex_walk(G, U[rest], start=start[rest]).basis
+        bases[rest] = vertex_walk(G, U[rest]).basis
         walked |= rest
     return np.flatnonzero(walked), np.vstack([bases[walked], tail])

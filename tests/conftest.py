@@ -54,6 +54,19 @@ def walked_alpha(family, selected):
     return max(1.0, check_support(Gq, U, walk[1], lp.box_bound(Gq)))
 
 
+def record_walks(monkeypatch, key=len):
+    """``key(U)`` of the directions U of every ``lp.vertex_walk`` call, in
+    call order, while the walk itself runs as before."""
+    real, calls = lp.vertex_walk, []
+
+    def recorded(G, U):
+        calls.append(key(U))
+        return real(G, U)
+
+    monkeypatch.setattr(lp, "vertex_walk", recorded)
+    return calls
+
+
 def walked_supports(family, doc):
     """(dual bounds, supports at the stored bases) of the walked directions
     of a certificate document, in payload order; the dual bounds are +inf

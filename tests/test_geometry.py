@@ -333,8 +333,8 @@ def test_alpha_rejects_forged_walk(forge, monkeypatch):
     monkeypatch.setattr(lp, "box_bound", lambda G: None)
     real = lp.vertex_walk
 
-    def forged(G, U, start=None):
-        walk = real(G, U, start=start)
+    def forged(G, U):
+        walk = real(G, U)
         forge(walk, np.asarray(G), np.asarray(U))
         return walk
 
@@ -381,23 +381,27 @@ def test_a_ray_on_a_family_direction_never_lowers_alpha(family, forge,
                                                         monkeypatch):
     """On a bounded Q a family-direction walk that claims a ray keeps the
     basis it stopped at: the replay gives the same alpha or SolverStall.
-    Q has a closed-form box, so every walk is of family directions, and a
-    cold walk's start is its crash basis."""
+    Q has a closed-form box, so every walk is of family directions, and
+    every walk starts at the basis its crash returns."""
     fam = family()
     sel = list(range(4))
     want = containment_factor(fam, sel, containment_bases(fam, sel))
     assert 1.0 < want < math.inf
-    real = lp.vertex_walk
-    forged = []
+    real_walk, real_crash = lp.vertex_walk, lp._crash
+    starts, forged = [], []
 
-    def walk(G, U, start=None):
-        if start is None:
-            start = lp._crash(G, U, np.linalg.norm(G, axis=1))[0]
+    def crash(G, U, norms):
+        found = real_crash(G, U, norms)
+        starts.append(found[0].copy())
+        return found
+
+    def walk(G, U):
         forged.append(len(U))
-        basis = forge(real(G, U, start=start), start)
+        basis = forge(real_walk(G, U), starts[-1])
         return lp.VertexWalk(basis, np.ones(len(U), dtype=bool),
                              np.array(U, dtype=float))
 
+    monkeypatch.setattr(lp, "_crash", crash)
     monkeypatch.setattr(lp, "vertex_walk", walk)
     try:
         got = containment_factor(fam, sel, containment_bases(fam, sel))
@@ -436,22 +440,20 @@ def _start_singular(G, U, start):
 def test_forged_start_never_moves_alpha(forge, monkeypatch):
     """A start basis is a hint: the walk from a worse vertex, from a point
     outside Q or from a singular basis gives the same alpha or SolverStall.
-    A cold walk's start is its crash basis."""
+    A walk's start is the basis its crash returns, forged here."""
     fam = gen_slab_family(3, count=12, seed=5)
     sel = list(range(8))
     alpha = walked_alpha(fam, sel)
-    real = lp.vertex_walk
+    real = lp._crash
     forged_starts = []
 
-    def forged(G, U, start=None):
-        G, U = np.asarray(G), np.asarray(U)
-        if start is None:
-            start = lp._crash(G, U, np.linalg.norm(G, axis=1))[0]
+    def forged(G, U, norms):
+        start, ray, edge, line = real(G, U, norms)
         start = forge(G, U, start)
         forged_starts.append(start)
-        return real(G, U, start=start)
+        return start, ray, edge, line
 
-    monkeypatch.setattr(lp, "vertex_walk", forged)
+    monkeypatch.setattr(lp, "_crash", forged)
     try:
         assert walked_alpha(fam, sel) == pytest.approx(alpha, rel=1e-12)
     except SolverStall:
@@ -465,8 +467,8 @@ def test_selection_stops_on_a_forged_walk(forge, monkeypatch):
     from hellycert.pipeline import select_symmetric
     real = lp.vertex_walk
 
-    def forged(G, U, start=None):
-        walk = real(G, U, start=start)
+    def forged(G, U):
+        walk = real(G, U)
         forge(walk, np.asarray(G), np.asarray(U))
         return walk
 

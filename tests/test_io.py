@@ -397,7 +397,7 @@ def test_certify_never_walks(certificates, kind, monkeypatch):
     else:
         fam, doc = certificates[kind]
 
-    def no_walk(G, U, start=None):
+    def no_walk(G, U):
         raise AssertionError("certify ran the vertex walk")
 
     monkeypatch.setattr(lp, "vertex_walk", no_walk)

@@ -13,7 +13,8 @@ from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import select_symmetric
 
-from conftest import cube_slab_family, fan_through_corner, unit_rows
+from conftest import (cube_slab_family, fan_through_corner, record_walks,
+                      unit_rows)
 
 
 def box_rows(n):
@@ -124,21 +125,14 @@ def _quadrant():
 @pytest.mark.parametrize("system", [_slab_subset_line, _plane_line,
                                     _quadrant])
 def test_unbounded_walk_is_the_box_walk_alone(system, monkeypatch):
-    """On an unbounded Q only the +-e_i walk runs, from the first vertex,
-    and its checked ray gives None: no row of U is walked."""
+    """On an unbounded Q only the +-e_i walk runs, from its own crash, and
+    its checked ray gives None: no row of U is walked."""
     G, U = system()
-    real = lp.vertex_walk
-    calls = []
-
-    def counted(G, U, start=None):
-        calls.append((len(U), start))
-        return real(G, U, start=start)
-
-    monkeypatch.setattr(lp, "vertex_walk", counted)
+    calls = record_walks(monkeypatch)
     for symmetric in (False, True):
         calls.clear()
         assert walk_bases(G, U, symmetric=symmetric) is None
-        assert calls == [(2 * G.shape[1], None)]
+        assert calls == [2 * G.shape[1]]
 
 
 def test_support_empty_body():
@@ -302,49 +296,54 @@ def _walk_cases(rng, degenerate):
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_walk_agrees_with_highs(rng, degenerate, monkeypatch):
-    """Each proposed basis is optimal for its direction, cold and warm, on
-    random polytopes and on a corner where many rows and duplicates meet;
-    the three walks together stay under one walk's 50 (m + n) round cap."""
+    """Each proposed basis is optimal for its direction, from ``walk_bases``
+    and from a direct walk, each from its own crash, on random polytopes
+    and on a corner where many rows and duplicates meet; the walks together
+    stay under one walk's 50 (m + n) round cap."""
     for G, U, ref in _walk_cases(rng, degenerate):
         n = G.shape[1]
         rounds = _counted_rounds(monkeypatch)
-        directions, warm = walk_bases(G, U)
+        directions, proposed = walk_bases(G, U)
         np.testing.assert_array_equal(directions, np.arange(len(U)))
-        cold = lp.vertex_walk(G, U)
-        assert not cold.ray.any()
-        assert rounds["rounds"] < 50 * (len(G) + n)  # all three walks
-        for bases in (warm[:len(U)], cold.basis):
+        direct = lp.vertex_walk(G, U)
+        assert not direct.ray.any()
+        assert rounds["rounds"] < 50 * (len(G) + n)  # every walk
+        for bases in (proposed[:len(U)], direct.basis):
             x = np.linalg.solve(G[bases], np.ones((len(U), n, 1)))[:, :, 0]
             np.testing.assert_allclose(np.einsum("ij,ij->i", U, x), ref,
                                        rtol=1e-9, atol=1e-12)
-        assert check_support(G, U, warm, lp.box_bound(G)) == pytest.approx(
-            ref.max(), rel=1e-9)
+        assert check_support(G, U, proposed, lp.box_bound(G)) == (
+            pytest.approx(ref.max(), rel=1e-9))
 
 
 def test_screened_walk_guard(monkeypatch):
     """At n=20 the dual bounds leave 48 of the 1 111 family directions to
     walk; without them every direction was walked. The closed-form box
     leaves no box walk, so every walk is of family directions."""
-    real = lp.vertex_walk
-    walked = []
-
-    def counted(G, U, start=None):
-        walked.append(len(U))
-        return real(G, U, start=start)
-
-    monkeypatch.setattr(lp, "vertex_walk", counted)
+    walked = record_walks(monkeypatch)
     cert = select_symmetric(gen_slab_family(20, 600, 0))
     assert 0 < sum(walked) <= 100
     assert cert.diagnostics["walked_directions"] == sum(walked)
     assert sum(walked) + cert.diagnostics["screened_directions"] == 1111
 
 
-def test_walk_round_guard(monkeypatch):
+@pytest.mark.parametrize("n, count, most, pins", [
     # 2 066 direction-rounds from the +-e_i vertices with Dantzig pricing;
     # 6 519 with every direction from one vertex by Bland's rule
+    pytest.param(8, 200, 3000, None, id="n8"),
+    # 4 234 with every walk from its own crash, 6 896 with the screened
+    # directions from the best walked vertex; the start must not move
+    # (s, walked directions, alpha)
+    pytest.param(30, 900, 5000, (75, 110, 5.023363137500274), id="n30")])
+def test_walk_round_guard(n, count, most, pins, monkeypatch):
     rounds = _counted_rounds(monkeypatch)
-    select_symmetric(gen_slab_family(8, 200, 0))
-    assert 0 < rounds["directions"] <= 3000
+    cert = select_symmetric(gen_slab_family(n, count, 0))
+    assert 0 < rounds["directions"] <= most
+    if pins:
+        s, walked, alpha = pins
+        assert cert.s == s
+        assert cert.diagnostics["walked_directions"] == walked
+        assert cert.alpha_measured == pytest.approx(alpha, rel=1e-12)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

@@ -21,8 +21,8 @@ from hellycert.oracle import (FEAS_TOL, MERGE_TOL, best_subset_bruteforce,
                               gen_halfspace_family, gen_sharpness_instance,
                               gen_slab_family, is_bounded)
 
-from conftest import (cube_slab_family, fan_through_corner, unit_rows,
-                      walked_alpha)
+from conftest import (cube_slab_family, fan_through_corner, record_walks,
+                      unit_rows, walked_alpha)
 
 
 def square_rows():
@@ -87,7 +87,7 @@ def test_is_bounded_walks_the_box_only_without_a_witness(extra, bounded,
     """The bounded system is settled by Stiemke's witness and walks nothing;
     the unbounded one walks the 2n box directions once."""
     g = np.vstack([np.eye(3), -np.eye(3)[:2], [extra]])
-    walked = _counted_walks(monkeypatch)
+    walked = record_walks(monkeypatch)
     assert is_bounded(g) is bounded
     assert walked == ([] if bounded else [6])
 
@@ -154,7 +154,7 @@ def test_a_bounded_system_without_a_positive_projection_is_walked(
     g = np.array([[-1.0, 2.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 0.0]])
     y = 1.0 - g @ np.linalg.solve(g.T @ g, g.sum(axis=0))
     assert y.min() < 0
-    walked = _counted_walks(monkeypatch)
+    walked = record_walks(monkeypatch)
     assert lp.box_bound(g) is None
     assert is_bounded(g) is True
     assert walked == [4]
@@ -450,21 +450,9 @@ def test_drop_pricing_matches_the_reference_when_drops_unbind(system):
     assert math.isinf(got[0]) is (system is _open_half_plane_fan)
 
 
-def _counted_walks(monkeypatch):
-    real = lp.vertex_walk
-    calls = []
-
-    def counted(G, U, start=None):
-        calls.append(len(U))
-        return real(G, U, start=start)
-
-    monkeypatch.setattr(lp, "vertex_walk", counted)
-    return calls
-
-
 def test_bounded_enumeration_never_walks(rng, monkeypatch):
     fam = gen_halfspace_family(3, 6, 101, rows_per_body=(4, 4))
-    walks = _counted_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     for n in (2, 3):
         g = np.vstack([np.eye(n), -np.eye(n), unit_rows(rng, 6, n)])
         enumerate_vertices(g, np.concatenate([np.ones(2 * n),
@@ -476,7 +464,7 @@ def test_bounded_enumeration_never_walks(rng, monkeypatch):
 
 
 def test_unbounded_enumeration_is_a_walked_ray(monkeypatch):
-    walks = _counted_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     with pytest.raises(UnboundedBody, match="recession direction"):
         enumerate_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
                            np.ones(3))
@@ -491,7 +479,7 @@ def test_forged_duals_never_bound_an_unbounded_set(forge, monkeypatch):
     real = oracle._box_duals
     monkeypatch.setattr(oracle, "_box_duals",
                         lambda bases, box: forge(real(bases, box)))
-    walks = _counted_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     with pytest.raises(UnboundedBody):
         enumerate_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
                            np.ones(3))

@@ -19,8 +19,8 @@ from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
                                 select_general, select_symmetric)
 
 from conftest import (cube_halfspace_family, cube_slab_family,
-                      plane_fan_family, simplex_family, unit_rows,
-                      walked_alpha)
+                      plane_fan_family, record_walks, simplex_family,
+                      unit_rows, walked_alpha)
 
 
 def test_cube_selects_everything():
@@ -247,9 +247,9 @@ def test_reduce_chain_is_pinned(n, count, rows, seed, selected, dropped,
     real_walk, real_price = lp.vertex_walk, pipeline.drop_circumradii
     pricing, walks = [], []
 
-    def walk(G, U, start=None):
+    def walk(G, U):
         walks.extend(pricing)
-        return real_walk(G, U, start=start)
+        return real_walk(G, U)
 
     def price(*args):
         pricing.append(True)
@@ -415,24 +415,12 @@ GEN_N3_WALKS = {
 }
 
 
-def _walks(monkeypatch):
-    """The direction sets every ``lp.vertex_walk`` call is asked about."""
-    real, calls = lp.vertex_walk, []
-
-    def counted(G, U, start=None):
-        calls.append(np.array(U, dtype=float))
-        return real(G, U, start=start)
-
-    monkeypatch.setattr(lp, "vertex_walk", counted)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
 def test_closed_form_box_keeps_the_walked_directions(mode, monkeypatch):
     """The closed-form box and the crash start leave the selections and the
     walked directions of the benchmark instances as the box walk left them,
     and alpha within 1e-12; no symmetric selection walks the box."""
-    calls = _walks(monkeypatch)
+    calls = record_walks(monkeypatch, key=lambda U: np.array(U, dtype=float))
     pins = SYM_N6_WALKS if mode == "symmetric" else GEN_N3_WALKS
     for seed, (selected, walked, alpha) in pins.items():
         if mode == "symmetric":
