@@ -63,8 +63,11 @@ hellycert gen --kind slab --n 40 --count 1200 --seed 0 --out sym40.json
 timeout 30 hellycert select-sym --in sym40.json --out sym40-cert.json
 hellycert certify --in sym40.json --cert sym40-cert.json
 # n=24, where the hidden center's norm once emptied the offset
-# range (seed 0 raised); gen only, select-gen at n=24 is slow
+# range (seed 0 raised); a Newton try in the MVEE waits for half the
+# gap at the last try, so select-gen takes seconds
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json
+timeout 60 hellycert select-gen --in gen24.json --out gen24-cert.json
+hellycert certify --in gen24.json --cert gen24-cert.json
 # n=16: the Chebyshev LP starts on its slack basis, so select-gen takes
 # seconds, not minutes
 hellycert gen --kind halfspace --n 16 --count 32 --seed 0 --out gen16.json

@@ -9,7 +9,10 @@ of n points (Kumar-Yildirim), so the ascent adds the few points it needs
 instead of dropping nearly all of them. The ascent converges linearly and
 can stall when a point sits just inside the ellipsoid, so once both gaps
 are small it tries Newton's method on the optimality conditions over the
-current support. Newton's weights are kept only when they lower the gap,
+current support. The next try waits for a new support and for the gap to
+fall to half the gap at the last try, so an ascent that stalls while its
+support keeps changing does not try at every change. Newton's weights are
+kept only when they lower the gap,
 and the only exit is a two-sided gap check on freshly computed numbers, so
 neither the ascent nor the Newton finish, nor the core set, has to be
 trusted. A solve can start from the weights of an earlier, nearby solve;
@@ -23,6 +26,7 @@ residual checks that follow decide whether the result is accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +36,12 @@ from .linalg import sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
-# Newton is tried once both ascent gaps are at most NEWTON_GAP; one try
-# takes at most NEWTON_STEPS steps, each a least-squares solve whose
-# singular values below NEWTON_RCOND (relative) are cut. With 5 steps the
+# Newton is tried once both ascent gaps are at most NEWTON_GAP; each later
+# try waits for a new support and for the gap to fall to half the gap at
+# the last try (without the halving, the recentering MVEE of a general
+# 16-dimensional family tried 53 times, with it 9 times). One try takes at
+# most NEWTON_STEPS steps, each a least-squares solve whose singular
+# values below NEWTON_RCOND (relative) are cut. With 5 steps the
 # 6-dimensional slab families need 60% more ascent steps; from 30 on, the
 # ascent step counts of 20- and 30-dimensional slab families level off.
 NEWTON_GAP = 1e-2
@@ -123,7 +130,7 @@ def _signed_step(pts, u, Xinv, kappa, j, t, drop):
     beta = t / ((1.0 - t) ** 2 * (1.0 + t * kappa[j] / (1.0 - t)))
     u = u * (1.0 - t)
     u[j] = 0.0 if drop else max(u[j] + t, 0.0)
-    return (u, Xinv / (1.0 - t) - beta * np.outer(y, y),
+    return (u, Xinv / (1.0 - t) - beta * (y[:, None] * y),
             kappa / (1.0 - t) - beta * z * z)
 
 
@@ -131,7 +138,8 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
     Runs Khachiyan ascent with away/drop steps, and Newton steps on the
-    support once both gaps are at most NEWTON_GAP, until the two-sided gap
+    support once both gaps are at most NEWTON_GAP (again only on a new
+    support at half the last try's gap), until the two-sided gap
     max kappa/n - 1 <= eps and 1 - min-support kappa/n <= eps holds, where
     kappa_k = x_k^T X(u)^{-1} x_k. Sign of the points is irrelevant.
     ``start`` gives the first weights, whose support must span the space.
@@ -163,14 +171,13 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
             R -= np.outer(R @ R[j], R[j] / (R[j] @ R[j]))
     Xinv, kappa, _ = _fresh_state(pts, u)
 
-    since_refresh = 0
-    tried = None
+    since_refresh, tried, newton_gap = 0, None, NEWTON_GAP
     for _ in range(max_iter):
-        jp = int(np.argmax(kappa))
-        kp = kappa[jp]
+        jp = kappa.argmax()
+        kp = kappa.item(jp)
         masked = np.where(u > 0.0, kappa, np.inf)
-        jm = int(np.argmin(masked))
-        km = masked[jm]
+        jm = masked.argmin()
+        km = masked.item(jm)
         gap_plus = kp / n - 1.0
         gap_minus = 1.0 - km / n
 
@@ -182,9 +189,9 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
             since_refresh = 0
             continue
 
-        if (max(gap_plus, gap_minus) <= NEWTON_GAP
-                and not np.array_equal(u > 0.0, tried)):
-            tried = u > 0.0
+        gap = max(gap_plus, gap_minus)
+        if gap <= newton_gap and not np.array_equal(u > 0.0, tried):
+            tried, newton_gap = u > 0.0, gap / 2.0
             trial = _newton_weights(pts, u)
             # the fresh check relies on u >= 0 and sum u = 1; keep both
             if (trial is not None and trial.min() >= 0.0
@@ -195,7 +202,7 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
                                                                      trial)
                 except np.linalg.LinAlgError:
                     trial_gap = np.nan
-                if trial_gap < max(gap_plus, gap_minus):
+                if trial_gap < gap:
                     u, Xinv, kappa = trial, trial_inv, trial_kappa
                     tried = u > 0.0
                     since_refresh = 0
@@ -204,15 +211,15 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
         if gap_plus >= gap_minus:
             j, t, drop = jp, (kp - n) / (n * (kp - 1.0)), False
         else:
-            j = jm
-            cap = u[j] / (1.0 - u[j]) if u[j] < 1.0 else np.inf
+            j, uj = jm, u.item(jm)
+            cap = uj / (1.0 - uj) if uj < 1.0 else np.inf
             lam = (min((n - km) / (n * (km - 1.0)), 0.99 / (km - 1.0), cap)
                    if km > 1.0 else cap)
             t, drop = -lam, lam >= cap
         u, Xinv, kappa = _signed_step(pts, u, Xinv, kappa, j, t, drop)
 
         since_refresh += 1  # the rank-one updates drift; refresh them
-        if since_refresh >= 512 or not np.isfinite(kappa[j]):
+        if since_refresh >= 512 or not math.isfinite(kappa[j]):
             u = np.maximum(u, 0.0)
             u /= u.sum()
             Xinv, kappa, _ = _fresh_state(pts, u)

@@ -260,18 +260,20 @@ class VertexWalk:
     edge: np.ndarray
 
 
-def _blocking(gd, slack, norms, dnorm, exclude):
+def _blocking(gd, slack, tol, dnorm, exclude):
     """Bland ratio test: (step, lowest blocking row) per edge; row -1 = none.
 
     ``gd`` and ``slack`` are (k, m) growth and slack of every row along k
-    edges; rows in ``exclude`` (k, j) never block.
+    edges; ``tol`` is PIVOT_TOL times the row norms of G, so row i blocks
+    edge l only when its growth exceeds tol_i |d_l|; rows in ``exclude``
+    (k, j) never block.
     """
-    hits = gd > PIVOT_TOL * norms[None, :] * dnorm[:, None]
+    hits = gd > tol * dnorm[:, None]
     hits[np.arange(gd.shape[0])[:, None], exclude] = False
-    t = np.where(hits, slack / np.where(hits, gd, 1.0), np.inf)
+    t = np.divide(slack, gd, out=np.full(gd.shape, np.inf), where=hits)
     tmin = t.min(axis=1)
-    tied = t <= tmin[:, None] + TIE_TOL * (1.0 + tmin[:, None])
-    row = np.where(np.isfinite(tmin), np.argmax(tied, axis=1), -1)
+    tied = t <= (tmin + TIE_TOL * (1.0 + tmin))[:, None]
+    row = np.where(np.isfinite(tmin), tied.argmax(axis=1), -1)
     return tmin, row
 
 
@@ -286,39 +288,49 @@ def _crash(G, U, norms):
     until one more is tight, or, where that projection vanishes, along a
     null vector of those rows, forward or back. Returns (basis, ray, edge,
     line): n tight rows per direction, a ray where the projection ``edge``
-    met no row, and a null vector blocked neither way (a line), or None."""
+    met no row, and a null vector blocked neither way (a line), or None.
+
+    The state (point x, orthonormal rows Q spanning the tight rows, tight
+    rows B and the directions themselves) is kept packed to the directions
+    still live, and is compressed only when a direction leaves on a ray.
+    """
     k, n = U.shape
+    basis, B = np.zeros((k, n), dtype=int), np.zeros((k, n), dtype=int)
     x, edge, Q = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n, n))
-    basis, ray = np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool)
-    live = np.arange(k)
+    live, ray = np.arange(k), np.zeros(k, dtype=bool)
+    unorm, tol = np.linalg.norm(U, axis=1), PIVOT_TOL * norms
     for j in range(n):  # Q[:, :j] spans the j rows tight so far
-        d = _off(Q[live, :j], U[live])
-        flat = (np.linalg.norm(d, axis=1)
-                <= PIVOT_TOL * np.linalg.norm(U[live], axis=1))
+        d = _off(Q[:, :j], U) if j else U.copy()
+        dnorm = np.linalg.norm(d, axis=1)
+        flat = dnorm <= PIVOT_TOL * unorm
         if flat.any():  # the coordinate axis furthest off the tight rows
-            null = np.eye(n) - np.einsum("lij,lik->ljk", Q[live[flat], :j],
-                                         Q[live[flat], :j])
+            null = np.eye(n) - np.einsum("lij,lik->ljk", Q[flat, :j],
+                                         Q[flat, :j])
             pick = np.argmax(np.linalg.norm(null, axis=1), axis=1)
             d[flat] = null[np.arange(len(pick)), pick]
-        slack = np.maximum(1.0 - x[live] @ G.T, 0.0)
-        t, row = _blocking(d @ G.T, slack, norms, np.linalg.norm(d, axis=1),
-                           basis[live, :j])
+            dnorm[flat] = np.linalg.norm(d[flat], axis=1)
+        slack = np.maximum(1.0 - x @ G.T, 0.0)
+        t, row = _blocking(d @ G.T, slack, tol, dnorm, B[:, :j])
         back = flat & (row < 0)
         if back.any():
             d[back] *= -1.0
-            t[back], row[back] = _blocking(
-                d[back] @ G.T, slack[back], norms,
-                np.linalg.norm(d[back], axis=1), basis[live[back], :j])
+            t[back], row[back] = _blocking(d[back] @ G.T, slack[back], tol,
+                                           dnorm[back], B[back, :j])
             if (back & (row < 0)).any():
+                basis[live] = B
                 return basis, ray, edge, d[np.argmax(back & (row < 0))]
-        keep = row >= 0
-        ray[live[~keep]] = True
-        edge[live[~keep]] = d[~keep]
-        live, d, t, row = live[keep], d[keep], t[keep], row[keep]
-        x[live] += t[:, None] * d
-        basis[live, j] = row
-        g = _off(Q[live, :j], _off(Q[live, :j], G[row]))  # twice, for rounding
-        Q[live, j] = g / np.linalg.norm(g, axis=1)[:, None]
+        out = row < 0
+        if out.any():
+            gone, keep = live[out], ~out
+            ray[gone], edge[gone], basis[gone] = True, d[out], B[out]
+            live, x, Q, B, U, unorm, d, t, row = (
+                a[keep] for a in (live, x, Q, B, U, unorm, d, t, row))
+        x += t[:, None] * d
+        B[:, j] = row
+        if j < n - 1:  # twice, for rounding; nothing to project at j = 0
+            g = _off(Q[:, :j], _off(Q[:, :j], G[row])) if j else G[row]
+            Q[:, j] = g / np.linalg.norm(g, axis=1)[:, None]
+    basis[live] = B
     return basis, ray, edge, None
 
 
@@ -347,7 +359,7 @@ def vertex_walk(G, U) -> VertexWalk:
                             * np.linalg.norm(line))
         edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
         return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
-    max_rounds = 50 * (m + n)
+    max_rounds, tol = 50 * (m + n), PIVOT_TOL * norms
     bland = np.zeros(k, dtype=bool)
     live = np.flatnonzero(~ray)
     for rnd in range(max_rounds + 1):
@@ -369,14 +381,14 @@ def vertex_walk(G, U) -> VertexWalk:
         rhs[np.arange(live.size), pos, 1] = -1.0
         sol = _solve(B, rhs)
         xl, d = sol[:, :, 0], sol[:, :, 1]
-        t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), norms,
+        t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), tol,
                            np.linalg.norm(d, axis=1), basis[live])
-        out = row < 0
-        ray[live[out]] = True
-        edge[live[out]] = d[out]
-        basis[live[~out], pos[~out]] = row[~out]
         bland[live] = t <= TIE_TOL
-        live = live[~out]
+        out = row < 0
+        if out.any():
+            ray[live[out]], edge[live[out]] = True, d[out]
+            live, pos, row = live[~out], pos[~out], row[~out]
+        basis[live, pos] = row
     raise SolverStall(f"vertex walk: {live.size} of {k} directions still "
                       f"improving after {max_rounds} rounds")
 

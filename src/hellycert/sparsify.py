@@ -56,6 +56,11 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     up to a small residual (it is folded into the certified bounds, not
     ignored). Output reweights b_j are normalized so the certified minimum
     eigenvalue of sum_{sigma} b_j a_j v_j v_j^T equals one.
+
+    Each step adds t w_j w_j^T, w_j = sqrt(a_j) v_j, to A from rank-one
+    terms built once. Every term is exactly symmetric, since w_ji w_jk and
+    w_jk w_ji are the same product, so A is too and its eigensolve takes it
+    as it is, with no (A + A^T) / 2.
     """
     if d <= 1.0:
         raise ValueError("sparsifier parameter d must exceed 1")
@@ -63,7 +68,7 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     a = np.asarray(weights, dtype=float)
     k, n = v.shape
     w = v * np.sqrt(a)[:, None]
-    w2 = w ** 2
+    outer = w[:, :, None] * w[:, None, :]
 
     root = math.sqrt(d)
     delta_u = (root + 1.0) / (root - 1.0)
@@ -84,27 +89,30 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
             raise BarrierStuck(
                 f"step {step}: spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] "
                 f"escaped barriers ({l_next:.6g}, {u_next:.6g})")
-        P2 = (w @ V) ** 2
+        P2 = w @ V
+        P2 *= P2
         inv_u = 1.0 / (u_next - lam)
         inv_l = 1.0 / (lam - l_next)
-        dphi_u = float(np.sum(1.0 / (u_bar - lam)) - np.sum(inv_u))
-        dphi_l = float(np.sum(inv_l) - np.sum(1.0 / (lam - l_bar)))
+        dphi_u = float(np.add.reduce(1.0 / (u_bar - lam))
+                       - np.add.reduce(inv_u))
+        dphi_l = float(np.add.reduce(inv_l)
+                       - np.add.reduce(1.0 / (lam - l_bar)))
         upper = P2 @ (inv_u ** 2) / dphi_u + P2 @ inv_u
         lower = P2 @ (inv_l ** 2) / dphi_l - P2 @ inv_l
         admissible = (lower > 0.0) & (
             upper <= lower * (1.0 + _ADMIT_RTOL) + _ADMIT_ATOL)
-        if not admissible.any():
+        j = admissible.argmax()
+        if not admissible[j]:
             raise BarrierStuck(
                 f"step {step}: no admissible index; barriers "
                 f"({l_next:.6g}, {u_next:.6g}), spectrum "
                 f"[{lam[0]:.6g}, {lam[-1]:.6g}], best margin "
                 f"{float(np.min(upper - lower)):.3e}")
-        j = int(np.argmax(admissible))
         t = 2.0 / (upper[j] + lower[j])
-        A += t * np.outer(w[j], w[j])
+        A += t * outer[j]
         coeff[j] += t
         u_bar, l_bar = u_next, l_next
-        lam, V = np.linalg.eigh((A + A.T) / 2.0)
+        lam, V = np.linalg.eigh(A)
 
     sigma = np.nonzero(coeff > 0.0)[0]
     lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])

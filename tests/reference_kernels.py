@@ -1,0 +1,173 @@
+"""Loop versions of three library kernels, kept as bit-for-bit references.
+
+``bss_select`` is the barrier selection of ``hellycert.sparsify`` with a
+fresh ``np.outer`` per step and ``A`` re-symmetrized before each
+eigensolve. ``crash`` and ``vertex_walk`` are the start vertex and the
+batched walk of ``hellycert.lp`` with every step indexing the full state by
+the live directions. The library packs or reuses that work; it must return
+the same bits as these, which do the same floating-point operations in the
+same order.
+"""
+
+import math
+
+import numpy as np
+
+from hellycert.errors import BarrierStuck, SolverStall
+from hellycert.linalg import extremes
+from hellycert.lp import DUAL_TOL, PIVOT_TOL, TIE_TOL, _solve
+from hellycert.sparsify import _ADMIT_ATOL, _ADMIT_RTOL
+
+
+def bss_select(vectors, weights, d):
+    """(sigma, b, lambda_max) of ``sparsify.bss_select``."""
+    if d <= 1.0:
+        raise ValueError("sparsifier parameter d must exceed 1")
+    v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    a = np.asarray(weights, dtype=float)
+    k, n = v.shape
+    w = v * np.sqrt(a)[:, None]
+
+    root = math.sqrt(d)
+    delta_u = (root + 1.0) / (root - 1.0)
+    delta_l = 1.0
+    u_bar = n * (d + root) / (root - 1.0)
+    l_bar = -n * root
+    steps = math.ceil(d * n)
+
+    A = np.zeros((n, n))
+    coeff = np.zeros(k)
+    lam = np.zeros(n)
+    V = np.eye(n)
+
+    for step in range(steps):
+        u_next = u_bar + delta_u
+        l_next = l_bar + delta_l
+        if lam[-1] >= u_next or lam[0] <= l_next:
+            raise BarrierStuck(
+                f"step {step}: spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] "
+                f"escaped barriers ({l_next:.6g}, {u_next:.6g})")
+        P2 = (w @ V) ** 2
+        inv_u = 1.0 / (u_next - lam)
+        inv_l = 1.0 / (lam - l_next)
+        dphi_u = float(np.sum(1.0 / (u_bar - lam)) - np.sum(inv_u))
+        dphi_l = float(np.sum(inv_l) - np.sum(1.0 / (lam - l_bar)))
+        upper = P2 @ (inv_u ** 2) / dphi_u + P2 @ inv_u
+        lower = P2 @ (inv_l ** 2) / dphi_l - P2 @ inv_l
+        admissible = (lower > 0.0) & (
+            upper <= lower * (1.0 + _ADMIT_RTOL) + _ADMIT_ATOL)
+        if not admissible.any():
+            raise BarrierStuck(
+                f"step {step}: no admissible index; barriers "
+                f"({l_next:.6g}, {u_next:.6g}), spectrum "
+                f"[{lam[0]:.6g}, {lam[-1]:.6g}], best margin "
+                f"{float(np.min(upper - lower)):.3e}")
+        j = int(np.argmax(admissible))
+        t = 2.0 / (upper[j] + lower[j])
+        A += t * np.outer(w[j], w[j])
+        coeff[j] += t
+        u_bar, l_bar = u_next, l_next
+        lam, V = np.linalg.eigh((A + A.T) / 2.0)
+
+    sigma = np.nonzero(coeff > 0.0)[0]
+    lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])
+    return sigma, coeff[sigma] / lam_min_raw, lam_max_raw / lam_min_raw
+
+
+def _blocking(gd, slack, norms, dnorm, exclude):
+    """``lp._blocking``, with the row norms in place of ``tol``."""
+    hits = gd > PIVOT_TOL * norms[None, :] * dnorm[:, None]
+    hits[np.arange(gd.shape[0])[:, None], exclude] = False
+    t = np.where(hits, slack / np.where(hits, gd, 1.0), np.inf)
+    tmin = t.min(axis=1)
+    tied = t <= tmin[:, None] + TIE_TOL * (1.0 + tmin[:, None])
+    row = np.where(np.isfinite(tmin), np.argmax(tied, axis=1), -1)
+    return tmin, row
+
+
+def _off(Q, v):
+    return v - np.einsum("lij,li->lj", Q, np.einsum("lij,lj->li", Q, v))
+
+
+def crash(G, U, norms):
+    """``lp._crash``: (basis, ray, edge, line)."""
+    k, n = U.shape
+    x, edge, Q = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n, n))
+    basis, ray = np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for j in range(n):  # Q[:, :j] spans the j rows tight so far
+        d = _off(Q[live, :j], U[live])
+        flat = (np.linalg.norm(d, axis=1)
+                <= PIVOT_TOL * np.linalg.norm(U[live], axis=1))
+        if flat.any():  # the coordinate axis furthest off the tight rows
+            null = np.eye(n) - np.einsum("lij,lik->ljk", Q[live[flat], :j],
+                                         Q[live[flat], :j])
+            pick = np.argmax(np.linalg.norm(null, axis=1), axis=1)
+            d[flat] = null[np.arange(len(pick)), pick]
+        slack = np.maximum(1.0 - x[live] @ G.T, 0.0)
+        t, row = _blocking(d @ G.T, slack, norms, np.linalg.norm(d, axis=1),
+                           basis[live, :j])
+        back = flat & (row < 0)
+        if back.any():
+            d[back] *= -1.0
+            t[back], row[back] = _blocking(
+                d[back] @ G.T, slack[back], norms,
+                np.linalg.norm(d[back], axis=1), basis[live[back], :j])
+            if (back & (row < 0)).any():
+                return basis, ray, edge, d[np.argmax(back & (row < 0))]
+        keep = row >= 0
+        ray[live[~keep]] = True
+        edge[live[~keep]] = d[~keep]
+        live, d, t, row = live[keep], d[keep], t[keep], row[keep]
+        x[live] += t[:, None] * d
+        basis[live, j] = row
+        g = _off(Q[live, :j], _off(Q[live, :j], G[row]))  # twice, for rounding
+        Q[live, j] = g / np.linalg.norm(g, axis=1)[:, None]
+    return basis, ray, edge, None
+
+
+def vertex_walk(G, U):
+    """(basis, ray, edge) of ``lp.vertex_walk``."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    (m, n), k = G.shape, U.shape[0]
+    norms = np.linalg.norm(G, axis=1)
+    basis, ray, edge, line = crash(G, U, norms)
+    if line is not None:
+        ud = U @ line
+        ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
+                            * np.linalg.norm(line))
+        edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
+        return np.zeros((k, n), dtype=int), ray, edge
+    max_rounds = 50 * (m + n)
+    bland = np.zeros(k, dtype=bool)
+    live = np.flatnonzero(~ray)
+    for rnd in range(max_rounds + 1):
+        B = G[basis[live]]
+        yl = _solve(np.swapaxes(B, 1, 2), U[live, :, None])[:, :, 0]
+        scale = DUAL_TOL * (1.0 + np.abs(yl).max(axis=1))
+        improving = yl < -scale[:, None]
+        go = improving.any(axis=1)
+        live, B, improving, yl = live[go], B[go], improving[go], yl[go]
+        if live.size == 0:
+            return basis, ray, edge
+        if rnd == max_rounds:
+            break
+        steepest = yl == np.where(improving, yl, 0.0).min(axis=1)[:, None]
+        leaving = improving & (bland[live, None] | steepest)
+        pos = np.argmin(np.where(leaving, basis[live], m), axis=1)
+        rhs = np.zeros((live.size, n, 2))
+        rhs[:, :, 0] = 1.0
+        rhs[np.arange(live.size), pos, 1] = -1.0
+        sol = _solve(B, rhs)
+        xl, d = sol[:, :, 0], sol[:, :, 1]
+        t, row = _blocking(d @ G.T, np.maximum(1.0 - xl @ G.T, 0.0), norms,
+                           np.linalg.norm(d, axis=1), basis[live])
+        out = row < 0
+        ray[live[out]] = True
+        edge[live[out]] = d[out]
+        basis[live[~out], pos[~out]] = row[~out]
+        bland[live] = t <= TIE_TOL
+        live = live[~out]
+    raise SolverStall(f"vertex walk: {live.size} of {k} directions still "
+                      f"improving after {max_rounds} rounds")

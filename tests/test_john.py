@@ -9,7 +9,7 @@ from hellycert.geometry import BodyFamily, chebyshev_center
 from hellycert.john import (_centered_mvee_weights, john_decomposition,
                             mvee_centered, mvee_general)
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
-from hellycert.pipeline import _recenter, select_symmetric
+from hellycert.pipeline import _recenter, select_general, select_symmetric
 
 from conftest import unit_rows
 
@@ -200,6 +200,26 @@ def test_mvee_converged_start_returns_after_one_check(rng, monkeypatch):
     monkeypatch.setattr(john, "_newton_weights", no_newton)
     again = _centered_mvee_weights(pts, 1e-8, max_iter=1, start=u)
     np.testing.assert_allclose(again, u, rtol=1e-15, atol=0.0)
+
+
+def test_newton_retry_guard(monkeypatch):
+    """A Newton try also waits for half the gap at the last try. At gen
+    n=16/32 seed 0, where the polar MVEE at the Chebyshev center has 851
+    rows, Newton runs 9 times in one select; waiting for a new support
+    alone, it ran 53 times, with 813 least-squares solves. The selection
+    and alpha stay as they were."""
+    real = john._newton_weights
+    calls = []
+
+    def counted(pts, u):
+        calls.append(1)
+        return real(pts, u)
+
+    monkeypatch.setattr(john, "_newton_weights", counted)
+    cert = select_general(gen_halfspace_family(16, 32, 0))
+    assert 0 < len(calls) <= 15
+    assert cert.s == 17
+    assert cert.alpha_measured == pytest.approx(2.295709974358053, rel=1e-12)
 
 
 def cold_start_cases():

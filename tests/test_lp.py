@@ -13,6 +13,7 @@ from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import select_symmetric
 
+import reference_kernels
 from conftest import (cube_slab_family, fan_through_corner, record_walks,
                       unit_rows)
 
@@ -398,6 +399,44 @@ def test_crash_rays_pass_the_box_check(rng, system):
         assert np.all(e @ G.T <= lp.PIVOT_TOL * np.outer(
             enorm, np.linalg.norm(G, axis=1)))
         assert walk_bases(G, unit_rows(rng, 4, n), symmetric=True) is None
+
+
+def _crash_cases(rng):
+    """(label, G, U): the walk cases, random and at a degenerate corner, then
+    unbounded systems, an open cone (rays only) and a tilted line, with
+    directions that rise along them and directions that do not."""
+    for degenerate in (False, True):
+        for G, U, _ in _walk_cases(rng, degenerate):
+            yield "degenerate" if degenerate else "random", G, U
+    for system in (_open_cone, _tilted_line):
+        for n in (2, 3, 4, 5):
+            G = system(rng, n)
+            U = np.vstack([unit_rows(rng, 8, n), np.eye(n), -np.eye(n)])
+            yield system.__name__, G, U
+            yield system.__name__, G, np.vstack([U, G[:2]])
+
+
+def test_crash_and_walk_match_the_loop_reference_bit_for_bit(rng):
+    """The packed crash and the walk from it return exactly the bases, rays,
+    edges and line of the loop versions in ``reference_kernels``; the cases
+    reach a flat projection, rays next to directions that stay, and lines."""
+    seen = set()
+    for label, G, U in _crash_cases(rng):
+        norms = np.linalg.norm(G, axis=1)
+        got = lp._crash(G, U, norms)
+        want = reference_kernels.crash(G, U, norms)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b), label
+        assert (got[3] is None) == (want[3] is None), label
+        assert want[3] is None or np.array_equal(got[3], want[3]), label
+        walk = lp.vertex_walk(G, U)
+        for a, b in zip((walk.basis, walk.ray, walk.edge),
+                        reference_kernels.vertex_walk(G, U)):
+            assert np.array_equal(a, b), label
+        seen.add("line" if want[3] is not None
+                 else "ray" if want[1].all()
+                 else "ray and vertex" if want[1].any() else "vertex")
+    assert seen == {"vertex", "ray", "ray and vertex", "line"}
 
 
 def _box_cases(count):

@@ -7,11 +7,14 @@ import pytest
 
 from hellycert import sparsify
 from hellycert.errors import ShiftCertificateFailed
+from hellycert.geometry import chebyshev_center, normalize_family
 from hellycert.john import john_decomposition
 from hellycert.linalg import extremes, sym_eigen
-from hellycert.sparsify import (bss_select, certify_operator_T, gamma_ratio,
-                                shifted_select)
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
+from hellycert.sparsify import (D_ESCALATION, bss_select, certify_operator_T,
+                                gamma_ratio, shifted_select)
 
+import reference_kernels
 from conftest import unit_rows
 
 
@@ -100,6 +103,26 @@ def test_bss_deterministic(rng):
     assert r1.sigma.tolist() == r2.sigma.tolist()
     assert r1.b.tolist() == r2.b.tolist()
     assert r1.lambda_max == r2.lambda_max
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bss_select_matches_the_loop_reference_bit_for_bit(n):
+    """On the John decomposition of a symmetric slab family, and on a
+    general family's, lifted as ``shifted_select`` lifts it, at every d it
+    escalates through, ``bss_select`` returns exactly the sigma, b and
+    lambda_max of the loop version in ``reference_kernels``."""
+    sym = john_decomposition(gen_slab_family(n, 6 * n, n).G, centered=False)
+    raw = gen_halfspace_family(n, 3 * n, n)
+    gen = john_decomposition(
+        normalize_family(raw, chebyshev_center(raw)[0]).G, centered=True)
+    lifted = np.hstack([gen.vectors,
+                        np.full((len(gen.vectors), 1), 1.0 / math.sqrt(n))])
+    for v, a in ((sym.vectors, sym.weights), (lifted, gen.weights)):
+        for d in D_ESCALATION:
+            res = bss_select(v, a, d)
+            want = reference_kernels.bss_select(v, a, d)
+            for got, ref in zip((res.sigma, res.b, res.lambda_max), want):
+                assert np.array_equal(got, ref), (n, d)
 
 
 def shift_check(vectors, weights, out, eps=0.5):
