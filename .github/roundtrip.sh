@@ -52,9 +52,10 @@ python -c "import json; d = json.load(open('huge-cert.json')); p = d['payload'];
 code=0; hellycert certify --in huge.json --cert bad.json || code=$?
 test "$code" -eq 2
 # a symmetric Q has a closed-form box: one basis per walked direction and
-# no box bases; a certificate of format 0.3.0 is refused as input (exit 3)
+# no box bases; a certificate of format 0.4.0, which claimed a tol, is
+# refused as input (exit 3)
 python -c "import json; p = json.load(open('huge-cert.json'))['payload']; assert len(p['support_bases']) == len(p['support_directions']), p"
-python -c "import json; d = json.load(open('huge-cert.json')); d['version'] = '0.3.0'; json.dump(d, open('old.json', 'w'))"
+python -c "import json; d = json.load(open('huge-cert.json')); d.update(version='0.4.0', tol=1e-5); json.dump(d, open('old.json', 'w'))"
 code=0; hellycert certify --in huge.json --cert old.json || code=$?
 test "$code" -eq 3
 # n=40, the ladder's largest symmetric size: every walk starts from its
@@ -84,6 +85,11 @@ code=0; hellycert select-sym --in hs.json --out wrong.json || code=$?
 test "$code" -eq 3
 # and a d that io.check would refuse after every stage (exit 3)
 code=0; hellycert select-sym --in inst.json --out x.json --d inf || code=$?
+test "$code" -eq 3
+test ! -e x.json
+# --tol is no longer an option: a usage error exits 3, not 2, which would
+# read as a failed verdict
+code=0; hellycert select-sym --in inst.json --out x.json --tol 1e-5 || code=$?
 test "$code" -eq 3
 test ! -e x.json
 # 4 096 planar slabs (8 192 rows) certified by the covering test alone

@@ -3,8 +3,8 @@
 Subcommands: gen, select-sym, select-gen, reduce, certify, report,
 canonical.
 Exit codes: 0 success with all verdicts green, 2 completed but some
-certificate verdict failed, 3 invalid or degenerate input, 4 oracle caps
-exceeded. Diagnostics go to standard error, results to files.
+certificate verdict failed, 3 invalid or degenerate input or a usage error,
+4 oracle caps exceeded. Diagnostics go to standard error, results to files.
 """
 
 from __future__ import annotations
@@ -64,19 +64,14 @@ def _cmd_select(args, mode: str) -> int:
         # the selected subfamily has a subset of these rows, so this is the
         # cap diameter_report would hit after the selection
         check_caps(m, family.dim)
-    if mode == "symmetric":
-        cert = select_symmetric(family, d=args.d, tol=args.tol)
-        parameters = {"d": args.d, "tol": args.tol}
-    else:
-        cert = select_general(family, eps=args.eps, tol=args.tol)
-        parameters = {"eps": args.eps, "tol": args.tol}
+    cert = (select_symmetric(family, d=args.d) if mode == "symmetric"
+            else select_general(family, eps=args.eps))
     diameter = None
     if args.exact_oracle:
         diam_sel, diam_full, ratio = diameter_report(family, cert)
         diameter = {"selected": diam_sel, "full": diam_full, "ratio": ratio}
     doc = certificate_to_json(cert, __version__, constraint_count=m,
-                              seed=args.seed, parameters=parameters,
-                              diameter=diameter)
+                              seed=args.seed, diameter=diameter)
     save_certificate(doc, args.out)
     failed = [k for k, ok in cert.verdicts.items() if not ok]
     print(f"s={cert.s} alpha={cert.alpha_measured:.6g} "
@@ -94,8 +89,7 @@ def _cmd_reduce(args) -> int:
     cert = reduce_to_2n(family, certificate_from_json(doc))
     m = family.constraint_matrix()[0].shape[0]
     out_doc = certificate_to_json(cert, __version__, constraint_count=m,
-                                  seed=doc.get("seed"),
-                                  parameters=doc.get("parameters"))
+                                  seed=doc.get("seed"))
     save_certificate(out_doc, args.out)
     print(f"reduced to s={cert.s} alpha={cert.alpha_measured:.6g}")
     return EXIT_OK if cert.all_pass else EXIT_VERDICT
@@ -153,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         sel.add_argument("--in", dest="infile", required=True)
         sel.add_argument("--out", required=True)
         sel.add_argument(option, type=float, default=default)
-        sel.add_argument("--tol", type=float, default=1e-5)
         sel.add_argument("--seed", type=int, default=None)
         sel.add_argument("--exact-oracle", action="store_true",
                          help="also price diameters with the vertex oracle")
@@ -184,8 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a failed
+        # verdict; --help and --version exit 0 as they are
+        if exc.code:
+            return EXIT_INPUT
+        raise
     try:
         return args.func(args)
     except OracleTooLarge as exc:

@@ -168,13 +168,23 @@ def normalize_family(family: BodyFamily, z) -> BodyFamily:
     return replace(family, G=family.G / slack[:, None], h=np.ones(len(slack)))
 
 
-def containment_system(family: BodyFamily, selected):
-    """(G_Q, U): the rows of the selected intersection Q in body order, and
-    the family directions whose support over Q sets alpha.
+def containment_rows(family: BodyFamily, selected):
+    """Masks of the family's rows: (the rows of the selected bodies, which
+    bound Q, the family directions whose support over Q sets alpha).
 
     Directions of selected bodies are left out (Q lies in each of those
     bodies, so their support is at most 1), and so is the negative row of
     every slab, since Q = -Q.
+    """
+    inside = np.zeros(len(family), dtype=bool)
+    inside[selected] = True
+    inside = inside[family.owner]
+    return inside, ~inside & ~family.negated
+
+
+def containment_system(family: BodyFamily, selected):
+    """(G_Q, U): the rows of the selected intersection Q in body order, and
+    the family directions of ``containment_rows``.
     """
     if np.max(np.abs(family.h - 1.0)) > 1e-9:
         raise ValueError("family must be normalized (offsets 1); "
@@ -184,11 +194,8 @@ def containment_system(family: BodyFamily, selected):
         raise ValueError("selected body list is empty")
     if selected[0] < 0 or selected[-1] >= len(family):
         raise ValueError("selected index out of range")
-    inside = np.zeros(len(family), dtype=bool)
-    inside[selected] = True
-    inside = inside[family.owner]
-    return (family.G[inside] / family.h[inside, None],
-            family.G[~inside & ~family.negated])
+    inside, directions = containment_rows(family, selected)
+    return family.G[inside] / family.h[inside, None], family.G[directions]
 
 
 def containment_bases(family: BodyFamily, selected):

@@ -27,7 +27,8 @@ from . import __version__
 from .errors import (CertificateRejected, InvalidInstance, NotInterior,
                      SolverStall)
 from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
-                       normalize_family)
+                       containment_rows, normalize_family)
+from .john import TOL_JOHN_DEFAULT
 from .linalg import extremes
 from .sparsify import certify_operator_T, gamma_ratio
 
@@ -53,7 +54,6 @@ class SelectionCertificate:
     z: np.ndarray
     d: float | None
     eps: float | None
-    tol: float
     gamma_d: float | None
     bound_claimed: float
     alpha_measured: float
@@ -150,12 +150,12 @@ def save_instance(family: BodyFamily, path) -> None:
 
 def certificate_to_json(cert: SelectionCertificate, version: str,
                         constraint_count: int | None = None,
-                        seed=None, parameters: dict | None = None,
-                        diameter: dict | None = None) -> dict:
+                        seed=None, diameter: dict | None = None) -> dict:
+    """The JSON document of ``cert``. The run's parameters are its ``d`` and
+    ``eps`` claims; no other field repeats them."""
     doc = {f.name: getattr(cert, f.name) for f in fields(cert)}
     doc.update(format=FORMAT_NAME, version=version,
                dimension=int(cert.z.shape[0]), m=constraint_count, seed=seed,
-               parameters=parameters or {},
                timing={"stages": doc.pop("stages")})
     if diameter is not None:
         doc["diameter"] = diameter
@@ -281,11 +281,22 @@ def _unit_rows(framed: np.ndarray, rows: list) -> np.ndarray:
     return framed[rows] / norms[:, None]
 
 
+def require_parameters(n: int, d=None, eps=None, error=CertificateRejected):
+    """Raise ``error`` for a d or eps that gives no claim in dimension n:
+    the one rule, which the selectors apply before any stage (raising
+    InvalidInstance) and ``check`` to its claims."""
+    if d is not None and not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
+        raise error(f"d={d!r} gives no bound or budget: it must exceed 1 and "
+                    "keep d*(n+1) finite")
+    if eps is not None and not (eps > 0.0 and math.isfinite(eps)):
+        raise error(f"eps={eps!r} must be positive and finite")
+
+
 def check(family: BodyFamily, claims) -> SelectionCertificate:
     """The certificate the instance and the claims support.
 
-    The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps``, ``tol`` and
-    the payload: the ``frame`` and ``frame_center``, the generator rows
+    The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps`` and the
+    payload: the ``frame`` and ``frame_center``, the generator rows
     ``sigma_rows`` with their ``coefficients``, the walked
     ``support_directions`` and their ``support_bases`` of
     ``geometry.containment_bases`` and, in general mode, the ``shift``, the
@@ -298,7 +309,9 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     the rows of the instance normalized at ``z``, and added to the payload;
     s, gamma_d, the bound, alpha, c_measured, the verdicts and the derived
     diagnostics (budget, spectra, residuals, walked and screened direction
-    counts) are recomputed, never read.
+    counts) are recomputed, never read. Other keys are ignored. The
+    sandwich slack is ``john.TOL_JOHN_DEFAULT``, the producer's John
+    acceptance, and no claim can widen it.
     Stages, notes and the producer's own diagnostics are left empty.
 
     Raises InvalidInstance for a missing or mistyped claim,
@@ -315,19 +328,15 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     if z.shape != (n,):
         raise CertificateRejected(f"z has {z.size} coordinates; the instance "
                                   f"has dimension {n}")
-    d, tol = float(_array(claims, "d", ())), float(_array(claims, "tol", ()))
-    if not (d > 1.0 and math.isfinite(d * (n + 1))):
-        raise CertificateRejected(f"d={d!r} gives no bound or budget: it must "
-                                  "exceed 1 and keep d*(n+1) finite")
+    d = float(_array(claims, "d", ()))
+    eps = None if mode == SYMMETRIC else float(_array(claims, "eps", ()))
+    require_parameters(n, d, eps)
     if mode == SYMMETRIC:
         if np.any(z != 0.0) or _field(claims, "eps") is not None:
             raise CertificateRejected("a symmetric certificate claims z = 0 "
                                       "and no eps")
-        target, eps = family, None
+        target = family
     else:
-        eps = float(_array(claims, "eps", ()))
-        if eps <= 0.0:
-            raise CertificateRejected(f"eps={eps!r} must be positive")
         try:
             target = normalize_family(family, z)
         except NotInterior as exc:
@@ -347,11 +356,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                                   "no sigma or tau generator row")
     vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
     coef = _array(payload, "coefficients", (len(sigma_rows),))
-    # the directions of geometry.containment_system: the rows of unselected
-    # bodies, without the negative row of a slab
-    inside = np.zeros(len(target), dtype=bool)
-    inside[selected] = True
-    count = int(np.count_nonzero(~inside[target.owner] & ~target.negated))
+    count = int(np.count_nonzero(containment_rows(target, selected)[1]))
     directions = _indices(payload, "support_directions", count)
     bases = _bases(payload, "support_bases")
     try:
@@ -371,7 +376,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
         bound, c_measured = gamma * math.sqrt(n), None
         budget = math.ceil(d * n)
         lo, hi = extremes(vecs, coef)
-        limit = gamma ** 2 * (1.0 + 1e-6) + tol
+        limit = gamma ** 2 * (1.0 + 1e-6) + TOL_JOHN_DEFAULT
         verdicts = {
             "cardinality": len(sigma_rows) <= budget and s <= budget,
             "sandwich": lo >= 1.0 - 1e-9 and hi <= limit,
@@ -387,7 +392,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
         budget = math.ceil(d * (n + 1)) + n + 1
         union = len(set(sigma_rows) | set(tau_rows))
         shift_verdicts, shift_diagnostics = certify_operator_T(
-            vecs, coef, shift, eps, 1e-6 + tol)
+            vecs, coef, shift, eps, 1e-6 + TOL_JOHN_DEFAULT)
         w_norm = float(np.linalg.norm(w))
         cara = float(np.linalg.norm(taus.T @ rho - w))
         verdicts = {
@@ -405,7 +410,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
             **shift_diagnostics, w_norm=w_norm, cara_residual=cara,
             tau_size=len(tau_rows), union_size=union, budget=budget)
     return SelectionCertificate(
-        mode=mode, selected=tuple(selected), s=s, z=z, d=d, eps=eps, tol=tol,
+        mode=mode, selected=tuple(selected), s=s, z=z, d=d, eps=eps,
         gamma_d=gamma, bound_claimed=bound, alpha_measured=alpha,
         c_measured=c_measured, verdicts=verdicts, diagnostics=diagnostics,
         stages={}, payload=payload)
@@ -432,7 +437,7 @@ def verify_certificate(family: BodyFamily, doc: dict):
     true. The claims themselves (indices, ``z``, payload floats) are used as
     stored. ``format``, ``version`` and ``dimension`` must match, and ``m``
     must be unset or the instance's row count. Informational, not compared:
-    ``timing``, ``notes``, ``seed``, ``parameters``, ``diameter``, the John
+    ``timing``, ``notes``, ``seed``, ``diameter``, the John
     residuals, the ``recenter_*``, ``chebyshev_radius`` and ``reduction_*``
     diagnostics, and the ``reduction_growth`` verdict (re-deriving it needs
     the exponential vertex oracle). Claims that ``check`` rejects, and

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
 from .geometry import BodyFamily, containment_bases, containment_factor
-from .lp import _box, check_support, walk_bases
+from .lp import _axes, _box, check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -188,7 +188,7 @@ def _vertex_sets(G, h, owner=None) -> list:
         member = np.hstack([member, (member | (
             body[:, None] == np.arange(in_basis.shape[1]))) & ~in_basis])
         rows = np.concatenate([rows, m - np.bincount(owner)])
-    box = np.vstack([np.eye(n), -np.eye(n)])
+    box = _axes(n)
     y = _box_duals(G[idx], box)
     covers = member[:, :, None] & (y >= 0).all(axis=2)[:, None, :]
     pi, pj = _near_pairs(X)

@@ -22,7 +22,7 @@ from .errors import (CaratheodoryFailed, HellycertError, InvalidInstance,
                      UnboundedBody)
 from .geometry import (BodyFamily, chebyshev_center, containment_bases,
                        interior_margin, normalize_family, validate_family)
-from .io import SelectionCertificate, check
+from .io import SelectionCertificate, check, require_parameters
 from .john import john_decomposition, mvee_general
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .oracle import diameter_exact, drop_circumradii
@@ -55,25 +55,13 @@ def _require_mode(family: BodyFamily, mode: str) -> None:
                               f"instance is {family.mode}")
 
 
-def _require_parameters(n: int, tol: float, d: float | None = None,
-                        eps: float | None = None) -> None:
-    """Raise InvalidInstance, before any stage, for a parameter that
-    ``io.check`` would refuse after every stage, or a negative tol."""
-    if d is not None and not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
-        raise InvalidInstance(f"d={d!r} gives no bound or budget: it must "
-                              "exceed 1 and keep d*(n+1) finite")
-    if eps is not None and not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidInstance(f"eps={eps!r} must be positive and finite")
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise InvalidInstance(f"tol={tol!r} must be nonnegative and finite")
-
-
-def select_symmetric(family: BodyFamily, d: float = 4.0,
-                     tol: float = 1e-5) -> SelectionCertificate:
+def select_symmetric(family: BodyFamily,
+                     d: float = 4.0) -> SelectionCertificate:
     """Pick at most ceil(d*n) bodies whose intersection stays within
-    gamma_d*sqrt(n) times the full intersection; ``check`` certifies it."""
+    gamma_d*sqrt(n) times the full intersection; ``check`` certifies it.
+    A d that ``check`` would refuse is refused before any stage."""
     _require_mode(family, "symmetric")
-    _require_parameters(family.dim, tol, d=d)
+    require_parameters(family.dim, d=d, error=InvalidInstance)
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -81,7 +69,7 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
     with _stage(stages, "validate"):
         validate_family(family)
     with _stage(stages, "john"):
-        decomp = john_decomposition(family.G, centered=False, tol_john=tol)
+        decomp = john_decomposition(family.G, centered=False)
     with _stage(stages, "sparsify"):
         res = bss_select(decomp.vectors, decomp.weights, d)
     rows = decomp.source_indices[res.sigma]
@@ -90,7 +78,7 @@ def select_symmetric(family: BodyFamily, d: float = 4.0,
         directions, bases = containment_bases(family, selected)
         cert = check(family, {
             "mode": "symmetric", "z": np.zeros(n), "selected": selected,
-            "d": d, "eps": None, "tol": tol, "payload": {
+            "d": d, "eps": None, "payload": {
                 "coefficients": res.b * decomp.weights[res.sigma],
                 "frame": decomp.frame,
                 "frame_center": decomp.frame_center,
@@ -184,18 +172,20 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
     return z, offset, steps, norm, u
 
 
-def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
-                   tol: float = 1e-5) -> SelectionCertificate:
+def select_general(family: BodyFamily,
+                   eps: float = EPS_SHIFT_DEFAULT) -> SelectionCertificate:
     """Translated selection for non-symmetric families.
 
     Finds a translate z (interior point moved until the polar is centered),
-    builds the centered John decomposition of the polar generators, applies
-    the shifted sparsifier, and completes the index set with a Caratheodory
-    witness so the selected bodies keep the translate well inside. Every
-    stage's claim lands in the certificate.
+    builds the centered John decomposition of the polar generators
+    (accepted at ``john.TOL_JOHN_DEFAULT``), applies the shifted sparsifier
+    with slack eps, and completes the index set with a Caratheodory witness
+    so the selected bodies keep the translate well inside. Every stage's
+    claim lands in the certificate. An eps that ``check`` would refuse is
+    refused before any stage.
     """
     _require_mode(family, "general")
-    _require_parameters(family.dim, tol, eps=eps)
+    require_parameters(family.dim, eps=eps, error=InvalidInstance)
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -204,8 +194,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
         z0, radius = chebyshev_center(family)
         z, offset, recenter_iters, norm, u = _recenter(family, z0, radius)
     with _stage(stages, "john"):
-        decomp = john_decomposition(norm.G, centered=True, tol_john=tol,
-                                    start=u)
+        decomp = john_decomposition(norm.G, centered=True, start=u)
     with _stage(stages, "sparsify"):
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
     with _stage(stages, "caratheodory"):
@@ -219,8 +208,7 @@ def select_general(family: BodyFamily, eps: float = EPS_SHIFT_DEFAULT,
         directions, bases = containment_bases(norm, selected)
         cert = check(family, {
             "mode": "general", "z": z, "selected": selected,
-            "d": float(shifted.d), "eps": eps, "tol": tol,
-            "payload": {
+            "d": float(shifted.d), "eps": eps, "payload": {
                 "coefficients": shifted.b,
                 "shift": shifted.v,
                 "w": w,
@@ -311,8 +299,7 @@ def reduce_to_2n(family: BodyFamily,
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
-        "d": selection.d, "eps": selection.eps, "tol": selection.tol,
-        "payload": payload})
+        "d": selection.d, "eps": selection.eps, "payload": payload})
     if dropping:
         stages["reduce"] = time.perf_counter() - t0
         stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]

@@ -243,8 +243,30 @@ def test_exit_code_bad_parameter(tmp_path, capsys, command, option, value):
         args = [command, "--in", inst]
     assert run([*args, option, value, "--out", out]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
-    assert f"InvalidInstance: {option.lstrip('-')}=" in err
+    if option == "--tol":
+        # not an option: a usage error, which exits 3 like bad input
+        assert "unrecognized arguments: --tol" in err
+    else:
+        assert f"InvalidInstance: {option.lstrip('-')}=" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["select-gen", "--in", "i.json", "--out", "c.json", "--d", "4"],
+    ["select-sym", "--in", "i.json", "--out", "c.json", "--d", "four"],
+    ["certify", "--in", "i.json"],
+    ["no-such-command"]])
+def test_usage_errors_exit_3(capsys, args):
+    assert run(args) == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def _python(code, cwd, timeout=300):
@@ -331,7 +353,8 @@ def test_seed_recorded_in_certificate(tmp_path):
     assert run(["select-sym", "--in", inst, "--seed", 12, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
     assert doc["seed"] == 12
-    assert doc["parameters"]["d"] == 4.0
+    assert doc["d"] == 4.0
+    assert "parameters" not in doc and "tol" not in doc
 
 
 def _set_payload(key, value):
@@ -379,7 +402,7 @@ def test_certify_requires_support_bases(tmp_path, capsys):
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.4.0"
+    assert doc["version"] == "0.5.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()
@@ -524,6 +547,23 @@ def test_certify_refuses_a_0_3_0_certificate(box_certificates, tmp_path,
     capsys.readouterr()
     assert run(["certify", "--in", inst, "--cert", cert]) == cli.EXIT_INPUT
     assert "'0.3.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "reduce"])
+def test_certify_and_reduce_refuse_a_0_4_0_certificate(
+        box_certificates, tmp_path, capsys, command):
+    """A 0.4.0 certificate claims a tol that widened its own verdicts; it is
+    input of another format (exit 3)."""
+    _, inst, doc = box_certificates["closed-form"]
+    old = {**json.loads(json.dumps(doc)), "version": "0.4.0", "tol": 1e-5,
+           "parameters": {"d": 4.0, "tol": 1e-5}}
+    cert, out = tmp_path / "old.json", tmp_path / "out.json"
+    cert.write_text(json.dumps(old))
+    capsys.readouterr()
+    assert run([command, "--in", inst, "--cert", cert,
+                *(["--out", out] if command == "reduce" else [])]) == 3
+    assert "'0.4.0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _with_box_rows(fam, doc, n):

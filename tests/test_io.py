@@ -14,6 +14,7 @@ from hellycert import __version__, geometry, lp
 from hellycert import io as hio
 from hellycert.errors import InvalidInstance
 from hellycert.geometry import normalize_family
+from hellycert.john import TOL_JOHN_DEFAULT
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
 
@@ -85,8 +86,7 @@ def test_symmetric_constraint_scaling():
 def test_certificate_roundtrip_and_verify(tmp_path):
     fam = gen_slab_family(2, count=8, seed=3)
     cert = select_symmetric(fam, d=4.0)
-    doc = hio.certificate_to_json(cert, __version__, seed=3,
-                                  parameters={"d": 4.0})
+    doc = hio.certificate_to_json(cert, __version__, seed=3)
     path = tmp_path / "cert.json"
     hio.save_certificate(doc, path)
     back = hio.load_certificate(path)
@@ -225,11 +225,13 @@ def test_report_blank_diameter_in_bound_mode(tmp_path):
 
 
 # The tamper matrix: one edit per case, over every field of a certificate of
-# each mode. Only the informational fields may absorb an edit.
+# each mode. Only the informational fields may absorb an edit, and so may
+# the stray keys: the tol and parameters of format 0.4.0, which a document
+# may still carry and check ignores, so they cannot widen a verdict.
 TOP_FIELDS = ("format", "version", "mode", "dimension", "m", "seed",
-              "parameters", "selected", "s", "z", "d", "eps", "tol",
-              "gamma_d", "bound_claimed", "alpha_measured", "c_measured",
-              "notes", "timing")
+              "selected", "s", "z", "d", "eps", "gamma_d", "bound_claimed",
+              "alpha_measured", "c_measured", "notes", "timing")
+STRAY = ("tol", "parameters")
 VERDICTS = {
     "symmetric": ("cardinality", "sandwich", "alpha_within_bound"),
     "general": ("cardinality", "shift_barycenter", "shift_norm", "sum_b",
@@ -257,7 +259,7 @@ PAYLOAD = {
                 "tau_vectors", "support_directions", "support_bases"),
 }
 WITNESS_VECTORS = ("contact_vectors", "tau_vectors")
-INFORMATIONAL = {"seed", "parameters", "notes", "timing",
+INFORMATIONAL = {"seed", "notes", "timing",
                  "diagnostics.residual_identity",
                  "diagnostics.residual_barycenter",
                  "diagnostics.chebyshev_radius",
@@ -267,7 +269,7 @@ INFORMATIONAL = {"seed", "parameters", "notes", "timing",
 
 def _tamper_cases():
     for mode in ("symmetric", "general"):
-        yield from ((mode, f) for f in TOP_FIELDS)
+        yield from ((mode, f) for f in TOP_FIELDS + STRAY)
         yield mode, "verdicts={}"
         for k in VERDICTS[mode]:
             yield mode, f"verdicts.{k}:delete"
@@ -290,8 +292,7 @@ def certificates():
              select_general)):
         m = fam.constraint_matrix()[0].shape[0]
         doc = hio.certificate_to_json(select(fam), __version__,
-                                      constraint_count=m, seed=3,
-                                      parameters={"tol": 1e-5})
+                                      constraint_count=m, seed=3)
         docs[mode] = (fam, json.loads(json.dumps(doc)))
     return docs
 
@@ -343,7 +344,7 @@ def _tamper(doc, case):
         a[:, :2] = a[:, :2] @ np.array([[c, -s], [s, c]])
         where[key] = a.tolist()
     else:
-        where[key] = _bump(where[key])
+        where[key] = _bump(where.get(key))
     return doc
 
 
@@ -363,7 +364,7 @@ def test_tamper_matrix(certificates, mode, case):
     edited = _tamper(copy.deepcopy(doc), case)
     assert edited != doc
     ok, problems = hio.verify_certificate(fam, edited)
-    if case.partition(":")[0] in INFORMATIONAL:
+    if case.partition(":")[0] in INFORMATIONAL or case in STRAY:
         assert ok, problems
     else:
         assert not ok and problems
@@ -383,6 +384,35 @@ def test_verify_rejects_general_certificate_on_a_failed_sandwich(
     ok, problems = hio.verify_certificate(fam, copy.deepcopy(doc))
     assert not ok
     assert "verdicts fail: sandwich" in problems
+
+
+def test_a_claimed_tol_cannot_widen_the_sandwich():
+    """A forged symmetric certificate: coefficient 0 scaled by 1e4, a stray
+    tol of 1e6, and the diagnostics and verdicts check derives for it. Its
+    sandwich fails whatever tol it carries."""
+    fam = gen_slab_family(4, count=40, seed=7)
+    doc = json.loads(json.dumps(hio.certificate_to_json(
+        select_symmetric(fam), __version__)))
+    assert hio.verify_certificate(fam, doc) == (True, [])
+    doc["payload"]["coefficients"][0] *= 1e4
+    doc["tol"] = 1e6
+    forged = hio.certificate_to_json(hio.check(fam, copy.deepcopy(doc)),
+                                     __version__)
+    doc["diagnostics"].update(forged["diagnostics"])
+    doc["verdicts"] = forged["verdicts"]
+    assert hio.verify_certificate(fam, doc) == (
+        False, ["verdicts fail: sandwich"])
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 1e6])
+def test_general_sandwich_window_ignores_a_tol_key(certificates, tol):
+    fam, doc = certificates["general"]
+    doc = copy.deepcopy(doc)
+    if tol is not None:
+        doc["tol"] = tol
+    window = hio.check(fam, copy.deepcopy(doc)).diagnostics["sandwich_window"]
+    assert window == 1e-6 + TOL_JOHN_DEFAULT
+    assert hio.verify_certificate(fam, doc) == (True, [])
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "general", "reduced"])

@@ -319,9 +319,7 @@ INF, NAN = float("inf"), float("nan")
 
 @pytest.mark.parametrize("select, name, value", [
     *[(select_symmetric, "d", v) for v in (INF, 1e308, 1.0, NAN)],
-    *[(select_general, "eps", v) for v in (0.0, -1.0, NAN, INF)],
-    *[(select, "tol", v) for select in (select_symmetric, select_general)
-      for v in (-1.0, INF, NAN)]])
+    *[(select_general, "eps", v) for v in (0.0, -1.0, NAN, INF)]])
 def test_bad_parameters_fail_before_any_stage(monkeypatch, select, name,
                                               value):
     def no_stage(*args, **kwargs):
