@@ -25,6 +25,12 @@ hellycert gen --kind halfspace --n 2 --count 40 --seed 102 --out hs.json
 hellycert select-gen --in hs.json --out hs-cert.json
 hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
 hellycert certify --in hs.json --cert hs-reduced.json
+# a general d sets only the cardinality budget, so it must be a step of
+# D_ESCALATION: d = 1e6, with every derived field recomputed by
+# io.check as if 1e6 were a step (the forgery verifies then), exits 2
+python -c "import json, hellycert.io as h; f = h.load_instance('hs.json'); d = json.load(open('hs-cert.json')); d['d'] = 1e6; h.D_ESCALATION = (1e6,); c = h.certificate_to_json(h.check(f, json.loads(json.dumps(d))), d['version']); d['diagnostics'].update(c['diagnostics']); d.update({k: c[k] for k in ('gamma_d', 'bound_claimed', 'alpha_measured', 'c_measured', 'verdicts')}); assert h.verify_certificate(f, d) == (True, []); json.dump(d, open('forged-d.json', 'w'))"
+code=0; hellycert certify --in hs.json --cert forged-d.json || code=$?
+test "$code" -eq 2
 # n=3, where reduce prices its drops from 3-subsets of the rows:
 # select-gen picks 7 bodies and reduce drops one
 hellycert gen --kind halfspace --n 3 --count 10 --seed 21 --out hs3.json

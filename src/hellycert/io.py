@@ -30,7 +30,7 @@ from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
                        containment_rows, normalize_family)
 from .john import TOL_JOHN_DEFAULT
 from .linalg import extremes
-from .sparsify import certify_operator_T, gamma_ratio
+from .sparsify import D_ESCALATION, certify_operator_T, gamma_ratio
 
 FORMAT_NAME = "hellycert-certificate"
 REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
@@ -284,12 +284,15 @@ def _unit_rows(framed: np.ndarray, rows: list) -> np.ndarray:
 def require_parameters(n: int, d=None, eps=None, error=CertificateRejected):
     """Raise ``error`` for a d or eps that gives no claim in dimension n:
     the one rule, which the selectors apply before any stage (raising
-    InvalidInstance) and ``check`` to its claims."""
+    InvalidInstance) and ``check`` to its claims. A general d (one given
+    with an eps) sets only the budget, so it must be in ``D_ESCALATION``."""
     if d is not None and not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
         raise error(f"d={d!r} gives no bound or budget: it must exceed 1 and "
                     "keep d*(n+1) finite")
     if eps is not None and not (eps > 0.0 and math.isfinite(eps)):
         raise error(f"eps={eps!r} must be positive and finite")
+    if d is not None and eps is not None and d not in D_ESCALATION:
+        raise error(f"d={d!r} is not a step of D_ESCALATION {D_ESCALATION}")
 
 
 def check(family: BodyFamily, claims) -> SelectionCertificate:

@@ -76,10 +76,10 @@ def _newton_weights(pts, u):
     """Newton's method on kappa_i(u) = n over the support S = {u > 0}.
 
     The Jacobian of kappa_S in u_S is -(K o K) with K = P_S X^-1 P_S^T. The
-    step is a least-squares solve, since the rows of +-p pairs make K o K
-    singular, and a ratio test sends a weight that would turn negative to 0,
-    which takes it out of S. Returns the weights, or None when a step
-    cannot be computed. The caller checks what it gets.
+    step is a least-squares solve, since twin rows p, +-p (in symmetric mode,
+    only slabs sharing a vector) make K o K singular, and a ratio test sends
+    a weight that would turn negative to 0, which takes it out of S. Returns
+    the weights, or None when a step cannot be computed; the caller checks.
     """
     n = pts.shape[1]
     u = u.copy()
@@ -264,7 +264,6 @@ def _sqrt_spd(M: np.ndarray) -> np.ndarray:
 
 def john_decomposition(pts: np.ndarray, centered: bool,
                        eps_mvee: float = EPS_MVEE_DEFAULT,
-                       tol_john: float = TOL_JOHN_DEFAULT,
                        start=None) -> JohnDecomposition:
     """John decomposition of the convex hull of the rows of pts.
 
@@ -273,7 +272,7 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     one path for both modes. With ``centered`` the MVEE center is free, the
     barycenter identity sum a_j v_j = 0 is part of the contract, and
     ``start`` may give the lifted MVEE solve's first weights (mvee_general).
-    A residual above tol_john raises JohnExtractionFailed.
+    A residual above TOL_JOHN_DEFAULT raises JohnExtractionFailed.
     """
     m, n = pts.shape
 
@@ -293,13 +292,13 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     residual_identity = float(np.linalg.norm(op - np.eye(n)))
     residual_barycenter = float(np.linalg.norm(a @ v))
 
-    if residual_identity > tol_john:
+    tol = TOL_JOHN_DEFAULT
+    if residual_identity > tol:
         raise JohnExtractionFailed(
-            f"identity residual {residual_identity:.3e} above {tol_john:.1e}")
-    if centered and residual_barycenter > tol_john:
+            f"identity residual {residual_identity:.3e} above {tol:.1e}")
+    if centered and residual_barycenter > tol:
         raise JohnExtractionFailed(
-            f"barycenter residual {residual_barycenter:.3e} "
-            f"above {tol_john:.1e}")
+            f"barycenter residual {residual_barycenter:.3e} above {tol:.1e}")
 
     return JohnDecomposition(
         vectors=v, weights=a, frame=T, frame_center=ell.center,

@@ -1,10 +1,10 @@
 """End-to-end certified subfamily selection.
 
-Both selectors follow the same shape: take the rows of the family
-normalized at the translate as the polar's generators, extract their John
-decomposition, sparsify it, map the survivors back to the bodies that
-own them, and then hand the resulting claims to
-``io.check``, which derives every verdict and number in the certificate.
+Both selectors follow the same shape: take the rows of the family normalized
+at the translate as the polar's generators, extract their John decomposition
+(in symmetric mode of one row per slab), sparsify it, map the survivors back
+to the bodies that own them, and hand the claims to ``io.check``, which
+derives every verdict and number in the certificate.
 The certificate never takes the theory's word for anything a linear program
 or an eigenvalue check can confirm directly.
 """
@@ -59,6 +59,7 @@ def select_symmetric(family: BodyFamily,
                      d: float = 4.0) -> SelectionCertificate:
     """Pick at most ceil(d*n) bodies whose intersection stays within
     gamma_d*sqrt(n) times the full intersection; ``check`` certifies it.
+    John sees one row per slab: the centered MVEE of {+-g} is that of {g}.
     A d that ``check`` would refuse is refused before any stage."""
     _require_mode(family, "symmetric")
     require_parameters(family.dim, d=d, error=InvalidInstance)
@@ -68,11 +69,12 @@ def select_symmetric(family: BodyFamily,
 
     with _stage(stages, "validate"):
         validate_family(family)
+    slabs = np.flatnonzero(~family.negated)
     with _stage(stages, "john"):
-        decomp = john_decomposition(family.G, centered=False)
+        decomp = john_decomposition(family.G[slabs], centered=False)
     with _stage(stages, "sparsify"):
         res = bss_select(decomp.vectors, decomp.weights, d)
-    rows = decomp.source_indices[res.sigma]
+    rows = slabs[decomp.source_indices[res.sigma]]
     selected = _owners(family.owner, rows)
     with _stage(stages, "containment"):
         directions, bases = containment_bases(family, selected)

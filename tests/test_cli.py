@@ -378,11 +378,12 @@ def _set_payload(key, value):
     (lambda doc: doc.update(selected=doc["selected"][::-1]), 2),
     (lambda doc: doc["payload"]["support_bases"][0].__setitem__(0, 999), 2),
     (lambda doc: doc["payload"]["support_bases"][0].pop(), 2),
+    (lambda doc: doc.update(d=1e6), 2),
 ], ids=["mode-flipped", "dimension", "payload-missing", "rho-string",
         "selected-string", "selected-fractions", "selected-bool",
         "sigma-rows-string", "tau-rows-nested", "bases-string", "bases-flat",
         "bases-float", "selected-reversed", "bases-out-of-range",
-        "bases-short-row"])
+        "bases-short-row", "d-off-the-schedule"])
 def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
     inst = tmp_path / "hs.json"
     cert = tmp_path / "cert.json"

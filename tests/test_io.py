@@ -404,6 +404,50 @@ def test_a_claimed_tol_cannot_widen_the_sandwich():
         False, ["verdicts fail: sandwich"])
 
 
+def _recomputed(fam, doc):
+    """doc with every field ``check`` derives replaced by its value."""
+    fresh = hio.certificate_to_json(hio.check(fam, copy.deepcopy(doc)),
+                                    __version__)
+    doc["diagnostics"].update(fresh["diagnostics"])
+    for key in ("s", "gamma_d", "bound_claimed", "alpha_measured",
+                "c_measured", "verdicts"):
+        doc[key] = fresh[key]
+    return doc
+
+
+def test_a_general_d_off_the_schedule_is_rejected(monkeypatch):
+    """A general d sets only the cardinality budget. d = 1e6, with every
+    derived field recomputed for it, claims a budget of 4 000 004; d must
+    be a step of D_ESCALATION, so the certificate is rejected."""
+    fam = gen_halfspace_family(3, count=8, seed=100)
+    doc = json.loads(json.dumps(hio.certificate_to_json(
+        select_general(fam), __version__)))
+    assert doc["d"] == 9.0 and doc["diagnostics"]["budget"] == 40
+    assert hio.verify_certificate(fam, doc) == (True, [])
+    doc["d"] = 1e6
+    with monkeypatch.context() as patched:
+        patched.setattr(hio, "D_ESCALATION", (1e6,), raising=False)
+        _recomputed(fam, doc)
+    assert doc["diagnostics"]["budget"] == 4_000_004
+    assert all(doc["verdicts"].values())
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok and "not a step of D_ESCALATION" in problems[0]
+
+
+def test_a_larger_symmetric_d_only_tightens_the_claim(certificates):
+    """A symmetric d buys budget only by shrinking gamma_d, and with it the
+    sandwich limit and the alpha bound."""
+    fam, doc = certificates["symmetric"]
+    base = hio.check(fam, copy.deepcopy(doc))
+    for d in (doc["d"] * 1.5, doc["d"] * 4, 1e6):
+        raised = _recomputed(fam, {**copy.deepcopy(doc), "d": d})
+        assert raised["diagnostics"]["budget"] > base.diagnostics["budget"]
+        assert raised["gamma_d"] < base.gamma_d
+        assert (raised["diagnostics"]["sandwich_limit"]
+                < base.diagnostics["sandwich_limit"])
+        assert raised["bound_claimed"] < base.bound_claimed
+
+
 @pytest.mark.parametrize("tol", [None, 0.0, 1e6])
 def test_general_sandwich_window_ignores_a_tol_key(certificates, tol):
     fam, doc = certificates["general"]

@@ -382,9 +382,28 @@ def test_john_source_tags_point_back(rng):
     np.testing.assert_allclose(mapped, dec.vectors, atol=1e-6)
 
 
-def test_john_impossible_tolerance_raises(rng):
+def test_john_impossible_tolerance_raises(rng, monkeypatch):
     half = unit_rows(rng, 9, 3) * rng.uniform(0.5, 2.0, (9, 1))
     pts = np.vstack([half, -half])
+    monkeypatch.setattr(john, "TOL_JOHN_DEFAULT", 0.0)
     with pytest.raises(JohnExtractionFailed):
-        john_decomposition(pts, centered=False, eps_mvee=1e-4,
-                           tol_john=0.0)
+        john_decomposition(pts, centered=False, eps_mvee=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centered_john_of_a_signed_cloud_folds_onto_one_sign(seed):
+    """The centered MVEE of {+-g} is that of {g}: the frames agree, and each
+    row's weight is the sum of its pair's weights."""
+    gen = np.random.default_rng(seed)
+    m, n = 40, 5
+    half = unit_rows(gen, m, n) * gen.uniform(0.5, 2.0, (m, 1))
+    signs = np.where(gen.random(m) < 0.5, 1.0, -1.0)[:, None]
+    both = john_decomposition(np.vstack([signs * half, -signs * half]),
+                              centered=False)
+    folded = john_decomposition(half, centered=False)
+    np.testing.assert_allclose(folded.frame, both.frame, rtol=0, atol=1e-10)
+    pair = np.zeros(2 * m)
+    pair[both.source_indices] = both.weights
+    one = np.zeros(m)
+    one[folded.source_indices] = folded.weights
+    np.testing.assert_allclose(one, pair[:m] + pair[m:], rtol=0, atol=1e-8)

@@ -73,6 +73,34 @@ def test_symmetric_verdicts_and_payload(rng):
     assert eigs[-1] <= 9.0 * (1 + 1e-6)
 
 
+def test_symmetric_john_gets_one_row_per_slab(monkeypatch):
+    fam = gen_slab_family(4, count=30, seed=5)
+    real, seen = pipeline.john_decomposition, []
+
+    def recorded(pts, *args, **kwargs):
+        seen.append(np.array(pts))
+        return real(pts, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "john_decomposition", recorded)
+    assert select_symmetric(fam).all_pass
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], fam.G[~fam.negated])
+
+
+@pytest.mark.parametrize("n, count, seed", [
+    *[(6, 100, seed) for seed in range(100, 108)], (8, 200, 0)])
+def test_one_row_per_slab_keeps_the_two_sign_selection(n, count, seed):
+    """John and the sparsifier on both signs of every slab pick the same
+    rows and bodies as on one row per slab."""
+    fam = gen_slab_family(n, count, seed)
+    dec = pipeline.john_decomposition(fam.G, centered=False)
+    res = pipeline.bss_select(dec.vectors, dec.weights, 4.0)
+    rows = dec.source_indices[res.sigma]
+    cert = select_symmetric(fam, d=4.0)
+    np.testing.assert_array_equal(cert.payload["sigma_rows"], rows)
+    assert cert.selected == tuple(np.unique(fam.owner[rows]).tolist())
+
+
 def test_simplex_keeps_every_facet():
     cert = select_general(simplex_family(3))
     assert cert.selected == (0, 1, 2, 3)
