@@ -32,8 +32,9 @@ python -c "import json, hellycert.io as h; f = h.load_instance('hs.json'); d = j
 code=0; hellycert certify --in hs.json --cert forged-d.json || code=$?
 test "$code" -eq 2
 # n=3, where reduce prices its drops from 3-subsets of the rows:
-# select-gen picks 7 bodies and reduce drops one
-hellycert gen --kind halfspace --n 3 --count 10 --seed 21 --out hs3.json
+# select-gen picks 7 bodies and reduce drops one (seed 26 is the first
+# such seed of gen_halfspace_family(3, 10, seed))
+hellycert gen --kind halfspace --n 3 --count 10 --seed 26 --out hs3.json
 hellycert select-gen --in hs3.json --out hs3-cert.json
 hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
 hellycert certify --in hs3.json --cert hs3-reduced.json
@@ -75,14 +76,17 @@ hellycert certify --in sym40.json --cert sym40-cert.json
 hellycert gen --kind halfspace --n 24 --count 48 --seed 0 --out gen24.json
 timeout 60 hellycert select-gen --in gen24.json --out gen24-cert.json
 hellycert certify --in gen24.json --cert gen24-cert.json
-# n=16: the Chebyshev LP starts on its slack basis, so select-gen takes
+# n=16: the Chebyshev center is one lifted walk, so select-gen takes
 # seconds, not minutes
 hellycert gen --kind halfspace --n 16 --count 32 --seed 0 --out gen16.json
 timeout 60 hellycert select-gen --in gen16.json --out gen16-cert.json
 hellycert certify --in gen16.json --cert gen16-cert.json
 # n=30, the ladder's largest general size: boundedness from the closed-form
-# witness, no box walk
+# witness, no box walk; the Chebyshev center is one lifted walk, so
+# select-gen takes seconds (the dense simplex alone once took 26 s)
 timeout 20 hellycert gen --kind halfspace --n 30 --count 60 --seed 0 --out gen30.json
+timeout 60 hellycert select-gen --in gen30.json --out gen30-cert.json
+hellycert certify --in gen30.json --cert gen30-cert.json
 # a size below 1 fails at once (exit 3) instead of drawing forever
 code=0; timeout 60 hellycert gen --n 0 --out zero.json || code=$?
 test "$code" -eq 3

@@ -14,9 +14,9 @@ import sys
 
 from . import __version__
 from .errors import (BarrierStuck, CaratheodoryFailed, CertificateRejected,
-                     DegenerateInterior, DegenerateSpan, EmptyBody,
-                     InvalidInstance, InvalidMatrix, JohnExtractionFailed,
-                     NotInterior, OracleTooLarge, SharpnessGenFailed,
+                     DegenerateInterior, DegenerateSpan, InvalidInstance,
+                     InvalidMatrix, JohnExtractionFailed, NotInterior,
+                     OracleTooLarge, SharpnessGenFailed,
                      ShiftCertificateFailed, SolverStall, UnboundedBody)
 from .io import (canonical_certificate_bytes, certificate_from_json,
                  certificate_to_json, load_certificate, load_instance,
@@ -32,7 +32,7 @@ EXIT_VERDICT = 2
 EXIT_INPUT = 3
 EXIT_ORACLE = 4
 
-_INPUT_ERRORS = (InvalidInstance, InvalidMatrix, EmptyBody, NotInterior,
+_INPUT_ERRORS = (InvalidInstance, InvalidMatrix, NotInterior,
                  DegenerateInterior, UnboundedBody, DegenerateSpan,
                  ValueError, OSError)
 _RUN_ERRORS = (BarrierStuck, CaratheodoryFailed, CertificateRejected,

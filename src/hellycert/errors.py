@@ -25,10 +25,6 @@ class SolverStall(HellycertError):
     """A solver hit its iteration limit, or its answer failed its check."""
 
 
-class EmptyBody(HellycertError):
-    """A polytope that was expected to be nonempty turned out infeasible."""
-
-
 class NotInterior(HellycertError):
     """A point that must lie strictly inside a body does not."""
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (DegenerateInterior, NotInterior, SolverStall,
                      UnboundedBody)
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, box_bound, check_support,
-                 dual_bounds, solve_lp, walk_bases)
+from .lp import box_bound, check_support, dual_bounds, solve_lp, walk_bases
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -115,25 +114,32 @@ def interior_margin(family: BodyFamily, z) -> float:
 
 
 def chebyshev_center(family: BodyFamily):
-    """Deepest point of the intersection: one LP over (x, r)."""
+    """(z, r): the deepest point of the intersection and its depth, from
+    one ``solve_lp`` walk in R^{n+1}.
+
+    The LP max{r : <a,x> + ||a|| r <= c} is shifted to t = r + R0 with
+    R0 = max(0, max(-c/||a||)) + 1, so every lifted offset c + ||a|| R0 is
+    at least ||a|| and the origin is interior: the walk maximizes e_{n+1}
+    over the rows [a, ||a||] / (c + ||a|| R0), and r = t - R0.
+    UnboundedBody when the walk meets a ray or a line (the family bounds
+    no body), DegenerateInterior when r is below INTERIOR_MARGIN (an empty
+    or flat intersection). The center only starts ``_recenter``, so it is
+    not checked.
+    """
     G, h, n = family.G, family.h, family.dim
     norms = np.linalg.norm(G, axis=1)
-    # variables (x, r), maximize r subject to <a,x> + ||a|| r <= c and r >= 0
-    Ga = np.hstack([G, norms[:, None]])
-    Ga = np.vstack([Ga, np.concatenate([np.zeros(n), [-1.0]])])
-    ha = np.concatenate([h, [0.0]])
-    objective = np.concatenate([np.zeros(n), [1.0]])
-    res = solve_lp(LinearProgram(objective=objective, G=Ga, h=ha))
-    if res.status == UNBOUNDED:
-        raise UnboundedBody("interior radius unbounded; family does not "
-                            "bound a body")
-    if res.status != OPTIMAL:
-        raise DegenerateInterior("family intersection is empty")
-    r = res.value
+    r0 = max(0.0, float(np.max(-h / norms))) + 1.0
+    lifted = np.hstack([G, norms[:, None]]) / (h + norms * r0)[:, None]
+    try:
+        x = solve_lp(lifted, np.eye(n + 1)[n])[1][0]
+    except UnboundedBody as exc:
+        raise UnboundedBody("family does not bound a body: the center's "
+                            "walk met a ray or a line") from exc
+    r = float(x[n]) - r0
     if r < INTERIOR_MARGIN:
         raise DegenerateInterior(f"inradius {r:.3e} is below "
                                  f"{INTERIOR_MARGIN:.1e}")
-    return res.x[:n], float(r)
+    return x[:n], r
 
 
 def validate_family(family: BodyFamily):

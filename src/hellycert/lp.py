@@ -1,27 +1,25 @@
-"""Linear programming: a dense two-phase simplex and a batched vertex walk.
+"""Linear programming over {x : G x <= 1}: one engine, the vertex walk.
 
-The dense solver is deliberately boring: full tableau, Bland's anti-cycling
-rule, lowest-index tie-breaking everywhere. That makes runs deterministic and
-keeps the exact optimal basis available for certificates. Problem sizes in
-this package stay in the hundreds of rows, where a dense tableau is fine.
-Every inequality row with h >= 0 starts on its own slack; only rows with
-h < 0 and equality rows carry an artificial through phase 1, so an LP whose
-origin is feasible (the Chebyshev center's) skips phase 1 altogether.
+``vertex_walk`` runs one primal simplex per direction, each from its own
+crash vertex and from no other start, all advanced together by stacked
+n x n solves and priced by the most negative dual. It only proposes a basis
+per direction, or a ray, or, from the crash, a line. Every LP of the
+package is this walk. ``solve_lp`` is its entry point for any set of
+directions: it returns the bases and their vertices, and a ray or a line,
+once checked to rise and stay, is its one verdict of an unbounded
+polyhedron (UnboundedBody). The Chebyshev center (a lifted walk in one
+direction), the Caratheodory witness (a gauge walk) and the +-e_i box walk
+of ``walk_bases`` all go through it; ``support_h_polytope`` is its
+one-direction form for G x <= h with h > 0.
 
-Support values of one polyhedron {x : G x <= 1} in many directions, which is
-what the containment factor needs, go through ``vertex_walk`` instead: one
-primal simplex per direction, each from its own crash vertex and from no
-other start (box directions and screened directions alike), all advanced
-together by stacked n x n solves and priced by the most negative dual. The
-walk only proposes a basis per direction, or a ray (a line is two rays).
 Trusted is one weak-duality formula, ``_upper_bounds``, with the box
 M >= max |x|_inf it needs: ``box_bound`` takes M from closed-form duals of
 +-e_i, and only where they decide nothing does ``walk_bases`` walk +-e_i,
-whose checked ray is the one verdict of an unbounded polyhedron and whose
-bases, stored after the others, give M when replayed. ``check_support``
-replays bases into a bracket that must close; ``dual_bounds`` bounds every
-direction by one closed-form dual. ``walk_bases`` proposes, a certificate
-stores the walked directions and their bases, and the checks never walk.
+whose bases, stored after the others, give M when replayed.
+``check_support`` replays bases into a bracket that must close;
+``dual_bounds`` bounds every direction by one closed-form dual.
+``walk_bases`` proposes, a certificate stores the walked directions and
+their bases, and the checks never walk.
 """
 
 from __future__ import annotations
@@ -32,11 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBody, SolverStall
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
+from .errors import SolverStall, UnboundedBody
 
 EPS = float(np.finfo(float).eps)
 # Along an edge d, row i blocks only when G_i d exceeds this share of
@@ -54,210 +48,20 @@ WALK_FIRST = 8
 
 
 @dataclass
-class LinearProgram:
-    """maximize objective . x  subject to  G x <= h,  A_eq x = b_eq.
-
-    Variables are free unless ``nonneg`` is set, in which case x >= 0 and the
-    usual split into positive and negative parts is skipped.
-    """
-
-    objective: np.ndarray
-    G: np.ndarray | None = None
-    h: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    nonneg: bool = False
-
-    def __post_init__(self):
-        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = self.objective.shape[0]
-        if self.G is None:
-            self.G = np.zeros((0, n))
-            self.h = np.zeros(0)
-        self.G = np.asarray(self.G, dtype=float).reshape(-1, n)
-        self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        if self.h.shape[0] != self.G.shape[0]:
-            raise ValueError("G and h row counts differ")
-        if self.A_eq is not None:
-            self.A_eq = np.asarray(self.A_eq, dtype=float).reshape(-1, n)
-            self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-            if self.b_eq.shape[0] != self.A_eq.shape[0]:
-                raise ValueError("A_eq and b_eq row counts differ")
-        for arr in (self.objective, self.G, self.h, self.A_eq, self.b_eq):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("linear program has non-finite data")
-
-    @property
-    def n(self) -> int:
-        return self.objective.shape[0]
-
-
-@dataclass
-class LpResult:
-    status: str
-    x: np.ndarray | None
-    value: float | None
-
-
-def _pivot_loop(tab, obj, basis, n_enterable, max_iter, tol_cost, tol_piv):
-    """Bland pivoting on an augmented tableau.
-
-    ``basis`` entries of -1 mark retired (redundant) rows. Only the first
-    ``n_enterable`` columns may enter, which is how artificial variables are
-    blocked after phase 1.
-    """
-    m = tab.shape[0]
-    for _ in range(max_iter):
-        candidates = np.nonzero(obj[:n_enterable] < -tol_cost)[0]
-        if candidates.size == 0:
-            return OPTIMAL
-        enter = int(candidates[0])
-
-        col = tab[:, enter]
-        usable = (col > tol_piv) & (basis >= 0)
-        if not usable.any():
-            return UNBOUNDED
-        rows = np.nonzero(usable)[0]
-        ratios = tab[rows, -1] / col[rows]
-        rmin = float(ratios.min())
-        tied = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
-        leave = int(tied[np.argmin(basis[tied])])
-
-        piv = tab[leave, enter]
-        tab[leave, :] /= piv
-        other = col.copy()
-        other[leave] = 0.0
-        tab -= np.outer(other, tab[leave, :])
-        obj -= obj[enter] * tab[leave, :]
-        basis[leave] = enter
-    raise SolverStall(f"simplex did not terminate in {max_iter} pivots")
-
-
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Optimal, unbounded or infeasible, with x and the value when optimal.
-
-    Start rule: an inequality row with h >= 0 starts on its own slack, and
-    only the rows whose slack cannot start the basis, inequality rows with
-    h < 0 and every equality row, get an artificial column. Phase 1
-    minimizes the sum of those artificials (with none it is optimal at
-    once), a positive minimum means infeasible, and artificials still
-    basic are driven out or their rows retired. Phase 2 then optimizes the
-    objective with no artificial allowed to enter.
-    """
-    n = lp.n
-    nx = n if lp.nonneg else 2 * n
-
-    def expand(mat):
-        return mat if lp.nonneg else np.hstack([mat, -mat])
-
-    mi = lp.G.shape[0]
-    me = 0 if lp.A_eq is None else lp.A_eq.shape[0]
-    m = mi + me
-    neg = (np.concatenate([lp.h, lp.b_eq]) if me else lp.h) < 0
-    arts = np.nonzero(neg | (np.arange(m) >= mi))[0]
-    ncols = nx + mi + arts.size  # structural + slacks + artificials
-
-    tab = np.zeros((m, ncols + 1))
-    if mi:
-        tab[:mi, :nx] = expand(lp.G)
-        tab[:mi, nx:nx + mi] = np.eye(mi)
-        tab[:mi, -1] = lp.h
-    if me:
-        tab[mi:, :nx] = expand(lp.A_eq)
-        tab[mi:, -1] = lp.b_eq
-    tab[neg, :] *= -1.0
-    art0 = nx + mi
-    basis = np.arange(nx, nx + m)  # row i on its slack nx + i, or else
-    basis[arts] = np.arange(art0, ncols)  # on its own artificial
-    tab[arts, basis[arts]] = 1.0
-
-    scale_b = 1.0 + (float(np.max(np.abs(tab[:, -1]))) if m else 0.0)
-    tol_piv = 1e-9
-    max_iter = 5000 + 30 * (m + ncols)
-
-    # Phase 1: minimize the sum of artificials starting from that basis.
-    obj = np.zeros(ncols + 1)
-    obj[art0:ncols] = 1.0
-    for i in arts:
-        obj -= tab[i, :]
-    status = _pivot_loop(tab, obj, basis, art0, max_iter,
-                         1e-9 * scale_b, tol_piv)
-    phase1_val = -obj[-1]
-    if status != OPTIMAL or phase1_val > 1e-7 * scale_b:
-        return LpResult(INFEASIBLE, None, None)
-
-    for i in range(m):
-        if basis[i] >= art0:
-            pivot_col = -1
-            row = tab[i, :art0]
-            hits = np.nonzero(np.abs(row) > tol_piv)[0]
-            if hits.size:
-                pivot_col = int(hits[0])
-            if pivot_col < 0:
-                basis[i] = -1  # redundant row, retire it
-                tab[i, :] = 0.0
-                continue
-            piv = tab[i, pivot_col]
-            tab[i, :] /= piv
-            other = tab[:, pivot_col].copy()
-            other[i] = 0.0
-            tab -= np.outer(other, tab[i, :])
-            basis[i] = pivot_col
-
-    # Phase 2 on the real objective (converted to minimization).
-    cost = np.zeros(ncols + 1)
-    cost[:nx] = -lp.objective if lp.nonneg else np.concatenate(
-        [-lp.objective, lp.objective])
-    obj = cost.copy()
-    for i in range(m):
-        if basis[i] >= 0:
-            obj -= cost[basis[i]] * tab[i, :]
-
-    scale_c = 1.0 + float(np.max(np.abs(cost[:nx]), initial=0.0))
-    status = _pivot_loop(tab, obj, basis, art0, max_iter,
-                         1e-9 * scale_c, tol_piv)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
-
-    full = np.zeros(ncols)
-    for i in range(m):
-        if basis[i] >= 0:
-            full[basis[i]] = tab[i, -1]
-    xi = full[:nx]
-    x = xi if lp.nonneg else xi[:n] - xi[n:]
-    value = float(np.dot(lp.objective, x))
-    return LpResult(OPTIMAL, x, value)
-
-
-def support_h_polytope(G, h, direction) -> float:
-    """Support function max{<x, u> : G x <= h}.
-
-    Returns ``math.inf`` when the polyhedron is unbounded in the given
-    direction and raises EmptyBody when it is infeasible.
-    """
-    direction = np.asarray(direction, dtype=float)
-    res = solve_lp(LinearProgram(objective=direction, G=G, h=h))
-    if res.status == INFEASIBLE:
-        raise EmptyBody("support query over an empty polyhedron")
-    if res.status == UNBOUNDED:
-        return math.inf
-    return res.value
-
-
-@dataclass
 class VertexWalk:
     """Where a batched vertex walk over {x : G x <= 1} stopped.
 
     Row j belongs to direction j. ``basis`` holds the n rows of G tight at
     the last vertex. Where ``ray`` is set the walk (or its crash) left along
     ``edge`` and met no row. When the crash found a line d inside the
-    polyhedron there is no vertex and no basis: every direction u that
-    rises along the line is a ray along sign(u.d) d.
+    polyhedron it is ``line``, and there is no vertex and no basis: every
+    direction u that rises along the line is a ray along sign(u.d) d.
     """
 
     basis: np.ndarray
     ray: np.ndarray
     edge: np.ndarray
+    line: np.ndarray | None = None
 
 
 def _blocking(gd, slack, tol, dnorm, exclude):
@@ -346,7 +150,8 @@ def vertex_walk(G, U) -> VertexWalk:
     vertex cannot make the walk cycle. A direction stops at a nonnegative
     dual or on an edge no row blocks; after 50 (m + n) rounds, or at a
     singular basis, the walk gives up with SolverStall. The result is not
-    trusted: ``walk_bases`` and ``check_support`` check it.
+    trusted: ``solve_lp`` checks its rays and line, ``check_support`` its
+    bases.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -358,7 +163,7 @@ def vertex_walk(G, U) -> VertexWalk:
         ray = np.abs(ud) > (PIVOT_TOL * np.linalg.norm(U, axis=1)
                             * np.linalg.norm(line))
         edge = np.where(ray[:, None], np.sign(ud)[:, None] * line, 0.0)
-        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge)
+        return VertexWalk(np.zeros((k, n), dtype=int), ray, edge, line)
     max_rounds, tol = 50 * (m + n), PIVOT_TOL * norms
     bland = np.zeros(k, dtype=bool)
     live = np.flatnonzero(~ray)
@@ -399,6 +204,55 @@ def _solve(A, b):
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SolverStall(f"vertex walk: a basis is singular: {exc}") from exc
+
+
+def solve_lp(G, U):
+    """(bases, vertices): maximize every row u of U over {x : G x <= 1}.
+
+    One ``vertex_walk``; for each direction the n rows of G it ends on and
+    the vertex where they are tight. When the walk leaves on a ray, or its
+    crash meets a line, the polyhedron is unbounded and UnboundedBody is
+    raised, but only after the check: a ray d must rise (u.d > 0) and stay
+    (G d <= 0) to PIVOT_TOL relative, and a line must stay both ways
+    (G d = 0). A claim that fails it raises SolverStall. The bases are not
+    checked here: ``check_support`` replays them where a verdict needs it.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    walk = vertex_walk(G, U)
+    if walk.line is None:
+        e = walk.edge[walk.ray]
+        rises = (np.einsum("ij,ij->i", U[walk.ray], e)
+                 > PIVOT_TOL * np.linalg.norm(e, axis=1))
+    else:
+        e, rises = np.stack([walk.line, -walk.line]), True
+    if len(e):
+        enorm = np.linalg.norm(e, axis=1)
+        stays = np.all(e @ G.T <= PIVOT_TOL * np.outer(
+            enorm, np.linalg.norm(G, axis=1)), axis=1)
+        if not np.all(rises & stays):
+            raise SolverStall("vertex walk: claimed ray is not a recession "
+                              "direction")
+        raise UnboundedBody("the polyhedron has a recession direction")
+    k, n = walk.basis.shape
+    return walk.basis, _solve(G[walk.basis], np.ones((k, n, 1)))[:, :, 0]
+
+
+def support_h_polytope(G, h, direction) -> float:
+    """Support function max{<x, u> : G x <= h} for h > 0 (ValueError
+    otherwise): ``solve_lp`` in one direction over the rows G / h. Returns
+    ``math.inf`` when the polyhedron is unbounded, which includes every
+    polyhedron holding a line (the walk has no vertex to start from).
+    """
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
+        raise ValueError("support query needs every offset h > 0")
+    u = np.asarray(direction, dtype=float)
+    try:
+        x = solve_lp(np.asarray(G, dtype=float) / h[:, None], u)[1][0]
+    except UnboundedBody:
+        return math.inf
+    return float(u @ x)
 
 
 @functools.cache
@@ -549,9 +403,9 @@ def walk_bases(G, U, symmetric=False):
     U that ``vertex_walk`` walks, and n rows of G for each, then for +e_i
     and -e_i where ``box_bound`` is None; for ``check_support`` to check.
 
-    Only that box walk is asked about rays: a claimed ray d must rise
-    (e.d > 0) and stay (G d <= 0) to PIVOT_TOL relative, or SolverStall (a
-    line passes as two rays only when G d = 0), and it gives None.
+    Only that box walk is asked about rays. It goes through ``solve_lp``,
+    whose checked ray or line (UnboundedBody) gives None, and whose false
+    one raises SolverStall.
     Each row u gets beta_u, ``dual_bounds`` when ``symmetric``, else +inf.
     The WALK_FIRST largest, ties included, walk first, L being their
     largest support, scaled into the polyhedron. Every other row with
@@ -564,18 +418,10 @@ def walk_bases(G, U, symmetric=False):
     k, n = U.shape[0], G.shape[1]
     tail, box = np.zeros((0, n), dtype=int), box_bound(G)
     if box is None:
-        walk = vertex_walk(G, _axes(n))
-        if walk.ray.any():
-            e = walk.edge[walk.ray]
-            enorm = np.linalg.norm(e, axis=1)
-            rises = (_axes(n)[walk.ray] * e).sum(axis=1) > PIVOT_TOL * enorm
-            stays = np.max((e @ G.T) / (np.linalg.norm(G, axis=1)[None, :]
-                                        * enorm[:, None]), axis=1) <= PIVOT_TOL
-            if not np.all(rises & stays):
-                raise SolverStall("vertex walk: claimed ray is not a "
-                                  "recession direction")
+        try:
+            tail = solve_lp(G, _axes(n))[0]
+        except UnboundedBody:
             return None
-        tail = walk.basis
     if not k:
         return np.zeros(0, dtype=int), tail
     beta = dual_bounds(G, U, box) if symmetric else np.full(k, math.inf)

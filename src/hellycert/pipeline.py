@@ -24,7 +24,7 @@ from .geometry import (BodyFamily, chebyshev_center, containment_bases,
                        interior_margin, normalize_family, validate_family)
 from .io import SelectionCertificate, check, require_parameters
 from .john import john_decomposition, mvee_general
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import solve_lp
 from .oracle import diameter_exact, drop_circumradii
 from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
@@ -95,29 +95,35 @@ def select_symmetric(family: BodyFamily,
 
 def caratheodory_express(w, points):
     """(tau, rho): w as the convex combination rho of at most n+1 of the
-    points, the rows tau.
+    points, the rows tau, from one gauge walk.
 
-    A feasibility LP with n+1 equality rows, so its basic solution has at
-    most n+1 nonzeros; its weights above 1e-12 are kept as they are, up to
-    normalization. The support size and the residual are checked, not
-    trusted.
+    With v0 the first point, ``solve_lp`` maximizes d = w - v0 over
+    {x : (V - w) x <= 1}, the polar of the hull moved to w, bounded when w
+    is interior to the hull. At the final basis B, (V_B - w)^T y = d and
+    gamma = sum y give w = (sum_B y_i v_i + v0) / (1 + gamma): weights
+    y / (1 + gamma) on B and 1 / (1 + gamma) on v0. The weights above
+    1e-12 are kept, up to normalization. The support size and the residual
+    are checked, not trusted; a ray or a line of the walk (w not interior)
+    raises CaratheodoryFailed.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(w, dtype=float)
     k, n = pts.shape
-    lp = LinearProgram(
-        objective=np.zeros(k),
-        A_eq=np.vstack([pts.T, np.ones((1, k))]),
-        b_eq=np.concatenate([w, [1.0]]),
-        nonneg=True)
-    res = solve_lp(lp)
-    if res.status != OPTIMAL:
+    d = w - pts[0]
+    try:
+        basis = solve_lp(pts - w, d)[0][0]
+    except UnboundedBody as exc:
         raise CaratheodoryFailed(
-            f"target at distance > tol from the hull of {k} points")
-    tau = np.nonzero(res.x > 1e-12)[0]
+            f"target is not interior to the hull of {k} points") from exc
+    y = np.linalg.solve((pts[basis] - w).T, d)
+    x = np.zeros(k)
+    x[basis] = y
+    x[0] += 1.0
+    x /= 1.0 + y.sum()
+    tau = np.nonzero(x > 1e-12)[0]
     if tau.size == 0:
         raise CaratheodoryFailed("empty convex combination")
-    rho = res.x[tau] / res.x[tau].sum()
+    rho = x[tau] / x[tau].sum()
     residual = float(np.linalg.norm(pts[tau].T @ rho - w))
     if residual > 1e-9 or tau.size > n + 1:
         raise CaratheodoryFailed(
@@ -178,13 +184,17 @@ def select_general(family: BodyFamily,
                    eps: float = EPS_SHIFT_DEFAULT) -> SelectionCertificate:
     """Translated selection for non-symmetric families.
 
-    Finds a translate z (interior point moved until the polar is centered),
-    builds the centered John decomposition of the polar generators
-    (accepted at ``john.TOL_JOHN_DEFAULT``), applies the shifted sparsifier
-    with slack eps, and completes the index set with a Caratheodory witness
-    so the selected bodies keep the translate well inside. Every stage's
-    claim lands in the certificate. An eps that ``check`` would refuse is
-    refused before any stage.
+    Finds a translate z (the Chebyshev center moved until the polar is
+    centered), builds the centered John decomposition of the polar
+    generators (accepted at ``john.TOL_JOHN_DEFAULT``), applies the shifted
+    sparsifier with slack eps, and completes the index set with a
+    Caratheodory witness of at most n+1 rows so the selected bodies keep
+    the translate well inside. The witness is sought first among the rows
+    of the bodies sigma already selects, from the first of them, so it
+    adds no body where it can; only when that fails (CaratheodoryFailed)
+    among all rows, from row 0. Every stage's claim lands in the
+    certificate. An eps that ``check`` would refuse is refused before any
+    stage.
     """
     _require_mode(family, "general")
     require_parameters(family.dim, eps=eps, error=InvalidInstance)
@@ -199,11 +209,17 @@ def select_general(family: BodyFamily,
         decomp = john_decomposition(norm.G, centered=True, start=u)
     with _stage(stages, "sparsify"):
         shifted = shifted_select(decomp.vectors, decomp.weights, eps)
+    sigma_rows = decomp.source_indices[shifted.sigma]
     with _stage(stages, "caratheodory"):
         w = shifted.v / math.sqrt(eps * n)
-        tau, rho = caratheodory_express(w, decomp.vectors)
+        own = np.flatnonzero(np.isin(norm.owner[decomp.source_indices],
+                                     norm.owner[sigma_rows]))
+        try:
+            tau, rho = caratheodory_express(w, decomp.vectors[own])
+            tau = own[tau]
+        except CaratheodoryFailed:
+            tau, rho = caratheodory_express(w, decomp.vectors)
 
-    sigma_rows = decomp.source_indices[shifted.sigma]
     tau_rows = decomp.source_indices[tau]
     selected = _owners(norm.owner, np.concatenate([sigma_rows, tau_rows]))
     with _stage(stages, "containment"):

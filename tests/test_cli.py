@@ -203,6 +203,22 @@ def test_reduce_exit_code_oracle_cap(tmp_path):
     assert not red.exists()
 
 
+def test_a_strip_is_unbounded_at_the_center(tmp_path, capsys):
+    """A general family whose intersection holds a line: the Chebyshev walk
+    meets it, so select-gen stops at stage center with UnboundedBody (exit
+    3), before any MVEE is asked to span."""
+    strip = {"mode": "general", "dimension": 2, "bodies": [
+        {"constraints": [{"a": [0.0, 1.0], "c": 1.0}]},
+        {"constraints": [{"a": [0.0, -1.0], "c": 1.0}]},
+        {"constraints": [{"a": [0.0, 2.0], "c": 1.0}]}]}
+    inst, out = tmp_path / "strip.json", tmp_path / "c.json"
+    inst.write_text(json.dumps(strip))
+    assert run(["select-gen", "--in", inst, "--out", out]) == 3
+    assert ("UnboundedBody: center: family does not bound a body"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, kind", [("select-sym", "halfspace"),
                                            ("select-gen", "slab")])
 def test_mode_mismatch_fails_before_any_stage(tmp_path, monkeypatch, capsys,

@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hellycert import lp
-from hellycert.errors import DegenerateInterior, NotInterior, SolverStall
-from hellycert.geometry import (BodyFamily, chebyshev_center,
-                                containment_bases, containment_factor,
-                                containment_system, interior_margin,
-                                normalize_family, validate_family)
+from hellycert.errors import (DegenerateInterior, NotInterior, SolverStall,
+                              UnboundedBody)
+from hellycert.geometry import (INTERIOR_MARGIN, BodyFamily,
+                                chebyshev_center, containment_bases,
+                                containment_factor, containment_system,
+                                interior_margin, normalize_family,
+                                validate_family)
 from hellycert.lp import dual_bounds, support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
@@ -132,12 +134,24 @@ def test_chebyshev_parallel_slabs_midline():
     assert r == pytest.approx(1.0)
 
 
+def _lifted_highs(fam):
+    """HiGHS on max{r : <a,x> + ||a|| r <= c}, r free: (status, r)."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    n = fam.dim
+    norms = np.linalg.norm(fam.G, axis=1)
+    ref = scipy_optimize.linprog(
+        np.concatenate([np.zeros(n), [-1.0]]),
+        A_ub=np.hstack([fam.G, norms[:, None]]), b_ub=fam.h,
+        bounds=[(None, None)] * (n + 1), method="highs")
+    return ref.status, (-ref.fun if ref.status == 0 else None)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_chebyshev_of_a_translate_needs_artificials(n):
     """Translated by t, a family leaves the origin outside some bodies, so
-    their rows have h < 0 and start on an artificial: the center moves by t,
-    the radius stays, and r is HiGHS's optimum of the lifted LP."""
-    scipy_optimize = pytest.importorskip("scipy.optimize")
+    their rows have h < 0 and the lifted walk needs its shift R0 to start
+    inside: the center moves by t, the radius stays, and r is HiGHS's
+    optimum of the lifted LP."""
     fam = gen_halfspace_family(n, 4 * n, n)
     z, r = chebyshev_center(fam)
     t = np.random.default_rng(n).standard_normal(n)
@@ -149,13 +163,39 @@ def test_chebyshev_of_a_translate_needs_artificials(n):
     zt, rt = chebyshev_center(moved)
     np.testing.assert_allclose(zt, z + t, rtol=0, atol=1e-9)
     assert rt == pytest.approx(r, rel=1e-9, abs=1e-9)
-    norms = np.linalg.norm(moved.G, axis=1)
-    ref = scipy_optimize.linprog(
-        np.concatenate([np.zeros(n), [-1.0]]),
-        A_ub=np.hstack([moved.G, norms[:, None]]), b_ub=moved.h,
-        bounds=[(None, None)] * n + [(0, None)], method="highs")
-    assert ref.status == 0
-    assert rt == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+    status, ref = _lifted_highs(moved)
+    assert status == 0
+    assert rt == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_chebyshev_agrees_with_highs_on_random_families():
+    """400 seeded general families, the origin often outside and some
+    intersections empty or unbounded: the lifted walk's r is HiGHS's to
+    1e-9 relative and z is that deep, or both refuse (HiGHS unbounded or
+    below INTERIOR_MARGIN)."""
+    seen = {"agree": 0, "agree, origin outside": 0, UnboundedBody: 0,
+            DegenerateInterior: 0}
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2 * n, 6 * n))
+        G = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, (m, 1))
+        h = rng.uniform(-1.0 if seed % 2 else 0.1, 2.0, m)
+        fam = BodyFamily.from_blocks(
+            "general", n, [(G[i:i + 1], h[i:i + 1]) for i in range(m)])
+        status, ref = _lifted_highs(fam)
+        assert status in (0, 3), seed
+        try:
+            z, r = chebyshev_center(fam)
+        except (UnboundedBody, DegenerateInterior) as exc:
+            assert status == 3 or ref < INTERIOR_MARGIN, seed
+            seen[type(exc)] += 1
+            continue
+        assert status == 0, seed
+        assert r == pytest.approx(ref, rel=1e-9), seed
+        assert interior_margin(fam, z) == pytest.approx(r, rel=1e-9), seed
+        seen["agree, origin outside" if (h < 0).any() else "agree"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_degenerate_interior_raises():
@@ -506,13 +546,16 @@ def test_validate_family_accepts_generated():
 
 def test_polarity_consistency_small():
     """Every polar generator stays <= 1 against its owner body."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
     fam = gen_slab_family(3, count=4, seed=13)
     norm = normalize_family(fam, np.zeros(3))
-    from hellycert.lp import support_h_polytope
     for v, tag in zip(norm.G, norm.owner):
         g, h, _ = fam.constraint_matrix(selected=[int(tag)])
-        # a single slab body is unbounded, so certify via the support LP
-        assert support_h_polytope(g, h, v) <= 1.0 + 1e-8
+        # a single slab body holds a line, which the walk reads as unbounded;
+        # its support in a direction of its own rows is finite, so HiGHS
+        ref = scipy_optimize.linprog(-v, A_ub=g, b_ub=h,
+                                     bounds=(None, None), method="highs")
+        assert ref.status == 0 and -ref.fun <= 1.0 + 1e-8
     # and against the vertices of the whole intersection
     g, h, _ = fam.constraint_matrix()
     verts = enumerate_vertices(g, h)

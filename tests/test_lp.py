@@ -1,16 +1,16 @@
-"""Simplex solver and support-function queries."""
+"""The vertex walk, its LP entry point and the support checks."""
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from hellycert import geometry, lp
-from hellycert.errors import EmptyBody
-from hellycert.geometry import containment_system
-from hellycert.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                          check_support, solve_lp, support_h_polytope,
+from hellycert.errors import (DegenerateInterior, SolverStall,
+                              UnboundedBody)
+from hellycert.geometry import BodyFamily, containment_system
+from hellycert.lp import (check_support, solve_lp, support_h_polytope,
                           walk_bases)
-from hellycert.oracle import gen_halfspace_family, gen_slab_family
+from hellycert.oracle import gen_slab_family
 from hellycert.pipeline import select_symmetric
 
 import reference_kernels
@@ -22,26 +22,26 @@ def box_rows(n):
     return np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n)
 
 
+def _value(G, u):
+    """The optimal value of one direction by ``solve_lp``."""
+    return float(u @ solve_lp(G, u)[1][0])
+
+
 def test_maximize_over_unit_square():
     g = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    h = np.array([1.0, 1.0, 0.0, 0.0])
-    res = solve_lp(LinearProgram(objective=np.array([1.0, 0.0]), G=g, h=h))
-    assert res.status == OPTIMAL
-    assert res.value == pytest.approx(1.0)
+    h = np.array([1.0, 1.0, 0.5, 0.5])
+    assert _value(g / h[:, None], np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert _value(g / h[:, None], np.array([-1.0, 0.0])) == pytest.approx(0.5)
 
 
 def test_unbounded_halfline():
-    res = solve_lp(LinearProgram(objective=np.array([1.0]),
-                                 G=np.array([[-1.0]]), h=np.array([0.0])))
-    assert res.status == UNBOUNDED
+    with pytest.raises(UnboundedBody):
+        solve_lp(np.array([[-1.0]]), np.array([1.0]))
 
 
 def test_simplex_facet_optimum():
-    g = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    h = np.array([1.0, 0.0, 0.0])
-    res = solve_lp(LinearProgram(objective=np.array([1.0, 1.0]), G=g, h=h))
-    assert res.status == OPTIMAL
-    assert res.value == pytest.approx(1.0)
+    g = np.array([[1.0, 1.0], [-2.0, 0.0], [0.0, -2.0]])
+    assert _value(g, np.array([1.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_optimal_point_is_feasible(rng):
@@ -51,29 +51,25 @@ def test_optimal_point_is_feasible(rng):
         extra = unit_rows(rng, int(rng.integers(1, 5)), n)
         g = np.vstack([g_box, extra])
         h = np.concatenate([h_box, rng.uniform(0.2, 1.5, len(extra))])
-        c = rng.standard_normal(n)
-        res = solve_lp(LinearProgram(objective=c, G=g, h=h))
-        assert res.status == OPTIMAL
-        assert np.all(g @ res.x <= h + 1e-8)
-        assert res.value == pytest.approx(float(c @ res.x), abs=1e-9)
+        c = rng.standard_normal((3, n))
+        basis, x = solve_lp(g / h[:, None], c)
+        assert np.all(x @ g.T <= h + 1e-8)
+        np.testing.assert_allclose(np.einsum("kij,kj->ki", g[basis], x),
+                                   h[basis], rtol=0, atol=1e-12)
 
 
 def test_infeasible_detected():
+    """x <= -2 and x >= 2: no offset is positive, so the support query
+    refuses the rows, and the Chebyshev walk, whose lifted offsets are,
+    finds the depth negative."""
     g = np.array([[1.0], [-1.0]])
-    h = np.array([-2.0, -2.0])  # x <= -2 and x >= 2
-    res = solve_lp(LinearProgram(objective=np.array([1.0]), G=g, h=h))
-    assert res.status == INFEASIBLE
-
-
-def test_equality_rows_respected():
-    lp = LinearProgram(objective=np.array([1.0, 0.0]),
-                       G=np.vstack([np.eye(2), -np.eye(2)]),
-                       h=np.ones(4),
-                       A_eq=np.array([[1.0, 1.0]]),
-                       b_eq=np.array([0.5]))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.x[0] + res.x[1] == pytest.approx(0.5, abs=1e-9)
+    h = np.array([-2.0, -2.0])
+    with pytest.raises(ValueError, match="h > 0"):
+        support_h_polytope(g, h, np.array([1.0]))
+    fam = BodyFamily.from_blocks("general", 1, [(g[:1], h[:1]),
+                                                (g[1:], h[1:])])
+    with pytest.raises(DegenerateInterior, match="inradius -2.000e"):
+        geometry.chebyshev_center(fam)
 
 
 def test_support_cube_axis():
@@ -137,9 +133,10 @@ def test_unbounded_walk_is_the_box_walk_alone(system, monkeypatch):
 
 
 def test_support_empty_body():
+    """An empty body's offsets cannot all be positive: refused up front."""
     g = np.array([[1.0], [-1.0]])
     h = np.array([-2.0, -2.0])
-    with pytest.raises(EmptyBody):
+    with pytest.raises(ValueError, match="h > 0"):
         support_h_polytope(g, h, np.array([1.0]))
 
 
@@ -168,98 +165,65 @@ def test_agrees_with_scipy_linprog(rng):
         g = np.vstack([g_box, extra])
         h = np.concatenate([h_box, rng.uniform(0.2, 1.5, 3)])
         c = rng.standard_normal(n)
-        mine = solve_lp(LinearProgram(objective=c, G=g, h=h))
         ref = scipy.optimize.linprog(-c, A_ub=g, b_ub=h, bounds=(None, None),
                                      method="highs")
-        assert mine.status == OPTIMAL and ref.status == 0
-        assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
+        assert ref.status == 0
+        assert support_h_polytope(g, h, c) == pytest.approx(-ref.fun,
+                                                            abs=1e-7)
 
 
-def _mixed_lp(rng):
-    """(LinearProgram, scipy linprog arguments): inequality rows with h > 0,
-    h = 0 and h < 0, up to two equality rows, free or nonneg variables."""
-    n, mi, me = (int(rng.integers(2, 5)), int(rng.integers(1, 7)),
-                 int(rng.integers(0, 3)))
-    nonneg = bool(rng.integers(2))
-    g = rng.standard_normal((mi, n))
-    h = np.where(rng.random(mi) < 0.3, -rng.uniform(0.0, 1.0, mi),
-                 rng.uniform(0.0, 1.5, mi))
-    h[rng.random(mi) < 0.15] = 0.0
-    a, b = ((rng.standard_normal((me, n)), rng.standard_normal(me)) if me
-            else (None, None))
-    c = rng.standard_normal(n)
-    return (LinearProgram(objective=c, G=g, h=h, A_eq=a, b_eq=b,
-                          nonneg=nonneg),
-            dict(c=-c, A_ub=g, b_ub=h, A_eq=a, b_eq=b,
-                 bounds=(0, None) if nonneg else (None, None)))
+def _random_polytope(rng):
+    """(G, h, HiGHS status and values of 8 directions): rows with h > 0,
+    bounded or not; status 0 is optimal, 3 unbounded."""
+    n = int(rng.integers(2, 6))
+    g = rng.standard_normal((int(rng.integers(n, 4 * n + 2)), n))
+    h = rng.uniform(0.1, 2.0, len(g))
+    U = rng.standard_normal((8, n))
+    runs = [scipy.optimize.linprog(-u, A_ub=g, b_ub=h, bounds=(None, None),
+                                   method="highs") for u in U]
+    return g, h, U, runs
 
 
-def test_mixed_start_rows_agree_with_highs():
-    """Rows that start on their slack and rows that need an artificial, in
-    every mix: status and optimal value as HiGHS has them."""
-    highs = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+def test_solve_lp_agrees_with_highs():
+    """On random polytopes with h > 0, ``solve_lp`` gives HiGHS's optimum
+    in every direction when HiGHS finds all of them finite, and
+    UnboundedBody when HiGHS finds one unbounded; both kinds occur."""
     seen = set()
-    for seed in range(200):
+    for seed in range(120):
         rng = np.random.default_rng(seed)
-        problem, args = _mixed_lp(rng)
-        mine = solve_lp(problem)
-        ref = scipy.optimize.linprog(method="highs", **args)
-        assert mine.status == highs[ref.status], seed
-        seen.add((mine.status, bool((problem.h < 0).any()),
-                  problem.A_eq is not None))
-        if mine.status == OPTIMAL:
-            assert mine.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
-            assert np.all(problem.G @ mine.x <= problem.h + 1e-8)
-    assert {status for status, _, _ in seen} == {OPTIMAL, INFEASIBLE,
-                                                  UNBOUNDED}
-    assert {(neg, eq) for status, neg, eq in seen if status == OPTIMAL} == {
-        (False, False), (False, True), (True, False), (True, True)}
+        g, h, U, runs = _random_polytope(rng)
+        status = {r.status for r in runs}
+        assert status <= {0, 3}, seed
+        if 3 in status:
+            with pytest.raises(UnboundedBody):
+                solve_lp(g / h[:, None], U)
+        else:
+            basis, x = solve_lp(g / h[:, None], U)
+            np.testing.assert_allclose(np.einsum("ij,ij->i", U, x),
+                                       [-r.fun for r in runs],
+                                       rtol=1e-9, atol=1e-9)
+        seen.add(3 in status)
+    assert seen == {True, False}
 
 
-def _pivot_calls(monkeypatch):
-    """(basis before, basis after, enterable columns, tableau columns) of
-    every ``_pivot_loop`` call; phase 1 comes first."""
-    real, calls = lp._pivot_loop, []
+@pytest.mark.parametrize("forge", ["ray", "line"])
+def test_forged_ray_is_a_stall_not_unbounded(forge, monkeypatch):
+    """A ray or line claimed on a bounded polytope fails the rises-and-stays
+    check: SolverStall, never UnboundedBody."""
+    g, h = box_rows(3)
+    real = lp.vertex_walk
 
-    def counted(tab, obj, basis, n_enterable, *args):
-        before = basis.copy()
-        status = real(tab, obj, basis, n_enterable, *args)
-        calls.append((before, basis.copy(), n_enterable, tab.shape[1] - 1))
-        return status
+    def forged(G, U):
+        walk = real(G, U)
+        if forge == "ray":
+            walk.ray[0], walk.edge[0] = True, U[0]
+        else:
+            walk.line = np.eye(3)[0]
+        return walk
 
-    monkeypatch.setattr(lp, "_pivot_loop", counted)
-    return calls
-
-
-def test_nonnegative_offsets_make_no_phase_one_pivot(rng, monkeypatch):
-    """Rows with h >= 0 start on their slacks: no artificial column, and
-    phase 1 (Bland's rule never returns to a basis) leaves the basis as it
-    found it. One row with h < 0 takes an artificial that phase 1 drives
-    out."""
-    calls = _pivot_calls(monkeypatch)
-    for nonneg in (False, True):
-        g_box, h_box = box_rows(3)
-        g = np.vstack([g_box, unit_rows(rng, 4, 3)])
-        h = np.concatenate([h_box, [0.0, 0.3, 0.0, 1.2]])
-        del calls[:]
-        res = solve_lp(LinearProgram(objective=rng.standard_normal(3), G=g,
-                                     h=h, nonneg=nonneg))
-        assert res.status == OPTIMAL
-        before, after, enterable, columns = calls[0]
-        assert enterable == columns and np.array_equal(before, after)
-    del calls[:]
-    geometry.chebyshev_center(gen_halfspace_family(3, 8, 100))
-    before, after, enterable, columns = calls[0]
-    assert enterable == columns and np.array_equal(before, after)
-
-    g, h = box_rows(2)
-    h[2] = -0.5  # x >= 0.5: its slack cannot start
-    del calls[:]
-    res = solve_lp(LinearProgram(objective=np.array([-1.0, 0.0]), G=g, h=h))
-    assert res.status == OPTIMAL and res.value == pytest.approx(-0.5)
-    before, after, enterable, columns = calls[0]
-    assert columns == enterable + 1 and before[2] == enterable
-    assert np.all(after < enterable)
+    monkeypatch.setattr(lp, "vertex_walk", forged)
+    with pytest.raises(SolverStall, match="not a recession direction"):
+        solve_lp(g, np.eye(3))
 
 
 def _counted_rounds(monkeypatch):

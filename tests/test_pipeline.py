@@ -9,8 +9,7 @@ import pytest
 from hellycert import lp, pipeline
 from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
                               InvalidInstance, UnboundedBody)
-from hellycert.geometry import BodyFamily, chebyshev_center
-from hellycert.lp import OPTIMAL, LpResult
+from hellycert.geometry import BodyFamily, chebyshev_center, normalize_family
 from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
                               gen_slab_family)
 from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
@@ -189,25 +188,57 @@ def test_caratheodory_random_hull(rng):
     assert np.all(rho >= -1e-12)
 
 
-def test_caratheodory_rejects_a_support_above_n_plus_one(monkeypatch):
-    # a feasible but non-basic LP answer: all four corners of the square
+def test_caratheodory_rejects_a_forged_ray(monkeypatch):
+    # a walk that claims the target lies outside the hull is not trusted to
+    # mean anything else: no witness, CaratheodoryFailed
     pts = np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]])
-    x = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
-    monkeypatch.setattr(pipeline, "solve_lp",
-                        lambda lp: LpResult(OPTIMAL, x, 0.0))
-    with pytest.raises(CaratheodoryFailed, match="support 4"):
+
+    def ray(G, U):
+        raise UnboundedBody("the polyhedron has a recession direction")
+
+    monkeypatch.setattr(pipeline, "solve_lp", ray)
+    with pytest.raises(CaratheodoryFailed, match="not interior"):
         caratheodory_express(np.zeros(2), pts)
 
 
 def test_caratheodory_keeps_the_lp_weights(monkeypatch):
-    # a basic LP answer whose equality misses by 1e-8: the weights are kept
-    # as the LP gives them, so the residual check names the miss
+    # a forged, non-optimal basis {1, 2} for v0 = row 0 and w = (0, -1e-8):
+    # row 2's weight is negative and dropped, and the weights are otherwise
+    # kept as the basis gives them, so the residual check names the miss
     pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
-    x = np.array([0.5 + 1e-8, 0.5, 0.0, 0.0])
     monkeypatch.setattr(pipeline, "solve_lp",
-                        lambda lp: LpResult(OPTIMAL, x, 0.0))
+                        lambda G, U: (np.array([[1, 2]]), None))
     with pytest.raises(CaratheodoryFailed, match="witness residual 1.000e-08"):
-        caratheodory_express(np.zeros(2), pts)
+        caratheodory_express(np.array([0.0, -1e-8]), pts)
+
+
+def test_caratheodory_adds_no_body_where_sigma_rows_suffice():
+    """At gen n=3 seed 21 the gauge walk's tau rows add no body that
+    sigma does not already own, so s = 2n; the dense LP's witness added
+    body 7 there (s = 7)."""
+    fam = gen_halfspace_family(3, 10, 21)
+    cert = select_general(fam)
+    norm = normalize_family(fam, cert.z)
+    owners = set(norm.owner[cert.payload["sigma_rows"]].tolist())
+    assert set(norm.owner[cert.payload["tau_rows"]].tolist()) <= owners
+    assert cert.selected == (0, 2, 3, 4, 5, 9) and cert.all_pass
+
+
+def test_caratheodory_falls_back_to_every_row(monkeypatch):
+    """When sigma's rows do not hold w in their hull, the witness comes
+    from all rows, from row 0, and the certificate still verifies."""
+    real, calls = pipeline.caratheodory_express, []
+
+    def express(w, points):
+        calls.append(len(points))
+        if len(calls) == 1:
+            raise CaratheodoryFailed("forged: not interior")
+        return real(w, points)
+
+    monkeypatch.setattr(pipeline, "caratheodory_express", express)
+    cert = select_general(gen_halfspace_family(3, 8, 100))
+    assert len(calls) == 2 and calls[0] <= calls[1]
+    assert cert.all_pass
 
 
 def find_reducible(seeds, n=2, count=6):
@@ -260,7 +291,7 @@ REDUCE_CHAINS = [
     (2, 40, None, 102, (22, 24, 32, 33, 35), [22], (24, 32, 33, 35)),
     (2, 40, None, 103, (0, 1, 19, 26, 38), [0], (1, 19, 26, 38)),
     (3, 10, (4, 4), 109, (0, 1, 4, 5, 6, 7, 8), [1], (0, 4, 5, 6, 7, 8)),
-    (3, 10, None, 21, (0, 2, 3, 4, 5, 7, 9), [5], (0, 2, 3, 4, 7, 9)),
+    (3, 10, None, 26, (1, 2, 3, 4, 5, 7, 8), [1], (2, 3, 4, 5, 7, 8)),
 ]
 
 
@@ -504,35 +535,36 @@ def test_reduce_scan_keeps_its_seeds():
 # caratheodory_express on seeded dyadic points and targets, so the inputs
 # are exact on every platform: (n, k) -> (tau, rho as float.hex).
 CARATHEODORY_PINS = {
-    (2, 6): ([2, 3, 4], [
-        "0x1.4ad4ad4ad4ad5p-1", "0x1.4dd18da6182c9p-2",
-        "0x1.c8517c43e78d6p-6"]),
-    (3, 10): ([1, 2, 6, 7], [
-        "0x1.8d4c214b5168ap-3", "0x1.2e1e2e6c2375bp-2",
-        "0x1.5d378eda93eddp-2", "0x1.5c0864273fd08p-3"]),
-    (4, 12): ([0, 1, 6, 7, 8], [
-        "0x1.bad0e0f8d3d67p-2", "0x1.edfd0c8b6d887p-3",
-        "0x1.621ea4a80865cp-5", "0x1.d8e8f0753c455p-3",
-        "0x1.abc25f8eb1ae1p-5"]),
-    (5, 20): ([0, 1, 3, 4, 5, 6], [
-        "0x1.eedd60430b7c1p-3", "0x1.72c30b7a509a3p-3",
-        "0x1.97f648d0f8ab9p-8", "0x1.d32e87f37b340p-3",
-        "0x1.40a0f4ee6adffp-2", "0x1.e97b815e59801p-6"]),
-    (6, 30): ([1, 4, 6, 7, 8, 9, 11], [
-        "0x1.ab9835dc5bc10p-5", "0x1.520b1d011a151p-4",
-        "0x1.760486e2e164cp-4", "0x1.822a6d3eeeaaep-2",
-        "0x1.a626c7c42189fp-5", "0x1.48f26d46ccec4p-2",
-        "0x1.8a75ccd35e0f2p-6"]),
+    (2, 6): ([0, 4, 5], [
+        "0x1.3719e9c9e53b9p-1", "0x1.d301fe4a9b7abp-3",
+        "0x1.50965a8dcf975p-3"]),
+    (3, 10): ([0, 5, 7, 8], [
+        "0x1.62838fb642333p-2", "0x1.edfbcf65d03c9p-6",
+        "0x1.132e81e2abc8bp-1", "0x1.60febe3824defp-4"]),
+    (4, 12): ([0, 1, 7, 10, 11], [
+        "0x1.d3f3a96400aeep-2", "0x1.d36555ec3bb57p-3",
+        "0x1.7627b6e18d818p-3", "0x1.c400ca57d25ebp-4",
+        "0x1.6459d9f261de5p-6"]),
+    (5, 20): ([0, 1, 6, 9, 16, 18], [
+        "0x1.28a2c7467b912p-1", "0x1.10d598b6701cdp-6",
+        "0x1.0e1d96a994553p-3", "0x1.bee52645ca740p-3",
+        "0x1.3500443353187p-5", "0x1.08bb0e988146cp-6"]),
+    (6, 30): ([0, 3, 11, 17, 20, 25, 29], [
+        "0x1.55e7088abb9c9p-2", "0x1.5379ff51fef72p-4",
+        "0x1.eed5a04eec434p-4", "0x1.73f5e4f74299dp-7",
+        "0x1.533cc43bb4f02p-4", "0x1.0c5eb9e24ac0ep-2",
+        "0x1.b2ddd5d05e0d4p-4"]),
 }
 
 
 def test_caratheodory_weights_are_pinned_bit_for_bit():
-    """Equality rows always start on an artificial, so the tableau and its
-    pivots, and with them (tau, rho), stay the same to the last bit."""
+    """The gauge walk from row 0 and the one solve that reads its weights
+    off the last basis give the same (tau, rho) to the last bit: row 0 and
+    n rows of the basis, n + 1 in all."""
     rng = np.random.default_rng(7)
     for (n, k), (tau, rho) in CARATHEODORY_PINS.items():
         pts = rng.integers(-8, 9, (k, n)) / 4.0
         lam = rng.integers(1, 9, k)
         got_tau, got_rho = caratheodory_express((lam @ pts) / lam.sum(), pts)
-        assert got_tau.tolist() == tau
+        assert got_tau.tolist() == tau and len(tau) == n + 1
         assert [x.hex() for x in got_rho] == rho
