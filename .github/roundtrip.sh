@@ -39,6 +39,18 @@ hellycert select-gen --in hs3.json --out hs3-cert.json
 hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
 hellycert certify --in hs3.json --cert hs3-reduced.json
 python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs3-cert.json', 'hs3-reduced.json')]; assert s == [7, 6], s"
+# the vertex oracle prices both diameters: the selected bodies' is at
+# least the full family's
+hellycert select-gen --in hs.json --out hs-exact.json --exact-oracle
+python -c "import json, math; r = json.load(open('hs-exact.json'))['diameter']['ratio']; assert math.isfinite(r) and r >= 1.0, r"
+# seed 53 selects 7 bodies with 41 rows, past the oracle's cap of 40 in
+# R^3: reduce exits 4, writes nothing and names its stage
+hellycert gen --kind halfspace --n 3 --count 10 --seed 53 --out hs53.json
+hellycert select-gen --in hs53.json --out hs53-cert.json
+code=0; hellycert reduce --in hs53.json --cert hs53-cert.json --out hs53-reduced.json 2> hs53-err.txt || code=$?
+test "$code" -eq 4
+test ! -e hs53-reduced.json
+grep -q "oracle cap: reduce: 41 constraints" hs53-err.txt
 # general mode at n=6, where the John support is widest and the
 # decomposition weights are the MVEE's own, unpolished
 hellycert gen --kind halfspace --n 6 --count 60 --seed 0 --out gen6.json

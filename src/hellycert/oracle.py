@@ -5,13 +5,14 @@ and filters by feasibility. That is exponential and proudly so: at the
 enforced caps it is trivially correct, which makes it the trust anchor the
 LP and selection code is tested against. One pass serves a system and every
 system left when the rows of one body are dropped, which is how
-``reduce_to_2n`` prices all the drops of a greedy step: a basic solution is
+``reduce_to_2n`` prices the drops of a greedy step: a basic solution is
 a vertex of the system without body j when no row of its basis is j's and
-every row it violates is. Boundedness comes from the same bases, through a
-nonnegative dual for each of +-e_i and the trusted box of ``lp._box``;
-only a system without such bases goes to ``is_bounded``, which asks
-``lp.walk_bases``: the closed-form box of ``lp.box_bound`` first, the box
-walk only where that is undecided, so "unbounded" is always a checked ray.
+every row it violates is. The enumeration decides nothing about
+boundedness. ``is_bounded`` alone does, through ``lp.walk_bases``: the
+closed-form box of ``lp.box_bound`` first, the box walk only where that is
+undecided, so "unbounded" is always a checked ray. ``enumerate_vertices``
+asks it once, up front; ``cheapest_drop`` asks it of the whole and then
+of the drops in increasing radius, up to the first bounded one.
 Also hosts the seeded generators for slab families, halfspace families
 (checked by ``is_bounded``) and the sharp two-ball instances, whose 2B
 inclusion is one covering test, no oracle call.
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
 from .geometry import BodyFamily, containment_bases, containment_factor
-from .lp import _axes, _box, check_support, walk_bases
+from .lp import check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
@@ -68,31 +69,10 @@ def is_bounded(G) -> bool:
     return walk is not None
 
 
-def _box_duals(bases, box) -> np.ndarray:
-    """y[t, d] with bases[t]^T y = d for every row d of box, from one stacked
-    solve; NaN where a basis is singular."""
-    k, n = bases.shape[:2]
-    rhs = np.broadcast_to(box.T, (k, n, len(box)))
-    try:
-        return np.swapaxes(np.linalg.solve(np.swapaxes(bases, 1, 2), rhs),
-                           1, 2)
-    except np.linalg.LinAlgError:
-        return np.full((k, len(box), n), np.nan)
-
-
-def _box_bounded(G, idx, y, covers, box) -> bool:
-    """Whether the duals y of the bases idx bound {x : G x <= 1}: ``lp._box``
-    of the duals of the first basis marked in ``covers`` (a nonnegative
-    dual) for each row of box; False without one, or when they bound none."""
-    if not covers.any(axis=0).all():
-        return False
-    t = np.argmax(covers, axis=0)
-    return _box(G[idx[t]], y[t, np.arange(len(box))]) is not None
-
-
-def _near_pairs(X):
-    """(i, j) with j < i for every pair of rows of X not more than MERGE_TOL
-    apart, i increasing: one pairwise-distance pass, in blocks of rows."""
+def _first_kept(X):
+    """The rows of X left when each one within MERGE_TOL of an earlier kept
+    row is merged into it, walking in row order. The near pairs (i, j),
+    j < i, come from one pairwise-distance pass, in blocks of rows."""
     step = max(1, (1 << 18) // max(len(X), 1))
     pi, pj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for a in range(0, len(X), step):
@@ -102,44 +82,30 @@ def _near_pairs(X):
         below = j < i + a
         pi.append(i[below] + a)
         pj.append(j[below])
-    return np.concatenate(pi), np.concatenate(pj)
-
-
-def _first_kept(member, pi, pj):
-    """The rows of ``member`` left when each one within MERGE_TOL of an
-    earlier kept member is merged into it, walking in row order."""
-    both = member[pi] & member[pj]
-    pi, pj = pi[both], pj[both]
-    later = np.zeros(len(member), dtype=bool)
-    later[pi] = True
-    keep = member & ~later
-    merged = np.zeros(len(member), dtype=bool)
+    pi, pj = np.concatenate(pi), np.concatenate(pj)
+    keep = np.ones(len(X), dtype=bool)
+    keep[pi] = False
+    merged = np.zeros(len(X), dtype=bool)
     merged[pi[keep[pj]]] = True
-    # left: rows whose earlier near members all have earlier ones too (a
-    # chain of near-duplicates); settle them in order
-    for i in np.flatnonzero(later & ~merged):
+    # left: rows whose earlier near rows all have earlier ones too (a chain
+    # of near-duplicates); settle them in order
+    for i in np.flatnonzero(~keep & ~merged):
         keep[i] = not keep[pj[pi == i]].any()
     return keep
 
 
-def _vertex_sets(G, h, owner=None) -> list:
-    """The vertices of {x : G x <= h}, then, when ``owner`` names the body of
-    every row, those of the same system without each body's rows, bodies in
-    increasing order. One pass over the n-subsets of G serves them all.
+def _vertex_sets(G, h, owner=None):
+    """(X, member): the basic solutions of {x : G x <= h} that violate the
+    rows of at most one body, in the order found, and member[t, c], whether
+    X[t] is a vertex of system c. Column 0 is the whole system; when
+    ``owner`` names the body of every row, column 1 + j is the system without
+    the j-th body's rows, bodies in increasing order. One pass over the
+    n-subsets of G serves them all.
 
     A basic solution x of the rows B is a vertex of the system without body
     j when no row of B is j's and every row that x violates (past FEAS_TOL)
-    is j's, so only solutions that violate rows of at most one body are
-    kept. Each entry is the array of the vertices in the order found, a
-    near-duplicate merged into the first one kept, or None when the system
-    is unbounded. Bounded is decided from the bases found: for each of the
-    directions +-e_i a basis of that system whose dual G_B^T y = +-e_i is
-    nonnegative, with ``lp._box`` of those duals, which bounds
-    {x : G x <= 1} and so the recession cone, whatever h is. A system
-    without such bases, or whose duals bound no box, is decided by
-    ``is_bounded``, so an unbounded verdict is a checked ray; the systems
-    without a body of an unbounded whole are unbounded unwalked. The caller
-    checks the caps.
+    is j's. Only enumeration happens here: the caller checks the caps, asks
+    ``is_bounded`` and merges near-duplicates where it needs to.
     """
     m, n = G.shape
     drops = owner is not None
@@ -177,31 +143,13 @@ def _vertex_sets(G, h, owner=None) -> list:
     idx = np.concatenate(found_idx or [np.zeros((0, n), dtype=np.intp)])
     X = np.concatenate(found_x or [np.zeros((0, n))])
     body = np.concatenate(found_body or [np.zeros(0, dtype=int)])
-
-    # member[t, 0]: X[t] is a vertex of the whole system; member[t, 1 + j]:
-    # of the system without body j, which has rows[1 + j] rows
     member = (body < 0)[:, None]
-    rows = np.array([m])
     if drops:
         in_basis = np.zeros((len(idx), owner.max() + 1), dtype=bool)
         in_basis[np.arange(len(idx))[:, None], owner[idx]] = True
         member = np.hstack([member, (member | (
             body[:, None] == np.arange(in_basis.shape[1]))) & ~in_basis])
-        rows = np.concatenate([rows, m - np.bincount(owner)])
-    box = _axes(n)
-    y = _box_duals(G[idx], box)
-    covers = member[:, :, None] & (y >= 0).all(axis=2)[:, None, :]
-    pi, pj = _near_pairs(X)
-    sets = []
-    for c, keep in enumerate(member.T):
-        if rows[c] < n or (c and sets[0] is None):
-            sets.append(None)  # too few rows, or rows of an unbounded system
-        elif (_box_bounded(G, idx, y, covers[:, c], box)
-              or is_bounded(G[owner != c - 1])):
-            sets.append(X[_first_kept(keep, pi, pj)])
-        else:
-            sets.append(None)
-    return sets
+    return X, member
 
 
 def enumerate_vertices(G, h) -> np.ndarray:
@@ -209,10 +157,9 @@ def enumerate_vertices(G, h) -> np.ndarray:
     lexicographic order.
 
     Raises OracleTooLarge beyond the caps and UnboundedBody when the
-    polyhedron is unbounded (the enumeration itself assumes a polytope).
-    Near-duplicate vertices are merged, the first one found kept. The
-    no-drop case of ``_vertex_sets``: boundedness comes from the bases
-    found, and only a polyhedron without the box bases is walked.
+    polyhedron is unbounded (the enumeration itself assumes a polytope),
+    which ``is_bounded`` decides before any subset is solved.
+    Near-duplicate vertices are merged, the first one found kept.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
@@ -220,10 +167,11 @@ def enumerate_vertices(G, h) -> np.ndarray:
     check_caps(m, n)
     if m < n:
         raise UnboundedBody(f"{m} constraints cannot bound dimension {n}")
-    kept = _vertex_sets(G, h)[0]
-    if kept is None:
+    if not is_bounded(G):
         raise UnboundedBody(f"{m} constraints leave a recession direction "
                             f"in dimension {n}")
+    X = _vertex_sets(G, h)[0]
+    kept = X[_first_kept(X)]
     if not len(kept):
         raise UnboundedBody("no vertex found; polyhedron empty or degenerate")
     return kept[np.lexsort(kept.T[::-1])]
@@ -238,24 +186,41 @@ def diameter_exact(G, h) -> float:
 
 def circumradius_exact(G, h) -> float:
     """Max vertex norm, i.e. the radius seen from the origin.
-    ``drop_circumradii`` gives it together with the radius left by each
-    one-body drop, from the same enumeration."""
+    ``cheapest_drop`` gives it together with the least radius a one-body
+    drop leaves, from the same enumeration."""
     vs = enumerate_vertices(G, h)
     return float(np.linalg.norm(vs, axis=1).max())
 
 
-def drop_circumradii(G, h, owner):
-    """(radius, radii): ``circumradius_exact`` of {x : G x <= h}, and a dict
-    from each body j of ``owner`` to that of the system without j's rows,
-    all from one enumeration; +inf where a system is unbounded or has no
-    vertex. Raises OracleTooLarge beyond the caps."""
+def cheapest_drop(G, h, owner):
+    """(radius, body, body_radius): ``circumradius_exact`` of
+    {x : G x <= h}, and the body of ``owner`` whose rows leave the least
+    radius when dropped, with that radius, all from one enumeration.
+
+    Each radius is the largest vertex norm of its system, +inf without a
+    vertex, and the whole's is +inf when ``is_bounded`` refuses it. The
+    drops are asked ``is_bounded`` in increasing radius, ties to the lower
+    body, and the first bounded one is returned. body is None (at +inf)
+    when none is, as when the whole is unbounded; for a bounded whole of
+    more than 2n bodies that happens only through rounding (Steinitz).
+    Raises OracleTooLarge beyond the caps.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
     check_caps(*G.shape)
-    radii = [math.inf if vs is None or not len(vs)
-             else float(np.linalg.norm(vs, axis=1).max())
-             for vs in _vertex_sets(G, h, owner)]
-    return radii[0], dict(zip(np.unique(owner).tolist(), radii[1:]))
+    if not is_bounded(G):
+        return math.inf, None, math.inf
+    X, member = _vertex_sets(G, h, owner)
+    radii = np.where(member, np.linalg.norm(X, axis=1)[:, None],
+                     -1.0).max(axis=0, initial=-1.0)
+    radii[radii < 0.0] = math.inf
+    bodies = np.unique(owner)
+    for c in np.argsort(radii[1:], kind="stable"):
+        if math.isinf(radii[1 + c]):
+            break
+        if is_bounded(G[owner != bodies[c]]):
+            return float(radii[0]), int(bodies[c]), float(radii[1 + c])
+    return float(radii[0]), None, math.inf
 
 
 def best_subset_bruteforce(family: BodyFamily, s: int):

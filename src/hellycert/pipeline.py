@@ -25,7 +25,7 @@ from .geometry import (BodyFamily, chebyshev_center, containment_bases,
 from .io import SelectionCertificate, check, require_parameters
 from .john import john_decomposition, mvee_general
 from .lp import solve_lp
-from .oracle import diameter_exact, drop_circumradii
+from .oracle import cheapest_drop, diameter_exact
 from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
 RECENTER_TARGET = 0.05
@@ -255,21 +255,22 @@ def reduce_to_2n(family: BodyFamily,
                  selection: SelectionCertificate) -> SelectionCertificate:
     """Greedy one-at-a-time drops from s bodies down to 2n.
 
-    Every candidate drop is priced by the exact circumradius of the bodies
-    it leaves, all of a step's from one vertex enumeration
-    (``oracle.drop_circumradii``), and the cheapest is taken, the first in
-    selection order on a tie; each step's growth is checked against the
-    m/(m - 2n) factor and the chain is recorded in the certificate. A
-    selection of at most 2n bodies is only re-checked, and keeps its
-    stages, notes and informational diagnostics and verdicts, and its
+    Each step takes the drop that leaves the least exact circumradius among
+    those that leave a bounded intersection (``oracle.cheapest_drop``, one
+    vertex enumeration per step), the first in selection order on a tie.
+    Each step's growth is checked against the m/(m - 2n) factor, and the
+    chain is recorded in the certificate. By Steinitz's theorem some drop
+    is always bounded; if rounding leaves none, the first body goes, at
+    +inf, and ``reduction_growth`` fails. The drops run in stage
+    ``reduce``, which then names the stage of what they raise:
+    UnboundedBody when more than 2n selected bodies have an unbounded
+    intersection, and OracleTooLarge when they are past the vertex oracle's
+    caps. A selection of at most 2n bodies is only re-checked, and keeps
+    its stages, notes and informational diagnostics and verdicts, and its
     support directions and bases. A reduced selection is walked again: the
     input's directions and bases belong to the selection it came with.
-    Raises UnboundedBody when more than 2n selected bodies have an
-    unbounded intersection, and OracleTooLarge when they are past the
-    vertex oracle's caps.
     """
     n = family.dim
-    t0 = time.perf_counter()
     sel = list(selection.selected)
     stages, notes = dict(selection.stages), selection.notes
     diagnostics = dict(selection.diagnostics)
@@ -278,30 +279,33 @@ def reduce_to_2n(family: BodyFamily,
     payload = selection.payload
     dropping = len(sel) > 2 * n
     if dropping:
-        norm = normalize_family(family, selection.z)
-        start_radius = None
         chain = []
         growth_ok = True
-        while len(sel) > 2 * n:
-            m = len(sel)
-            whole, radii = drop_circumradii(*norm.constraint_matrix(sel))
-            if start_radius is None:
-                # by Steinitz's theorem 2n of the m > 2n bodies already bound
-                # a bounded intersection, so only the start can price +inf
-                if math.isinf(whole):
-                    raise UnboundedBody(f"the {m} selected bodies have an "
-                                        "unbounded intersection; nothing to "
-                                        "reduce")
-                radius = start_radius = whole
-            best_j = min(sel, key=radii.__getitem__)
-            best_r = radii[best_j]
-            growth = best_r / radius
-            limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
-            growth_ok = growth_ok and growth <= limit
-            chain.append((best_j, radius, best_r, growth, m / (m - 2 * n)))
-            sel.remove(best_j)
-            radius = best_r
-        directions, bases = containment_bases(norm, sorted(sel))
+        with _stage(stages, "reduce"):
+            norm = normalize_family(family, selection.z)
+            start_radius = None
+            while len(sel) > 2 * n:
+                m = len(sel)
+                whole, best_j, best_r = cheapest_drop(
+                    *norm.constraint_matrix(sel))
+                if start_radius is None:
+                    # by Steinitz's theorem 2n of the m > 2n bodies already
+                    # bound a bounded intersection, so only the start can
+                    # price +inf
+                    if math.isinf(whole):
+                        raise UnboundedBody(f"the {m} selected bodies have "
+                                            "an unbounded intersection; "
+                                            "nothing to reduce")
+                    radius = start_radius = whole
+                best_j = sel[0] if best_j is None else best_j
+                growth = best_r / radius
+                limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
+                growth_ok = growth_ok and growth <= limit
+                chain.append((best_j, radius, best_r, growth,
+                              m / (m - 2 * n)))
+                sel.remove(best_j)
+                radius = best_r
+            directions, bases = containment_bases(norm, sorted(sel))
         payload = {**payload, "support_directions": directions,
                    "support_bases": bases}
         verdicts = {"reduction_growth": growth_ok}
@@ -314,13 +318,11 @@ def reduce_to_2n(family: BodyFamily,
         notes += tuple(f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
                        f"(growth {g:.4f}, limit {lim:.4f})"
                        for j, r0, r1, g, lim in chain)
+        stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
         "d": selection.d, "eps": selection.eps, "payload": payload})
-    if dropping:
-        stages["reduce"] = time.perf_counter() - t0
-        stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
     return replace(cert, stages=stages, notes=notes,
                    verdicts={**cert.verdicts, **verdicts},
                    diagnostics={**diagnostics, **cert.diagnostics})

@@ -190,7 +190,7 @@ def test_exit_code_oracle_cap(tmp_path, monkeypatch):
         assert not out.exists(), command
 
 
-def test_reduce_exit_code_oracle_cap(tmp_path):
+def test_reduce_exit_code_oracle_cap(tmp_path, capsys):
     # s = 7 bodies of 7 rows: 49 rows, past the oracle's cap of 40 in R^3
     inst = tmp_path / "hs.json"
     cert = tmp_path / "cert.json"
@@ -199,8 +199,11 @@ def test_reduce_exit_code_oracle_cap(tmp_path):
                       inst)
     assert run(["select-gen", "--in", inst, "--out", cert]) == 0
     assert hio.load_certificate(cert)["s"] == 7
+    capsys.readouterr()
     assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 4
     assert not red.exists()
+    assert ("reduce: 49 constraints exceed oracle cap 40 in dimension 3"
+            in capsys.readouterr().err)
 
 
 def test_a_strip_is_unbounded_at_the_center(tmp_path, capsys):

@@ -16,8 +16,8 @@ from hellycert.geometry import normalize_family
 from hellycert.io import save_instance
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (FEAS_TOL, MERGE_TOL, best_subset_bruteforce,
-                              circumradius_exact, diameter_exact,
-                              drop_circumradii, enumerate_vertices,
+                              cheapest_drop, circumradius_exact,
+                              diameter_exact, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
                               gen_slab_family, is_bounded)
 
@@ -401,13 +401,26 @@ def reference_vertices(G, h):
 
 
 def reference_drop_radii(G, h, owner):
-    """``drop_circumradii`` by the reference, one system per drop."""
+    """(radius, radii): the circumradius of the whole system and a dict from
+    each body to that of the system without its rows, by the reference, one
+    system per drop; +inf where a system is unbounded or has no vertex."""
     radii = []
     for rows in [owner >= 0] + [owner != j for j in np.unique(owner)]:
         kept = reference_vertices(G[rows], h[rows])
         radii.append(math.inf if kept is None or not len(kept)
                      else float(np.linalg.norm(kept, axis=1).max()))
     return radii[0], dict(zip(np.unique(owner).tolist(), radii[1:]))
+
+
+def reference_cheapest_drop(G, h, owner):
+    """``cheapest_drop`` by the reference: the least finite radius of
+    ``reference_drop_radii``, the lower body on a tie; body None at +inf
+    when every drop prices +inf."""
+    radius, radii = reference_drop_radii(G, h, owner)
+    best = min(radii, key=radii.__getitem__)
+    if math.isinf(radii[best]):
+        return radius, None, math.inf
+    return radius, best, radii[best]
 
 
 def _triangle_with_a_short_body():
@@ -435,19 +448,37 @@ def test_drop_pricing_matches_the_reference_bit_for_bit(n, count,
                                    rows_per_body=rows_per_body)
         for target in (fam, normalize_family(fam, np.zeros(n))):
             G, h, owner = target.constraint_matrix()
-            got = drop_circumradii(G, h, owner)
-            assert got == reference_drop_radii(G, h, owner), seed
-            assert math.isfinite(got[0])
+            got = cheapest_drop(G, h, owner)
+            assert got == reference_cheapest_drop(G, h, owner), seed
+            assert math.isfinite(got[0]) and math.isfinite(got[2])
 
 
 @pytest.mark.parametrize("system", [_triangle_with_a_short_body,
                                     _open_half_plane_fan])
 def test_drop_pricing_matches_the_reference_when_drops_unbind(system):
     G, h, owner = system()
-    got = drop_circumradii(G, h, owner)
-    assert got == reference_drop_radii(G, h, owner)
-    assert all(math.isinf(r) for r in got[1].values())
+    got = cheapest_drop(G, h, owner)
+    assert got == reference_cheapest_drop(G, h, owner)
+    assert got[1:] == (None, math.inf)
     assert math.isinf(got[0]) is (system is _open_half_plane_fan)
+
+
+def test_the_cheapest_drop_skips_an_unbounded_one():
+    """Dropping body 0 (x >= -1) leaves the least vertex radius, about
+    1.118, but opens the strip to the left; the cheapest bounded drop is
+    body 4 (x + y <= 1.5), at sqrt(2)."""
+    G = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                  [1.0, 1.0]])
+    h = np.array([1.0, 1.0, 1.0, 0.5, 1.5])
+    owner = np.arange(5)
+    radius, radii = reference_drop_radii(G, h, owner)
+    assert math.isinf(radii[0]) and math.isinf(radii[3])
+    got = cheapest_drop(G, h, owner)
+    assert got == (radius, 4, radii[4])
+    assert got == pytest.approx((math.sqrt(2.0), 4, math.sqrt(2.0)))
+    X, member = oracle._vertex_sets(G, h, owner)
+    norms = np.linalg.norm(X, axis=1)
+    assert norms[member[:, 1]].max() < norms[member[:, 5]].max()
 
 
 def test_bounded_enumeration_never_walks(rng, monkeypatch):
@@ -459,7 +490,7 @@ def test_bounded_enumeration_never_walks(rng, monkeypatch):
                                               rng.uniform(0.4, 1.2, 6)]))
         fan = fan_through_corner(rng, n, 3 * n)
         enumerate_vertices(fan, np.ones(len(fan)))
-    drop_circumradii(*fam.constraint_matrix())
+    cheapest_drop(*fam.constraint_matrix())
     assert walks == []
 
 
@@ -476,16 +507,26 @@ def test_unbounded_enumeration_is_a_walked_ray(monkeypatch):
     lambda y: np.full_like(y, 1e300), lambda y: np.full_like(y, np.nan),
     lambda y: np.zeros_like(y)])
 def test_forged_duals_never_bound_an_unbounded_set(forge, monkeypatch):
-    real = oracle._box_duals
-    monkeypatch.setattr(oracle, "_box_duals",
-                        lambda bases, box: forge(real(bases, box)))
+    # the closed-form duals lp.box_bound hands to lp._box are forged;
+    # check_support's replay of a walk gets honest ones
+    real_box, real_bound = lp._box, lp.box_bound
+
+    def forged_bound(G):
+        monkeypatch.setattr(lp, "_box", lambda G, y: real_box(G, forge(y)))
+        try:
+            return real_bound(G)
+        finally:
+            monkeypatch.setattr(lp, "_box", real_box)
+
+    monkeypatch.setattr(lp, "box_bound", forged_bound)
     walks = record_walks(monkeypatch)
     with pytest.raises(UnboundedBody):
         enumerate_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
                            np.ones(3))
     G, h, owner = _triangle_with_a_short_body()
-    radius, radii = drop_circumradii(G, h, owner)
-    assert math.isfinite(radius) and all(map(math.isinf, radii.values()))
+    radius, body, body_radius = cheapest_drop(G, h, owner)
+    assert math.isfinite(radius)
+    assert body is None and math.isinf(body_radius)
     assert walks
     # a bounded square stays bounded, and keeps its vertices
     square = np.vstack([np.eye(2), -np.eye(2)])

@@ -280,8 +280,9 @@ def test_reduce_rejects_an_unbounded_selection():
     fam = BodyFamily.from_blocks(
         "general", 2, [(rows[i:i + 1], np.ones(1)) for i in range(8)])
     cert = replace(select_general(fam), selected=(0, 1, 2, 3, 4))
-    with pytest.raises(UnboundedBody, match="5 selected bodies"):
+    with pytest.raises(UnboundedBody, match="5 selected bodies") as info:
         reduce_to_2n(fam, cert)
+    assert info.value.stage == "reduce"
 
 
 # The benchmark's reduce set at seed 100 (gen_halfspace_family(2, 40, 102)
@@ -302,8 +303,8 @@ def test_reduce_chain_is_pinned(n, count, rows, seed, selected, dropped,
     fam = gen_halfspace_family(n, count, seed, rows_per_body=rows)
     cert = select_general(fam)
     assert cert.selected == selected
-    # the pricing walks only for a drop without the box bases; none here
-    real_walk, real_price = lp.vertex_walk, pipeline.drop_circumradii
+    # the pricing walks only where lp.box_bound decides nothing; never here
+    real_walk, real_price = lp.vertex_walk, pipeline.cheapest_drop
     pricing, walks = [], []
 
     def walk(G, U):
@@ -318,7 +319,7 @@ def test_reduce_chain_is_pinned(n, count, rows, seed, selected, dropped,
             pricing.pop()
 
     monkeypatch.setattr(lp, "vertex_walk", walk)
-    monkeypatch.setattr(pipeline, "drop_circumradii", price)
+    monkeypatch.setattr(pipeline, "cheapest_drop", price)
     red = reduce_to_2n(fam, cert)
     assert walks == []
     assert [int(note.split()[2].rstrip(":")) for note in red.notes
