@@ -39,6 +39,13 @@ hellycert select-gen --in hs3.json --out hs3-cert.json
 hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
 hellycert certify --in hs3.json --cert hs3-reduced.json
 python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs3-cert.json', 'hs3-reduced.json')]; assert s == [7, 6], s"
+# n=4, where the drop pricing unranks C(27, 4) = 17 550 subsets in three
+# chunks: select-gen picks 9 bodies (27 rows) and reduce drops one
+python -c "import hellycert.io as h, hellycert.oracle as o; h.save_instance(o.gen_halfspace_family(4, 12, 45, rows_per_body=(3, 3)), 'hs4.json')"
+hellycert select-gen --in hs4.json --out hs4-cert.json
+timeout 60 hellycert reduce --in hs4.json --cert hs4-cert.json --out hs4-reduced.json
+hellycert certify --in hs4.json --cert hs4-reduced.json
+python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs4-cert.json', 'hs4-reduced.json')]; assert s == [9, 8], s"
 # the vertex oracle prices both diameters: the selected bodies' is at
 # least the full family's
 hellycert select-gen --in hs.json --out hs-exact.json --exact-oracle

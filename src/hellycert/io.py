@@ -75,7 +75,9 @@ def _pyify(obj):
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist())
+        # tolist already gives Python scalars for these kinds
+        return (obj.tolist() if obj.dtype.kind in "biuf"
+                else _pyify(obj.tolist()))
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):

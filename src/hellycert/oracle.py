@@ -3,16 +3,19 @@
 Vertex enumeration solves every n-subset of constraints as a linear system
 and filters by feasibility. That is exponential and proudly so: at the
 enforced caps it is trivially correct, which makes it the trust anchor the
-LP and selection code is tested against. One pass serves a system and every
-system left when the rows of one body are dropped, which is how
-``reduce_to_2n`` prices the drops of a greedy step: a basic solution is
-a vertex of the system without body j when no row of its basis is j's and
-every row it violates is. The enumeration decides nothing about
-boundedness. ``is_bounded`` alone does, through ``lp.walk_bases``: the
-closed-form box of ``lp.box_bound`` first, the box walk only where that is
-undecided, so "unbounded" is always a checked ray. ``enumerate_vertices``
-asks it once, up front; ``cheapest_drop`` asks it of the whole and then
-of the drops in increasing radius, up to the first bounded one.
+LP and selection code is tested against. Each basis is factored once: a
+chunk of subsets is solved in one batch and only the kept solutions face
+the determinant test, save where exactly singular bases forbid it. One
+pass serves a system and every system left when the rows of one body are
+dropped, which is how ``reduce_to_2n`` prices the drops of a greedy step:
+a basic solution is a vertex of the system without body j when no row of
+its basis is j's and every row it violates is. The enumeration decides
+nothing about boundedness. ``is_bounded`` alone does, through
+``lp.walk_bases``: the closed-form box of ``lp.box_bound`` first, the box
+walk only where that is undecided, so "unbounded" is always a checked ray.
+``enumerate_vertices`` asks it once, up front; ``cheapest_drop`` asks it of
+the whole and then of the drops in increasing radius, up to the first
+bounded one.
 Also hosts the seeded generators for slab families, halfspace families
 (checked by ``is_bounded``) and the sharp two-ball instances, whose 2B
 inclusion is one covering test, no oracle call.
@@ -94,6 +97,12 @@ def _first_kept(X):
     return keep
 
 
+def _nonsingular(bases):
+    """Whether |det B| > 1e-12 (||B||_F + 1)^n, basis by basis."""
+    return np.abs(np.linalg.det(bases)) > 1e-12 * (
+        np.linalg.norm(bases, axis=(1, 2)) + 1.0) ** bases.shape[-1]
+
+
 def _vertex_sets(G, h, owner=None):
     """(X, member): the basic solutions of {x : G x <= h} that violate the
     rows of at most one body, in the order found, and member[t, c], whether
@@ -104,31 +113,48 @@ def _vertex_sets(G, h, owner=None):
 
     A basic solution x of the rows B is a vertex of the system without body
     j when no row of B is j's and every row that x violates (past FEAS_TOL)
-    is j's. Only enumeration happens here: the caller checks the caps, asks
-    ``is_bounded`` and merges near-duplicates where it needs to.
+    is j's. The n-subsets are unranked in lexicographic order, in chunks of
+    at most _CHUNK; each chunk is solved in one batch and ``_nonsingular``
+    is asked only of the solutions kept. Exactly repeated or negated rows (a
+    repeat in |G c|, as in every slab family) make exactly singular bases,
+    which LAPACK refuses: such a system, like any chunk LAPACK refuses,
+    asks ``_nonsingular`` first and solves what passes. Both tests act row
+    by row, so X is the same to the bit either way. Only enumeration
+    happens here: the caller checks the caps, asks ``is_bounded`` and
+    merges near-duplicates where it needs to.
     """
     m, n = G.shape
     drops = owner is not None
     owner = (np.unique(owner, return_inverse=True)[1] if drops
              else np.zeros(m, dtype=np.intp))
     feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
+    twins = len(np.unique(np.abs(G @ np.sqrt(np.arange(2.0, n + 2))))) < m
+    # the subset of lexicographic rank r has digits d_i = m - 1 - idx_i with
+    # sum_i C(d_i, n - i) = C(m, n) - 1 - r, each the largest d that fits
+    tables = [np.array([math.comb(d, k) for d in range(m)], dtype=np.int64)
+              for k in range(n, 0, -1)]
+    total = math.comb(m, n)
     found_idx, found_x, found_body = [], [], []
-    combos = itertools.combinations(range(m), n)
-    while True:
-        chunk = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combos, _CHUNK)), dtype=np.intp)
-        if chunk.size == 0:
-            break
-        idx = chunk.reshape(-1, n)
+    for start in range(0, total, _CHUNK):
+        rest = total - 1 - np.arange(start, min(start + _CHUNK, total),
+                                     dtype=np.int64)
+        idx = np.empty((len(rest), n), dtype=np.intp)
+        for i, table in enumerate(tables):
+            d = np.searchsorted(table, rest, side="right") - 1
+            rest -= table[d]
+            idx[:, i] = m - 1 - d
         bases = G[idx]
-        dets = np.abs(np.linalg.det(bases))
-        scale = np.linalg.norm(bases, axis=(1, 2)) + 1.0
-        # a nonzero det is an LU without a zero pivot: the solve cannot fail
-        good = dets > 1e-12 * scale ** n
-        if not good.any():
-            continue
-        idx = idx[good]
-        xs = np.linalg.solve(bases[good], h[idx][:, :, None])[:, :, 0]
+        checked = twins
+        if not twins:
+            try:
+                xs = np.linalg.solve(bases, h[idx][:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                checked = True
+        if checked:
+            # a nonzero det is an LU without a zero pivot: no solve fails
+            good = _nonsingular(bases)
+            idx, bases = idx[good], bases[good]
+            xs = np.linalg.solve(bases, h[idx][:, :, None])[:, :, 0]
         out = ~(xs @ G.T <= h + feas)
         body = np.full(len(idx), -1)
         if drops:
@@ -137,6 +163,8 @@ def _vertex_sets(G, h, owner=None):
             keep = ~(out & (owner != body[:, None])).any(axis=1)
         else:
             keep = ~out.any(axis=1)
+        if not checked:
+            keep[keep] = _nonsingular(bases[keep])
         found_idx.append(idx[keep])
         found_x.append(xs[keep])
         found_body.append(body[keep])

@@ -1,14 +1,17 @@
-"""Loop versions of three library kernels, kept as bit-for-bit references.
+"""Loop versions of four library kernels, kept as bit-for-bit references.
 
 ``bss_select`` is the barrier selection of ``hellycert.sparsify`` with a
 fresh ``np.outer`` per step and ``A`` re-symmetrized before each
 eigensolve. ``crash`` and ``vertex_walk`` are the start vertex and the
 batched walk of ``hellycert.lp`` with every step indexing the full state by
-the live directions. The library packs or reuses that work; it must return
-the same bits as these, which do the same floating-point operations in the
-same order.
+the live directions. ``vertex_sets`` is the enumeration of
+``hellycert.oracle`` with the n-subsets drawn from ``itertools`` and every
+basis put to the determinant test before it is solved. The library packs,
+reuses or skips that work; it must return the same bits as these, which do
+the same floating-point operations in the same order.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 from hellycert.errors import BarrierStuck, SolverStall
 from hellycert.linalg import extremes
 from hellycert.lp import DUAL_TOL, PIVOT_TOL, TIE_TOL, _solve
+from hellycert.oracle import _CHUNK, FEAS_TOL
 from hellycert.sparsify import _ADMIT_ATOL, _ADMIT_RTOL
 
 
@@ -171,3 +175,49 @@ def vertex_walk(G, U):
         live = live[~out]
     raise SolverStall(f"vertex walk: {live.size} of {k} directions still "
                       f"improving after {max_rounds} rounds")
+
+
+def vertex_sets(G, h, owner=None):
+    """(X, member) of ``oracle._vertex_sets``."""
+    m, n = G.shape
+    drops = owner is not None
+    owner = (np.unique(owner, return_inverse=True)[1] if drops
+             else np.zeros(m, dtype=np.intp))
+    feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
+    found_idx, found_x, found_body = [], [], []
+    combos = itertools.combinations(range(m), n)
+    while True:
+        chunk = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, _CHUNK)), dtype=np.intp)
+        if chunk.size == 0:
+            break
+        idx = chunk.reshape(-1, n)
+        bases = G[idx]
+        dets = np.abs(np.linalg.det(bases))
+        scale = np.linalg.norm(bases, axis=(1, 2)) + 1.0
+        good = dets > 1e-12 * scale ** n
+        if not good.any():
+            continue
+        idx = idx[good]
+        xs = np.linalg.solve(bases[good], h[idx][:, :, None])[:, :, 0]
+        out = ~(xs @ G.T <= h + feas)
+        body = np.full(len(idx), -1)
+        if drops:
+            hit = out.any(axis=1)
+            body[hit] = owner[np.argmax(out[hit], axis=1)]
+            keep = ~(out & (owner != body[:, None])).any(axis=1)
+        else:
+            keep = ~out.any(axis=1)
+        found_idx.append(idx[keep])
+        found_x.append(xs[keep])
+        found_body.append(body[keep])
+    idx = np.concatenate(found_idx or [np.zeros((0, n), dtype=np.intp)])
+    X = np.concatenate(found_x or [np.zeros((0, n))])
+    body = np.concatenate(found_body or [np.zeros(0, dtype=int)])
+    member = (body < 0)[:, None]
+    if drops:
+        in_basis = np.zeros((len(idx), owner.max() + 1), dtype=bool)
+        in_basis[np.arange(len(idx))[:, None], owner[idx]] = True
+        member = np.hstack([member, (member | (
+            body[:, None] == np.arange(in_basis.shape[1]))) & ~in_basis])
+    return X, member

@@ -695,3 +695,38 @@ def test_derived_float_edits_are_judged_by_their_size(certificates, mode,
         assert ok
     elif size >= 10 * hio.DERIVED_RTOL:
         assert not ok
+
+
+def _pyify_recursive(obj):
+    """``io._pyify`` as it was before its ndarray fast path: every element
+    of every array goes back through it."""
+    if isinstance(obj, dict):
+        return {str(k): _pyify_recursive(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pyify_recursive(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _pyify_recursive(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint8,
+                                   np.uint64, np.float16, np.float32, float])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,), (0, 3)])
+def test_pyify_of_an_array_is_the_recursive_form(dtype, shape):
+    a = (np.arange(int(np.prod(shape))) % 3).reshape(shape).astype(dtype)
+    # repr tells 1, 1.0 and True apart, and numpy scalars from Python's
+    assert repr(hio._pyify({"a": a})) == repr(_pyify_recursive({"a": a}))
+
+
+def test_pyify_of_an_object_array_is_the_recursive_form():
+    a = np.array([np.float32(0.5), np.int16(3), np.bool_(True), "x",
+                  np.arange(2)], dtype=object)
+    got = hio._pyify(a)
+    assert repr(got) == repr(_pyify_recursive(a))
+    assert got == [0.5, 3, True, "x", [0, 1]]

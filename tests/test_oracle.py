@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hellycert import lp, oracle
+from hellycert import lp, oracle, pipeline
 from hellycert.errors import (OracleTooLarge, SharpnessGenFailed,
                               UnboundedBody)
 from hellycert.geometry import normalize_family
 from hellycert.io import save_instance
 from hellycert.lp import support_h_polytope
-from hellycert.oracle import (FEAS_TOL, MERGE_TOL, best_subset_bruteforce,
+from hellycert.oracle import (_CHUNK, FEAS_TOL, MERGE_TOL,
+                              best_subset_bruteforce,
                               cheapest_drop, circumradius_exact,
                               diameter_exact, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
                               gen_slab_family, is_bounded)
+from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
 
+import reference_kernels
 from conftest import (cube_slab_family, fan_through_corner, record_walks,
                       unit_rows, walked_alpha)
 
@@ -583,3 +586,132 @@ def test_merge_keeps_the_first_copy_like_the_reference():
         ref = reference_vertices(fan, ones)
         np.testing.assert_array_equal(enumerate_vertices(fan, ones),
                                       ref[np.lexsort(ref.T[::-1])])
+
+
+def _priced_in_reduce(*chain):
+    """The (G, h, owner) of every ``cheapest_drop`` call that reduces the
+    selections of these (n, count, rows_per_body, seed) families."""
+    systems = []
+
+    def price(G, h, owner):
+        systems.append((G, h, owner))
+        return cheapest_drop(G, h, owner)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "cheapest_drop", price)
+        for n, count, rows, seed in chain:
+            fam = gen_halfspace_family(n, count, seed, rows_per_body=rows)
+            reduce_to_2n(fam, select_general(fam))
+    return systems
+
+
+def _halfspace_rows(n, count, seed, rows=None):
+    return [gen_halfspace_family(n, count, seed,
+                                 rows_per_body=rows).constraint_matrix()]
+
+
+def _slab_selection():
+    """A slab selection: the rows g and -g of each slab make exactly
+    singular bases."""
+    fam = gen_slab_family(3, 12, 1)
+    return [fam.constraint_matrix(select_symmetric(fam).selected)]
+
+
+def _duplicated_and_tilted():
+    """A family's rows with three of them repeated, then with three tilted
+    by 1e-15 (no exact twin, so near-singular bases reach the solve), and a
+    triangle whose row (1, 1e-15) solves with x <= 1 to (1, 0), inside an
+    edge, with |det| = 1e-15."""
+    G, h, owner = gen_halfspace_family(
+        3, 6, 100, rows_per_body=(4, 4)).constraint_matrix()
+    tilt = G[:3] + 1e-15 * unit_rows(np.random.default_rng(0), 3, 3)
+    triangle = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [1.0, 1e-15]])
+    return [(np.vstack([G, G[:3]]), np.concatenate([h, h[:3]]),
+             np.concatenate([owner, owner[:3]])),
+            (np.vstack([G, tilt]), np.concatenate([h, h[:3]]),
+             np.concatenate([owner, owner[:3]])),
+            (triangle, np.ones(4), np.arange(4))]
+
+
+def _degenerate_corners():
+    """e_1 .. e_n and 2n rows tight at (1, ..., 1), closed by one row along
+    -(1, ..., 1): a vertex with 3n tight rows and no repeated or negated
+    row; and in R^3 a family's rows with e_1, e_2 and (e_1 + e_2) / sqrt 2
+    added, whose exactly singular basis LAPACK refuses."""
+    systems = []
+    for n in (2, 3):
+        v = np.ones(n)
+        w = 0.3 * np.random.default_rng(n).standard_normal((2 * n, n))
+        w -= np.outer(w @ v, v) / n
+        G = np.vstack([np.eye(n), v / n + w, -v])
+        systems.append((G, np.ones(len(G)), np.arange(len(G)) // 2))
+    G, h, owner = gen_halfspace_family(
+        3, 6, 101, rows_per_body=(4, 4)).constraint_matrix()
+    extra = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [math.sqrt(0.5), math.sqrt(0.5), 0.0]])
+    systems.append((np.vstack([G, extra]), np.concatenate([h, [2.0] * 3]),
+                    np.concatenate([owner, [6, 6, 7]])))
+    return systems
+
+
+@pytest.mark.parametrize("systems", [
+    lambda: _priced_in_reduce((2, 40, None, 102), (2, 40, None, 103),
+                              (3, 10, (4, 4), 109)),
+    lambda: _priced_in_reduce((2, 40, None, 9), (2, 40, None, 10),
+                              (3, 10, (4, 4), 7)),
+    *[lambda n=n: _halfspace_rows(n, 3, n, (n + 1, n + 1))
+      for n in range(1, 7)],
+    _slab_selection, _duplicated_and_tilted, _degenerate_corners,
+    lambda: _halfspace_rows(3, 10, 3, (4, 4))],
+    ids=["reduce-seed-100", "reduce-seed-7",
+         *[f"halfspace-n{n}" for n in range(1, 7)], "slabs",
+         "duplicated-and-tilted", "degenerate-corners", "m40-n3"])
+def test_vertex_sets_match_the_reference_bit_for_bit(systems):
+    for G, h, owner in systems():
+        for rows in (owner, None):
+            got = oracle._vertex_sets(G, h, rows)
+            want = reference_kernels.vertex_sets(G, h, rows)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert len(want[0])
+
+
+def _recorded(monkeypatch, name):
+    """The batch sizes np.linalg.<name> is handed, in call order."""
+    real, sizes = getattr(np.linalg, name), []
+
+    def recorded(a, *args):
+        sizes.append(len(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return sizes
+
+
+def test_drop_pricing_takes_determinants_of_kept_solutions_only(monkeypatch):
+    fam = gen_halfspace_family(3, 10, 109, rows_per_body=(4, 4))
+    cert = select_general(fam)
+    G, h, owner = normalize_family(fam, cert.z).constraint_matrix(
+        cert.selected)
+    kept = len(oracle._vertex_sets(G, h, owner)[0])
+    dets = _recorded(monkeypatch, "det")
+    cheapest_drop(G, h, owner)
+    # a determinant-first order takes all C(28, 3) = 3 276
+    assert 0 < sum(dets) <= kept < math.comb(len(G), 3) // 10
+
+
+def test_every_basis_is_solved_once_in_chunks(monkeypatch):
+    G, h, owner = gen_halfspace_family(
+        3, 10, 3, rows_per_body=(4, 4)).constraint_matrix()
+    solves = _recorded(monkeypatch, "solve")
+    oracle._vertex_sets(G, h, owner)
+    assert solves == [_CHUNK, math.comb(40, 3) - _CHUNK]
+    # slabs take the determinant first and solve what passes: once a chunk
+    fam = gen_slab_family(3, 12, 1)
+    G, h, owner = fam.constraint_matrix()
+    chunks = -(-math.comb(len(G), 3) // _CHUNK)
+    dets = _recorded(monkeypatch, "det")
+    del solves[:]
+    oracle._vertex_sets(G, h, owner)
+    assert chunks > 1 and len(solves) == len(dets) == chunks
+    assert max(solves) < _CHUNK and sum(dets) == math.comb(len(G), 3)

@@ -293,6 +293,8 @@ REDUCE_CHAINS = [
     (2, 40, None, 103, (0, 1, 19, 26, 38), [0], (1, 19, 26, 38)),
     (3, 10, (4, 4), 109, (0, 1, 4, 5, 6, 7, 8), [1], (0, 4, 5, 6, 7, 8)),
     (3, 10, None, 26, (1, 2, 3, 4, 5, 7, 8), [1], (2, 3, 4, 5, 7, 8)),
+    (4, 12, (3, 3), 45, (1, 2, 3, 4, 5, 6, 7, 8, 10), [1],
+     (2, 3, 4, 5, 6, 7, 8, 10)),
 ]
 
 
