@@ -50,6 +50,13 @@ python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs4-
 # least the full family's
 hellycert select-gen --in hs.json --out hs-exact.json --exact-oracle
 python -c "import json, math; r = json.load(open('hs-exact.json'))['diameter']['ratio']; assert math.isfinite(r) and r >= 1.0, r"
+# and a symmetric one: 32 slab rows in R^3 (the cap is 40), each beside
+# its negation, so the oracle drops every basis holding such a twin pair
+# by index before it solves the rest
+hellycert gen --kind slab --n 3 --count 8 --seed 0 --out slab8.json
+hellycert select-sym --in slab8.json --out slab8-exact.json --exact-oracle
+hellycert certify --in slab8.json --cert slab8-exact.json
+python -c "import json, math; r = json.load(open('slab8-exact.json'))['diameter']['ratio']; assert math.isfinite(r) and r >= 1.0, r"
 # seed 53 selects 7 bodies with 41 rows, past the oracle's cap of 40 in
 # R^3: reduce exits 4, writes nothing and names its stage
 hellycert gen --kind halfspace --n 3 --count 10 --seed 53 --out hs53.json

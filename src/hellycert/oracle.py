@@ -4,18 +4,19 @@ Vertex enumeration solves every n-subset of constraints as a linear system
 and filters by feasibility. That is exponential and proudly so: at the
 enforced caps it is trivially correct, which makes it the trust anchor the
 LP and selection code is tested against. Each basis is factored once: a
-chunk of subsets is solved in one batch and only the kept solutions face
-the determinant test, save where exactly singular bases forbid it. One
-pass serves a system and every system left when the rows of one body are
-dropped, which is how ``reduce_to_2n`` prices the drops of a greedy step:
-a basic solution is a vertex of the system without body j when no row of
-its basis is j's and every row it violates is. The enumeration decides
-nothing about boundedness. ``is_bounded`` alone does, through
-``lp.walk_bases``: the closed-form box of ``lp.box_bound`` first, the box
-walk only where that is undecided, so "unbounded" is always a checked ray.
-``enumerate_vertices`` asks it once, up front; ``cheapest_drop`` asks it of
-the whole and then of the drops in increasing radius, up to the first
-bounded one.
+chunk of subsets is solved in one batch, the subsets holding two rows equal
+up to sign (singular by construction) dropped by index first, and only the
+kept solutions face the determinant test; a chunk LAPACK still refuses is
+redone with that test first. One pass serves a system and every system
+left when the rows of one body are dropped, which is how ``reduce_to_2n``
+prices the drops of a greedy step: a basic solution is a vertex of the
+system without body j when no row of its basis is j's and every row it
+violates is. The enumeration decides nothing about boundedness.
+``is_bounded`` alone does, through ``lp.walk_bases``: the closed-form box
+of ``lp.box_bound`` first, the box walk only where that is undecided, so
+"unbounded" is always a checked ray. ``enumerate_vertices`` asks it once,
+up front; ``cheapest_drop`` asks it of the whole and then of the drops in
+increasing radius, up to the first bounded one.
 Also hosts the seeded generators for slab families, halfspace families
 (checked by ``is_bounded``) and the sharp two-ball instances, whose 2B
 inclusion is one covering test, no oracle call.
@@ -74,26 +75,12 @@ def is_bounded(G) -> bool:
 
 def _first_kept(X):
     """The rows of X left when each one within MERGE_TOL of an earlier kept
-    row is merged into it, walking in row order. The near pairs (i, j),
-    j < i, come from one pairwise-distance pass, in blocks of rows."""
-    step = max(1, (1 << 18) // max(len(X), 1))
-    pi, pj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for a in range(0, len(X), step):
-        dist = np.linalg.norm(X[a:a + step, None, :] - X[None, :a + step, :],
-                              axis=2)
-        i, j = np.nonzero(~(dist > MERGE_TOL))
-        below = j < i + a
-        pi.append(i[below] + a)
-        pj.append(j[below])
-    pi, pj = np.concatenate(pi), np.concatenate(pj)
+    row is merged into it (NaN counts as near), walking in row order: each
+    kept row drops every later row near it."""
     keep = np.ones(len(X), dtype=bool)
-    keep[pi] = False
-    merged = np.zeros(len(X), dtype=bool)
-    merged[pi[keep[pj]]] = True
-    # left: rows whose earlier near rows all have earlier ones too (a chain
-    # of near-duplicates); settle them in order
-    for i in np.flatnonzero(~keep & ~merged):
-        keep[i] = not keep[pj[pi == i]].any()
+    for i, x in enumerate(X):
+        if keep[i]:
+            keep[i + 1:] &= np.linalg.norm(X[i + 1:] - x, axis=1) > MERGE_TOL
     return keep
 
 
@@ -115,20 +102,26 @@ def _vertex_sets(G, h, owner=None):
     j when no row of B is j's and every row that x violates (past FEAS_TOL)
     is j's. The n-subsets are unranked in lexicographic order, in chunks of
     at most _CHUNK; each chunk is solved in one batch and ``_nonsingular``
-    is asked only of the solutions kept. Exactly repeated or negated rows (a
-    repeat in |G c|, as in every slab family) make exactly singular bases,
-    which LAPACK refuses: such a system, like any chunk LAPACK refuses,
-    asks ``_nonsingular`` first and solves what passes. Both tests act row
-    by row, so X is the same to the bit either way. Only enumeration
-    happens here: the caller checks the caps, asks ``is_bounded`` and
-    merges near-duplicates where it needs to.
+    is asked only of the solutions kept. Rows equal up to sign (twins, as in
+    every slab family; only a repeat in |G c| makes them looked for) make
+    exactly singular bases, so a subset holding two twins is dropped by
+    index first. A chunk LAPACK still refuses asks ``_nonsingular`` first
+    and solves what passes. Every test acts row by row, so X is the same
+    to the bit either way. The caller checks the caps, asks ``is_bounded``
+    and merges near-duplicates where it needs to.
     """
     m, n = G.shape
     drops = owner is not None
     owner = (np.unique(owner, return_inverse=True)[1] if drops
              else np.zeros(m, dtype=np.intp))
     feas = FEAS_TOL * np.maximum(1.0, np.abs(h))
-    twins = len(np.unique(np.abs(G @ np.sqrt(np.arange(2.0, n + 2))))) < m
+    # twin classes (rows equal up to sign); twins always repeat in |G c|
+    twin = None
+    if len(np.unique(np.abs(G @ np.sqrt(np.arange(2.0, n + 2))))) < m:
+        sign = np.sign(G[np.arange(m), np.argmax(G != 0, axis=1)])
+        twin = np.unique(G * sign[:, None], axis=0,
+                         return_inverse=True)[1].reshape(-1)
+        lo, hi = np.triu_indices(n, 1)  # each pair of positions in a basis
     # the subset of lexicographic rank r has digits d_i = m - 1 - idx_i with
     # sum_i C(d_i, n - i) = C(m, n) - 1 - r, each the largest d that fits
     tables = [np.array([math.comb(d, k) for d in range(m)], dtype=np.int64)
@@ -143,15 +136,13 @@ def _vertex_sets(G, h, owner=None):
             d = np.searchsorted(table, rest, side="right") - 1
             rest -= table[d]
             idx[:, i] = m - 1 - d
+        if twin is not None:
+            idx = idx[~(twin[idx[:, lo]] == twin[idx[:, hi]]).any(axis=1)]
         bases = G[idx]
-        checked = twins
-        if not twins:
-            try:
-                xs = np.linalg.solve(bases, h[idx][:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                checked = True
-        if checked:
-            # a nonzero det is an LU without a zero pivot: no solve fails
+        try:
+            xs = np.linalg.solve(bases, h[idx][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # exactly singular without twins: solve what a nonzero det passes
             good = _nonsingular(bases)
             idx, bases = idx[good], bases[good]
             xs = np.linalg.solve(bases, h[idx][:, :, None])[:, :, 0]
@@ -163,8 +154,7 @@ def _vertex_sets(G, h, owner=None):
             keep = ~(out & (owner != body[:, None])).any(axis=1)
         else:
             keep = ~out.any(axis=1)
-        if not checked:
-            keep[keep] = _nonsingular(bases[keep])
+        keep[keep] = _nonsingular(bases[keep])
         found_idx.append(idx[keep])
         found_x.append(xs[keep])
         found_body.append(body[keep])
@@ -186,8 +176,8 @@ def enumerate_vertices(G, h) -> np.ndarray:
 
     Raises OracleTooLarge beyond the caps and UnboundedBody when the
     polyhedron is unbounded (the enumeration itself assumes a polytope),
-    which ``is_bounded`` decides before any subset is solved.
-    Near-duplicate vertices are merged, the first one found kept.
+    which ``is_bounded`` decides before any subset is solved. Vertices
+    within MERGE_TOL merge in one forward pass, the first one found kept.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)

@@ -1,4 +1,4 @@
-"""Loop versions of four library kernels, kept as bit-for-bit references.
+"""Earlier versions of five library kernels, kept as bit-for-bit references.
 
 ``bss_select`` is the barrier selection of ``hellycert.sparsify`` with a
 fresh ``np.outer`` per step and ``A`` re-symmetrized before each
@@ -6,9 +6,11 @@ eigensolve. ``crash`` and ``vertex_walk`` are the start vertex and the
 batched walk of ``hellycert.lp`` with every step indexing the full state by
 the live directions. ``vertex_sets`` is the enumeration of
 ``hellycert.oracle`` with the n-subsets drawn from ``itertools`` and every
-basis put to the determinant test before it is solved. The library packs,
-reuses or skips that work; it must return the same bits as these, which do
-the same floating-point operations in the same order.
+basis put to the determinant test before it is solved. ``first_kept`` is
+the oracle's near-duplicate merge as one blocked pairwise-distance pass
+with its chains of near rows settled afterwards. The library packs, reuses
+or skips that work; it must return the same bits as these, which do the
+same floating-point operations in the same order.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import numpy as np
 from hellycert.errors import BarrierStuck, SolverStall
 from hellycert.linalg import extremes
 from hellycert.lp import DUAL_TOL, PIVOT_TOL, TIE_TOL, _solve
-from hellycert.oracle import _CHUNK, FEAS_TOL
+from hellycert.oracle import _CHUNK, FEAS_TOL, MERGE_TOL
 from hellycert.sparsify import _ADMIT_ATOL, _ADMIT_RTOL
 
 
@@ -221,3 +223,26 @@ def vertex_sets(G, h, owner=None):
         member = np.hstack([member, (member | (
             body[:, None] == np.arange(in_basis.shape[1]))) & ~in_basis])
     return X, member
+
+
+def first_kept(X):
+    """The keep mask of ``oracle._first_kept``."""
+    step = max(1, (1 << 18) // max(len(X), 1))
+    pi, pj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for a in range(0, len(X), step):
+        dist = np.linalg.norm(X[a:a + step, None, :] - X[None, :a + step, :],
+                              axis=2)
+        i, j = np.nonzero(~(dist > MERGE_TOL))
+        below = j < i + a
+        pi.append(i[below] + a)
+        pj.append(j[below])
+    pi, pj = np.concatenate(pi), np.concatenate(pj)
+    keep = np.ones(len(X), dtype=bool)
+    keep[pi] = False
+    merged = np.zeros(len(X), dtype=bool)
+    merged[pi[keep[pj]]] = True
+    # left: rows whose earlier near rows all have earlier ones too (a chain
+    # of near-duplicates); settle them in order
+    for i in np.flatnonzero(~keep & ~merged):
+        keep[i] = not keep[pj[pi == i]].any()
+    return keep

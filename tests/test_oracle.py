@@ -654,18 +654,28 @@ def _degenerate_corners():
     return systems
 
 
-@pytest.mark.parametrize("systems", [
-    lambda: _priced_in_reduce((2, 40, None, 102), (2, 40, None, 103),
-                              (3, 10, (4, 4), 109)),
-    lambda: _priced_in_reduce((2, 40, None, 9), (2, 40, None, 10),
-                              (3, 10, (4, 4), 7)),
-    *[lambda n=n: _halfspace_rows(n, 3, n, (n + 1, n + 1))
-      for n in range(1, 7)],
-    _slab_selection, _duplicated_and_tilted, _degenerate_corners,
-    lambda: _halfspace_rows(3, 10, 3, (4, 4))],
-    ids=["reduce-seed-100", "reduce-seed-7",
-         *[f"halfspace-n{n}" for n in range(1, 7)], "slabs",
-         "duplicated-and-tilted", "degenerate-corners", "m40-n3"])
+def _planar_slabs():
+    """The 128 rows of 64 planar unit slabs, without owners."""
+    G, h, _ = gen_sharpness_instance(2, 64, 0).constraint_matrix()
+    return [(G, h, None)]
+
+
+_BIT_FOR_BIT = {
+    "reduce-seed-100": lambda: _priced_in_reduce(
+        (2, 40, None, 102), (2, 40, None, 103), (3, 10, (4, 4), 109)),
+    "reduce-seed-7": lambda: _priced_in_reduce(
+        (2, 40, None, 9), (2, 40, None, 10), (3, 10, (4, 4), 7)),
+    **{f"halfspace-n{n}": lambda n=n: _halfspace_rows(n, 3, n, (n + 1, n + 1))
+       for n in range(1, 7)},
+    "slabs": _slab_selection, "duplicated-and-tilted": _duplicated_and_tilted,
+    "degenerate-corners": _degenerate_corners,
+    "m40-n3": lambda: _halfspace_rows(3, 10, 3, (4, 4)),
+    "planar-slabs": _planar_slabs,
+    "slabs-n4": lambda: [gen_slab_family(4, 8, 3).constraint_matrix()]}
+
+
+@pytest.mark.parametrize("systems", list(_BIT_FOR_BIT.values()),
+                         ids=list(_BIT_FOR_BIT))
 def test_vertex_sets_match_the_reference_bit_for_bit(systems):
     for G, h, owner in systems():
         for rows in (owner, None):
@@ -674,6 +684,41 @@ def test_vertex_sets_match_the_reference_bit_for_bit(systems):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert len(want[0])
+
+
+def _merge_cases(rng):
+    """Point sets for the near-duplicate merge, rows in a random order, each
+    with a merge to make: clusters around four seed points at 0, 0.5, 0.999,
+    1.001 and 1.5 MERGE_TOL; chains a-b-c in every order, b 0.6 MERGE_TOL
+    from a and from c, which are 1.2 apart; exact copies; and a NaN row."""
+    cases = []
+    for n in (1, 2, 3, 6):
+        seeds = rng.uniform(-2.0, 2.0, (4, n))
+        radii = MERGE_TOL * np.array([0.0, 0.5, 0.999, 1.001, 1.5] * 3)
+        dirs = unit_rows(rng, 4 * len(radii), n).reshape(4, len(radii), n)
+        cluster = (seeds[:, None] + radii[:, None] * dirs).reshape(-1, n)
+        cases.append(cluster[rng.permutation(len(cluster))])
+        step = 0.6 * MERGE_TOL * dirs[0, 0]
+        chain = seeds[0] + np.outer([0.0, 1.0, 2.0], step)
+        cases.extend(chain[list(p)] for p in itertools.permutations(range(3)))
+        copies = np.repeat(seeds, [1, 2, 3, 1], axis=0)
+        cases.append(copies[rng.permutation(len(copies))])
+        cases.append(np.insert(cluster, 7, np.nan, axis=0))
+    return cases
+
+
+def test_merge_keeps_the_masks_of_the_blocked_reference(rng):
+    cases = _merge_cases(rng)
+    for X in cases:
+        keep = reference_kernels.first_kept(X)
+        assert np.array_equal(oracle._first_kept(X), keep)
+        assert keep.any() and not keep.all()
+    for systems in _BIT_FOR_BIT.values():
+        for G, h, owner in systems():
+            for rows in (owner, None):
+                X = oracle._vertex_sets(G, h, rows)[0]
+                assert np.array_equal(oracle._first_kept(X),
+                                      reference_kernels.first_kept(X))
 
 
 def _recorded(monkeypatch, name):
@@ -706,12 +751,24 @@ def test_every_basis_is_solved_once_in_chunks(monkeypatch):
     solves = _recorded(monkeypatch, "solve")
     oracle._vertex_sets(G, h, owner)
     assert solves == [_CHUNK, math.comb(40, 3) - _CHUNK]
-    # slabs take the determinant first and solve what passes: once a chunk
+    # slabs: the subsets holding a row g and its twin -g are dropped by
+    # index, the rest solved once a chunk and only kept solutions face det
     fam = gen_slab_family(3, 12, 1)
     G, h, owner = fam.constraint_matrix()
     chunks = -(-math.comb(len(G), 3) // _CHUNK)
     dets = _recorded(monkeypatch, "det")
+    recorded, solved = np.linalg.solve, []
+
+    def solve(a, *args):
+        solved.append(a)
+        return recorded(a, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     del solves[:]
-    oracle._vertex_sets(G, h, owner)
+    X = oracle._vertex_sets(G, h, owner)[0]
     assert chunks > 1 and len(solves) == len(dets) == chunks
-    assert max(solves) < _CHUNK and sum(dets) == math.comb(len(G), 3)
+    assert max(solves) < _CHUNK and sum(dets) <= len(X)
+    for bases in solved:
+        for i, j in itertools.combinations(range(3), 2):
+            a, b = bases[:, i], bases[:, j]
+            assert not ((a == b) | (a == -b)).all(axis=1).any()
