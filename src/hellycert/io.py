@@ -10,7 +10,10 @@ equal bytes on any platform.
 ``check`` derives every verdict of a certificate, and every number behind
 them, from the instance and the certificate's claims. The selectors fill
 their certificates from it, and ``verify_certificate`` compares a stored
-certificate with it.
+certificate with it. The producer decides by the same rules: the
+Caratheodory witness passes ``caratheodory_holds`` in both, and the
+general-mode shift and its target w are derived from the coefficients and
+rows, never claimed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ WITNESS_TOL = 1e-12
 # checks on another. It sits below the slack of every verdict (1e-9 and
 # up), and verdicts are recomputed, never read.
 DERIVED_RTOL = 1e-10
-WITNESSES = ("contact_vectors", "tau_vectors")
+# The payload copies ``check`` derives, each with whether a certificate must
+# store it; shift and w, claims until ``check`` derived them, need not be.
+# A stored copy must match the derived one to WITNESS_TOL.
+WITNESSES = dict(contact_vectors=True, tau_vectors=True, shift=False, w=False)
 
 
 @dataclass(frozen=True)
@@ -297,6 +303,18 @@ def require_parameters(n: int, d=None, eps=None, error=CertificateRejected):
         raise error(f"d={d!r} is not a step of D_ESCALATION {D_ESCALATION}")
 
 
+def caratheodory_holds(points: np.ndarray, rho: np.ndarray, w: np.ndarray):
+    """(verdict, residual) of w as the convex combination rho of the rows
+    of ``points``: at most n + 1 rows, rho >= 0 summing to 1 within 1e-12,
+    and a residual |points^T rho - w| of at most 1e-9. The one rule: the
+    ``caratheodory`` verdict of ``check`` and the acceptance of
+    ``pipeline.caratheodory_express``."""
+    residual = float(np.linalg.norm(points.T @ rho - w))
+    return (len(points) <= points.shape[1] + 1 and bool(np.all(rho >= 0.0))
+            and abs(float(rho.sum()) - 1.0) <= 1e-12
+            and residual <= 1e-9), residual
+
+
 def check(family: BodyFamily, claims) -> SelectionCertificate:
     """The certificate the instance and the claims support.
 
@@ -304,19 +322,23 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     payload: the ``frame`` and ``frame_center``, the generator rows
     ``sigma_rows`` with their ``coefficients``, the walked
     ``support_directions`` and their ``support_bases`` of
-    ``geometry.containment_bases`` and, in general mode, the ``shift``, the
-    Caratheodory target ``w``, its rows ``tau_rows`` and weights ``rho``.
-    Each selected body must own one of these rows (a reduced selection drops
-    some owners). alpha comes from replaying the support bases and checking
-    the dual bound of every other direction against it, never from a walk;
-    null bases give alpha = +inf. Witness vectors are derived as
-    normalize((generator - frame_center) @ frame) from the polar generators,
-    the rows of the instance normalized at ``z``, and added to the payload;
-    s, gamma_d, the bound, alpha, c_measured, the verdicts and the derived
-    diagnostics (budget, spectra, residuals, walked and screened direction
-    counts) are recomputed, never read. Other keys are ignored. The
-    sandwich slack is ``john.TOL_JOHN_DEFAULT``, the producer's John
-    acceptance, and no claim can widen it.
+    ``geometry.containment_bases`` and, in general mode, the Caratheodory
+    rows ``tau_rows`` and weights ``rho``. Each selected body must own one
+    of these rows (a reduced selection drops some owners). alpha comes from
+    replaying the support bases and checking the dual bound of every other
+    direction against it, never from a walk; null bases give alpha = +inf.
+    Witness vectors are derived as normalize((generator - frame_center) @
+    frame) from the polar generators, the rows of the instance normalized
+    at ``z``, and added to the payload. In general mode so are the shift
+    -sum b_j v_j / sum b_j of the coefficients b (whose sum must be
+    positive) and contact vectors v, and the Caratheodory target
+    w = shift / sqrt(eps n). s, gamma_d, the bound, alpha, c_measured, the
+    verdicts and the derived diagnostics (budget, spectra, residuals,
+    walked and screened direction counts) are recomputed, never read.
+    Other keys are ignored. The sandwich slack is set from
+    ``john.TOL_JOHN_DEFAULT``, the producer's John acceptance (in general
+    mode ``sparsify.SANDWICH_WINDOW``), and no claim can widen it. The
+    Caratheodory verdict is ``caratheodory_holds``, the producer's rule.
     Stages, notes and the producer's own diagnostics are left empty.
 
     Raises InvalidInstance for a missing or mistyped claim,
@@ -392,23 +414,23 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     else:
         bound, c_measured = alpha, alpha / n ** 1.5
         taus = payload["tau_vectors"] = _unit_rows(framed, tau_rows)
-        shift, w = _array(payload, "shift", (n,)), _array(payload, "w", (n,))
         rho = _array(payload, "rho", (len(tau_rows),))
+        total = float(coef.sum())
+        if not total > 0.0:
+            raise CertificateRejected(f"coefficients sum to {total!r}")
+        shift = payload["shift"] = -(coef @ vecs) / total
+        w = payload["w"] = shift / math.sqrt(eps * n)
         budget = math.ceil(d * (n + 1)) + n + 1
         union = len(set(sigma_rows) | set(tau_rows))
         shift_verdicts, shift_diagnostics = certify_operator_T(
-            vecs, coef, shift, eps, 1e-6 + TOL_JOHN_DEFAULT)
+            vecs, coef, shift, eps)
         w_norm = float(np.linalg.norm(w))
-        cara = float(np.linalg.norm(taus.T @ rho - w))
+        cara_ok, cara = caratheodory_holds(taus, rho, w)
         verdicts = {
             "cardinality": union <= budget and s <= budget,
             **shift_verdicts,
-            "w_norm": (w_norm <= 1.0 / n + 1e-9 and bool(
-                np.array_equal(w, shift / math.sqrt(eps * n)))),
-            "caratheodory": (bool(np.all(rho >= 0.0))
-                             and len(tau_rows) <= n + 1
-                             and abs(float(rho.sum()) - 1.0) <= 1e-12
-                             and cara <= 1e-9),
+            "w_norm": w_norm <= 1.0 / n + 1e-9,
+            "caratheodory": cara_ok,
             "alpha_finite": math.isfinite(alpha),
         }
         diagnostics.update(
@@ -437,14 +459,16 @@ def verify_certificate(family: BodyFamily, doc: dict):
     Every derived field (``s``, ``gamma_d``, ``bound_claimed``,
     ``alpha_measured``, ``c_measured``, each derived diagnostic) must match
     the recomputed value: integers, None and strings exactly, floats to the
-    relative DERIVED_RTOL. The stored witness vectors must match the derived
-    ones to 1e-12, and the stored verdicts must be the recomputed ones, all
-    true. The claims themselves (indices, ``z``, payload floats) are used as
-    stored. ``format``, ``version`` and ``dimension`` must match, and ``m``
-    must be unset or the instance's row count. Informational, not compared:
-    ``timing``, ``notes``, ``seed``, ``diameter``, the John
-    residuals, the ``recenter_*``, ``chebyshev_radius`` and ``reduction_*``
-    diagnostics, and the ``reduction_growth`` verdict (re-deriving it needs
+    relative DERIVED_RTOL. The stored witness vectors, and the general-mode
+    ``shift`` and ``w`` where a certificate stores them, must match the
+    derived ones to 1e-12, and the stored verdicts must be the recomputed
+    ones, all true. The claims themselves (indices, ``z``, payload floats)
+    are used as stored. ``format``, ``version`` and ``dimension`` must
+    match, and ``m`` must be unset or the instance's row count.
+    Informational, not compared: ``timing``, ``notes``, ``seed``,
+    ``diameter``, the John residuals, the ``recenter_*``,
+    ``chebyshev_radius`` and ``reduction_*`` diagnostics, and the
+    ``reduction_growth`` verdict (re-deriving it needs
     the exponential vertex oracle). Claims that ``check`` rejects, and
     support bases or spectra that fail their check, are problems too.
     Returns (ok, list of problems).
@@ -472,14 +496,14 @@ def verify_certificate(family: BodyFamily, doc: dict):
                  f"{value!r} recomputed"
                  for key, value in checked.diagnostics.items()
                  if not _same(_field(diagnostics, key), value)]
-    for key in [k for k in WITNESSES if k in checked.payload]:
+    for key in [k for k, required in WITNESSES.items()
+                if k in checked.payload and (required or k in doc["payload"])]:
         value = checked.payload[key]
         gap = float(np.max(np.abs(
             _array(doc["payload"], key, value.shape) - value)))
         if not gap <= WITNESS_TOL:
-            problems.append(f"payload {key} differ from the vectors of their "
-                            f"generator rows by {gap:.3e} (allowed "
-                            f"{WITNESS_TOL:.0e})")
+            problems.append(f"payload {key} differs from the one derived by "
+                            f"{gap:.3e} (allowed {WITNESS_TOL:.0e})")
 
     stored = _object(doc, "verdicts")
     verdicts = dict(checked.verdicts)

@@ -22,7 +22,8 @@ from .errors import (CaratheodoryFailed, HellycertError, InvalidInstance,
                      UnboundedBody)
 from .geometry import (BodyFamily, chebyshev_center, containment_bases,
                        interior_margin, normalize_family, validate_family)
-from .io import SelectionCertificate, check, require_parameters
+from .io import (SelectionCertificate, caratheodory_holds, check,
+                 require_parameters)
 from .john import john_decomposition, mvee_general
 from .lp import solve_lp
 from .oracle import cheapest_drop, diameter_exact
@@ -102,9 +103,10 @@ def caratheodory_express(w, points):
     is interior to the hull. At the final basis B, (V_B - w)^T y = d and
     gamma = sum y give w = (sum_B y_i v_i + v0) / (1 + gamma): weights
     y / (1 + gamma) on B and 1 / (1 + gamma) on v0. The weights above
-    1e-12 are kept, up to normalization. The support size and the residual
-    are checked, not trusted; a ray or a line of the walk (w not interior)
-    raises CaratheodoryFailed.
+    1e-12 are kept, up to normalization, and accepted only if they pass
+    ``io.caratheodory_holds``, the rule ``check`` judges them by. A failure,
+    or a ray or a line of the walk (w not interior), raises
+    CaratheodoryFailed.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(w, dtype=float)
@@ -121,14 +123,11 @@ def caratheodory_express(w, points):
     x[0] += 1.0
     x /= 1.0 + y.sum()
     tau = np.nonzero(x > 1e-12)[0]
-    if tau.size == 0:
-        raise CaratheodoryFailed("empty convex combination")
     rho = x[tau] / x[tau].sum()
-    residual = float(np.linalg.norm(pts[tau].T @ rho - w))
-    if residual > 1e-9 or tau.size > n + 1:
-        raise CaratheodoryFailed(
-            f"witness residual {residual:.3e} with support {tau.size} "
-            f"(allowed n+1 = {n + 1})")
+    ok, residual = caratheodory_holds(pts[tau], rho, w)
+    if not ok:
+        raise CaratheodoryFailed(f"witness residual {residual:.3e} with "
+                                 f"support {tau.size} (allowed n+1 = {n+1})")
     return tau, rho
 
 
@@ -228,8 +227,6 @@ def select_general(family: BodyFamily,
             "mode": "general", "z": z, "selected": selected,
             "d": float(shifted.d), "eps": eps, "payload": {
                 "coefficients": shifted.b,
-                "shift": shifted.v,
-                "w": w,
                 "rho": rho,
                 "frame": decomp.frame,
                 "frame_center": decomp.frame_center,

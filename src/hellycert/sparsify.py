@@ -6,10 +6,11 @@ reweighted sum is spectrally sandwiched with ratio gamma_d^2,
 gamma_d = (sqrt(d)+1)/(sqrt(d)-1). ``shifted_select`` adds the barycenter
 condition for decompositions of general (non-symmetric) bodies by lifting
 to dimension n+1, selecting there, and shifting back. Its four claims are
-judged by ``certify_operator_T``, the one function that computes them: it
-decides when ``shifted_select`` stops escalating d, and ``io.check`` calls
-it again on a certificate's stored witnesses. Every eigenvalue behind them
-comes from the residual-checked ``linalg.sym_eigen``.
+judged by ``certify_operator_T``, the one function that computes them, at
+the one sandwich window ``SANDWICH_WINDOW``: it decides when
+``shifted_select`` stops escalating d, and ``io.check`` calls it again on a
+certificate's stored witnesses. Every eigenvalue behind them comes from the
+residual-checked ``linalg.sym_eigen``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BarrierStuck, ShiftCertificateFailed
+from .john import TOL_JOHN_DEFAULT
 from .linalg import extremes
 
 D_ESCALATION = (9, 16, 25, 36)
 EPS_SHIFT_DEFAULT = 0.5
+# The sandwich verdict's slack: 1e-6 plus the residual at which the producer
+# accepts its John decomposition. No claim can widen it.
+SANDWICH_WINDOW = 1e-6 + TOL_JOHN_DEFAULT
 _ADMIT_RTOL = 1e-9
 _ADMIT_ATOL = 1e-12
 
@@ -129,14 +134,12 @@ def shifted_select(vectors, weights,
     (v_j, 1/sqrt(n)), runs bss_select in dimension n+1, and shifts by
     v := -(sum b_j v_j)/(sum b_j) so sum b_j (v_j + v) = 0 holds exactly.
     Retries over the d escalation schedule until every verdict of
-    ``certify_operator_T`` holds, in a sandwich window widened by the input's
-    identity residual.
+    ``certify_operator_T`` holds: the rule ``io.check`` applies, so d stops
+    where the certificate will pass.
     """
     v_in = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(weights, dtype=float)
     m, n = v_in.shape
-    lo, hi = extremes(v_in, a)
-    window = 1e-6 + max(1.0 - lo, hi - 1.0)
     lifted = np.hstack([v_in, np.full((m, 1), 1.0 / math.sqrt(n))])
 
     trail = []
@@ -144,8 +147,7 @@ def shifted_select(vectors, weights,
         res = bss_select(lifted, a, d)
         b = res.b * a[res.sigma]
         shift = -(b @ v_in[res.sigma]) / b.sum()
-        verdicts, diag = certify_operator_T(v_in[res.sigma], b, shift, eps,
-                                            window)
+        verdicts, diag = certify_operator_T(v_in[res.sigma], b, shift, eps)
         if all(verdicts.values()):
             return ShiftedDecomposition(sigma=res.sigma, b=b, v=shift, d=d)
         failed = ",".join(k for k, ok in verdicts.items() if not ok)
@@ -155,7 +157,7 @@ def shifted_select(vectors, weights,
 
 
 def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray,
-                       eps: float, window: float):
+                       eps: float):
     """(verdicts, diagnostics) of kept rows p_j, coefficients b, shift v.
 
     - shift_barycenter: |sum b_j (p_j + v)| <= 1e-10.
@@ -164,11 +166,11 @@ def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray,
       which must not exceed eps.
     - sum_b: n <= sum b_j <= (4 + 2 eps) n, with relative slack 1e-6.
     - sandwich: the shifted sum's spectrum lies in [1, 4 + eps] or the
-      unshifted one's in [1/2, 11/2], both widened by ``window``.
+      unshifted one's in [1/2, 11/2], both widened by ``SANDWICH_WINDOW``.
     The diagnostics add the residual of the exact trace identity
     tr(shifted) = sum b_j - (sum b_j) |v|^2.
     """
-    n = vectors.shape[1]
+    n, window = vectors.shape[1], SANDWICH_WINDOW
     s = float(b.sum())
     norm_bound = float(s * (v @ v))
     shifted = vectors + v

@@ -621,3 +621,36 @@ def test_certify_rejects_2n_rows_too_many_or_too_few(
     cert = tmp_path / "edited.json"
     cert.write_text(json.dumps(doc))
     assert run(["certify", "--in", inst, "--cert", cert]) == code
+
+
+def _drop_shift_and_w(doc):
+    del doc["payload"]["shift"], doc["payload"]["w"]
+
+
+def _scale_payload(key, factor):
+    def edit(doc):
+        doc["payload"][key] = [factor * x for x in doc["payload"][key]]
+    return edit
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edit, code, message", [
+    (_drop_shift_and_w, 0, "certificate verified"),
+    (_scale_payload("w", 1.5), 2, "payload w differs"),
+    (_scale_payload("coefficients", 0.0), 2, "coefficients sum to 0.0"),
+], ids=["shift-and-w-dropped", "w-scaled", "coefficients-sum-to-0"])
+def test_certify_derives_the_shift_and_w(tmp_path, capsys, edit, code,
+                                         message):
+    """A general certificate's shift and w are derived from its
+    coefficients and rows, so it may leave them out, but not edit them; a
+    coefficient sum that is not positive leaves no shift to derive."""
+    inst, cert = tmp_path / "hs.json", tmp_path / "cert.json"
+    assert run(["gen", "--kind", "halfspace", "--n", 2, "--count", 40,
+                "--seed", 102, "--out", inst]) == 0
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == code
+    assert message in "".join(capsys.readouterr())

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import itertools
 import json
 import math
 
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hellycert import __version__, geometry, lp
+from hellycert import __version__, geometry, lp, pipeline
 from hellycert import io as hio
-from hellycert.errors import InvalidInstance
+from hellycert.errors import (CaratheodoryFailed, CertificateRejected,
+                              InvalidInstance)
 from hellycert.geometry import normalize_family
 from hellycert.john import TOL_JOHN_DEFAULT
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
-from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
+from hellycert.pipeline import (caratheodory_express, reduce_to_2n,
+                                select_general, select_symmetric)
 
 from conftest import cube_slab_family, walked_supports
 
@@ -457,6 +460,109 @@ def test_general_sandwich_window_ignores_a_tol_key(certificates, tol):
     window = hio.check(fam, copy.deepcopy(doc)).diagnostics["sandwich_window"]
     assert window == 1e-6 + TOL_JOHN_DEFAULT
     assert hio.verify_certificate(fam, doc) == (True, [])
+
+
+def test_a_general_certificate_without_shift_and_w_certifies(certificates):
+    """check derives the shift from the coefficients and the contact
+    vectors, and w from the shift: a certificate need not store them."""
+    fam, stored = certificates["general"]
+    fresh = hio.certificate_to_json(select_general(fam), __version__,
+                                    constraint_count=stored["m"], seed=3)
+    for doc in (fresh, json.loads(json.dumps(fresh))):
+        doc = copy.deepcopy(doc)
+        shift, w = doc["payload"].pop("shift"), doc["payload"].pop("w")
+        checked = hio.check(fam, copy.deepcopy(doc))
+        assert checked.payload["shift"].tolist() == shift
+        assert checked.payload["w"].tolist() == w
+        assert hio.verify_certificate(fam, doc) == (True, [])
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("shift", lambda a: a + 1e-9 * np.eye(len(a))[0]),
+    ("w", lambda a: a * 1.5),
+], ids=["shift-moved-1e-9", "w-scaled-1.5"])
+def test_verify_rejects_an_edited_shift_or_w(certificates, key, edit):
+    fam, doc = certificates["general"]
+    edited = copy.deepcopy(doc)
+    edited["payload"][key] = edit(np.asarray(doc["payload"][key])).tolist()
+    ok, problems = hio.verify_certificate(fam, edited)
+    assert not ok and len(problems) == 1, problems
+    assert problems[0].startswith(f"payload {key} differs")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_check_rejects_coefficients_without_a_positive_sum(certificates,
+                                                           scale):
+    fam, doc = certificates["general"]
+    edited = copy.deepcopy(doc)
+    edited["payload"]["coefficients"] = [
+        scale * b for b in doc["payload"]["coefficients"]]
+    with pytest.raises(CertificateRejected, match="coefficients sum to"):
+        hio.check(fam, edited)
+
+
+def _barycentric_with_a_negative_weight(taus, w):
+    """(rows, weights): n + 1 rows holding w with one negative weight."""
+    n = len(w)
+    for rows in itertools.combinations(range(len(taus)), n + 1):
+        lifted = np.vstack([taus[list(rows)].T, np.ones(n + 1)])
+        if abs(np.linalg.det(lifted)) > 1e-3:
+            rho = np.linalg.solve(lifted, np.append(w, 1.0))
+            if rho.min() < -1e-3:
+                return list(rows), rho
+    raise AssertionError("every simplex of the rows holds w")
+
+
+@pytest.mark.parametrize("case", ["residual", "rows", "negative", "sum"])
+def test_one_caratheodory_rule_for_check_and_the_producer(
+        certificates, case, monkeypatch):
+    """A residual of 2e-9, n + 2 rows, a negative weight and weights summing
+    to 1 + 1e-11 each fail ``io.caratheodory_holds``, and so both the
+    ``caratheodory`` verdict and, where the producer can reach the case,
+    its acceptance."""
+    fam, doc = certificates["general"]
+    n, payload = doc["dimension"], doc["payload"]
+    taus, rho = np.asarray(payload["tau_vectors"]), np.asarray(payload["rho"])
+    w = np.asarray(payload["w"])
+    assert hio.caratheodory_holds(taus, rho, w)[0]
+    rows = payload["tau_rows"]
+    if case == "residual":
+        t = 2e-9 / np.linalg.norm(taus[0] - taus[1])
+        rho = rho + t * (np.eye(len(rho))[0] - np.eye(len(rho))[1])
+    elif case == "rows":
+        weights = dict(zip(rows, rho))
+        spare = [r for r in range(doc["m"]) if r not in weights]
+        rows = sorted(rows + spare[:n + 2 - len(rows)])
+        rho = np.array([weights.get(r, 0.0) for r in rows])
+    elif case == "negative":
+        everything = hio.check(fam, {**doc, "payload": {
+            **payload, "tau_rows": list(range(doc["m"])),
+            "rho": [0.0] * doc["m"]}})
+        rows, rho = _barycentric_with_a_negative_weight(
+            everything.payload["tau_vectors"], w)
+    else:
+        rho = rho * (1.0 + 1e-11)
+    edited = copy.deepcopy(doc)
+    edited["payload"].update(tau_rows=rows, rho=rho.tolist())
+    checked = hio.check(fam, edited)
+    assert not hio.caratheodory_holds(checked.payload["tau_vectors"], rho,
+                                      checked.payload["w"])[0]
+    assert {k for k, ok in checked.verdicts.items() if not ok} == {
+        "caratheodory"}
+    if case == "residual":
+        assert checked.diagnostics["cara_residual"] == pytest.approx(
+            2e-9, rel=1e-6)
+        # a forged basis {1, 2} for v0 = row 0 misses w = (0, -2e-9) by
+        # 2e-9; the other cases are out of the producer's reach, since its
+        # weights are the positive ones of a basis of n rows and row 0,
+        # normalized to sum 1
+        pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        monkeypatch.setattr(pipeline, "solve_lp",
+                            lambda G, U: (np.array([[1, 2]]), None))
+        with pytest.raises(CaratheodoryFailed,
+                           match="witness residual 2.000e-09"):
+            caratheodory_express(np.array([0.0, -2e-9]), pts)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "general", "reduced"])

@@ -9,7 +9,7 @@ from hellycert import sparsify
 from hellycert.errors import ShiftCertificateFailed
 from hellycert.geometry import chebyshev_center, normalize_family
 from hellycert.john import john_decomposition
-from hellycert.linalg import extremes, sym_eigen
+from hellycert.linalg import sym_eigen
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.sparsify import (D_ESCALATION, bss_select, certify_operator_T,
                                 gamma_ratio, shifted_select)
@@ -125,11 +125,9 @@ def test_bss_select_matches_the_loop_reference_bit_for_bit(n):
                 assert np.array_equal(got, ref), (n, d)
 
 
-def shift_check(vectors, weights, out, eps=0.5):
-    """certify_operator_T on a shifted selection, in shifted_select's window."""
-    lo, hi = extremes(vectors, weights)
-    window = 1e-6 + max(1.0 - lo, hi - 1.0)
-    return certify_operator_T(vectors[out.sigma], out.b, out.v, eps, window)
+def shift_check(vectors, out, eps=0.5):
+    """certify_operator_T on a shifted selection."""
+    return certify_operator_T(vectors[out.sigma], out.b, out.v, eps)
 
 
 def tripod():
@@ -141,7 +139,7 @@ def test_tripod_all_kept_and_certified():
     v, a = tripod()
     out = shifted_select(v, a, eps=0.5)
     assert sorted(out.sigma.tolist()) == [0, 1, 2]
-    verdicts, diag = shift_check(v, a, out)
+    verdicts, diag = shift_check(v, out)
     assert all(verdicts.values())
     assert diag["barycenter_residual"] <= 1e-10
     # the shift comes out exactly opposite the weighted selected barycenter
@@ -179,7 +177,7 @@ def test_random_centered_4d(rng):
     pts = rng.standard_normal((40, 4)) + 0.3
     dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
-    verdicts, diag = shift_check(dec.vectors, dec.weights, out)
+    verdicts, diag = shift_check(dec.vectors, out)
     assert all(verdicts.values())
     assert 4.0 - 1e-6 <= out.b.sum() <= 20.0 + 1e-6
     assert diag["barycenter_residual"] <= 1e-10
@@ -187,7 +185,7 @@ def test_random_centered_4d(rng):
 
 def test_operator_bound_zero_shift():
     verdicts, diag = certify_operator_T(np.eye(2), np.array([1.0, 1.0]),
-                                        np.zeros(2), eps=0.5, window=1e-6)
+                                        np.zeros(2), eps=0.5)
     assert diag["shift_norm_bound"] == 0.0
     assert verdicts["shift_norm"]
     assert diag["trace_residual"] <= 1e-12
@@ -196,8 +194,7 @@ def test_operator_bound_zero_shift():
 def test_operator_certificate_tripod():
     v, a = tripod()
     out = shifted_select(v, a, eps=0.5)
-    verdicts, diag = certify_operator_T(v[out.sigma], out.b, out.v, eps=0.5,
-                                        window=1e-6)
+    verdicts, diag = certify_operator_T(v[out.sigma], out.b, out.v, eps=0.5)
     assert verdicts["shift_norm"]
     assert diag["shift_norm_bound"] == pytest.approx(
         out.b.sum() * float(out.v @ out.v), rel=1e-12)
@@ -211,7 +208,7 @@ def test_operator_trace_identity_random(rng):
     dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
     _, diag = certify_operator_T(dec.vectors[out.sigma], out.b, out.v,
-                                 eps=0.5, window=1e-6)
+                                 eps=0.5)
     assert diag["trace_residual"] <= 1e-8
     assert 0.5 - 1e-6 <= diag["unshifted_lo"]
     assert diag["unshifted_hi"] <= 5.5 + 1e-6
