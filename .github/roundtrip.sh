@@ -23,13 +23,17 @@ test "$code" -eq 3
 # general path: s = 5 > 2n, so reduce drops a body
 hellycert gen --kind halfspace --n 2 --count 40 --seed 102 --out hs.json
 hellycert select-gen --in hs.json --out hs-cert.json
-# certify derives the shift and w: without them the certificate still
-# verifies (exit 0), and a w scaled by 1.5 is rejected (exit 2)
-python -c "import json; d = json.load(open('hs-cert.json')); del d['payload']['shift'], d['payload']['w']; json.dump(d, open('derived.json', 'w'))"
-hellycert certify --in hs.json --cert derived.json
-python -c "import json; d = json.load(open('hs-cert.json')); d['payload']['w'] = [1.5 * x for x in d['payload']['w']]; json.dump(d, open('bad.json', 'w'))"
+# the payload holds the eight general claims and nothing derived from
+# them; a coefficient scaled by 1.5 is rejected (exit 2), and a
+# certificate of format 0.5.0, which stored derived copies, is refused as
+# input (exit 3)
+python -c "import json; p = json.load(open('hs-cert.json'))['payload']; assert sorted(p) == ['coefficients', 'frame', 'frame_center', 'rho', 'sigma_rows', 'support_bases', 'support_directions', 'tau_rows'], sorted(p)"
+python -c "import json; d = json.load(open('hs-cert.json')); d['payload']['coefficients'][0] *= 1.5; json.dump(d, open('bad.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert bad.json || code=$?
 test "$code" -eq 2
+python -c "import json; d = json.load(open('hs-cert.json')); d['version'] = '0.5.0'; json.dump(d, open('old.json', 'w'))"
+code=0; hellycert certify --in hs.json --cert old.json || code=$?
+test "$code" -eq 3
 hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
 hellycert certify --in hs.json --cert hs-reduced.json
 # a general d sets only the cardinality budget, so it must be a step of

@@ -10,10 +10,10 @@ equal bytes on any platform.
 ``check`` derives every verdict of a certificate, and every number behind
 them, from the instance and the certificate's claims. The selectors fill
 their certificates from it, and ``verify_certificate`` compares a stored
-certificate with it. The producer decides by the same rules: the
-Caratheodory witness passes ``caratheodory_holds`` in both, and the
-general-mode shift and its target w are derived from the coefficients and
-rows, never claimed.
+certificate with it. The payload holds the claims only: the witness
+vectors, the general-mode shift and its target w are derived from them
+each time and never stored. The producer decides by the same rules: the
+Caratheodory witness passes ``caratheodory_holds`` in both.
 """
 
 from __future__ import annotations
@@ -40,16 +40,11 @@ REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
                   "alpha_over_sqrt_n", "alpha_over_n32", "verdicts_pass",
                   "diam_selected", "diam_full", "diam_ratio", "runtime_s")
 ALPHA_SLACK = 1e-5
-WITNESS_TOL = 1e-12
 # A stored derived float must lie within this relative distance of the one
 # recomputed, so that a certificate written with one numpy/LAPACK build
 # checks on another. It sits below the slack of every verdict (1e-9 and
 # up), and verdicts are recomputed, never read.
 DERIVED_RTOL = 1e-10
-# The payload copies ``check`` derives, each with whether a certificate must
-# store it; shift and w, claims until ``check`` derived them, need not be.
-# A stored copy must match the derived one to WITNESS_TOL.
-WITNESSES = dict(contact_vectors=True, tau_vectors=True, shift=False, w=False)
 
 
 @dataclass(frozen=True)
@@ -327,19 +322,19 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     of these rows (a reduced selection drops some owners). alpha comes from
     replaying the support bases and checking the dual bound of every other
     direction against it, never from a walk; null bases give alpha = +inf.
-    Witness vectors are derived as normalize((generator - frame_center) @
-    frame) from the polar generators, the rows of the instance normalized
-    at ``z``, and added to the payload. In general mode so are the shift
-    -sum b_j v_j / sum b_j of the coefficients b (whose sum must be
-    positive) and contact vectors v, and the Caratheodory target
-    w = shift / sqrt(eps n). s, gamma_d, the bound, alpha, c_measured, the
-    verdicts and the derived diagnostics (budget, spectra, residuals,
-    walked and screened direction counts) are recomputed, never read.
-    Other keys are ignored. The sandwich slack is set from
-    ``john.TOL_JOHN_DEFAULT``, the producer's John acceptance (in general
-    mode ``sparsify.SANDWICH_WINDOW``), and no claim can widen it. The
-    Caratheodory verdict is ``caratheodory_holds``, the producer's rule.
-    Stages, notes and the producer's own diagnostics are left empty.
+    The witness vectors are derived as normalize((generator - frame_center)
+    @ frame) from the polar generators, the rows of the instance normalized
+    at ``z``. In general mode so are the shift -sum b_j v_j / sum b_j of
+    the coefficients b (whose sum must be positive) and contact vectors v,
+    and the Caratheodory target w = shift / sqrt(eps n). These stay out of
+    the payload, which is returned as claimed. s, gamma_d, the bound,
+    alpha, c_measured, the verdicts and the derived diagnostics (budget,
+    spectra, residuals, walked and screened direction counts) are
+    recomputed, never read. Other keys are ignored. The sandwich slack is
+    set from ``john.TOL_JOHN_DEFAULT``, the producer's John acceptance (in
+    general mode ``sparsify.SANDWICH_WINDOW``), and no claim can widen it.
+    The Caratheodory verdict is ``caratheodory_holds``, the producer's
+    rule. Stages, notes and the producer's own diagnostics are left empty.
 
     Raises InvalidInstance for a missing or mistyped claim,
     CertificateRejected for claims that name no selection of this instance,
@@ -381,7 +376,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
     if ownerless:
         raise CertificateRejected(f"selected bodies {sorted(ownerless)} own "
                                   "no sigma or tau generator row")
-    vecs = payload["contact_vectors"] = _unit_rows(framed, sigma_rows)
+    vecs = _unit_rows(framed, sigma_rows)
     coef = _array(payload, "coefficients", (len(sigma_rows),))
     count = int(np.count_nonzero(containment_rows(target, selected)[1]))
     directions = _indices(payload, "support_directions", count)
@@ -413,13 +408,13 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
                            sandwich_limit=limit, budget=budget)
     else:
         bound, c_measured = alpha, alpha / n ** 1.5
-        taus = payload["tau_vectors"] = _unit_rows(framed, tau_rows)
+        taus = _unit_rows(framed, tau_rows)
         rho = _array(payload, "rho", (len(tau_rows),))
         total = float(coef.sum())
         if not total > 0.0:
             raise CertificateRejected(f"coefficients sum to {total!r}")
-        shift = payload["shift"] = -(coef @ vecs) / total
-        w = payload["w"] = shift / math.sqrt(eps * n)
+        shift = -(coef @ vecs) / total
+        w = shift / math.sqrt(eps * n)
         budget = math.ceil(d * (n + 1)) + n + 1
         union = len(set(sigma_rows) | set(tau_rows))
         shift_verdicts, shift_diagnostics = certify_operator_T(
@@ -459,12 +454,11 @@ def verify_certificate(family: BodyFamily, doc: dict):
     Every derived field (``s``, ``gamma_d``, ``bound_claimed``,
     ``alpha_measured``, ``c_measured``, each derived diagnostic) must match
     the recomputed value: integers, None and strings exactly, floats to the
-    relative DERIVED_RTOL. The stored witness vectors, and the general-mode
-    ``shift`` and ``w`` where a certificate stores them, must match the
-    derived ones to 1e-12, and the stored verdicts must be the recomputed
+    relative DERIVED_RTOL, and the stored verdicts must be the recomputed
     ones, all true. The claims themselves (indices, ``z``, payload floats)
-    are used as stored. ``format``, ``version`` and ``dimension`` must
-    match, and ``m`` must be unset or the instance's row count.
+    are used as stored, and payload keys that are not claims are ignored.
+    ``format``, ``version`` and ``dimension`` must match, and ``m`` must be
+    unset or the instance's row count.
     Informational, not compared: ``timing``, ``notes``, ``seed``,
     ``diameter``, the John residuals, the ``recenter_*``,
     ``chebyshev_radius`` and ``reduction_*`` diagnostics, and the
@@ -496,14 +490,6 @@ def verify_certificate(family: BodyFamily, doc: dict):
                  f"{value!r} recomputed"
                  for key, value in checked.diagnostics.items()
                  if not _same(_field(diagnostics, key), value)]
-    for key in [k for k, required in WITNESSES.items()
-                if k in checked.payload and (required or k in doc["payload"])]:
-        value = checked.payload[key]
-        gap = float(np.max(np.abs(
-            _array(doc["payload"], key, value.shape) - value)))
-        if not gap <= WITNESS_TOL:
-            problems.append(f"payload {key} differs from the one derived by "
-                            f"{gap:.3e} (allowed {WITNESS_TOL:.0e})")
 
     stored = _object(doc, "verdicts")
     verdicts = dict(checked.verdicts)

@@ -15,8 +15,9 @@ support keeps changing does not try at every change. Newton's weights are
 kept only when they lower the gap,
 and the only exit is a two-sided gap check on freshly computed numbers, so
 neither the ascent nor the Newton finish, nor the core set, has to be
-trusted. A solve can start from the weights of an earlier, nearby solve;
-converged start weights return after that check. Dual weights of the solved
+trusted. A solve can start from the weights of an earlier, nearby solve
+(a start whose support does not span the space is ignored); converged
+start weights return after that check. Dual weights of the solved
 problem directly supply John decomposition weights after mapping to Loewner
 position, which is why no separate extraction problem is solved: the
 ellipsoid's center and shape come from the same weights, so the identity
@@ -134,6 +135,14 @@ def _signed_step(pts, u, Xinv, kappa, j, t, drop):
             kappa / (1.0 - t) - beta * z * z)
 
 
+def _spans(pts, u) -> bool:
+    """Whether the rows of pts weighted by u >= 0 span the space: the
+    moment matrix's eigenvalue ratio is above 1e-12."""
+    X = pts.T @ (pts * u[:, None])
+    lam = sym_eigen((X + X.T) / 2.0)[0]
+    return lam[0] > 1e-12 * max(lam[-1], 1e-300)
+
+
 def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
@@ -142,33 +151,28 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     support at half the last try's gap), until the two-sided gap
     max kappa/n - 1 <= eps and 1 - min-support kappa/n <= eps holds, where
     kappa_k = x_k^T X(u)^{-1} x_k. Sign of the points is irrelevant.
-    ``start`` gives the first weights, whose support must span the space.
-    Without it, the input points must span, and the first weights are
-    uniform on a core set of n rows: pivoted Gram-Schmidt picks the row of
-    largest residual norm (lowest index on ties) and projects it out.
+    ``start`` gives the first weights when they pass ``_spans``; a start
+    that does not (all zero, say) is ignored. Without one the solve starts
+    cold: the input points must pass ``_spans`` at uniform weights, and the
+    first weights are uniform on a core set of n rows: pivoted Gram-Schmidt
+    picks the row of largest residual norm (lowest index on ties) and
+    projects it out.
     """
     pts = np.asarray(pts, dtype=float)
     m, n = pts.shape
     if m < n:
         raise DegenerateSpan(f"{m} points cannot span dimension {n}")
-    u = (np.ones(m) if start is None
-         else np.maximum(np.asarray(start, dtype=float), 0.0))
-    if not u.sum() > 0.0:
-        raise DegenerateSpan("start weights are all zero")
-    u /= u.sum()
-
-    X = pts.T @ (pts * u[:, None])
-    lam = sym_eigen((X + X.T) / 2.0)[0]
-    if lam[0] <= 1e-12 * max(lam[-1], 1e-300):
-        raise DegenerateSpan("input points do not span the space"
-                             if start is None else
-                             "start weights' support does not span the space")
-    if start is None:
+    u = np.maximum(np.zeros(m) if start is None else start, 0.0)
+    if _spans(pts, u):
+        u /= u.sum()
+    elif _spans(pts, np.ones(m) / m):
         R, u = pts.copy(), np.zeros(m)
         for _ in range(n):
             j = int(np.argmax(np.einsum("ij,ij->i", R, R)))
             u[j] = 1.0 / n
             R -= np.outer(R @ R[j], R[j] / (R[j] @ R[j]))
+    else:
+        raise DegenerateSpan("input points do not span the space")
     Xinv, kappa, _ = _fresh_state(pts, u)
 
     since_refresh, tried, newton_gap = 0, None, NEWTON_GAP

@@ -24,20 +24,20 @@ inclusion is one covering test, no oracle call.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import (InvalidInstance, OracleTooLarge, SharpnessGenFailed,
                      UnboundedBody)
-from .geometry import BodyFamily, containment_bases, containment_factor
+# containment_factor has no caller here; perfbench's import-site test
+# pins it as an oracle attribute until ROADMAP item 1 unpins it
+from .geometry import BodyFamily, containment_factor  # noqa: F401
 from .lp import check_support, walk_bases
 
 MAX_DIM = 6
 MAX_CONSTRAINTS = 40
 MAX_CONSTRAINTS_PLANAR = 8192
-MAX_SUBSETS = 200_000
 FEAS_TOL = 1e-8
 MERGE_TOL = 1e-7
 _CHUNK = 8192
@@ -239,28 +239,6 @@ def cheapest_drop(G, h, owner):
         if is_bounded(G[owner != bodies[c]]):
             return float(radii[0]), int(bodies[c]), float(radii[1 + c])
     return float(radii[0]), None, math.inf
-
-
-def best_subset_bruteforce(family: BodyFamily, s: int):
-    """Exact minimum containment factor over all size-s subfamilies, each
-    walked by ``containment_bases`` and replayed by ``containment_factor``
-    as a producer's is."""
-    k = len(family)
-    if s > k:
-        raise ValueError(f"subset size {s} exceeds family size {k}")
-    total = math.comb(k, s)
-    if total > MAX_SUBSETS:
-        raise OracleTooLarge(
-            f"binom({k},{s}) = {total} subsets exceed cap {MAX_SUBSETS}")
-    best_alpha = math.inf
-    best = None
-    for combo in itertools.combinations(range(k), s):
-        alpha = containment_factor(family, combo,
-                                   containment_bases(family, combo))
-        if alpha < best_alpha - 1e-15:
-            best_alpha = alpha
-            best = combo
-    return best_alpha, best
 
 
 def _require_sizes(**sizes) -> None:

@@ -1,13 +1,20 @@
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from hellycert import io as hio
 from hellycert import lp
-from hellycert.geometry import (BodyFamily, containment_system,
+from hellycert.errors import OracleTooLarge
+from hellycert.geometry import (BodyFamily, containment_bases,
+                                containment_factor, containment_system,
                                 normalize_family)
 from hellycert.lp import check_support, dual_bounds, walk_bases
+from hellycert.oracle import gen_halfspace_family
+
+MAX_SUBSETS = 200_000
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -52,6 +59,47 @@ def walked_alpha(family, selected):
         return math.inf
     assert len(walk[0]) == len(U)
     return max(1.0, check_support(Gq, U, walk[1], lp.box_bound(Gq)))
+
+
+def best_subset_bruteforce(family, s: int):
+    """Exact minimum containment factor over all size-s subfamilies, each
+    walked by ``containment_bases`` and replayed by ``containment_factor``
+    as a producer's is."""
+    k = len(family)
+    if s > k:
+        raise ValueError(f"subset size {s} exceeds family size {k}")
+    total = math.comb(k, s)
+    if total > MAX_SUBSETS:
+        raise OracleTooLarge(
+            f"binom({k},{s}) = {total} subsets exceed cap {MAX_SUBSETS}")
+    best_alpha = math.inf
+    best = None
+    for combo in itertools.combinations(range(k), s):
+        alpha = containment_factor(family, combo,
+                                   containment_bases(family, combo))
+        if alpha < best_alpha - 1e-15:
+            best_alpha = alpha
+            best = combo
+    return best_alpha, best
+
+
+def derived_witnesses(family, cert):
+    """(contact vectors, tau vectors, shift, w) of a SelectionCertificate,
+    derived from its claims as ``io.check`` derives them: the unit framed
+    rows, the shift -sum b v / sum b and w = shift / sqrt(eps n). The tau
+    vectors, shift and w are None in symmetric mode."""
+    payload = cert.payload
+    target = (family if cert.mode == "symmetric"
+              else normalize_family(family, cert.z))
+    framed = ((target.G - np.asarray(payload["frame_center"]))
+              @ np.asarray(payload["frame"]))
+    vecs = hio._unit_rows(framed, list(payload["sigma_rows"]))
+    if cert.mode == "symmetric":
+        return vecs, None, None, None
+    coef = np.asarray(payload["coefficients"], dtype=float)
+    shift = -(coef @ vecs) / coef.sum()
+    return (vecs, hio._unit_rows(framed, list(payload["tau_rows"])), shift,
+            shift / math.sqrt(cert.eps * family.dim))
 
 
 def record_walks(monkeypatch, key=len):
@@ -107,6 +155,19 @@ def simplex_family(n):
     return BodyFamily.from_blocks(
         "general", n,
         [(normals[i:i + 1], np.array([1.0])) for i in range(n + 1)])
+
+
+def thin_slab_family(n, seed, width):
+    """gen_halfspace_family(n, 5, seed) and one slab body {a.x <= 0.4
+    width, -a.x <= 0.6 width}, a the unit normal drawn from seed: an
+    inradius of at most width / 2."""
+    fam = gen_halfspace_family(n, 5, seed)
+    a = np.random.default_rng(seed).standard_normal(n)
+    a /= np.linalg.norm(a)
+    blocks = [(fam.G[fam.owner == j], fam.h[fam.owner == j])
+              for j in range(len(fam))]
+    blocks.append((np.array([a, -a]), np.array([0.4, 0.6]) * width))
+    return BodyFamily.from_blocks("general", n, blocks)
 
 
 def plane_fan_family(count=100):

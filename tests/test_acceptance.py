@@ -17,13 +17,15 @@ from hellycert import __version__
 from hellycert import io as hio
 from hellycert.john import john_decomposition
 from hellycert.lp import support_h_polytope
-from hellycert.oracle import (_covering_certified, best_subset_bruteforce,
-                              circumradius_exact, diameter_exact,
-                              enumerate_vertices, gen_halfspace_family,
-                              gen_sharpness_instance, gen_slab_family)
+from hellycert.oracle import (_covering_certified, circumradius_exact,
+                              diameter_exact, enumerate_vertices,
+                              gen_halfspace_family, gen_sharpness_instance,
+                              gen_slab_family)
 from hellycert.pipeline import (diameter_report, reduce_to_2n, select_general,
                                 select_symmetric)
 from hellycert.sparsify import bss_select, gamma_ratio
+
+from conftest import best_subset_bruteforce
 
 RESULTS = {}
 

@@ -416,13 +416,30 @@ def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
     assert run(["certify", "--in", inst, "--cert", cert]) == code
 
 
+@pytest.mark.parametrize("command", ["certify", "reduce"])
+def test_a_format_0_5_0_certificate_exits_3(tmp_path, capsys, command):
+    """0.5.0 stored derived copies of the witnesses; this format refuses
+    it, and the message names the version found."""
+    inst, cert = tmp_path / "hs.json", tmp_path / "cert.json"
+    hio.save_instance(gen_halfspace_family(2, 40, seed=102), inst)
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    doc = hio.load_certificate(cert)
+    doc["version"] = "0.5.0"
+    hio.save_certificate(doc, cert)
+    capsys.readouterr()
+    extra = ["--out", tmp_path / "reduced.json"] if command == "reduce" else []
+    assert run([command, "--in", inst, "--cert", cert, *extra]) == 3
+    assert "format version '0.5.0'" in capsys.readouterr().err
+    assert not (tmp_path / "reduced.json").exists()
+
+
 def test_certify_requires_support_bases(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.5.0"
+    assert doc["version"] == "0.6.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()
@@ -623,27 +640,30 @@ def test_certify_rejects_2n_rows_too_many_or_too_few(
     assert run(["certify", "--in", inst, "--cert", cert]) == code
 
 
-def _drop_shift_and_w(doc):
-    del doc["payload"]["shift"], doc["payload"]["w"]
+def _stray_shift_and_w(doc):
+    doc["payload"].update(shift=[1.0, 1.0], w=[1.0, 1.0])
 
 
-def _scale_payload(key, factor):
+def _scale_coefficients(factor, which=slice(None)):
     def edit(doc):
-        doc["payload"][key] = [factor * x for x in doc["payload"][key]]
+        b = np.array(doc["payload"]["coefficients"])
+        b[which] *= factor
+        doc["payload"]["coefficients"] = b.tolist()
     return edit
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("edit, code, message", [
-    (_drop_shift_and_w, 0, "certificate verified"),
-    (_scale_payload("w", 1.5), 2, "payload w differs"),
-    (_scale_payload("coefficients", 0.0), 2, "coefficients sum to 0.0"),
-], ids=["shift-and-w-dropped", "w-scaled", "coefficients-sum-to-0"])
+    (_stray_shift_and_w, 0, "certificate verified"),
+    (_scale_coefficients(1.5, 0), 2, "certificate REJECTED"),
+    (_scale_coefficients(0.0), 2, "coefficients sum to 0.0"),
+], ids=["stray-shift-and-w", "coefficient-scaled", "coefficients-sum-to-0"])
 def test_certify_derives_the_shift_and_w(tmp_path, capsys, edit, code,
                                          message):
     """A general certificate's shift and w are derived from its
-    coefficients and rows, so it may leave them out, but not edit them; a
-    coefficient sum that is not positive leaves no shift to derive."""
+    coefficients and rows, never read: stored ones are stray keys, while
+    an edited coefficient is rejected, and a coefficient sum that is not
+    positive leaves no shift to derive."""
     inst, cert = tmp_path / "hs.json", tmp_path / "cert.json"
     assert run(["gen", "--kind", "halfspace", "--n", 2, "--count", 40,
                 "--seed", 102, "--out", inst]) == 0

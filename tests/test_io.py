@@ -4,7 +4,6 @@ import copy
 import csv
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import (caratheodory_express, reduce_to_2n,
                                 select_general, select_symmetric)
 
-from conftest import cube_slab_family, walked_supports
+from conftest import cube_slab_family, derived_witnesses, walked_supports
 
 
 def test_instance_roundtrip_symmetric(tmp_path):
@@ -229,12 +228,14 @@ def test_report_blank_diameter_in_bound_mode(tmp_path):
 
 # The tamper matrix: one edit per case, over every field of a certificate of
 # each mode. Only the informational fields may absorb an edit, and so may
-# the stray keys: the tol and parameters of format 0.4.0, which a document
-# may still carry and check ignores, so they cannot widen a verdict.
+# the stray keys: the tol and parameters of format 0.4.0 and the derived
+# payload copies of format 0.5.0, which a document may still carry and
+# check ignores, so they cannot widen a verdict.
 TOP_FIELDS = ("format", "version", "mode", "dimension", "m", "seed",
               "selected", "s", "z", "d", "eps", "gamma_d", "bound_claimed",
               "alpha_measured", "c_measured", "notes", "timing")
-STRAY = ("tol", "parameters")
+STRAY = ("tol", "parameters", "payload.contact_vectors",
+         "payload.tau_vectors", "payload.shift", "payload.w")
 VERDICTS = {
     "symmetric": ("cardinality", "sandwich", "alpha_within_bound"),
     "general": ("cardinality", "shift_barycenter", "shift_norm", "sum_b",
@@ -254,14 +255,13 @@ DIAGNOSTICS = {
                 "trace_residual", "w_norm", "cara_residual", "tau_size",
                 "union_size", "budget"),
 }
+# the claims: a payload holds these and nothing else
 PAYLOAD = {
     "symmetric": ("coefficients", "frame", "frame_center", "sigma_rows",
-                  "contact_vectors", "support_directions", "support_bases"),
+                  "support_directions", "support_bases"),
     "general": ("coefficients", "frame", "frame_center", "sigma_rows",
-                "contact_vectors", "shift", "w", "rho", "tau_rows",
-                "tau_vectors", "support_directions", "support_bases"),
+                "rho", "tau_rows", "support_directions", "support_bases"),
 }
-WITNESS_VECTORS = ("contact_vectors", "tau_vectors")
 INFORMATIONAL = {"seed", "notes", "timing",
                  "diagnostics.residual_identity",
                  "diagnostics.residual_barycenter",
@@ -279,10 +279,7 @@ def _tamper_cases():
             yield mode, f"verdicts.{k}:flip"
         yield mode, "verdicts.extra:add"
         yield from ((mode, f"diagnostics.{k}") for k in DIAGNOSTICS[mode])
-        for k in PAYLOAD[mode]:
-            yield mode, f"payload.{k}"
-            if k in WITNESS_VECTORS:
-                yield mode, f"payload.{k}:rotate"
+        yield from ((mode, f"payload.{k}") for k in PAYLOAD[mode])
 
 
 @pytest.fixture(scope="module")
@@ -341,11 +338,6 @@ def _tamper(doc, case):
         del where[key]
     elif how == "add":
         where[key] = True
-    elif how == "rotate":
-        c, s = math.cos(0.01), math.sin(0.01)
-        a = np.asarray(where[key])
-        a[:, :2] = a[:, :2] @ np.array([[c, -s], [s, c]])
-        where[key] = a.tolist()
     else:
         where[key] = _bump(where.get(key))
     return doc
@@ -358,6 +350,28 @@ def test_tamper_matrix_covers_every_field(certificates):
         assert set(doc["verdicts"]) == set(VERDICTS[mode])
         assert set(doc["diagnostics"]) == set(DIAGNOSTICS[mode])
         assert set(doc["payload"]) == set(PAYLOAD[mode])
+
+
+@pytest.mark.parametrize("make, select", [
+    (lambda: gen_slab_family(2, count=8, seed=3), select_symmetric),
+    (lambda: gen_halfspace_family(3, count=4, seed=0), select_general),
+    (lambda: gen_halfspace_family(2, count=40, seed=102),
+     lambda fam: reduce_to_2n(fam, select_general(fam))),
+], ids=["symmetric", "general", "reduced"])
+def test_the_payload_holds_the_claims_only(make, select, tmp_path):
+    """A selected or reduced certificate's payload keys are its mode's
+    claims, in memory, in the JSON document and after a file round trip."""
+    fam = make()
+    cert = select(fam)
+    doc = hio.certificate_to_json(cert, __version__)
+    path = tmp_path / "cert.json"
+    hio.save_certificate(doc, path)
+    loaded = hio.load_certificate(path, version=__version__)
+    back = hio.certificate_from_json(loaded)
+    for payload in (cert.payload, doc["payload"], loaded["payload"],
+                    back.payload):
+        assert sorted(payload) == sorted(PAYLOAD[cert.mode])
+    assert hio.verify_certificate(fam, loaded) == (True, [])
 
 
 @pytest.mark.parametrize("mode, case", list(_tamper_cases()))
@@ -462,32 +476,36 @@ def test_general_sandwich_window_ignores_a_tol_key(certificates, tol):
     assert hio.verify_certificate(fam, doc) == (True, [])
 
 
-def test_a_general_certificate_without_shift_and_w_certifies(certificates):
-    """check derives the shift from the coefficients and the contact
-    vectors, and w from the shift: a certificate need not store them."""
+def test_a_general_certificate_without_shift_and_w_certifies(certificates,
+                                                             tmp_path):
+    """check derives the contact and tau vectors from the rows, the shift
+    from the coefficients and the contact vectors, and w from the shift:
+    a written certificate stores none of them, and certifies."""
     fam, stored = certificates["general"]
-    fresh = hio.certificate_to_json(select_general(fam), __version__,
-                                    constraint_count=stored["m"], seed=3)
-    for doc in (fresh, json.loads(json.dumps(fresh))):
-        doc = copy.deepcopy(doc)
-        shift, w = doc["payload"].pop("shift"), doc["payload"].pop("w")
-        checked = hio.check(fam, copy.deepcopy(doc))
-        assert checked.payload["shift"].tolist() == shift
-        assert checked.payload["w"].tolist() == w
-        assert hio.verify_certificate(fam, doc) == (True, [])
+    path = tmp_path / "cert.json"
+    hio.save_certificate(hio.certificate_to_json(
+        select_general(fam), __version__, constraint_count=stored["m"],
+        seed=3), path)
+    doc = hio.load_certificate(path, version=__version__)
+    assert not {"contact_vectors", "tau_vectors", "shift",
+                "w"} & set(doc["payload"])
+    assert hio.verify_certificate(fam, doc) == (True, [])
 
 
-@pytest.mark.parametrize("key, edit", [
-    ("shift", lambda a: a + 1e-9 * np.eye(len(a))[0]),
-    ("w", lambda a: a * 1.5),
-], ids=["shift-moved-1e-9", "w-scaled-1.5"])
-def test_verify_rejects_an_edited_shift_or_w(certificates, key, edit):
+@pytest.mark.parametrize("key", ["shift", "w", "contact_vectors"])
+def test_verify_ignores_a_stray_copy_but_not_an_edited_claim(certificates,
+                                                              key):
+    """A derived copy that a document still stores, edited or not, is an
+    unknown key; a coefficient scaled by 1.5 is still rejected."""
     fam, doc = certificates["general"]
-    edited = copy.deepcopy(doc)
-    edited["payload"][key] = edit(np.asarray(doc["payload"][key])).tolist()
-    ok, problems = hio.verify_certificate(fam, edited)
-    assert not ok and len(problems) == 1, problems
-    assert problems[0].startswith(f"payload {key} differs")
+    vecs, _, shift, w = derived_witnesses(fam, hio.certificate_from_json(doc))
+    stray = copy.deepcopy(doc)
+    stray["payload"][key] = (1.5 * dict(
+        shift=shift, w=w, contact_vectors=vecs)[key]).tolist()
+    assert hio.verify_certificate(fam, stray) == (True, [])
+    stray["payload"]["coefficients"][0] *= 1.5
+    ok, problems = hio.verify_certificate(fam, stray)
+    assert not ok and problems
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -523,8 +541,8 @@ def test_one_caratheodory_rule_for_check_and_the_producer(
     its acceptance."""
     fam, doc = certificates["general"]
     n, payload = doc["dimension"], doc["payload"]
-    taus, rho = np.asarray(payload["tau_vectors"]), np.asarray(payload["rho"])
-    w = np.asarray(payload["w"])
+    _, taus, _, w = derived_witnesses(fam, hio.certificate_from_json(doc))
+    rho = np.asarray(payload["rho"])
     assert hio.caratheodory_holds(taus, rho, w)[0]
     rows = payload["tau_rows"]
     if case == "residual":
@@ -540,14 +558,14 @@ def test_one_caratheodory_rule_for_check_and_the_producer(
             **payload, "tau_rows": list(range(doc["m"])),
             "rho": [0.0] * doc["m"]}})
         rows, rho = _barycentric_with_a_negative_weight(
-            everything.payload["tau_vectors"], w)
+            derived_witnesses(fam, everything)[1], w)
     else:
         rho = rho * (1.0 + 1e-11)
     edited = copy.deepcopy(doc)
     edited["payload"].update(tau_rows=rows, rho=rho.tolist())
     checked = hio.check(fam, edited)
-    assert not hio.caratheodory_holds(checked.payload["tau_vectors"], rho,
-                                      checked.payload["w"])[0]
+    _, taus, _, w = derived_witnesses(fam, checked)
+    assert not hio.caratheodory_holds(taus, rho, w)[0]
     assert {k for k, ok in checked.verdicts.items() if not ok} == {
         "caratheodory"}
     if case == "residual":

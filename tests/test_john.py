@@ -293,11 +293,16 @@ def test_mvee_cold_start_step_guard(monkeypatch):
 
 @pytest.mark.parametrize("support", [(), (0,), (0, 1), (0, 1, 2)])
 def test_mvee_start_without_spanning_support(rng, support):
+    """A start whose lifted support does not span (four rows are needed in
+    R^3 lifted) is ignored: the solve is the cold one, bit for bit."""
     pts = rng.standard_normal((12, 3))
     start = np.zeros(len(pts))
     start[list(support)] = 1.0
-    with pytest.raises(DegenerateSpan):
-        mvee_general(pts, 1e-8, start=start)
+    ell, u = mvee_general(pts, 1e-8, start=start)
+    cold_ell, cold_u = mvee_general(pts, 1e-8)
+    np.testing.assert_array_equal(u, cold_u)
+    np.testing.assert_array_equal(ell.center, cold_ell.center)
+    np.testing.assert_array_equal(ell.shape, cold_ell.shape)
 
 
 def test_john_cross_polytope_exact():

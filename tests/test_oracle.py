@@ -16,7 +16,6 @@ from hellycert.geometry import normalize_family
 from hellycert.io import save_instance
 from hellycert.lp import support_h_polytope
 from hellycert.oracle import (_CHUNK, FEAS_TOL, MERGE_TOL,
-                              best_subset_bruteforce,
                               cheapest_drop, circumradius_exact,
                               diameter_exact, enumerate_vertices,
                               gen_halfspace_family, gen_sharpness_instance,
@@ -24,8 +23,9 @@ from hellycert.oracle import (_CHUNK, FEAS_TOL, MERGE_TOL,
 from hellycert.pipeline import reduce_to_2n, select_general, select_symmetric
 
 import reference_kernels
-from conftest import (cube_slab_family, fan_through_corner, record_walks,
-                      unit_rows, walked_alpha)
+from conftest import (best_subset_bruteforce, cube_slab_family,
+                      fan_through_corner, record_walks, unit_rows,
+                      walked_alpha)
 
 
 def square_rows():

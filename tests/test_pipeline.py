@@ -6,19 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hellycert import lp, pipeline
+from hellycert import __version__, lp, pipeline
 from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
                               InvalidInstance, UnboundedBody)
 from hellycert.geometry import BodyFamily, chebyshev_center, normalize_family
-from hellycert.oracle import (best_subset_bruteforce, gen_halfspace_family,
-                              gen_slab_family)
+from hellycert.io import certificate_to_json, verify_certificate
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
                                 _stage, caratheodory_express,
                                 diameter_report, reduce_to_2n,
                                 select_general, select_symmetric)
 
-from conftest import (cube_halfspace_family, cube_slab_family,
-                      plane_fan_family, record_walks, simplex_family,
+from conftest import (best_subset_bruteforce, cube_halfspace_family,
+                      cube_slab_family, derived_witnesses, plane_fan_family,
+                      record_walks, simplex_family, thin_slab_family,
                       unit_rows, walked_alpha)
 
 
@@ -64,7 +65,7 @@ def test_symmetric_verdicts_and_payload(rng):
     assert cert.s == len(cert.selected)
     assert cert.s <= math.ceil(4.0 * 3)
     assert set(cert.selected) <= set(range(10))
-    vecs = np.asarray(cert.payload["contact_vectors"])
+    vecs = derived_witnesses(fam, cert)[0]
     coef = np.asarray(cert.payload["coefficients"])
     acc = (vecs * coef[:, None]).T @ vecs
     eigs = np.linalg.eigvalsh(acc)
@@ -110,14 +111,26 @@ def test_simplex_keeps_every_facet():
 
 
 def test_cube_as_general_small_shift():
-    cert = select_general(cube_halfspace_family(2))
+    fam = cube_halfspace_family(2)
+    cert = select_general(fam)
     assert cert.alpha_measured == pytest.approx(1.0, abs=1e-9)
     assert cert.all_pass
-    shift = np.asarray(cert.payload["shift"])
+    _, _, shift, w = derived_witnesses(fam, cert)
     sum_b = cert.diagnostics["sum_b"]
     assert sum_b * float(shift @ shift) <= 0.5
-    w = np.asarray(cert.payload["w"])
     assert np.linalg.norm(w) <= 0.5 + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_thin_slab_family_selects_and_certifies(n):
+    """An inradius of at most 5e-7: the recentering's converged weights
+    fail the John solve's span test, which the cold solve of the same
+    points passes, so that solve starts cold."""
+    fam = thin_slab_family(n, seed=1, width=1e-6)
+    cert = select_general(fam)
+    assert cert.all_pass and len(fam) - 1 in cert.selected
+    assert verify_certificate(fam, certificate_to_json(cert, __version__)) == (
+        True, [])
 
 
 def test_general_random_families_all_verdicts():
