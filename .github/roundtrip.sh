@@ -25,17 +25,24 @@ hellycert gen --kind halfspace --n 2 --count 40 --seed 102 --out hs.json
 hellycert select-gen --in hs.json --out hs-cert.json
 # the payload holds the eight general claims and nothing derived from
 # them; a coefficient scaled by 1.5 is rejected (exit 2), and a
-# certificate of format 0.5.0, which stored derived copies, is refused as
-# input (exit 3)
+# certificate of format 0.6.0, which stored a reduced selection's growth
+# verdict without deriving it, is refused as input (exit 3)
 python -c "import json; p = json.load(open('hs-cert.json'))['payload']; assert sorted(p) == ['coefficients', 'frame', 'frame_center', 'rho', 'sigma_rows', 'support_bases', 'support_directions', 'tau_rows'], sorted(p)"
 python -c "import json; d = json.load(open('hs-cert.json')); d['payload']['coefficients'][0] *= 1.5; json.dump(d, open('bad.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert bad.json || code=$?
 test "$code" -eq 2
-python -c "import json; d = json.load(open('hs-cert.json')); d['version'] = '0.5.0'; json.dump(d, open('old.json', 'w'))"
+python -c "import json; d = json.load(open('hs-cert.json')); d['version'] = '0.6.0'; json.dump(d, open('old.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert old.json || code=$?
 test "$code" -eq 3
 hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
 hellycert certify --in hs.json --cert hs-reduced.json
+# reduce enforces each step's growth limit itself and stores no verdict
+# for it; check derives no such verdict, so one added to the file is
+# rejected (exit 2)
+python -c "import json; v = json.load(open('hs-reduced.json'))['verdicts']; assert 'reduction_growth' not in v, v"
+python -c "import json; d = json.load(open('hs-reduced.json')); d['verdicts']['reduction_growth'] = True; json.dump(d, open('bad.json', 'w'))"
+code=0; hellycert certify --in hs.json --cert bad.json || code=$?
+test "$code" -eq 2
 # a general d sets only the cardinality budget, so it must be a step of
 # D_ESCALATION: d = 1e6, with every derived field recomputed by
 # io.check as if 1e6 were a step (the forgery verifies then), exits 2

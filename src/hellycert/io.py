@@ -460,12 +460,12 @@ def verify_certificate(family: BodyFamily, doc: dict):
     ``format``, ``version`` and ``dimension`` must match, and ``m`` must be
     unset or the instance's row count.
     Informational, not compared: ``timing``, ``notes``, ``seed``,
-    ``diameter``, the John residuals, the ``recenter_*``,
-    ``chebyshev_radius`` and ``reduction_*`` diagnostics, and the
-    ``reduction_growth`` verdict (re-deriving it needs
-    the exponential vertex oracle). Claims that ``check`` rejects, and
-    support bases or spectra that fail their check, are problems too.
-    Returns (ok, list of problems).
+    ``diameter``, the John residuals, and the ``recenter_*``,
+    ``chebyshev_radius`` and ``reduction_*`` diagnostics. No verdict is
+    informational: a stored verdict ``check`` does not derive is a
+    problem. Claims that ``check`` rejects, and support bases or spectra
+    that fail their check, are problems too. Returns (ok, list of
+    problems).
     """
     try:
         checked = check(family, doc)
@@ -491,10 +491,7 @@ def verify_certificate(family: BodyFamily, doc: dict):
                  for key, value in checked.diagnostics.items()
                  if not _same(_field(diagnostics, key), value)]
 
-    stored = _object(doc, "verdicts")
-    verdicts = dict(checked.verdicts)
-    if "reduction_growth" in stored:
-        verdicts["reduction_growth"] = stored["reduction_growth"]
+    stored, verdicts = _object(doc, "verdicts"), checked.verdicts
     if stored.keys() != verdicts.keys() or any(
             stored[k] is not v for k, v in verdicts.items()):
         problems.append(f"stored verdicts {stored} differ from the "

@@ -48,6 +48,8 @@ TOL_JOHN_DEFAULT = 1e-5
 NEWTON_GAP = 1e-2
 NEWTON_STEPS = 30
 NEWTON_RCOND = 1e-12
+# the ascent raises JohnExtractionFailed after this many steps
+MVEE_MAX_STEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _spans(pts, u) -> bool:
     return lam[0] > 1e-12 * max(lam[-1], 1e-300)
 
 
-def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
+def _centered_mvee_weights(pts, eps, start=None):
     """Dual weights of the centered MVEE of the rows of pts.
 
     Runs Khachiyan ascent with away/drop steps, and Newton steps on the
@@ -176,7 +178,7 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
     Xinv, kappa, _ = _fresh_state(pts, u)
 
     since_refresh, tried, newton_gap = 0, None, NEWTON_GAP
-    for _ in range(max_iter):
+    for _ in range(MVEE_MAX_STEPS):
         jp = kappa.argmax()
         kp = kappa.item(jp)
         masked = np.where(u > 0.0, kappa, np.inf)
@@ -230,7 +232,7 @@ def _centered_mvee_weights(pts, eps, max_iter=500_000, start=None):
             since_refresh = 0
 
     raise JohnExtractionFailed(
-        f"MVEE ascent did not reach gap {eps:.1e} in {max_iter} iterations")
+        f"MVEE ascent did not reach gap {eps:.1e} in {MVEE_MAX_STEPS} steps")
 
 
 def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT):

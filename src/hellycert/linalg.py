@@ -60,8 +60,7 @@ def sym_eigen(matrix):
     if not bound <= tol * scale:
         raise SolverStall(f"eigh fails its residual check: bound {bound:.3e}"
                           f" > {tol:.3e} * (1 + ||A||_F)")
-    order = np.argsort(lam, kind="stable")
-    return lam[order], v[:, order]
+    return lam, v
 
 
 def extremes(points: np.ndarray, coeffs: np.ndarray):

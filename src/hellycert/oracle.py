@@ -220,8 +220,9 @@ def cheapest_drop(G, h, owner):
     drops are asked ``is_bounded`` in increasing radius, ties to the lower
     body, and the first bounded one is returned. body is None (at +inf)
     when none is, as when the whole is unbounded; for a bounded whole of
-    more than 2n bodies that happens only through rounding (Steinitz).
-    Raises OracleTooLarge beyond the caps.
+    more than 2n bodies that happens only through rounding (Steinitz), and
+    ``pipeline.reduce_to_2n`` then stops with SolverStall. Raises
+    OracleTooLarge beyond the caps.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import (CaratheodoryFailed, HellycertError, InvalidInstance,
-                     UnboundedBody)
+                     SolverStall, UnboundedBody)
 from .geometry import (BodyFamily, chebyshev_center, containment_bases,
                        interior_margin, normalize_family, validate_family)
 from .io import (SelectionCertificate, caratheodory_holds, check,
@@ -30,6 +30,7 @@ from .oracle import cheapest_drop, diameter_exact
 from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
 
 RECENTER_TARGET = 0.05
+RECENTER_MAX_STEPS = 60
 GROWTH_SLACK = 1e-6
 
 
@@ -146,23 +147,22 @@ def _polar_offset(family: BodyFamily, z: np.ndarray):
     return math.sqrt(max(float(c @ ell.shape @ c), 0.0)), ell, norm, u
 
 
-def _recenter(family: BodyFamily, z0: np.ndarray, radius: float,
-              target: float = RECENTER_TARGET, max_iter: int = 60):
+def _recenter(family: BodyFamily, z0: np.ndarray, radius: float):
     """Move the translate until the polar's enclosing ellipsoid is centered.
 
     Each Newton step is E c, with c the center and E = (n cov)^-1 the shape
     of the polar's MVEE. A trial z - lam E c is accepted only if it keeps an
     interior margin of 0.1 * radius and strictly lowers the offset;
-    otherwise lam halves, down to 1e-3. The loop stops at ``target``, when
-    no lam helps, or after ``max_iter`` steps, and returns (z, offset,
-    steps, normalized family, weights), where steps counts the Newton steps
-    taken, the family is normalized at the returned z and the MVEE weights
-    are its polar's.
+    otherwise lam halves, down to 1e-3. The loop stops at RECENTER_TARGET,
+    when no lam helps, or after RECENTER_MAX_STEPS steps, and returns (z,
+    offset, steps, normalized family, weights), where steps counts the
+    Newton steps taken, the family is normalized at the returned z and the
+    MVEE weights are its polar's.
     """
     z = np.asarray(z0, dtype=float)
     offset, ell, norm, u = _polar_offset(family, z)
     steps = 0
-    while offset > target and steps < max_iter:
+    while offset > RECENTER_TARGET and steps < RECENTER_MAX_STEPS:
         step = ell.shape @ ell.center
         lam = 1.0
         while lam > 1e-3:
@@ -255,29 +255,26 @@ def reduce_to_2n(family: BodyFamily,
     Each step takes the drop that leaves the least exact circumradius among
     those that leave a bounded intersection (``oracle.cheapest_drop``, one
     vertex enumeration per step), the first in selection order on a tie.
-    Each step's growth is checked against the m/(m - 2n) factor, and the
-    chain is recorded in the certificate. By Steinitz's theorem some drop
-    is always bounded; if rounding leaves none, the first body goes, at
-    +inf, and ``reduction_growth`` fails. The drops run in stage
-    ``reduce``, which then names the stage of what they raise:
-    UnboundedBody when more than 2n selected bodies have an unbounded
-    intersection, and OracleTooLarge when they are past the vertex oracle's
-    caps. A selection of at most 2n bodies is only re-checked, and keeps
-    its stages, notes and informational diagnostics and verdicts, and its
-    support directions and bases. A reduced selection is walked again: the
-    input's directions and bases belong to the selection it came with.
+    A step of m bodies may grow the radius by at most m/(m - 2n) (Barany,
+    Katchalski and Pach), up to GROWTH_SLACK, and the chain is recorded in
+    the notes and the ``reduction_*`` diagnostics. By Steinitz's theorem
+    some drop is always bounded. A step past its limit, or one where
+    rounding leaves no drop bounded, raises SolverStall, so no certificate
+    comes of a broken chain. The drops run in stage ``reduce``, which then
+    names the stage of what they raise: also UnboundedBody when more than
+    2n selected bodies have an unbounded intersection, and OracleTooLarge
+    when they are past the vertex oracle's caps. A selection of at most 2n
+    bodies is only re-checked, and keeps its stages, notes, informational
+    diagnostics and support directions and bases. A reduced selection is
+    walked again: the input's directions and bases belong to the selection
+    it came with.
     """
     n = family.dim
     sel = list(selection.selected)
     stages, notes = dict(selection.stages), selection.notes
     diagnostics = dict(selection.diagnostics)
-    verdicts = {k: ok for k, ok in selection.verdicts.items()
-                if k == "reduction_growth"}
     payload = selection.payload
-    dropping = len(sel) > 2 * n
-    if dropping:
-        chain = []
-        growth_ok = True
+    if len(sel) > 2 * n:
         with _stage(stages, "reduce"):
             norm = normalize_family(family, selection.z)
             start_radius = None
@@ -294,34 +291,35 @@ def reduce_to_2n(family: BodyFamily,
                                             "an unbounded intersection; "
                                             "nothing to reduce")
                     radius = start_radius = whole
-                best_j = sel[0] if best_j is None else best_j
-                growth = best_r / radius
-                limit = m / (m - 2 * n) * (1.0 + GROWTH_SLACK)
-                growth_ok = growth_ok and growth <= limit
-                chain.append((best_j, radius, best_r, growth,
-                              m / (m - 2 * n)))
+                if best_j is None:
+                    raise SolverStall(f"no drop of the {m} selected bodies "
+                                      "leaves a bounded intersection")
+                growth, limit = best_r / radius, m / (m - 2 * n)
+                step = (f"radius {radius:.6g} -> {best_r:.6g} (growth "
+                        f"{growth:.4f}")
+                if not growth <= limit * (1.0 + GROWTH_SLACK):
+                    raise SolverStall(f"dropping body {best_j} of the {m} "
+                                      f"selected grows the {step} above the "
+                                      f"limit {limit:.4f})")
+                notes += (f"dropped body {best_j}: {step}, limit "
+                          f"{limit:.4f})",)
                 sel.remove(best_j)
                 radius = best_r
             directions, bases = containment_bases(norm, sorted(sel))
         payload = {**payload, "support_directions": directions,
                    "support_bases": bases}
-        verdicts = {"reduction_growth": growth_ok}
         diagnostics.update(
             reduction_start_radius=start_radius,
             reduction_final_radius=radius,
             reduction_cumulative_growth=radius / start_radius,
             reduction_cumulative_bound=float(
                 math.comb(len(selection.selected), 2 * n)))
-        notes += tuple(f"dropped body {j}: radius {r0:.6g} -> {r1:.6g} "
-                       f"(growth {g:.4f}, limit {lim:.4f})"
-                       for j, r0, r1, g, lim in chain)
         stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
         "d": selection.d, "eps": selection.eps, "payload": payload})
     return replace(cert, stages=stages, notes=notes,
-                   verdicts={**cert.verdicts, **verdicts},
                    diagnostics={**diagnostics, **cert.diagnostics})
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -100,6 +101,14 @@ def derived_witnesses(family, cert):
     shift = -(coef @ vecs) / coef.sum()
     return (vecs, hio._unit_rows(framed, list(payload["tau_rows"])), shift,
             shift / math.sqrt(cert.eps * family.dim))
+
+
+def chain_steps(notes):
+    """(growth, limit) of each ``dropped body`` note of a reduced
+    certificate, in drop order."""
+    steps = [re.search(r"\(growth ([0-9.]+), limit ([0-9.]+)\)$", note)
+             for note in notes if note.startswith("dropped body")]
+    return [(float(m[1]), float(m[2])) for m in steps]
 
 
 def record_walks(monkeypatch, key=len):

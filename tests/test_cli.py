@@ -206,6 +206,30 @@ def test_reduce_exit_code_oracle_cap(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_reduce_exits_2_on_a_step_past_its_growth_limit(tmp_path, capsys,
+                                                        monkeypatch):
+    """A greedy step that grows the radius 100-fold, against a limit of
+    m/(m - 2n) = 5, stops reduce: exit 2 and no output file."""
+    inst = tmp_path / "hs.json"
+    cert = tmp_path / "cert.json"
+    red = tmp_path / "reduced.json"
+    hio.save_instance(gen_halfspace_family(2, 40, seed=102), inst)
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    real = pipeline.cheapest_drop
+
+    def grown(*args):
+        whole, body, radius = real(*args)
+        return whole, body, radius * 100.0
+
+    monkeypatch.setattr(pipeline, "cheapest_drop", grown)
+    capsys.readouterr()
+    assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 2
+    assert not red.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SolverStall: reduce: dropping body 22 of the 5 "
+                          "selected"), err
+
+
 def test_a_strip_is_unbounded_at_the_center(tmp_path, capsys):
     """A general family whose intersection holds a line: the Chebyshev walk
     meets it, so select-gen stops at stage center with UnboundedBody (exit
@@ -416,20 +440,25 @@ def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
     assert run(["certify", "--in", inst, "--cert", cert]) == code
 
 
-@pytest.mark.parametrize("command", ["certify", "reduce"])
-def test_a_format_0_5_0_certificate_exits_3(tmp_path, capsys, command):
-    """0.5.0 stored derived copies of the witnesses; this format refuses
-    it, and the message names the version found."""
+@pytest.mark.parametrize("command, version", [
+    ("certify", "0.5.0"), ("reduce", "0.5.0"),
+    ("certify", "0.6.0"), ("reduce", "0.6.0"),
+], ids=["certify", "reduce", "certify-0.6.0", "reduce-0.6.0"])
+def test_a_format_0_5_0_certificate_exits_3(tmp_path, capsys, command,
+                                            version):
+    """0.5.0 stored derived copies of the witnesses, and 0.6.0 stored a
+    reduced selection's growth verdict without deriving it; this format
+    refuses both, and the message names the version found."""
     inst, cert = tmp_path / "hs.json", tmp_path / "cert.json"
     hio.save_instance(gen_halfspace_family(2, 40, seed=102), inst)
     assert run(["select-gen", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    doc["version"] = "0.5.0"
+    doc["version"] = version
     hio.save_certificate(doc, cert)
     capsys.readouterr()
     extra = ["--out", tmp_path / "reduced.json"] if command == "reduce" else []
     assert run([command, "--in", inst, "--cert", cert, *extra]) == 3
-    assert "format version '0.5.0'" in capsys.readouterr().err
+    assert f"format version '{version}'" in capsys.readouterr().err
     assert not (tmp_path / "reduced.json").exists()
 
 
@@ -439,7 +468,7 @@ def test_certify_requires_support_bases(tmp_path, capsys):
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.6.0"
+    assert doc["version"] == "0.7.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()

@@ -227,10 +227,10 @@ def test_report_blank_diameter_in_bound_mode(tmp_path):
 
 
 # The tamper matrix: one edit per case, over every field of a certificate of
-# each mode. Only the informational fields may absorb an edit, and so may
-# the stray keys: the tol and parameters of format 0.4.0 and the derived
-# payload copies of format 0.5.0, which a document may still carry and
-# check ignores, so they cannot widen a verdict.
+# each mode and of a reduced one. Only the informational fields may absorb
+# an edit, and so may the stray keys: the tol and parameters of format 0.4.0
+# and the derived payload copies of format 0.5.0, which a document may still
+# carry and check ignores, so they cannot widen a verdict.
 TOP_FIELDS = ("format", "version", "mode", "dimension", "m", "seed",
               "selected", "s", "z", "d", "eps", "gamma_d", "bound_claimed",
               "alpha_measured", "c_measured", "notes", "timing")
@@ -255,6 +255,10 @@ DIAGNOSTICS = {
                 "trace_residual", "w_norm", "cara_residual", "tau_size",
                 "union_size", "budget"),
 }
+REDUCTION = ("reduction_start_radius", "reduction_final_radius",
+             "reduction_cumulative_growth", "reduction_cumulative_bound")
+VERDICTS["reduced"] = VERDICTS["general"]
+DIAGNOSTICS["reduced"] = DIAGNOSTICS["general"] + REDUCTION
 # the claims: a payload holds these and nothing else
 PAYLOAD = {
     "symmetric": ("coefficients", "frame", "frame_center", "sigma_rows",
@@ -262,22 +266,26 @@ PAYLOAD = {
     "general": ("coefficients", "frame", "frame_center", "sigma_rows",
                 "rho", "tau_rows", "support_directions", "support_bases"),
 }
+PAYLOAD["reduced"] = PAYLOAD["general"]
 INFORMATIONAL = {"seed", "notes", "timing",
                  "diagnostics.residual_identity",
                  "diagnostics.residual_barycenter",
                  "diagnostics.chebyshev_radius",
                  "diagnostics.recenter_offset",
-                 "diagnostics.recenter_iters"}
+                 "diagnostics.recenter_iters",
+                 *(f"diagnostics.{k}" for k in REDUCTION)}
 
 
 def _tamper_cases():
-    for mode in ("symmetric", "general"):
+    for mode in ("symmetric", "general", "reduced"):
         yield from ((mode, f) for f in TOP_FIELDS + STRAY)
         yield mode, "verdicts={}"
         for k in VERDICTS[mode]:
             yield mode, f"verdicts.{k}:delete"
             yield mode, f"verdicts.{k}:flip"
         yield mode, "verdicts.extra:add"
+        # format 0.6.0 stored this verdict without deriving it
+        yield mode, "verdicts.reduction_growth:add"
         yield from ((mode, f"diagnostics.{k}") for k in DIAGNOSTICS[mode])
         yield from ((mode, f"payload.{k}") for k in PAYLOAD[mode])
 
@@ -294,6 +302,12 @@ def certificates():
         doc = hio.certificate_to_json(select(fam), __version__,
                                       constraint_count=m, seed=3)
         docs[mode] = (fam, json.loads(json.dumps(doc)))
+    # the benchmark's first reduce instance: 5 selected bodies, 4 kept
+    fam = gen_halfspace_family(2, count=40, seed=102)
+    m = fam.constraint_matrix()[0].shape[0]
+    doc = hio.certificate_to_json(reduce_to_2n(fam, select_general(fam)),
+                                  __version__, constraint_count=m, seed=3)
+    docs["reduced"] = (fam, json.loads(json.dumps(doc)))
     return docs
 
 

@@ -147,7 +147,7 @@ def test_mvee_signed_step_matches_fresh_state(rng):
         np.testing.assert_allclose(kappa, want_kappa, rtol=1e-10)
 
 
-def test_mvee_newton_finish_ends_a_stalled_ascent():
+def test_mvee_newton_finish_ends_a_stalled_ascent(monkeypatch):
     # at this translate the plain ascent stalls near a gap of 3e-5, with one
     # point just inside the ellipsoid entering and leaving the support
     fam = gen_halfspace_family(3, 8, 126)
@@ -155,7 +155,8 @@ def test_mvee_newton_finish_ends_a_stalled_ascent():
     norm = _recenter(fam, z0, radius)[3]
     pts = lifted(norm.G)
     eps = 1e-8 * 3 / 4
-    u = _centered_mvee_weights(pts, eps, max_iter=1000)
+    monkeypatch.setattr(john, "MVEE_MAX_STEPS", 1000)
+    u = _centered_mvee_weights(pts, eps)
     assert fresh_gap(pts, u) <= eps
 
 
@@ -198,8 +199,17 @@ def test_mvee_converged_start_returns_after_one_check(rng, monkeypatch):
         raise AssertionError("a converged start needs no Newton step")
 
     monkeypatch.setattr(john, "_newton_weights", no_newton)
-    again = _centered_mvee_weights(pts, 1e-8, max_iter=1, start=u)
+    monkeypatch.setattr(john, "MVEE_MAX_STEPS", 1)
+    again = _centered_mvee_weights(pts, 1e-8, start=u)
     np.testing.assert_allclose(again, u, rtol=1e-15, atol=0.0)
+
+
+def test_mvee_step_cap_is_read_at_call_time(rng, monkeypatch):
+    pts = lifted(rng.standard_normal((30, 3)))
+    monkeypatch.setattr(john, "MVEE_MAX_STEPS", 3)
+    with pytest.raises(JohnExtractionFailed,
+                       match=r"did not reach gap 1\.0e-10 in 3 steps"):
+        _centered_mvee_weights(pts, 1e-10)
 
 
 def test_newton_retry_guard(monkeypatch):

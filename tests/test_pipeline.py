@@ -8,19 +8,20 @@ import pytest
 
 from hellycert import __version__, lp, pipeline
 from hellycert.errors import (CaratheodoryFailed, DegenerateInterior,
-                              InvalidInstance, UnboundedBody)
+                              InvalidInstance, SolverStall, UnboundedBody)
 from hellycert.geometry import BodyFamily, chebyshev_center, normalize_family
 from hellycert.io import certificate_to_json, verify_certificate
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
-from hellycert.pipeline import (RECENTER_TARGET, _polar_offset, _recenter,
-                                _stage, caratheodory_express,
+from hellycert.pipeline import (GROWTH_SLACK, RECENTER_TARGET, _polar_offset,
+                                _recenter, _stage, caratheodory_express,
                                 diameter_report, reduce_to_2n,
                                 select_general, select_symmetric)
 
-from conftest import (best_subset_bruteforce, cube_halfspace_family,
-                      cube_slab_family, derived_witnesses, plane_fan_family,
-                      record_walks, simplex_family, thin_slab_family,
-                      unit_rows, walked_alpha)
+from conftest import (best_subset_bruteforce, chain_steps,
+                      cube_halfspace_family, cube_slab_family,
+                      derived_witnesses, plane_fan_family, record_walks,
+                      simplex_family, thin_slab_family, unit_rows,
+                      walked_alpha)
 
 
 def test_cube_selects_everything():
@@ -156,13 +157,14 @@ def test_recenter_reaches_its_target(seed):
     assert cert.all_pass
 
 
-def test_recenter_offsets_strictly_decrease():
+def test_recenter_offsets_strictly_decrease(monkeypatch):
     fam = gen_halfspace_family(3, 8, seed=2)
     z0, radius = chebyshev_center(fam)
+    monkeypatch.setattr(pipeline, "RECENTER_TARGET", 0.0)
     offsets = []
     for k in range(5):
-        z, offset, steps, norm, u = _recenter(fam, z0, radius, target=0.0,
-                                              max_iter=k)
+        monkeypatch.setattr(pipeline, "RECENTER_MAX_STEPS", k)
+        z, offset, steps, norm, u = _recenter(fam, z0, radius)
         assert steps == k
         polar = _polar_offset(fam, z)
         assert offset == polar[0]
@@ -277,7 +279,11 @@ def test_reduce_greedy_chain():
     assert fam is not None, "no instance with s > 2n found in the seed window"
     red = reduce_to_2n(fam, cert)
     assert red.s == 4
-    assert red.verdicts["reduction_growth"]
+    # the growth bound is enforced by reduce itself, not stored as a verdict
+    assert "reduction_growth" not in red.verdicts
+    steps = chain_steps(red.notes)
+    assert len(steps) == cert.s - red.s
+    assert all(growth <= limit for growth, limit in steps), steps
     assert set(red.selected) <= set(cert.selected)
     m = cert.s
     assert red.diagnostics["reduction_cumulative_bound"] == pytest.approx(
@@ -296,6 +302,56 @@ def test_reduce_rejects_an_unbounded_selection():
     with pytest.raises(UnboundedBody, match="5 selected bodies") as info:
         reduce_to_2n(fam, cert)
     assert info.value.stage == "reduce"
+
+
+def test_reduce_stops_on_a_step_past_its_growth_limit(monkeypatch):
+    """A greedy step that grows the radius past m/(m - 2n), or that finds
+    no bounded drop, stops reduce: no certificate comes of the chain."""
+    fam = gen_halfspace_family(2, 40, 102)
+    cert = select_general(fam)
+    assert cert.s == 5
+    real = pipeline.cheapest_drop
+
+    def grown(*args):
+        whole, body, radius = real(*args)
+        return whole, body, radius * 100.0
+
+    monkeypatch.setattr(pipeline, "cheapest_drop", grown)
+    with pytest.raises(SolverStall) as info:
+        reduce_to_2n(fam, cert)
+    assert info.value.stage == "reduce"
+    msg = str(info.value)
+    assert msg.startswith("reduce: dropping body 22 of the 5 selected grows")
+    assert "growth 100.0000 above the limit 5.0000" in msg
+
+    monkeypatch.setattr(pipeline, "cheapest_drop",
+                        lambda *args: (real(*args)[0], None, math.inf))
+    with pytest.raises(SolverStall) as info:
+        reduce_to_2n(fam, cert)
+    assert info.value.stage == "reduce"
+    assert str(info.value) == ("reduce: no drop of the 5 selected bodies "
+                               "leaves a bounded intersection")
+
+
+def test_reduce_allows_growth_up_to_its_slack(monkeypatch):
+    """The limit is m/(m - 2n) widened by GROWTH_SLACK, no more."""
+    fam = gen_halfspace_family(2, 40, 102)
+    cert = select_general(fam)
+    real = pipeline.cheapest_drop
+    start = real(*normalize_family(fam, cert.z).constraint_matrix(
+        cert.selected))[0]
+    for factor, stops in ((1.0 + GROWTH_SLACK / 2, False),
+                          (1.0 + 2 * GROWTH_SLACK, True)):
+        def price(*args, factor=factor):
+            return real(*args)[:2] + (start * 5.0 * factor,)
+
+        monkeypatch.setattr(pipeline, "cheapest_drop", price)
+        if stops:
+            with pytest.raises(SolverStall, match="above the limit 5.0000"):
+                reduce_to_2n(fam, cert)
+        else:
+            red = reduce_to_2n(fam, cert)
+            assert red.notes[-1].endswith("(growth 5.0000, limit 5.0000)")
 
 
 # The benchmark's reduce set at seed 100 (gen_halfspace_family(2, 40, 102)
