@@ -54,6 +54,14 @@ test "$code" -eq 2
 # such seed of gen_halfspace_family(3, 10, seed))
 hellycert gen --kind halfspace --n 3 --count 10 --seed 26 --out hs3.json
 hellycert select-gen --in hs3.json --out hs3-cert.json
+# hs3.json recenters, so its trial MVEE solves start from the accepted
+# translate's weights; a second select-gen in a fresh process writes the
+# same canonical certificate
+python -c "import json; i = json.load(open('hs3-cert.json'))['diagnostics']['recenter_iters']; assert i >= 1, i"
+hellycert select-gen --in hs3.json --out hs3-again.json
+hellycert canonical --cert hs3-cert.json > hs3-canonical.txt
+hellycert canonical --cert hs3-again.json > hs3-again-canonical.txt
+cmp hs3-canonical.txt hs3-again-canonical.txt
 hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
 hellycert certify --in hs3.json --cert hs3-reduced.json
 python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs3-cert.json', 'hs3-reduced.json')]; assert s == [7, 6], s"

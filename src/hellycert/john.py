@@ -17,7 +17,11 @@ and the only exit is a two-sided gap check on freshly computed numbers, so
 neither the ascent nor the Newton finish, nor the core set, has to be
 trusted. A solve can start from the weights of an earlier, nearby solve
 (a start whose support does not span the space is ignored); converged
-start weights return after that check. Dual weights of the solved
+start weights return after that check. ``pipeline._recenter`` starts every
+trial translate's solve, and the John solve after it, from the accepted
+translate's weights; a cold solve tests the span once, on the uniform
+weights. The span test only picks where the ascent starts, so it reads
+LAPACK's eigenvalues without a residual check. Dual weights of the solved
 problem directly supply John decomposition weights after mapping to Loewner
 position, which is why no separate extraction problem is solved: the
 ellipsoid's center and shape come from the same weights, so the identity
@@ -139,9 +143,14 @@ def _signed_step(pts, u, Xinv, kappa, j, t, drop):
 
 def _spans(pts, u) -> bool:
     """Whether the rows of pts weighted by u >= 0 span the space: the
-    moment matrix's eigenvalue ratio is above 1e-12."""
+    moment matrix's eigenvalue ratio is above 1e-12.
+
+    The answer only picks the untrusted ascent's first weights, and no
+    certificate reports these eigenvalues, so LAPACK's ``eigvalsh`` gives
+    them without ``sym_eigen``'s residual check.
+    """
     X = pts.T @ (pts * u[:, None])
-    lam = sym_eigen((X + X.T) / 2.0)[0]
+    lam = np.linalg.eigvalsh((X + X.T) / 2.0)
     return lam[0] > 1e-12 * max(lam[-1], 1e-300)
 
 
@@ -155,17 +164,17 @@ def _centered_mvee_weights(pts, eps, start=None):
     kappa_k = x_k^T X(u)^{-1} x_k. Sign of the points is irrelevant.
     ``start`` gives the first weights when they pass ``_spans``; a start
     that does not (all zero, say) is ignored. Without one the solve starts
-    cold: the input points must pass ``_spans`` at uniform weights, and the
-    first weights are uniform on a core set of n rows: pivoted Gram-Schmidt
-    picks the row of largest residual norm (lowest index on ties) and
-    projects it out.
+    cold, after a single ``_spans`` test: the input points must pass it at
+    uniform weights, and the first weights are uniform on a core set of n
+    rows: pivoted Gram-Schmidt picks the row of largest residual norm
+    (lowest index on ties) and projects it out.
     """
     pts = np.asarray(pts, dtype=float)
     m, n = pts.shape
     if m < n:
         raise DegenerateSpan(f"{m} points cannot span dimension {n}")
-    u = np.maximum(np.zeros(m) if start is None else start, 0.0)
-    if _spans(pts, u):
+    u = None if start is None else np.maximum(start, 0.0)
+    if u is not None and _spans(pts, u):
         u /= u.sum()
     elif _spans(pts, np.ones(m) / m):
         R, u = pts.copy(), np.zeros(m)

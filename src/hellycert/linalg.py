@@ -4,7 +4,10 @@ Every eigenvalue a certificate reports comes through ``sym_eigen``. The
 solver is LAPACK (``numpy.linalg.eigh``) and is not trusted: its answer is
 returned only after a residual check that bounds the distance of each
 computed eigenvalue from the true one, with the rounding of the check
-itself folded in. The check, not the solver, is the trusted part.
+itself folded in. The check, not the solver, is the trusted part. A span
+test that only picks where an untrusted solver starts (``john._spans``)
+reads ``numpy.linalg.eigvalsh`` without the check: no certificate reports
+those eigenvalues.
 """
 
 from __future__ import annotations

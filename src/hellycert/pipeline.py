@@ -132,17 +132,18 @@ def caratheodory_express(w, points):
     return tau, rho
 
 
-def _polar_offset(family: BodyFamily, z: np.ndarray):
+def _polar_offset(family: BodyFamily, z: np.ndarray, start=None):
     """(offset, MVEE, normalized family, weights) of the polar of the
     family translated to z.
 
     The polar is the hull of the rows of the family normalized at z. The
     offset is its MVEE center's norm in the ellipsoid's own metric, so it
     is a fraction of the polar's size. The weights are the lifted MVEE
-    weights, a warm start for a later solve on the same rows.
+    weights, a warm start for a later solve on the same rows; ``start``
+    hands such weights to this one's solve (``mvee_general``).
     """
     norm = normalize_family(family, z)
-    ell, u = mvee_general(norm.G, eps_mvee=1e-6)
+    ell, u = mvee_general(norm.G, eps_mvee=1e-6, start=start)
     c = ell.center
     return math.sqrt(max(float(c @ ell.shape @ c), 0.0)), ell, norm, u
 
@@ -157,7 +158,9 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float):
     when no lam helps, or after RECENTER_MAX_STEPS steps, and returns (z,
     offset, steps, normalized family, weights), where steps counts the
     Newton steps taken, the family is normalized at the returned z and the
-    MVEE weights are its polar's.
+    MVEE weights are its polar's. Every trial's solve starts from the
+    accepted translate's weights: a translate only rescales the rows, so
+    the nearby optimum is a few ascent steps away.
     """
     z = np.asarray(z0, dtype=float)
     offset, ell, norm, u = _polar_offset(family, z)
@@ -168,7 +171,7 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float):
         while lam > 1e-3:
             z_try = z - lam * step
             if interior_margin(family, z_try) >= 0.1 * radius:
-                trial = _polar_offset(family, z_try)
+                trial = _polar_offset(family, z_try, u)
                 if trial[0] < offset:
                     break
             lam /= 2.0

@@ -65,7 +65,11 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     Each step adds t w_j w_j^T, w_j = sqrt(a_j) v_j, to A from rank-one
     terms built once. Every term is exactly symmetric, since w_ji w_jk and
     w_jk w_ji are the same product, so A is too and its eigensolve takes it
-    as it is, with no (A + A^T) / 2.
+    as it is, with no (A + A^T) / 2. A step sums the four barrier
+    potentials over the n eigenvalues as Python floats, in ascending
+    eigenvalue order, and prices every index's upper and lower bound with
+    one (k x n) @ (n x 2) product, each column of which folds the squared
+    and plain inverse distances to one barrier into one coefficient.
     """
     if d <= 1.0:
         raise ValueError("sparsifier parameter d must exceed 1")
@@ -84,7 +88,7 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
 
     A = np.zeros((n, n))
     coeff = np.zeros(k)
-    lam = np.zeros(n)
+    lam = [0.0] * n
     V = np.eye(n)
 
     for step in range(steps):
@@ -96,14 +100,19 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
                 f"escaped barriers ({l_next:.6g}, {u_next:.6g})")
         P2 = w @ V
         P2 *= P2
-        inv_u = 1.0 / (u_next - lam)
-        inv_l = 1.0 / (lam - l_next)
-        dphi_u = float(np.add.reduce(1.0 / (u_bar - lam))
-                       - np.add.reduce(inv_u))
-        dphi_l = float(np.add.reduce(inv_l)
-                       - np.add.reduce(1.0 / (lam - l_bar)))
-        upper = P2 @ (inv_u ** 2) / dphi_u + P2 @ inv_u
-        lower = P2 @ (inv_l ** 2) / dphi_l - P2 @ inv_l
+        inv_u = [1.0 / (u_next - x) for x in lam]
+        inv_l = [1.0 / (x - l_next) for x in lam]
+        phi_u = phi_u_next = phi_l = phi_l_next = 0.0
+        for x, iu, il in zip(lam, inv_u, inv_l):
+            phi_u += 1.0 / (u_bar - x)
+            phi_u_next += iu
+            phi_l_next += il
+            phi_l += 1.0 / (x - l_bar)
+        dphi_u = phi_u - phi_u_next
+        dphi_l = phi_l_next - phi_l
+        bounds = P2 @ np.array([(iu * iu / dphi_u + iu, il * il / dphi_l - il)
+                                for iu, il in zip(inv_u, inv_l)])
+        upper, lower = bounds[:, 0], bounds[:, 1]
         admissible = (lower > 0.0) & (
             upper <= lower * (1.0 + _ADMIT_RTOL) + _ADMIT_ATOL)
         j = admissible.argmax()
@@ -113,11 +122,12 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
                 f"({l_next:.6g}, {u_next:.6g}), spectrum "
                 f"[{lam[0]:.6g}, {lam[-1]:.6g}], best margin "
                 f"{float(np.min(upper - lower)):.3e}")
-        t = 2.0 / (upper[j] + lower[j])
+        t = 2.0 / (bounds.item(j, 0) + bounds.item(j, 1))
         A += t * outer[j]
         coeff[j] += t
         u_bar, l_bar = u_next, l_next
         lam, V = np.linalg.eigh(A)
+        lam = lam.tolist()
 
     sigma = np.nonzero(coeff > 0.0)[0]
     lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])

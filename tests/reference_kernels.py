@@ -1,10 +1,11 @@
 """Earlier versions of five library kernels, kept as bit-for-bit references.
 
 ``bss_select`` is the barrier selection of ``hellycert.sparsify`` with a
-fresh ``np.outer`` per step and ``A`` re-symmetrized before each
-eigensolve. ``crash`` and ``vertex_walk`` are the start vertex and the
-batched walk of ``hellycert.lp`` with every step indexing the full state by
-the live directions. ``vertex_sets`` is the enumeration of
+fresh ``np.outer`` per step, ``A`` re-symmetrized before each eigensolve
+and each step's potentials and bound coefficients filled in index loops
+over the eigenvalues. ``crash`` and ``vertex_walk`` are the start vertex
+and the batched walk of ``hellycert.lp`` with every step indexing the full
+state by the live directions. ``vertex_sets`` is the enumeration of
 ``hellycert.oracle`` with the n-subsets drawn from ``itertools`` and every
 basis put to the determinant test before it is solved. ``first_kept`` is
 the oracle's near-duplicate merge as one blocked pairwise-distance pass
@@ -54,12 +55,23 @@ def bss_select(vectors, weights, d):
                 f"step {step}: spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] "
                 f"escaped barriers ({l_next:.6g}, {u_next:.6g})")
         P2 = (w @ V) ** 2
-        inv_u = 1.0 / (u_next - lam)
-        inv_l = 1.0 / (lam - l_next)
-        dphi_u = float(np.sum(1.0 / (u_bar - lam)) - np.sum(inv_u))
-        dphi_l = float(np.sum(inv_l) - np.sum(1.0 / (lam - l_bar)))
-        upper = P2 @ (inv_u ** 2) / dphi_u + P2 @ inv_u
-        lower = P2 @ (inv_l ** 2) / dphi_l - P2 @ inv_l
+        inv_u, inv_l = np.zeros(n), np.zeros(n)
+        phi = [0.0, 0.0, 0.0, 0.0]  # at u_bar, u_next, l_next, l_bar
+        for i in range(n):
+            x = float(lam[i])
+            inv_u[i] = 1.0 / (u_next - x)
+            inv_l[i] = 1.0 / (x - l_next)
+            phi[0] = phi[0] + 1.0 / (u_bar - x)
+            phi[1] = phi[1] + float(inv_u[i])
+            phi[2] = phi[2] + float(inv_l[i])
+            phi[3] = phi[3] + 1.0 / (x - l_bar)
+        dphi_u = phi[0] - phi[1]
+        dphi_l = phi[2] - phi[3]
+        coeffs = np.zeros((n, 2))
+        for i in range(n):
+            coeffs[i, 0] = inv_u[i] * inv_u[i] / dphi_u + inv_u[i]
+            coeffs[i, 1] = inv_l[i] * inv_l[i] / dphi_l - inv_l[i]
+        upper, lower = (P2 @ coeffs).T
         admissible = (lower > 0.0) & (
             upper <= lower * (1.0 + _ADMIT_RTOL) + _ADMIT_ATOL)
         if not admissible.any():

@@ -8,6 +8,7 @@ suites and demands byte-identical output.
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -97,15 +98,35 @@ def reducible_suite():
                                        rows_per_body=(n + 1, n + 1))
             cert = select_general(fam)
             if cert.s > 2 * n and cert.all_pass:
-                try:
-                    red = reduce_to_2n(fam, cert)
-                except SolverStall as exc:
-                    # reduce stops on a step past its growth limit;
-                    # criterion 6 reports that as its failure
-                    red = exc
-                found[n] = (seed, fam, cert, red)
+                # reduce stops on a step past its growth limit; criterion
+                # 6 reports that as its failure
+                found[n] = (seed, fam, cert, reduce_or_stall(fam, cert))
                 break
     return found
+
+
+def reduce_or_stall(fam, cert):
+    """The reduced certificate, or the SolverStall reduce stopped on."""
+    try:
+        return reduce_to_2n(fam, cert)
+    except SolverStall as exc:
+        return exc
+
+
+def reduce_outcome(red, seed):
+    """A reduction's canonical certificate bytes, or its stall message."""
+    if isinstance(red, SolverStall):
+        return str(red)
+    return hio.canonical_certificate_bytes(
+        hio.certificate_to_json(red, __version__, seed=seed))
+
+
+def reduce_mismatches(reducible_suite):
+    """Criterion 8 on the reductions: each reruns to the same outcome."""
+    return [("reduce", n)
+            for n, (seed, fam, cert, red) in reducible_suite.items()
+            if reduce_outcome(red, seed)
+            != reduce_outcome(reduce_or_stall(fam, cert), seed)]
 
 
 def test_criterion_1_john_residuals():
@@ -284,11 +305,7 @@ def test_criterion_8_determinism(slab_suite, halfspace_suite, reducible_suite):
         doc2 = hio.certificate_to_json(rerun, __version__, seed=seed)
         if hio.canonical_certificate_bytes(doc1) != hio.canonical_certificate_bytes(doc2):
             mismatches.append(("halfspace", k))
-    for n, (seed, fam, cert, red) in reducible_suite.items():
-        doc1 = hio.certificate_to_json(red, __version__, seed=seed)
-        doc2 = hio.certificate_to_json(reduce_to_2n(fam, cert), __version__, seed=seed)
-        if hio.canonical_certificate_bytes(doc1) != hio.canonical_certificate_bytes(doc2):
-            mismatches.append(("reduce", n))
+    mismatches += reduce_mismatches(reducible_suite)
     fam1 = gen_sharpness_instance(2, 64, seed=SHARPNESS_SEED)
     fam2 = gen_sharpness_instance(2, 64, seed=SHARPNESS_SEED)
     if json.dumps(hio.family_to_json(fam1), sort_keys=True) != \
@@ -297,3 +314,23 @@ def test_criterion_8_determinism(slab_suite, halfspace_suite, reducible_suite):
     record(8, not mismatches,
            f"{len(slab_suite) + len(halfspace_suite) + len(reducible_suite) + 1} "
            f"re-runs byte-identical, mismatches {mismatches}")
+
+
+def test_criterion_8_compares_reduce_stalls(monkeypatch, reducible_suite):
+    """A reduction that stopped on a SolverStall is rerun like any other:
+    the same stall message matches, and a different message, or a
+    certificate in place of the stall, is a mismatch."""
+    n, (seed, fam, cert, red) = next(iter(reducible_suite.items()))
+    message = ["dropping body 3 grows the radius"]
+
+    def stall(fam, cert):
+        raise SolverStall(message[0])
+
+    stalled = {n: (seed, fam, cert, SolverStall(message[0]))}
+    monkeypatch.setattr(sys.modules[__name__], "reduce_to_2n", stall)
+    assert reduce_mismatches(stalled) == []
+    message[0] = "no drop leaves a bounded intersection"
+    assert reduce_mismatches(stalled) == [("reduce", n)]
+    monkeypatch.undo()
+    assert reduce_mismatches(stalled) == [("reduce", n)]
+    assert reduce_mismatches({n: (seed, fam, cert, red)}) == []

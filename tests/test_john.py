@@ -301,6 +301,22 @@ def test_mvee_cold_start_step_guard(monkeypatch):
     assert 0 < len(calls) <= 100
 
 
+@pytest.mark.parametrize("solve", [mvee_centered, mvee_general])
+def test_mvee_cold_start_tests_the_span_once(monkeypatch, solve):
+    """Without a start there is nothing to test but the uniform weights."""
+    real = john._spans
+    seen = []
+
+    def spy(pts, u):
+        seen.append(u.copy())
+        return real(pts, u)
+
+    monkeypatch.setattr(john, "_spans", spy)
+    solve(np.random.default_rng(6).standard_normal((20, 3)), 1e-8)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.full(20, 1.0 / 20))
+
+
 @pytest.mark.parametrize("support", [(), (0,), (0, 1), (0, 1, 2)])
 def test_mvee_start_without_spanning_support(rng, support):
     """A start whose lifted support does not span (four rows are needed in

@@ -158,16 +158,34 @@ def test_recenter_reaches_its_target(seed):
 
 
 def test_recenter_offsets_strictly_decrease(monkeypatch):
+    """Each accepted step lowers the offset; every trial solve starts from
+    the accepted translate's weights, and what ``_recenter`` returns is
+    what ``_polar_offset`` gives again from the start its translate had."""
     fam = gen_halfspace_family(3, 8, seed=2)
     z0, radius = chebyshev_center(fam)
     monkeypatch.setattr(pipeline, "RECENTER_TARGET", 0.0)
+    calls = []
+
+    def spy(family, z, start=None):
+        out = _polar_offset(family, z, start)
+        calls.append((start, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "_polar_offset", spy)
     offsets = []
     for k in range(5):
         monkeypatch.setattr(pipeline, "RECENTER_MAX_STEPS", k)
+        calls.clear()
         z, offset, steps, norm, u = _recenter(fam, z0, radius)
         assert steps == k
-        polar = _polar_offset(fam, z)
-        assert offset == polar[0]
+        (start, accepted), *trials = calls
+        assert start is None
+        for trial_start, trial in trials:
+            assert np.array_equal(trial_start, accepted[3])
+            if trial[0] < accepted[0]:
+                start, accepted = trial_start, trial
+        polar = _polar_offset(fam, z, start)
+        assert offset == polar[0] == accepted[0]
         # the family and weights handed on are the polar's at z
         assert np.array_equal(norm.G, polar[2].G)
         assert np.array_equal(norm.owner, polar[2].owner)
