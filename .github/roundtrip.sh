@@ -36,6 +36,19 @@ code=0; hellycert certify --in hs.json --cert old.json || code=$?
 test "$code" -eq 3
 hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
 hellycert certify --in hs.json --cert hs-reduced.json
+# reduce reads its input through io.check, as certify does: diagnostics
+# are information, so without them it still reduces (exit 0) to a
+# certificate that certifies; a payload that is a list is malformed
+# input (exit 3), reported on one line, not as a traceback
+python -c "import json; d = json.load(open('hs-cert.json')); del d['diagnostics']; json.dump(d, open('nodiag.json', 'w'))"
+hellycert reduce --in hs.json --cert nodiag.json --out nodiag-reduced.json
+hellycert certify --in hs.json --cert nodiag-reduced.json
+python -c "import json; d = json.load(open('hs-cert.json')); d['payload'] = []; json.dump(d, open('bad.json', 'w'))"
+code=0; hellycert reduce --in hs.json --cert bad.json --out bad-reduced.json 2> bad-err.txt || code=$?
+test "$code" -eq 3
+test ! -e bad-reduced.json
+grep -q "^InvalidInstance: certificate field 'payload' is not an object" bad-err.txt
+if grep -q Traceback bad-err.txt; then exit 1; fi
 # reduce enforces each step's growth limit itself and stores no verdict
 # for it; check derives no such verdict, so one added to the file is
 # rejected (exit 2)
@@ -90,7 +103,7 @@ hellycert select-gen --in hs53.json --out hs53-cert.json
 code=0; hellycert reduce --in hs53.json --cert hs53-cert.json --out hs53-reduced.json 2> hs53-err.txt || code=$?
 test "$code" -eq 4
 test ! -e hs53-reduced.json
-grep -q "oracle cap: reduce: 41 constraints" hs53-err.txt
+grep -q "OracleTooLarge: reduce: 41 constraints" hs53-err.txt
 # general mode at n=6, where the John support is widest and the
 # decomposition weights are the MVEE's own, unpolished
 hellycert gen --kind halfspace --n 6 --count 60 --seed 0 --out gen6.json

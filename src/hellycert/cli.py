@@ -4,7 +4,12 @@ Subcommands: gen, select-sym, select-gen, reduce, certify, report,
 canonical.
 Exit codes: 0 success with all verdicts green, 2 completed but some
 certificate verdict failed, 3 invalid or degenerate input or a usage error,
-4 oracle caps exceeded. Diagnostics go to standard error, results to files.
+4 oracle caps exceeded. A failure exits with its error class's
+``exit_code`` (``errors``), a ValueError or OSError with 3, and prints one
+line to standard error, ``<Class>: [<stage>: ]<message>``. ``reduce``
+reads its input certificate through ``io.certificate_from_json``, so it
+refuses the claims ``certify`` rejects, with the same exit code, before it
+prices a drop. Diagnostics go to standard error, results to files.
 """
 
 from __future__ import annotations
@@ -13,11 +18,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import (BarrierStuck, CaratheodoryFailed, CertificateRejected,
-                     DegenerateInterior, DegenerateSpan, InvalidInstance,
-                     InvalidMatrix, JohnExtractionFailed, NotInterior,
-                     OracleTooLarge, SharpnessGenFailed,
-                     ShiftCertificateFailed, SolverStall, UnboundedBody)
+from .errors import HellycertError, InvalidInstance
 from .io import (canonical_certificate_bytes, certificate_from_json,
                  certificate_to_json, load_certificate, load_instance,
                  save_certificate, save_instance, verify_certificate,
@@ -28,16 +29,8 @@ from .pipeline import (diameter_report, reduce_to_2n, select_general,
                        select_symmetric)
 
 EXIT_OK = 0
-EXIT_VERDICT = 2
-EXIT_INPUT = 3
-EXIT_ORACLE = 4
-
-_INPUT_ERRORS = (InvalidInstance, InvalidMatrix, NotInterior,
-                 DegenerateInterior, UnboundedBody, DegenerateSpan,
-                 ValueError, OSError)
-_RUN_ERRORS = (BarrierStuck, CaratheodoryFailed, CertificateRejected,
-               JohnExtractionFailed, SharpnessGenFailed,
-               ShiftCertificateFailed, SolverStall)
+EXIT_VERDICT = HellycertError.exit_code
+EXIT_INPUT = InvalidInstance.exit_code
 
 
 def _cmd_gen(args) -> int:
@@ -46,11 +39,9 @@ def _cmd_gen(args) -> int:
         family = gen_sharpness_instance(args.n, args.N, args.seed)
     elif kind == "slab":
         family = gen_slab_family(args.n, args.count, args.seed)
-    elif kind == "halfspace":
+    else:
         family = gen_halfspace_family(args.n, args.count, args.seed,
                                       margin=args.margin)
-    else:
-        raise InvalidInstance(f"unknown generator kind {kind!r}")
     save_instance(family, args.out)
     print(f"wrote {kind} instance ({family.dim}D, {len(family)} bodies) "
           f"to {args.out}")
@@ -86,7 +77,7 @@ def _cmd_select(args, mode: str) -> int:
 def _cmd_reduce(args) -> int:
     family = load_instance(args.infile)
     doc = load_certificate(args.cert, version=__version__)
-    cert = reduce_to_2n(family, certificate_from_json(doc))
+    cert = reduce_to_2n(family, certificate_from_json(family, doc))
     m = family.constraint_matrix()[0].shape[0]
     out_doc = certificate_to_json(cert, __version__, constraint_count=m,
                                   seed=doc.get("seed"))
@@ -187,15 +178,10 @@ def main(argv=None) -> int:
         raise
     try:
         return args.func(args)
-    except OracleTooLarge as exc:
-        print(f"oracle cap: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except _RUN_ERRORS as exc:
+    except (HellycertError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except _INPUT_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return (exc.exit_code if isinstance(exc, HellycertError)
+                else EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,26 @@
 """Instance and certificate file formats, and the one verdict path.
 
-Instances and certificates are plain JSON. Certificates additionally have a
-canonical byte form used for determinism checks: the JSON is re-serialized
-with sorted keys and no whitespace, with the wall-time section stripped
-(times are the one legitimately run-dependent part of a certificate).
-Floats go through Python's shortest round-trip repr, so equal values give
-equal bytes on any platform.
+Instances and certificates are plain JSON, written by the json module
+alone: its one hook, ``_plain``, turns numpy arrays and scalars into
+Python values, so the document ``certificate_to_json`` holds in memory is
+the json encoding read back, which is what a file holds. Certificates
+additionally have a canonical byte form used for determinism checks: the
+JSON is re-serialized with sorted keys and no whitespace, with the
+wall-time section stripped (times are the one legitimately run-dependent
+part of a certificate). Floats go through Python's shortest round-trip
+repr, so equal values give equal bytes on any platform.
 
 ``check`` derives every verdict of a certificate, and every number behind
 them, from the instance and the certificate's claims. The selectors fill
 their certificates from it, and ``verify_certificate`` compares a stored
-certificate with it. The payload holds the claims only: the witness
-vectors, the general-mode shift and its target w are derived from them
-each time and never stored. The producer decides by the same rules: the
+certificate with it. A certificate file is read back through it too:
+``certificate_from_json`` is ``check`` of the file's claims, plus the
+timings, notes and diagnostics the file carries as information. So a
+certificate read from a file takes no derived field from it: only
+``verify_certificate`` reads them, to compare, and ``write_report``, to
+summarize. The payload holds the claims only: the witness vectors, the
+general-mode shift and its target w are derived from them each time and
+never stored. The producer decides by the same rules: the
 Caratheodory witness passes ``caratheodory_holds`` in both.
 """
 
@@ -22,7 +30,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,22 +78,16 @@ class SelectionCertificate:
         return all(self.verdicts.values())
 
 
+def _plain(obj):
+    """The json encoder's hook: a numpy array or scalar as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _pyify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # tolist already gives Python scalars for these kinds
-        return (obj.tolist() if obj.dtype.kind in "biuf"
-                else _pyify(obj.tolist()))
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    """``obj`` as the json module reads it back from its own encoding."""
+    return json.loads(json.dumps(obj, default=_plain))
 
 
 def family_to_json(family: BodyFamily) -> dict:
@@ -165,17 +167,22 @@ def certificate_to_json(cert: SelectionCertificate, version: str,
     return _pyify(doc)
 
 
-def certificate_from_json(doc) -> SelectionCertificate:
-    try:
-        return SelectionCertificate(**{
-            **{f.name: doc.get(f.name) for f in fields(SelectionCertificate)},
-            "selected": tuple(doc["selected"]),
-            "z": np.asarray(doc["z"], dtype=float),
-            "stages": _optional_object(_optional_object(doc, "timing"),
-                                       "stages"),
-            "notes": tuple(doc.get("notes", []))})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInstance(f"malformed certificate: {exc!r}") from exc
+def certificate_from_json(family: BodyFamily, doc) -> SelectionCertificate:
+    """The certificate ``check`` derives from the claims of ``doc``, with
+    the document's ``timing.stages``, ``notes`` and ``diagnostics`` kept as
+    information: ``check``'s own diagnostics replace the stored ones of the
+    same name. No other field is read. Raises what ``check`` raises, and
+    InvalidInstance when ``timing``, ``timing.stages`` or ``diagnostics``
+    is neither an object nor null, or ``notes`` neither a list nor null."""
+    cert = check(family, doc)
+    notes = doc.get("notes")
+    if not isinstance(notes, (list, type(None))):
+        raise InvalidInstance("certificate field 'notes' is not a list")
+    return replace(
+        cert, notes=tuple(notes or ()),
+        stages=_optional_object(_optional_object(doc, "timing"), "stages"),
+        diagnostics={**_optional_object(doc, "diagnostics"),
+                     **cert.diagnostics})
 
 
 def load_certificate(path, version=None) -> dict:
@@ -199,8 +206,8 @@ def save_certificate(doc: dict, path) -> None:
 def canonical_certificate_bytes(doc: dict) -> bytes:
     """Byte form used for determinism comparison; wall times excluded."""
     stripped = {k: v for k, v in doc.items() if k != "timing"}
-    return json.dumps(_pyify(stripped), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return json.dumps(stripped, sort_keys=True, separators=(",", ":"),
+                      default=_plain).encode("utf-8")
 
 
 def _field(obj, key):
@@ -241,11 +248,13 @@ def _indices(obj, name: str, count: int) -> list:
     """A stored index list, rejected unless it names a set of items of
     range(count) in increasing order, non-empty when range(count) is."""
     values = _field(obj, name)
+    if isinstance(values, np.ndarray):  # a producer's claims
+        values = values.tolist()
+    elif isinstance(values, tuple):
+        values = list(values)
     if type(values) is not list or set(map(type, values)) - {int}:
-        values = _pyify(values)
-        if not isinstance(values, list) or set(map(type, values)) - {int}:
-            raise InvalidInstance(f"certificate field {name!r} is not a list "
-                                  f"of integers: {values!r}")
+        raise InvalidInstance(f"certificate field {name!r} is not a list "
+                              f"of integers: {values!r}")
     if count and not values:
         problem = "is empty"
     elif values != sorted(set(values)):
@@ -485,7 +494,7 @@ def verify_certificate(family: BodyFamily, doc: dict):
     problems = [f"{key}={_field(doc, key)!r} stored, {value!r} expected "
                 f"({meaning})" for key, value, meaning in derived
                 if not _same(_field(doc, key), value)]
-    diagnostics = _field(doc, "diagnostics")
+    diagnostics = _object(doc, "diagnostics")
     problems += [f"diagnostics.{key}={_field(diagnostics, key)!r} stored, "
                  f"{value!r} recomputed"
                  for key, value in checked.diagnostics.items()

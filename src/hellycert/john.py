@@ -25,7 +25,8 @@ LAPACK's eigenvalues without a residual check. Dual weights of the solved
 problem directly supply John decomposition weights after mapping to Loewner
 position, which is why no separate extraction problem is solved: the
 ellipsoid's center and shape come from the same weights, so the identity
-holds by construction, and the barycenter is off by O(n eps_mvee). The
+holds by construction, and the barycenter is off by O(n) times the MVEE
+gap (``EPS_MVEE_DEFAULT``, or ``mvee_general``'s ``eps_mvee``). The
 residual checks that follow decide whether the result is accepted.
 """
 
@@ -244,11 +245,12 @@ def _centered_mvee_weights(pts, eps, start=None):
         f"MVEE ascent did not reach gap {eps:.1e} in {MVEE_MAX_STEPS} steps")
 
 
-def mvee_centered(points, eps_mvee: float = EPS_MVEE_DEFAULT):
-    """Centered MVEE of a symmetric point set (signs of points ignored)."""
+def mvee_centered(points):
+    """Centered MVEE of a symmetric point set (signs of points ignored), to
+    the gap EPS_MVEE_DEFAULT, read at call time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    u = _centered_mvee_weights(pts, eps_mvee)
+    u = _centered_mvee_weights(pts, EPS_MVEE_DEFAULT)
     M = _fresh_state(pts, u)[0] / n
     return Ellipsoid(center=np.zeros(n), shape=(M + M.T) / 2.0), u
 
@@ -278,7 +280,6 @@ def _sqrt_spd(M: np.ndarray) -> np.ndarray:
 
 
 def john_decomposition(pts: np.ndarray, centered: bool,
-                       eps_mvee: float = EPS_MVEE_DEFAULT,
                        start=None) -> JohnDecomposition:
     """John decomposition of the convex hull of the rows of pts.
 
@@ -287,14 +288,15 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     one path for both modes. With ``centered`` the MVEE center is free, the
     barycenter identity sum a_j v_j = 0 is part of the contract, and
     ``start`` may give the lifted MVEE solve's first weights (mvee_general).
-    A residual above TOL_JOHN_DEFAULT raises JohnExtractionFailed.
+    The MVEE is solved to the gap EPS_MVEE_DEFAULT, read at call time. A
+    residual above TOL_JOHN_DEFAULT raises JohnExtractionFailed.
     """
     m, n = pts.shape
 
     if centered:
-        ell, u = mvee_general(pts, eps_mvee, start)
+        ell, u = mvee_general(pts, EPS_MVEE_DEFAULT, start)
     else:
-        ell, u = mvee_centered(pts, eps_mvee)
+        ell, u = mvee_centered(pts)
     T = _sqrt_spd(ell.shape)
     Y = (pts - ell.center) @ T
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import hellycert
-from hellycert import cli, lp, pipeline
+from hellycert import cli, errors, lp, pipeline
 from hellycert import io as hio
 from hellycert.cli import main
 from hellycert.geometry import containment_system, normalize_family
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
+from hellycert.pipeline import select_symmetric
 
 from conftest import walked_supports
 
@@ -202,8 +203,9 @@ def test_reduce_exit_code_oracle_cap(tmp_path, capsys):
     capsys.readouterr()
     assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 4
     assert not red.exists()
-    assert ("reduce: 49 constraints exceed oracle cap 40 in dimension 3"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.startswith(
+        "OracleTooLarge: reduce: 49 constraints exceed oracle cap 40 in "
+        "dimension 3")
 
 
 def test_reduce_exits_2_on_a_step_past_its_growth_limit(tmp_path, capsys,
@@ -703,3 +705,188 @@ def test_certify_derives_the_shift_and_w(tmp_path, capsys, edit, code,
     capsys.readouterr()
     assert run(["certify", "--in", inst, "--cert", cert]) == code
     assert message in "".join(capsys.readouterr())
+
+
+# Every error class with the exit code README's "Exit codes" gives it.
+EXIT_CODES = {
+    "BarrierStuck": 2, "CaratheodoryFailed": 2, "CertificateRejected": 2,
+    "JohnExtractionFailed": 2, "SharpnessGenFailed": 2,
+    "ShiftCertificateFailed": 2, "SolverStall": 2,
+    "DegenerateInterior": 3, "DegenerateSpan": 3, "InvalidInstance": 3,
+    "InvalidMatrix": 3, "NotInterior": 3, "UnboundedBody": 3,
+    "OracleTooLarge": 4,
+}
+
+
+def _error_classes(base=errors.HellycertError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("stage", [None, "reduce"])
+def test_every_error_class_exits_with_its_documented_code(monkeypatch,
+                                                          capsys, stage):
+    """Each error class raised out of a command exits with README's code,
+    and standard error reads ``<Class>: [<stage>: ]<message>``; a
+    ValueError or OSError exits 3 the same way."""
+    classes = list(_error_classes())
+    assert sorted(cls.__name__ for cls in classes) == sorted(EXIT_CODES)
+    raised = [*classes, ValueError, OSError]
+    for cls in raised:
+        def fail(args, cls=cls):
+            exc = cls("boom")
+            if stage is not None and hasattr(exc, "stage"):
+                exc.stage = stage
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_canonical", fail)
+        code = run(["canonical", "--cert", "c.json"])
+        assert code == EXIT_CODES.get(cls.__name__, 3), cls
+        err = capsys.readouterr().err
+        prefix = (f"{stage}: " if stage and issubclass(
+            cls, errors.HellycertError) else "")
+        assert err == f"{cls.__name__}: {prefix}boom\n", err
+
+
+def test_certify_exits_2_on_a_singular_support_basis(tmp_path, capsys):
+    """A stored basis holding a slab row and its negation is singular:
+    the replay refuses it (exit 2), and says so."""
+    fam = gen_slab_family(3, 12, seed=1)
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    hio.save_instance(fam, inst)
+    doc = hio.certificate_to_json(select_symmetric(fam), hellycert.__version__)
+    Gq = containment_system(fam, doc["selected"])[0]
+    twin = int(np.flatnonzero(np.all(Gq == -Gq[0], axis=1))[0])
+    third = next(r for r in range(len(Gq)) if r not in (0, twin))
+    doc["payload"]["support_bases"][0] = [0, twin, third]
+    hio.save_certificate(doc, cert)
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == 2
+    assert ("support_bases fail their check: a basis is singular"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", [None, [], 3.0],
+                         ids=["null", "list", "number"])
+def test_certify_names_a_diagnostics_that_is_no_object(certified, tmp_path,
+                                                       capsys, value):
+    inst, doc = certified["general"]
+    cert = tmp_path / "cert.json"
+    hio.save_certificate({**doc, "diagnostics": value}, cert)
+    capsys.readouterr()
+    assert run(["certify", "--in", inst, "--cert", cert]) == 3
+    assert capsys.readouterr().err == ("InvalidInstance: certificate field "
+                                       "'diagnostics' is not an object\n")
+
+
+@pytest.fixture(scope="module")
+def reducible(tmp_path_factory):
+    """gen_halfspace_family(2, 40, 102) and its select-gen certificate, of
+    s = 5 > 2n bodies, and a symmetric one of s <= 2n."""
+    root = tmp_path_factory.mktemp("reducible")
+    out = {}
+    for mode, fam, select in (
+            ("general", gen_halfspace_family(2, 40, seed=102), "select-gen"),
+            ("symmetric", gen_slab_family(3, 12, seed=1), "select-sym")):
+        inst, cert = root / f"{mode}.json", root / f"{mode}-cert.json"
+        hio.save_instance(fam, inst)
+        assert run([select, "--in", inst, "--out", cert]) == 0
+        out[mode] = (inst, json.loads(cert.read_text()))
+    assert out["general"][1]["s"] == 5
+    return out
+
+
+def _no_drop(monkeypatch):
+    def priced(*args):
+        raise AssertionError("reduce priced a drop")
+
+    monkeypatch.setattr(pipeline, "cheapest_drop", priced)
+
+
+def _reduce_and_certify(inst, doc, tmp_path, capsys):
+    """(reduce's exit code and stderr, certify's exit code) on ``doc``;
+    a refused reduce writes no file."""
+    cert, out = tmp_path / "edited.json", tmp_path / "reduced.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["reduce", "--in", inst, "--cert", cert, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 0 or not out.exists()
+    return code, err, run(["certify", "--in", inst, "--cert", cert])
+
+
+@pytest.mark.parametrize("edit, code", [
+    (("diagnostics", "delete"), 0), (("diagnostics", None), 0),
+    (("diagnostics", []), 3), (("payload", []), 3), (("payload", None), 3),
+], ids=["diagnostics-deleted", "diagnostics-null", "diagnostics-list",
+        "payload-list", "payload-null"])
+def test_reduce_reads_a_malformed_certificate_without_a_traceback(
+        reducible, tmp_path, capsys, edit, code):
+    """Diagnostics are information, read as empty when deleted or null;
+    anything else that is not an object exits 3 with one line."""
+    inst, doc = reducible["general"]
+    key, value = edit
+    doc = {k: v for k, v in doc.items() if k != key}
+    if value != "delete":
+        doc[key] = value
+    got, err, _ = _reduce_and_certify(inst, doc, tmp_path, capsys)
+    assert got == code, err
+    if code:
+        assert err.startswith("InvalidInstance: certificate field "
+                              f"'{key}' is not an object"), err
+    else:
+        out = tmp_path / "reduced.json"
+        assert hio.load_certificate(out)["s"] == 4
+        assert run(["certify", "--in", inst, "--cert", out]) == 0
+
+
+CLAIMS = {
+    "general": ["mode", "selected", "z", "d", "eps", "payload",
+                "payload.coefficients", "payload.frame",
+                "payload.frame_center", "payload.rho", "payload.sigma_rows",
+                "payload.support_bases", "payload.support_directions",
+                "payload.tau_rows"],
+    "symmetric": ["mode", "selected", "z", "d", "eps", "payload",
+                  "payload.coefficients", "payload.frame",
+                  "payload.frame_center", "payload.sigma_rows",
+                  "payload.support_bases", "payload.support_directions"],
+}
+
+
+@pytest.mark.parametrize("mode, claim, edit", [
+    (mode, claim, edit) for mode, claims in CLAIMS.items()
+    for claim in claims for edit in ("delete", "string")])
+def test_reduce_refuses_a_malformed_claim_as_certify_does(
+        reducible, tmp_path, capsys, monkeypatch, mode, claim, edit):
+    """reduce reads its input through ``check``: a claim deleted or
+    replaced by a string exits with certify's code, before any drop is
+    priced."""
+    inst, doc = reducible[mode]
+    doc = json.loads(json.dumps(doc))
+    *path, key = claim.split(".")
+    where = doc[path[0]] if path else doc
+    if edit == "delete":
+        del where[key]
+    else:
+        where[key] = "x"
+    _no_drop(monkeypatch)
+    code, err, certify_code = _reduce_and_certify(inst, doc, tmp_path,
+                                                  capsys)
+    assert code in (2, 3) and code == certify_code, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+def test_reduce_refuses_support_bases_that_fail_their_replay(
+        reducible, tmp_path, capsys, monkeypatch):
+    """A selection of more than 2n bodies is not reduced on bases that
+    fail their replay: exit 2, as certify, with nothing priced."""
+    inst, doc = reducible["general"]
+    doc = json.loads(json.dumps(doc))
+    basis = doc["payload"]["support_bases"][0]
+    basis[0] = basis[1]
+    _no_drop(monkeypatch)
+    code, err, certify_code = _reduce_and_certify(inst, doc, tmp_path,
+                                                  capsys)
+    assert code == certify_code == 2
+    assert err.startswith("SolverStall: support_bases fail their check"), err

@@ -381,11 +381,55 @@ def test_the_payload_holds_the_claims_only(make, select, tmp_path):
     path = tmp_path / "cert.json"
     hio.save_certificate(doc, path)
     loaded = hio.load_certificate(path, version=__version__)
-    back = hio.certificate_from_json(loaded)
+    back = hio.certificate_from_json(fam, loaded)
     for payload in (cert.payload, doc["payload"], loaded["payload"],
                     back.payload):
         assert sorted(payload) == sorted(PAYLOAD[cert.mode])
     assert hio.verify_certificate(fam, loaded) == (True, [])
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general", "reduced"])
+def test_certificate_from_json_reads_claims_and_information_only(
+        certificates, mode):
+    """A file is read through ``check``: edited derived fields are not
+    read, and its stages, notes and informational diagnostics are kept."""
+    fam, doc = certificates[mode]
+    edited = copy.deepcopy(doc)
+    edited.update(s=99, gamma_d=0.0, bound_claimed=0.5, alpha_measured=0.5,
+                  c_measured=0.0, verdicts={"cardinality": False})
+    edited["diagnostics"].update(frame_radius=-1.0, budget=0)
+    cert, checked = (hio.certificate_from_json(fam, edited),
+                     hio.check(fam, doc))
+    for f in ("selected", "s", "d", "eps", "gamma_d", "bound_claimed",
+              "alpha_measured", "c_measured", "verdicts", "payload"):
+        assert getattr(cert, f) == getattr(checked, f), f
+    assert cert.diagnostics == {**doc["diagnostics"], **checked.diagnostics}
+    assert cert.stages == doc["timing"]["stages"]
+    assert cert.notes == tuple(doc["notes"])
+
+
+@pytest.mark.parametrize("key, value, read", [
+    ("notes", None, ()), ("notes", "delete", ()), ("notes", "a note", None),
+    ("notes", {"a": 1}, None), ("diagnostics", None, {}),
+    ("diagnostics", [], None), ("timing", {"stages": None}, {}),
+    ("timing", {"stages": [1.0]}, None)])
+def test_certificate_from_json_information_is_an_object_or_a_list(
+        certificates, key, value, read):
+    """Missing or null information reads as empty; any other non-object
+    (non-list for the notes) is InvalidInstance."""
+    fam, doc = certificates["general"]
+    doc = {k: v for k, v in doc.items() if k != key}
+    if value != "delete":
+        doc[key] = value
+    if read is None:
+        with pytest.raises(InvalidInstance, match="is not an? (object|list)"):
+            hio.certificate_from_json(fam, doc)
+        return
+    cert = hio.certificate_from_json(fam, doc)
+    got = {"notes": cert.notes, "timing": cert.stages,
+           "diagnostics": {k: v for k, v in cert.diagnostics.items()
+                           if k not in hio.check(fam, doc).diagnostics}}
+    assert got[key] == read
 
 
 @pytest.mark.parametrize("mode, case", list(_tamper_cases()))
@@ -512,7 +556,7 @@ def test_verify_ignores_a_stray_copy_but_not_an_edited_claim(certificates,
     """A derived copy that a document still stores, edited or not, is an
     unknown key; a coefficient scaled by 1.5 is still rejected."""
     fam, doc = certificates["general"]
-    vecs, _, shift, w = derived_witnesses(fam, hio.certificate_from_json(doc))
+    vecs, _, shift, w = derived_witnesses(fam, hio.check(fam, doc))
     stray = copy.deepcopy(doc)
     stray["payload"][key] = (1.5 * dict(
         shift=shift, w=w, contact_vectors=vecs)[key]).tolist()
@@ -555,7 +599,7 @@ def test_one_caratheodory_rule_for_check_and_the_producer(
     its acceptance."""
     fam, doc = certificates["general"]
     n, payload = doc["dimension"], doc["payload"]
-    _, taus, _, w = derived_witnesses(fam, hio.certificate_from_json(doc))
+    _, taus, _, w = derived_witnesses(fam, hio.check(fam, doc))
     rho = np.asarray(payload["rho"])
     assert hio.caratheodory_holds(taus, rho, w)[0]
     rows = payload["tau_rows"]

@@ -29,9 +29,10 @@ def lifted(points):
     return np.hstack([points, np.ones((len(points), 1))])
 
 
-def test_mvee_centered_cross_polytope():
+def test_mvee_centered_cross_polytope(monkeypatch):
     pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
-    ell, weights = mvee_centered(pts, 1e-10)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-10)
+    ell, weights = mvee_centered(pts)
     np.testing.assert_allclose(ell.shape, np.eye(2), atol=1e-7)
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
     # each +- pair carries total dual mass 1/2 however it is split
@@ -39,13 +40,14 @@ def test_mvee_centered_cross_polytope():
     assert weights[2] + weights[3] == pytest.approx(0.5, abs=1e-6)
 
 
-def test_mvee_centered_stretched_axes():
+def test_mvee_centered_stretched_axes(monkeypatch):
     pts = np.array([[2.0, 0], [-2, 0], [0, 1], [0, -1]])
-    ell, _ = mvee_centered(pts, 1e-10)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-10)
+    ell, _ = mvee_centered(pts)
     np.testing.assert_allclose(ell.shape, np.diag([0.25, 1.0]), atol=1e-7)
 
 
-def test_mvee_centered_duality_certificate(rng):
+def test_mvee_centered_duality_certificate(rng, monkeypatch):
     half = rng.standard_normal((25, 3))
     cases = [np.vstack([half, -half])]
     for seed, n, m, dups in ((0, 3, 25, 0), (1, 2, 7, 3), (2, 5, 40, 10),
@@ -54,8 +56,9 @@ def test_mvee_centered_duality_certificate(rng):
         # +-p pairs, some repeated, make Newton's K o K singular
         cases.append(np.vstack([half, -half, half[:dups], -half[:dups]]))
     eps = 1e-8
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", eps)
     for pts in cases:
-        ell, weights = mvee_centered(pts, eps)
+        ell, weights = mvee_centered(pts)
         quad = np.einsum("ij,jk,ik->i", pts, ell.shape, pts)
         assert np.max(quad) <= 1.0 + 2 * eps
         # complementary slackness: dual mass only on near-active points
@@ -69,7 +72,7 @@ def test_mvee_centered_duality_certificate(rng):
 def test_mvee_centered_degenerate_span():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(DegenerateSpan, match="input points do not span"):
-        mvee_centered(pts, 1e-8)
+        mvee_centered(pts)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -212,6 +215,19 @@ def test_mvee_step_cap_is_read_at_call_time(rng, monkeypatch):
         _centered_mvee_weights(pts, 1e-10)
 
 
+@pytest.mark.parametrize("centered, gap", [(False, r"1\.0e-10"),
+                                            (True, r"7\.5e-11")])
+def test_mvee_gap_is_read_at_call_time(rng, monkeypatch, centered, gap):
+    """Both John paths solve to EPS_MVEE_DEFAULT as it is when called (the
+    lifted solve to n / (n + 1) of it)."""
+    pts = rng.standard_normal((30, 3))
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-10)
+    monkeypatch.setattr(john, "MVEE_MAX_STEPS", 3)
+    with pytest.raises(JohnExtractionFailed,
+                       match=f"did not reach gap {gap} in 3 steps"):
+        john_decomposition(pts, centered=centered)
+
+
 def test_newton_retry_guard(monkeypatch):
     """A Newton try also waits for half the gap at the last try. At gen
     n=16/32 seed 0, where the polar MVEE at the Chebyshev center has 851
@@ -312,7 +328,7 @@ def test_mvee_cold_start_tests_the_span_once(monkeypatch, solve):
         return real(pts, u)
 
     monkeypatch.setattr(john, "_spans", spy)
-    solve(np.random.default_rng(6).standard_normal((20, 3)), 1e-8)
+    solve(np.random.default_rng(6).standard_normal((20, 3)))
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], np.full(20, 1.0 / 20))
 
@@ -360,7 +376,7 @@ def test_john_symmetric_random_residuals(rng):
         n = int(rng.integers(2, 6))
         half = unit_rows(rng, 4 * n, n) * rng.uniform(0.5, 2.0, (4 * n, 1))
         pts = np.vstack([half, -half])
-        dec = john_decomposition(pts, centered=False, eps_mvee=1e-8)
+        dec = john_decomposition(pts, centered=False)
         # the weights are the MVEE's own: the identity and sum a = n hold
         # by construction, up to rounding
         assert dec.residual_identity <= 1e-12
@@ -371,15 +387,16 @@ def test_john_symmetric_random_residuals(rng):
             assert abs(val - 1.0) <= 1e-5
 
 
-def test_john_centered_barycenter(rng):
+def test_john_centered_barycenter(rng, monkeypatch):
     # the MVEE's own weights: the identity holds by construction, and the
     # barycenter sum a v = n sum u (||y|| - 1) y is bounded by the MVEE gap
     eps = 1e-9
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", eps)
     pts = rng.standard_normal((20, 3)) + np.array([0.4, -0.2, 0.1])
-    cold = john_decomposition(pts, centered=True, eps_mvee=eps)
+    cold = john_decomposition(pts, centered=True)
     # a warm solve, started as _recenter hands the weights on
     start = mvee_general(pts, eps_mvee=1e-6)[1]
-    warm = john_decomposition(pts, centered=True, eps_mvee=eps, start=start)
+    warm = john_decomposition(pts, centered=True, start=start)
     for dec in (cold, warm):
         assert dec.residual_identity <= 1e-12
         assert dec.residual_barycenter <= 3 * eps
@@ -417,8 +434,9 @@ def test_john_impossible_tolerance_raises(rng, monkeypatch):
     half = unit_rows(rng, 9, 3) * rng.uniform(0.5, 2.0, (9, 1))
     pts = np.vstack([half, -half])
     monkeypatch.setattr(john, "TOL_JOHN_DEFAULT", 0.0)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-4)
     with pytest.raises(JohnExtractionFailed):
-        john_decomposition(pts, centered=False, eps_mvee=1e-4)
+        john_decomposition(pts, centered=False)
 
 
 @pytest.mark.parametrize("seed", range(4))

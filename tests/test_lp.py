@@ -10,7 +10,7 @@ from hellycert.errors import (DegenerateInterior, SolverStall,
 from hellycert.geometry import BodyFamily, containment_system
 from hellycert.lp import (check_support, solve_lp, support_h_polytope,
                           walk_bases)
-from hellycert.oracle import gen_slab_family
+from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import select_symmetric
 
 import reference_kernels
@@ -224,6 +224,25 @@ def test_forged_ray_is_a_stall_not_unbounded(forge, monkeypatch):
     monkeypatch.setattr(lp, "vertex_walk", forged)
     with pytest.raises(SolverStall, match="not a recession direction"):
         solve_lp(g, np.eye(3))
+
+
+def test_a_falling_ray_of_the_center_walk_is_a_stall(monkeypatch):
+    """The Chebyshev walk's lifted rows [g, |g|] / (c + |g| R0) all recede
+    along -e_{n+1}, so a ray claimed that way stays, but it falls against
+    the walk's direction e_{n+1}: the claim must fail the ``rises`` test
+    (SolverStall), not report a bounded family unbounded."""
+    fam = gen_halfspace_family(3, 8, 0)
+    real = lp.vertex_walk
+
+    def forged(G, U):
+        walk = real(G, U)
+        assert np.all(np.asarray(G)[:, -1] > 0.0)
+        walk.ray[0], walk.edge[0] = True, -np.eye(len(U[0]))[-1]
+        return walk
+
+    monkeypatch.setattr(lp, "vertex_walk", forged)
+    with pytest.raises(SolverStall, match="not a recession direction"):
+        geometry.chebyshev_center(fam)
 
 
 def _counted_rounds(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hellycert import sparsify
+from hellycert import john, sparsify
 from hellycert.errors import ShiftCertificateFailed
 from hellycert.geometry import chebyshev_center, normalize_family
 from hellycert.john import john_decomposition
@@ -160,11 +160,12 @@ def test_tripod_frozen_values():
     assert out.d == 9
 
 
-def test_lifted_vectors_give_identity(rng):
+def test_lifted_vectors_give_identity(rng, monkeypatch):
     """Zero barycenter plus trace n forces the lifted outer-product identity."""
     n = 4
     pts = rng.standard_normal((30, n))
-    dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-9)
+    dec = john_decomposition(pts, centered=True)
     lifted = np.column_stack([dec.vectors,
                               np.full(len(dec.vectors), 1.0 / np.sqrt(n))])
     acc = np.zeros((n + 1, n + 1))
@@ -173,9 +174,10 @@ def test_lifted_vectors_give_identity(rng):
     assert np.linalg.norm(acc - np.eye(n + 1), "fro") <= 5e-5
 
 
-def test_random_centered_4d(rng):
+def test_random_centered_4d(rng, monkeypatch):
     pts = rng.standard_normal((40, 4)) + 0.3
-    dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-9)
+    dec = john_decomposition(pts, centered=True)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
     verdicts, diag = shift_check(dec.vectors, out)
     assert all(verdicts.values())
@@ -203,9 +205,10 @@ def test_operator_certificate_tripod():
     assert diag["trace_residual"] <= 1e-8
 
 
-def test_operator_trace_identity_random(rng):
+def test_operator_trace_identity_random(rng, monkeypatch):
     pts = rng.standard_normal((25, 3)) - 0.2
-    dec = john_decomposition(pts, centered=True, eps_mvee=1e-9)
+    monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-9)
+    dec = john_decomposition(pts, centered=True)
     out = shifted_select(dec.vectors, dec.weights, eps=0.5)
     _, diag = certify_operator_T(dec.vectors[out.sigma], out.b, out.v,
                                  eps=0.5)
