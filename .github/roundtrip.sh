@@ -78,6 +78,13 @@ cmp hs3-canonical.txt hs3-again-canonical.txt
 hellycert reduce --in hs3.json --cert hs3-cert.json --out hs3-reduced.json
 hellycert certify --in hs3.json --cert hs3-reduced.json
 python -c "import json; s = [len(json.load(open(f))['selected']) for f in ('hs3-cert.json', 'hs3-reduced.json')]; assert s == [7, 6], s"
+# s = 6 = 2n now: reduce hands the selection back as read through
+# io.check, so the result certifies and its canonical bytes are the input's
+hellycert reduce --in hs3.json --cert hs3-reduced.json --out hs3-rereduced.json
+hellycert certify --in hs3.json --cert hs3-rereduced.json
+hellycert canonical --cert hs3-reduced.json > hs3-reduced-canonical.txt
+hellycert canonical --cert hs3-rereduced.json > hs3-rereduced-canonical.txt
+cmp hs3-reduced-canonical.txt hs3-rereduced-canonical.txt
 # n=4, where the drop pricing unranks C(27, 4) = 17 550 subsets in three
 # chunks: select-gen picks 9 bodies (27 rows) and reduce drops one
 python -c "import hellycert.io as h, hellycert.oracle as o; h.save_instance(o.gen_halfspace_family(4, 12, 45, rows_per_body=(3, 3)), 'hs4.json')"

@@ -9,7 +9,10 @@ certificate verdict failed, 3 invalid or degenerate input or a usage error,
 line to standard error, ``<Class>: [<stage>: ]<message>``. ``reduce``
 reads its input certificate through ``io.certificate_from_json``, so it
 refuses the claims ``certify`` rejects, with the same exit code, before it
-prices a drop. Diagnostics go to standard error, results to files.
+prices a drop; a selection of at most 2n bodies is written back as read,
+with that read its one ``check``. ``report`` repeats stored fields
+unchecked: ``certify`` is the check. Diagnostics go to standard error,
+results to files.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     cer.add_argument("--cert", required=True)
     cer.set_defaults(func=_cmd_certify)
 
-    rep = sub.add_parser("report", help="summarize certificates as CSV")
+    rep = sub.add_parser("report", help="stored fields as CSV, unchecked")
     rep.add_argument("certs", nargs="+")
     rep.add_argument("--out", required=True)
     rep.set_defaults(func=_cmd_report)

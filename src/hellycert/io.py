@@ -535,8 +535,12 @@ def _report_row(doc) -> list:
 def write_report(docs, path) -> None:
     """One CSV row per certificate, stable column order.
 
-    Every row is built before the file is opened, so a malformed
-    certificate leaves no partial report behind.
+    A row repeats the fields its document stores (``s``,
+    ``alpha_measured``, the verdicts, the diameters, the total time),
+    unchecked: with no instance there is nothing to derive them from, and
+    ``verify_certificate`` (``hellycert certify``) is the check. Every row
+    is built before the file is opened, so a malformed certificate leaves
+    no partial report behind.
     """
     if not docs:
         raise ValueError("no certificates to report on")

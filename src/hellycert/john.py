@@ -20,14 +20,16 @@ trusted. A solve can start from the weights of an earlier, nearby solve
 start weights return after that check. ``pipeline._recenter`` starts every
 trial translate's solve, and the John solve after it, from the accepted
 translate's weights; a cold solve tests the span once, on the uniform
-weights. The span test only picks where the ascent starts, so it reads
-LAPACK's eigenvalues without a residual check. Dual weights of the solved
-problem directly supply John decomposition weights after mapping to Loewner
-position, which is why no separate extraction problem is solved: the
-ellipsoid's center and shape come from the same weights, so the identity
-holds by construction, and the barycenter is off by O(n) times the MVEE
-gap (``EPS_MVEE_DEFAULT``, or ``mvee_general``'s ``eps_mvee``). The
-residual checks that follow decide whether the result is accepted.
+weights. The span test only picks where the ascent starts, and the frame
+(the shape's square root) is a claim ``io.check`` derives the witnesses
+from, so both read LAPACK's eigenvalues without a residual check. Dual
+weights of the solved problem directly supply John decomposition weights
+after mapping to Loewner position, which is why no separate extraction
+problem is solved: the ellipsoid's center and shape come from the same
+weights, so the identity holds by construction, and the barycenter is off
+by O(n) times the MVEE gap (``EPS_MVEE_DEFAULT``, or ``mvee_general``'s
+``eps_mvee``). The residual checks that follow decide whether the result
+is accepted.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpan, JohnExtractionFailed
-from .linalg import sym_eigen
 
 EPS_MVEE_DEFAULT = 1e-8
 TOL_JOHN_DEFAULT = 1e-5
@@ -272,13 +273,6 @@ def mvee_general(points, eps_mvee: float = EPS_MVEE_DEFAULT, start=None):
     return Ellipsoid(center=c, shape=(M + M.T) / 2.0), u
 
 
-def _sqrt_spd(M: np.ndarray) -> np.ndarray:
-    lam, V = sym_eigen(M)
-    if lam[0] <= 0.0:
-        raise DegenerateSpan("ellipsoid shape matrix is not positive definite")
-    return (V * np.sqrt(lam)) @ V.T
-
-
 def john_decomposition(pts: np.ndarray, centered: bool,
                        start=None) -> JohnDecomposition:
     """John decomposition of the convex hull of the rows of pts.
@@ -289,7 +283,9 @@ def john_decomposition(pts: np.ndarray, centered: bool,
     barycenter identity sum a_j v_j = 0 is part of the contract, and
     ``start`` may give the lifted MVEE solve's first weights (mvee_general).
     The MVEE is solved to the gap EPS_MVEE_DEFAULT, read at call time. A
-    residual above TOL_JOHN_DEFAULT raises JohnExtractionFailed.
+    residual above TOL_JOHN_DEFAULT, or a failed eigensolve of the shape,
+    raises JohnExtractionFailed; a shape that is not positive definite
+    raises DegenerateSpan.
     """
     m, n = pts.shape
 
@@ -297,7 +293,13 @@ def john_decomposition(pts: np.ndarray, centered: bool,
         ell, u = mvee_general(pts, EPS_MVEE_DEFAULT, start)
     else:
         ell, u = mvee_centered(pts)
-    T = _sqrt_spd(ell.shape)
+    try:
+        lam, V = np.linalg.eigh(ell.shape)
+    except np.linalg.LinAlgError as exc:
+        raise JohnExtractionFailed(f"MVEE shape eigh failed: {exc}") from exc
+    if lam[0] <= 0.0:
+        raise DegenerateSpan("ellipsoid shape matrix is not positive definite")
+    T = (V * np.sqrt(lam)) @ V.T
     Y = (pts - ell.center) @ T
 
     keep = np.nonzero(u > 1e-9 / m)[0]

@@ -4,10 +4,13 @@ Every eigenvalue a certificate reports comes through ``sym_eigen``. The
 solver is LAPACK (``numpy.linalg.eigh``) and is not trusted: its answer is
 returned only after a residual check that bounds the distance of each
 computed eigenvalue from the true one, with the rounding of the check
-itself folded in. The check, not the solver, is the trusted part. A span
-test that only picks where an untrusted solver starts (``john._spans``)
-reads ``numpy.linalg.eigvalsh`` without the check: no certificate reports
-those eigenvalues.
+itself folded in. The check, not the solver, is the trusted part. Its only
+callers are the verdict functions, ``io.check`` and
+``sparsify.certify_operator_T``, through ``extremes``. The producers
+propose with LAPACK alone: the span test that picks where the MVEE ascent
+starts (``john._spans``), the John frame and ``sparsify.bss_select``'s
+steps and normalization. ``check`` derives every verdict from what they
+propose, so no certificate reports their eigenvalues.
 """
 
 from __future__ import annotations

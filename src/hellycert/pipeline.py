@@ -267,63 +267,60 @@ def reduce_to_2n(family: BodyFamily,
     names the stage of what they raise: also UnboundedBody when more than
     2n selected bodies have an unbounded intersection, and OracleTooLarge
     when they are past the vertex oracle's caps. A selection of at most 2n
-    bodies is only re-checked, and keeps its stages, notes, informational
-    diagnostics and support directions and bases. A reduced selection is
-    walked again: the input's directions and bases belong to the selection
-    it came with.
+    bodies is returned as given: ``check`` derived it when it was selected
+    or read (``io.certificate_from_json``). A reduced selection is walked
+    again, since the input's directions and bases belong to the selection
+    it came with, and checked.
     """
-    n = family.dim
-    sel = list(selection.selected)
+    n, sel = family.dim, list(selection.selected)
+    if len(sel) <= 2 * n:
+        return selection
     stages, notes = dict(selection.stages), selection.notes
-    diagnostics = dict(selection.diagnostics)
-    payload = selection.payload
-    if len(sel) > 2 * n:
-        with _stage(stages, "reduce"):
-            norm = normalize_family(family, selection.z)
-            start_radius = None
-            while len(sel) > 2 * n:
-                m = len(sel)
-                whole, best_j, best_r = cheapest_drop(
-                    *norm.constraint_matrix(sel))
-                if start_radius is None:
-                    # by Steinitz's theorem 2n of the m > 2n bodies already
-                    # bound a bounded intersection, so only the start can
-                    # price +inf
-                    if math.isinf(whole):
-                        raise UnboundedBody(f"the {m} selected bodies have "
-                                            "an unbounded intersection; "
-                                            "nothing to reduce")
-                    radius = start_radius = whole
-                if best_j is None:
-                    raise SolverStall(f"no drop of the {m} selected bodies "
-                                      "leaves a bounded intersection")
-                growth, limit = best_r / radius, m / (m - 2 * n)
-                step = (f"radius {radius:.6g} -> {best_r:.6g} (growth "
-                        f"{growth:.4f}")
-                if not growth <= limit * (1.0 + GROWTH_SLACK):
-                    raise SolverStall(f"dropping body {best_j} of the {m} "
-                                      f"selected grows the {step} above the "
-                                      f"limit {limit:.4f})")
-                notes += (f"dropped body {best_j}: {step}, limit "
-                          f"{limit:.4f})",)
-                sel.remove(best_j)
-                radius = best_r
-            directions, bases = containment_bases(norm, sorted(sel))
-        payload = {**payload, "support_directions": directions,
-                   "support_bases": bases}
-        diagnostics.update(
-            reduction_start_radius=start_radius,
-            reduction_final_radius=radius,
-            reduction_cumulative_growth=radius / start_radius,
-            reduction_cumulative_bound=float(
-                math.comb(len(selection.selected), 2 * n)))
-        stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
+    with _stage(stages, "reduce"):
+        norm = normalize_family(family, selection.z)
+        start_radius = None
+        while len(sel) > 2 * n:
+            m = len(sel)
+            whole, best_j, best_r = cheapest_drop(
+                *norm.constraint_matrix(sel))
+            if start_radius is None:
+                # by Steinitz's theorem 2n of the m > 2n bodies already
+                # bound a bounded intersection, so only the start can
+                # price +inf
+                if math.isinf(whole):
+                    raise UnboundedBody(f"the {m} selected bodies have an "
+                                        "unbounded intersection; nothing "
+                                        "to reduce")
+                radius = start_radius = whole
+            if best_j is None:
+                raise SolverStall(f"no drop of the {m} selected bodies "
+                                  "leaves a bounded intersection")
+            growth, limit = best_r / radius, m / (m - 2 * n)
+            step = (f"radius {radius:.6g} -> {best_r:.6g} (growth "
+                    f"{growth:.4f}")
+            if not growth <= limit * (1.0 + GROWTH_SLACK):
+                raise SolverStall(f"dropping body {best_j} of the {m} "
+                                  f"selected grows the {step} above the "
+                                  f"limit {limit:.4f})")
+            notes += (f"dropped body {best_j}: {step}, limit {limit:.4f})",)
+            sel.remove(best_j)
+            radius = best_r
+        directions, bases = containment_bases(norm, sorted(sel))
+    stages["total"] = selection.stages.get("total", 0.0) + stages["reduce"]
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
-        "d": selection.d, "eps": selection.eps, "payload": payload})
-    return replace(cert, stages=stages, notes=notes,
-                   diagnostics={**diagnostics, **cert.diagnostics})
+        "d": selection.d, "eps": selection.eps, "payload": {
+            **selection.payload, "support_directions": directions,
+            "support_bases": bases}})
+    return replace(cert, stages=stages, notes=notes, diagnostics={
+        **selection.diagnostics,
+        "reduction_start_radius": start_radius,
+        "reduction_final_radius": radius,
+        "reduction_cumulative_growth": radius / start_radius,
+        "reduction_cumulative_bound": float(
+            math.comb(len(selection.selected), 2 * n)),
+        **cert.diagnostics})
 
 
 def diameter_report(family: BodyFamily, selection: SelectionCertificate):

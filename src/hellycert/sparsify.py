@@ -10,7 +10,9 @@ judged by ``certify_operator_T``, the one function that computes them, at
 the one sandwich window ``SANDWICH_WINDOW``: it decides when
 ``shifted_select`` stops escalating d, and ``io.check`` calls it again on a
 certificate's stored witnesses. Every eigenvalue behind them comes from the
-residual-checked ``linalg.sym_eigen``.
+residual-checked ``linalg.sym_eigen``, reached only from the verdict
+functions, ``certify_operator_T`` and ``io.check``; ``bss_select``
+proposes from plain LAPACK.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
     """Barrier-potential selection of at most ceil(d*n) indices.
 
     Input rows v_j with weights a_j > 0 must satisfy sum a_j v_j v_j^T = I
-    up to a small residual (it is folded into the certified bounds, not
-    ignored). Output reweights b_j are normalized so the certified minimum
-    eigenvalue of sum_{sigma} b_j a_j v_j v_j^T equals one.
+    up to a small residual (the verdicts judge the output, not the input).
+    Output reweights b_j are normalized by the smallest eigenvalue of the
+    loop's last eigensolve, that of A = sum_{sigma} b_j a_j v_j v_j^T before
+    the scaling, and lambda_max is that solve's largest over its smallest:
+    a proposal, whose spectrum ``io.check`` bounds afresh.
 
     Each step adds t w_j w_j^T, w_j = sqrt(a_j) v_j, to A from rank-one
     terms built once. Every term is exactly symmetric, since w_ji w_jk and
@@ -130,10 +134,8 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
         lam = lam.tolist()
 
     sigma = np.nonzero(coeff > 0.0)[0]
-    lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])
-    return SparsifierResult(
-        sigma=sigma, b=coeff[sigma] / lam_min_raw,
-        lambda_max=lam_max_raw / lam_min_raw)
+    return SparsifierResult(sigma=sigma, b=coeff[sigma] / lam[0],
+                            lambda_max=lam[-1] / lam[0])
 
 
 def shifted_select(vectors, weights,

@@ -124,6 +124,27 @@ def record_walks(monkeypatch, key=len):
     return calls
 
 
+def count_calls(monkeypatch, *names):
+    """{name: calls so far} of each "module.function" of hellycert, counted
+    wherever a hellycert module holds the function, while it runs as
+    before."""
+    counts = {}
+    for qualified in names:
+        module, name = qualified.split(".")
+        real = getattr(sys.modules[f"hellycert.{module}"], name)
+
+        def counted(*args, real=real, key=qualified, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        counts[qualified] = 0
+        for held in [mod for mod_name, mod in sys.modules.items()
+                     if mod_name.startswith("hellycert.")]:
+            if getattr(held, name, None) is real:
+                monkeypatch.setattr(held, name, counted)
+    return counts
+
+
 def walked_supports(family, doc):
     """(dual bounds, supports at the stored bases) of the walked directions
     of a certificate document, in payload order; the dual bounds are +inf

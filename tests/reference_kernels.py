@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from hellycert.errors import BarrierStuck, SolverStall
-from hellycert.linalg import extremes
 from hellycert.lp import DUAL_TOL, PIVOT_TOL, TIE_TOL, _solve
 from hellycert.oracle import _CHUNK, FEAS_TOL, MERGE_TOL
 from hellycert.sparsify import _ADMIT_ATOL, _ADMIT_RTOL
@@ -88,8 +87,7 @@ def bss_select(vectors, weights, d):
         lam, V = np.linalg.eigh((A + A.T) / 2.0)
 
     sigma = np.nonzero(coeff > 0.0)[0]
-    lam_min_raw, lam_max_raw = extremes(v[sigma], coeff[sigma] * a[sigma])
-    return sigma, coeff[sigma] / lam_min_raw, lam_max_raw / lam_min_raw
+    return sigma, coeff[sigma] / lam[0], lam[-1] / lam[0]
 
 
 def _blocking(gd, slack, norms, dnorm, exclude):

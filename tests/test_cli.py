@@ -18,7 +18,7 @@ from hellycert.geometry import containment_system, normalize_family
 from hellycert.oracle import gen_halfspace_family, gen_slab_family
 from hellycert.pipeline import select_symmetric
 
-from conftest import walked_supports
+from conftest import count_calls, walked_supports
 
 
 def run(args):
@@ -159,6 +159,22 @@ def test_reduce_rechecks_a_selection_within_2n(tmp_path):
     assert (out["diagnostics"]["recenter_iters"]
             == doc["diagnostics"]["recenter_iters"])
     assert run(["certify", "--in", inst, "--cert", red]) == 0
+
+
+def test_reduce_within_2n_checks_once_and_keeps_the_bytes(tmp_path,
+                                                          monkeypatch):
+    """Reading the input is the one ``check``; the selection is written
+    back as read, so the canonical bytes do not change."""
+    inst, cert, red = (tmp_path / f for f in ("hs.json", "cert.json",
+                                               "reduced.json"))
+    assert run(["gen", "--kind", "halfspace", "--n", 3, "--count", 8,
+                "--seed", 103, "--out", inst]) == 0
+    assert run(["select-gen", "--in", inst, "--out", cert]) == 0
+    counts = count_calls(monkeypatch, "io.check")
+    assert run(["reduce", "--in", inst, "--cert", cert, "--out", red]) == 0
+    assert counts == {"io.check": 1}
+    assert hio.canonical_certificate_bytes(hio.load_certificate(red)) == (
+        hio.canonical_certificate_bytes(hio.load_certificate(cert)))
 
 
 @pytest.mark.parametrize("command, own, other", [

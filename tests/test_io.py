@@ -839,7 +839,8 @@ DERIVED_FLOATS = ("gamma_d", "bound_claimed", "alpha_measured", "c_measured")
 def test_verify_rejects_a_small_edit_of_each_derived_float(certificates,
                                                            mode):
     """1e-6 relative is far above another build's rounding, and far below
-    any edit that could change a verdict."""
+    any edit that could change a verdict. An exact zero, which a relative
+    edit leaves as it is, gets 1e-6 added."""
     fam, doc = certificates[mode]
     fields = [(None, k) for k in DERIVED_FLOATS
               if isinstance(doc[k], float)]
@@ -850,8 +851,7 @@ def test_verify_rejects_a_small_edit_of_each_derived_float(certificates,
     for section, key in fields:
         edited = copy.deepcopy(doc)
         where = edited[section] if section else edited
-        assert where[key] != 0.0
-        where[key] *= 1.0 + 1e-6
+        where[key] = where[key] * (1.0 + 1e-6) if where[key] else 1e-6
         ok, problems = hio.verify_certificate(fam, edited)
         assert not ok and any(f"{key}=" in p for p in problems), (key,
                                                                  problems)
@@ -863,7 +863,8 @@ def test_verify_rejects_a_small_edit_of_each_derived_float(certificates,
 def test_derived_float_edits_are_judged_by_their_size(certificates, mode,
                                                       data, scale, sign):
     """A relative edit of a derived float is accepted when it is at most
-    DERIVED_RTOL and rejected from 10 times that on."""
+    DERIVED_RTOL and rejected from 10 times that on. An exact zero is
+    edited by adding the size, and rejected at any size."""
     size = 10.0 ** scale
     fam, doc = certificates[mode]
     keys = [k for k, v in doc["diagnostics"].items() if isinstance(v, float)
@@ -871,9 +872,12 @@ def test_derived_float_edits_are_judged_by_their_size(certificates, mode,
     key = data.draw(st.sampled_from(["alpha_measured", *keys]))
     edited = copy.deepcopy(doc)
     where = edited if key == "alpha_measured" else edited["diagnostics"]
-    where[key] *= 1.0 + sign * size
+    value = where[key]
+    where[key] = value * (1.0 + sign * size) if value else sign * size
     ok = hio.verify_certificate(fam, edited)[0]
-    if size <= hio.DERIVED_RTOL / 2:
+    if not value:
+        assert not ok
+    elif size <= hio.DERIVED_RTOL / 2:
         assert ok
     elif size >= 10 * hio.DERIVED_RTOL:
         assert not ok

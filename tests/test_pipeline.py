@@ -17,7 +17,7 @@ from hellycert.pipeline import (GROWTH_SLACK, RECENTER_TARGET, _polar_offset,
                                 diameter_report, reduce_to_2n,
                                 select_general, select_symmetric)
 
-from conftest import (best_subset_bruteforce, chain_steps,
+from conftest import (best_subset_bruteforce, chain_steps, count_calls,
                       cube_halfspace_family, cube_slab_family,
                       derived_witnesses, plane_fan_family, record_walks,
                       simplex_family, thin_slab_family, unit_rows,
@@ -284,12 +284,34 @@ def find_reducible(seeds, n=2, count=6):
     return None, None
 
 
-def test_reduce_noop_at_two_n():
+def test_reduce_noop_at_two_n(monkeypatch):
+    """``check`` derived the selection when it was made; reduce hands it
+    back as the same object, unchecked."""
     fam = gen_halfspace_family(2, count=4, seed=2, rows_per_body=(3, 3))
     cert = select_general(fam)
-    if cert.s <= 4:
-        red = reduce_to_2n(fam, cert)
-        assert red.selected == cert.selected
+    assert cert.s <= 4
+    counts = count_calls(monkeypatch, "io.check")
+    assert reduce_to_2n(fam, cert) is cert
+    assert counts == {"io.check": 0}
+
+
+WORK = ("linalg.sym_eigen", "io.check", "lp._blocking", "john._signed_step",
+        "john._newton_weights")
+
+
+@pytest.mark.parametrize("family, select, want", [
+    (gen_slab_family(6, 100, 100), select_symmetric, (1, 1, 16, 16, 1)),
+    (gen_halfspace_family(3, 8, 100), select_general, (4, 1, 13, 19, 2)),
+], ids=["sym-n6", "gen-n3"])
+def test_work_per_select_is_pinned(monkeypatch, family, select, want):
+    """Residual-checked eigensolves run only in the verdict functions: one
+    for the symmetric sandwich, two per ``certify_operator_T`` in general
+    mode (the producer's d and ``check``'s). The other counts are the
+    checks, crash ratio tests, MVEE ascent steps and Newton tries of one
+    select: counts of work, which host noise does not move."""
+    counts = count_calls(monkeypatch, *WORK)
+    select(family)
+    assert tuple(counts[k] for k in WORK) == want, counts
 
 
 def test_reduce_greedy_chain():
