@@ -24,16 +24,22 @@ test "$code" -eq 3
 hellycert gen --kind halfspace --n 2 --count 40 --seed 102 --out hs.json
 hellycert select-gen --in hs.json --out hs-cert.json
 # the payload holds the eight general claims and nothing derived from
-# them; a coefficient scaled by 1.5 is rejected (exit 2), and a
-# certificate of format 0.6.0, which stored a reduced selection's growth
-# verdict without deriving it, is refused as input (exit 3)
+# them, and the document claims no eps (the slack is sparsify.EPS_SHIFT);
+# a coefficient scaled by 1.5 is rejected (exit 2), and a certificate of
+# format 0.7.0, which claimed the eps its general verdicts were judged
+# at, is refused as input (exit 3)
 python -c "import json; p = json.load(open('hs-cert.json'))['payload']; assert sorted(p) == ['coefficients', 'frame', 'frame_center', 'rho', 'sigma_rows', 'support_bases', 'support_directions', 'tau_rows'], sorted(p)"
+python -c "import json; d = json.load(open('hs-cert.json')); assert 'eps' not in d, d['eps']"
 python -c "import json; d = json.load(open('hs-cert.json')); d['payload']['coefficients'][0] *= 1.5; json.dump(d, open('bad.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert bad.json || code=$?
 test "$code" -eq 2
-python -c "import json; d = json.load(open('hs-cert.json')); d['version'] = '0.6.0'; json.dump(d, open('old.json', 'w'))"
+python -c "import json; d = json.load(open('hs-cert.json')); d.update(version='0.7.0', eps=0.5); json.dump(d, open('old.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert old.json || code=$?
 test "$code" -eq 3
+# --eps is no longer an option: a usage error exits 3 and writes nothing
+code=0; hellycert select-gen --in hs.json --out x.json --eps 0.5 || code=$?
+test "$code" -eq 3
+test ! -e x.json
 hellycert reduce --in hs.json --cert hs-cert.json --out hs-reduced.json
 hellycert certify --in hs.json --cert hs-reduced.json
 # reduce reads its input through io.check, as certify does: diagnostics
@@ -61,6 +67,35 @@ test "$code" -eq 2
 # io.check as if 1e6 were a step (the forgery verifies then), exits 2
 python -c "import json, hellycert.io as h; f = h.load_instance('hs.json'); d = json.load(open('hs-cert.json')); d['d'] = 1e6; h.D_ESCALATION = (1e6,); c = h.certificate_to_json(h.check(f, json.loads(json.dumps(d))), d['version']); d['diagnostics'].update(c['diagnostics']); d.update({k: c[k] for k in ('gamma_d', 'bound_claimed', 'alpha_measured', 'c_measured', 'verdicts')}); assert h.verify_certificate(f, d) == (True, []); json.dump(d, open('forged-d.json', 'w'))"
 code=0; hellycert certify --in hs.json --cert forged-d.json || code=$?
+test "$code" -eq 2
+# an eps claim would widen the shift_norm, sum_b and sandwich thresholds:
+# eps = 1e3, the coefficients scaled by 10 (which fails sum_b and the
+# sandwich at the slack 0.5), and tau_rows, rho and every derived field
+# recomputed as if the slack were 1e3 (the forgery verifies then), exits
+# 2, since the slack is sparsify.EPS_SHIFT and not a claim
+python - <<'EOF'
+import json, math
+import numpy as np
+import hellycert.io as h, hellycert.sparsify as s
+from hellycert.geometry import normalize_family
+from hellycert.pipeline import caratheodory_express
+f, d = h.load_instance("hs.json"), json.load(open("hs-cert.json"))
+p, slack = d["payload"], 1e3
+p["coefficients"] = [10 * b for b in p["coefficients"]]
+d["eps"] = h.EPS_SHIFT = s.EPS_SHIFT = slack
+norm = normalize_family(f, np.asarray(d["z"]))
+framed = (norm.G - np.asarray(p["frame_center"])) @ np.asarray(p["frame"])
+coef, vecs = np.asarray(p["coefficients"]), h._unit_rows(framed, p["sigma_rows"])
+own = np.flatnonzero(np.isin(norm.owner, d["selected"]))
+tau, rho = caratheodory_express(-(coef @ vecs) / coef.sum() / math.sqrt(slack * f.dim), h._unit_rows(framed, own.tolist()))
+p.update(tau_rows=own[tau].tolist(), rho=rho.tolist())
+c = h.certificate_to_json(h.check(f, json.loads(json.dumps(d))), d["version"])
+d["diagnostics"].update(c["diagnostics"])
+d.update({k: c[k] for k in ("gamma_d", "bound_claimed", "alpha_measured", "c_measured", "verdicts")})
+assert h.verify_certificate(f, d) == (True, [])
+json.dump(d, open("forged-eps.json", "w"))
+EOF
+code=0; hellycert certify --in hs.json --cert forged-eps.json || code=$?
 test "$code" -eq 2
 # n=3, where reduce prices its drops from 3-subsets of the rows:
 # select-gen picks 7 bodies and reduce drops one (seed 26 is the first

@@ -11,4 +11,4 @@ reduction), ``io`` (file formats and ``check``), ``oracle`` (generators and
 brute-force oracles) and ``cli``.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

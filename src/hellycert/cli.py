@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, select-sym, select-gen, reduce, certify, report,
-canonical.
+canonical. ``select-sym`` takes the sparsifier's ``--d``; ``select-gen``
+takes no parameter, since its slack is the constant ``sparsify.EPS_SHIFT``
+(so ``--eps``, like any unknown option, is a usage error).
 Exit codes: 0 success with all verdicts green, 2 completed but some
 certificate verdict failed, 3 invalid or degenerate input or a usage error,
 4 oracle caps exceeded. A failure exits with its error class's
@@ -59,7 +61,7 @@ def _cmd_select(args, mode: str) -> int:
         # cap diameter_report would hit after the selection
         check_caps(m, family.dim)
     cert = (select_symmetric(family, d=args.d) if mode == "symmetric"
-            else select_general(family, eps=args.eps))
+            else select_general(family))
     diameter = None
     if args.exact_oracle:
         diam_sel, diam_full, ratio = diameter_report(family, cert)
@@ -134,13 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
-    for name, mode, option, default in (
-            ("select-sym", "symmetric", "--d", 4.0),
-            ("select-gen", "general", "--eps", 0.5)):
+    for name, mode in (("select-sym", "symmetric"), ("select-gen", "general")):
         sel = sub.add_parser(name, help=f"run the {mode} selection pipeline")
         sel.add_argument("--in", dest="infile", required=True)
         sel.add_argument("--out", required=True)
-        sel.add_argument(option, type=float, default=default)
+        if mode == "symmetric":
+            sel.add_argument("--d", type=float, default=4.0)
         sel.add_argument("--seed", type=int, default=None)
         sel.add_argument("--exact-oracle", action="store_true",
                          help="also price diameters with the vertex oracle")

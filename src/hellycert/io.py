@@ -20,7 +20,9 @@ certificate read from a file takes no derived field from it: only
 ``verify_certificate`` reads them, to compare, and ``write_report``, to
 summarize. The payload holds the claims only: the witness vectors, the
 general-mode shift and its target w are derived from them each time and
-never stored. The producer decides by the same rules: the
+never stored. No claim sets a verdict's threshold: the slacks are the
+constants ``john.TOL_JOHN_DEFAULT``, ``sparsify.SANDWICH_WINDOW`` and
+``sparsify.EPS_SHIFT``. The producer decides by the same rules: the
 Caratheodory witness passes ``caratheodory_holds`` in both.
 """
 
@@ -41,10 +43,11 @@ from .geometry import (GENERAL, SYMMETRIC, BodyFamily, containment_factor,
                        containment_rows, normalize_family)
 from .john import TOL_JOHN_DEFAULT
 from .linalg import extremes
-from .sparsify import D_ESCALATION, certify_operator_T, gamma_ratio
+from .sparsify import (D_ESCALATION, EPS_SHIFT, certify_operator_T,
+                       gamma_ratio)
 
 FORMAT_NAME = "hellycert-certificate"
-REPORT_COLUMNS = ("mode", "n", "m", "d", "eps", "s", "alpha",
+REPORT_COLUMNS = ("mode", "n", "m", "d", "s", "alpha",
                   "alpha_over_sqrt_n", "alpha_over_n32", "verdicts_pass",
                   "diam_selected", "diam_full", "diam_ratio", "runtime_s")
 ALPHA_SLACK = 1e-5
@@ -62,7 +65,6 @@ class SelectionCertificate:
     s: int
     z: np.ndarray
     d: float | None
-    eps: float | None
     gamma_d: float | None
     bound_claimed: float
     alpha_measured: float
@@ -156,8 +158,8 @@ def save_instance(family: BodyFamily, path) -> None:
 def certificate_to_json(cert: SelectionCertificate, version: str,
                         constraint_count: int | None = None,
                         seed=None, diameter: dict | None = None) -> dict:
-    """The JSON document of ``cert``. The run's parameters are its ``d`` and
-    ``eps`` claims; no other field repeats them."""
+    """The JSON document of ``cert``. The run's parameter is its ``d``
+    claim; no other field repeats it."""
     doc = {f.name: getattr(cert, f.name) for f in fields(cert)}
     doc.update(format=FORMAT_NAME, version=version,
                dimension=int(cert.z.shape[0]), m=constraint_count, seed=seed,
@@ -293,18 +295,13 @@ def _unit_rows(framed: np.ndarray, rows: list) -> np.ndarray:
     return framed[rows] / norms[:, None]
 
 
-def require_parameters(n: int, d=None, eps=None, error=CertificateRejected):
-    """Raise ``error`` for a d or eps that gives no claim in dimension n:
-    the one rule, which the selectors apply before any stage (raising
-    InvalidInstance) and ``check`` to its claims. A general d (one given
-    with an eps) sets only the budget, so it must be in ``D_ESCALATION``."""
-    if d is not None and not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
+def require_parameters(n: int, d, error=CertificateRejected):
+    """Raise ``error`` for a d that gives no claim in dimension n: the one
+    rule, which ``select_symmetric`` applies before any stage (raising
+    InvalidInstance) and ``check`` to its claims."""
+    if not (d > 1.0 and math.isfinite(float(d) * (n + 1))):
         raise error(f"d={d!r} gives no bound or budget: it must exceed 1 and "
                     "keep d*(n+1) finite")
-    if eps is not None and not (eps > 0.0 and math.isfinite(eps)):
-        raise error(f"eps={eps!r} must be positive and finite")
-    if d is not None and eps is not None and d not in D_ESCALATION:
-        raise error(f"d={d!r} is not a step of D_ESCALATION {D_ESCALATION}")
 
 
 def caratheodory_holds(points: np.ndarray, rho: np.ndarray, w: np.ndarray):
@@ -322,26 +319,28 @@ def caratheodory_holds(points: np.ndarray, rho: np.ndarray, w: np.ndarray):
 def check(family: BodyFamily, claims) -> SelectionCertificate:
     """The certificate the instance and the claims support.
 
-    The claims are ``mode``, ``z``, ``selected``, ``d``, ``eps`` and the
-    payload: the ``frame`` and ``frame_center``, the generator rows
-    ``sigma_rows`` with their ``coefficients``, the walked
-    ``support_directions`` and their ``support_bases`` of
-    ``geometry.containment_bases`` and, in general mode, the Caratheodory
-    rows ``tau_rows`` and weights ``rho``. Each selected body must own one
-    of these rows (a reduced selection drops some owners). alpha comes from
-    replaying the support bases and checking the dual bound of every other
-    direction against it, never from a walk; null bases give alpha = +inf.
-    The witness vectors are derived as normalize((generator - frame_center)
-    @ frame) from the polar generators, the rows of the instance normalized
-    at ``z``. In general mode so are the shift -sum b_j v_j / sum b_j of
-    the coefficients b (whose sum must be positive) and contact vectors v,
-    and the Caratheodory target w = shift / sqrt(eps n). These stay out of
-    the payload, which is returned as claimed. s, gamma_d, the bound,
-    alpha, c_measured, the verdicts and the derived diagnostics (budget,
-    spectra, residuals, walked and screened direction counts) are
-    recomputed, never read. Other keys are ignored. The sandwich slack is
-    set from ``john.TOL_JOHN_DEFAULT``, the producer's John acceptance (in
-    general mode ``sparsify.SANDWICH_WINDOW``), and no claim can widen it.
+    The claims are ``mode``, ``z``, ``selected``, ``d`` and the payload:
+    the ``frame`` and ``frame_center``, the generator rows ``sigma_rows``
+    with their ``coefficients``, the walked ``support_directions`` and
+    their ``support_bases`` of ``geometry.containment_bases`` and, in
+    general mode, the Caratheodory rows ``tau_rows`` and weights ``rho``.
+    Each selected body must own one of these rows (a reduced selection
+    drops some owners). alpha comes from replaying the support bases and
+    checking the dual bound of every other direction against it, never
+    from a walk; null bases give alpha = +inf. The witness vectors are
+    derived as normalize((generator - frame_center) @ frame) from the polar
+    generators, the rows of the instance normalized at ``z``. In general
+    mode so are the shift -sum b_j v_j / sum b_j of the coefficients b
+    (whose sum must be positive) and contact vectors v, and the
+    Caratheodory target w = shift / sqrt(eps n). These stay out of the
+    payload, which is returned as claimed. A general d sets only the
+    budget, so it must be a step of ``sparsify.D_ESCALATION``. s, gamma_d,
+    the bound, alpha, c_measured, the verdicts and the derived diagnostics
+    (budget, spectra, residuals, walked and screened direction counts) are
+    recomputed, never read. Other keys are ignored, ``eps`` among them:
+    eps is ``sparsify.EPS_SHIFT``, and the sandwich slack is set from
+    ``john.TOL_JOHN_DEFAULT``, the producer's John acceptance (in general
+    mode ``sparsify.SANDWICH_WINDOW``), so no claim can widen a threshold.
     The Caratheodory verdict is ``caratheodory_holds``, the producer's
     rule. Stages, notes and the producer's own diagnostics are left empty.
 
@@ -360,14 +359,15 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
         raise CertificateRejected(f"z has {z.size} coordinates; the instance "
                                   f"has dimension {n}")
     d = float(_array(claims, "d", ()))
-    eps = None if mode == SYMMETRIC else float(_array(claims, "eps", ()))
-    require_parameters(n, d, eps)
+    require_parameters(n, d)
     if mode == SYMMETRIC:
-        if np.any(z != 0.0) or _field(claims, "eps") is not None:
-            raise CertificateRejected("a symmetric certificate claims z = 0 "
-                                      "and no eps")
+        if np.any(z != 0.0):
+            raise CertificateRejected("a symmetric certificate claims z = 0")
         target = family
     else:
+        if d not in D_ESCALATION:
+            raise CertificateRejected(f"d={d!r} is not a step of "
+                                      f"D_ESCALATION {D_ESCALATION}")
         try:
             target = normalize_family(family, z)
         except NotInterior as exc:
@@ -423,11 +423,11 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
         if not total > 0.0:
             raise CertificateRejected(f"coefficients sum to {total!r}")
         shift = -(coef @ vecs) / total
-        w = shift / math.sqrt(eps * n)
+        w = shift / math.sqrt(EPS_SHIFT * n)
         budget = math.ceil(d * (n + 1)) + n + 1
         union = len(set(sigma_rows) | set(tau_rows))
         shift_verdicts, shift_diagnostics = certify_operator_T(
-            vecs, coef, shift, eps)
+            vecs, coef, shift)
         w_norm = float(np.linalg.norm(w))
         cara_ok, cara = caratheodory_holds(taus, rho, w)
         verdicts = {
@@ -441,7 +441,7 @@ def check(family: BodyFamily, claims) -> SelectionCertificate:
             **shift_diagnostics, w_norm=w_norm, cara_residual=cara,
             tau_size=len(tau_rows), union_size=union, budget=budget)
     return SelectionCertificate(
-        mode=mode, selected=tuple(selected), s=s, z=z, d=d, eps=eps,
+        mode=mode, selected=tuple(selected), s=s, z=z, d=d,
         gamma_d=gamma, bound_claimed=bound, alpha_measured=alpha,
         c_measured=c_measured, verdicts=verdicts, diagnostics=diagnostics,
         stages={}, payload=payload)
@@ -524,7 +524,7 @@ def _report_row(doc) -> list:
     stages = _optional_object(_optional_object(doc, "timing"), "stages")
     return [
         _field(doc, "mode"), n, doc.get("m", ""),
-        doc.get("d", ""), doc.get("eps", ""), _field(doc, "s"),
+        doc.get("d", ""), _field(doc, "s"),
         repr(alpha), repr(alpha / math.sqrt(n)), repr(alpha / n ** 1.5),
         all(_object(doc, "verdicts").values()),
         diam.get("selected", ""), diam.get("full", ""),

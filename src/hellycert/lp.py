@@ -97,7 +97,14 @@ def _crash(G, U, norms):
     The state (point x, orthonormal rows Q spanning the tight rows, tight
     rows B and the directions themselves) is kept packed to the directions
     still live, and is compressed only when a direction leaves on a ray.
+    The steps see only the first of each set of equal rows: a later copy of
+    a tight row lies in the tight span, so it could block only by rounding,
+    where its projection off Q vanishes.
     """
+    lead = np.sort(G[:, 0])  # equal rows have equal first coordinates
+    first = (np.sort(np.unique(G, axis=0, return_index=True)[1])
+             if (lead[1:] == lead[:-1]).any() else np.arange(len(G)))
+    G, norms = G[first], norms[first]
     k, n = U.shape
     basis, B = np.zeros((k, n), dtype=int), np.zeros((k, n), dtype=int)
     x, edge, Q = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n, n))
@@ -122,7 +129,7 @@ def _crash(G, U, norms):
                                            dnorm[back], B[back, :j])
             if (back & (row < 0)).any():
                 basis[live] = B
-                return basis, ray, edge, d[np.argmax(back & (row < 0))]
+                return first[basis], ray, edge, d[np.argmax(back & (row < 0))]
         out = row < 0
         if out.any():
             gone, keep = live[out], ~out
@@ -135,7 +142,7 @@ def _crash(G, U, norms):
             g = _off(Q[:, :j], _off(Q[:, :j], G[row])) if j else G[row]
             Q[:, j] = g / np.linalg.norm(g, axis=1)[:, None]
     basis[live] = B
-    return basis, ray, edge, None
+    return first[basis], ray, edge, None
 
 
 def vertex_walk(G, U) -> VertexWalk:
@@ -149,9 +156,11 @@ def vertex_walk(G, U) -> VertexWalk:
     lowest one with a negative dual instead (Bland's rule), so a degenerate
     vertex cannot make the walk cycle. A direction stops at a nonnegative
     dual or on an edge no row blocks; after 50 (m + n) rounds, or at a
-    singular basis, the walk gives up with SolverStall. The result is not
-    trusted: ``solve_lp`` checks its rays and line, ``check_support`` its
-    bases.
+    singular basis, the walk gives up with SolverStall. Unlike the crash's
+    projected direction, an edge solves B d = -e_pos, so an exact copy of a
+    basis row grows along it only by the solve's backward error, far below
+    PIVOT_TOL, and cannot block. The result is not trusted: ``solve_lp``
+    checks its rays and line, ``check_support`` its bases.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))

@@ -44,6 +44,8 @@ _CHUNK = 8192
 # caps of the sharpness generator's covering test, not of the vertex oracle
 COVER_MAX_DIM = 6
 COVER_MAX_SLABS = 4096
+# boxes the covering test may open before it gives up (answers False)
+COVER_MAX_BOXES = 2_000_000
 
 
 def check_caps(m: int, n: int) -> None:
@@ -259,15 +261,15 @@ def _unit_rows(rng, count: int, n: int) -> np.ndarray:
     return raw / norms[:, None]
 
 
-def _covering_certified(W: np.ndarray, tau: float,
-                        budget: int = 2_000_000) -> bool:
+def _covering_certified(W: np.ndarray, tau: float) -> bool:
     """Sound certificate that min over unit u of max_j |<u, w_j>| >= tau.
 
     Branch-and-bound over the cube facets {u_i = 1}; on each box the
     per-row inner product range gives a lower bound for max_j |.| and the
-    box corner norms an upper bound for ||u||. False means "budget exhausted
-    or margin too thin", or disproved by an open box's centre u, with
-    max_j |<u, w_j>| < tau ||u||: no split would ever close its box.
+    box corner norms an upper bound for ||u||. False means "more than
+    COVER_MAX_BOXES boxes, or margin too thin", or disproved by an open
+    box's centre u, with max_j |<u, w_j>| < tau ||u||: no split would ever
+    close its box.
     """
     n = W.shape[1]
     processed = 0
@@ -279,7 +281,7 @@ def _covering_certified(W: np.ndarray, tau: float,
         hi = np.full((1, n - 1), 1.0)
         while lo.shape[0]:
             processed += lo.shape[0]
-            if processed > budget:
+            if processed > COVER_MAX_BOXES:
                 return False
             lo_e = lo[:, None, :]
             hi_e = hi[:, None, :]

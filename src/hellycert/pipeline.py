@@ -27,7 +27,7 @@ from .io import (SelectionCertificate, caratheodory_holds, check,
 from .john import john_decomposition, mvee_general
 from .lp import solve_lp
 from .oracle import cheapest_drop, diameter_exact
-from .sparsify import EPS_SHIFT_DEFAULT, bss_select, shifted_select
+from .sparsify import EPS_SHIFT, bss_select, shifted_select
 
 RECENTER_TARGET = 0.05
 RECENTER_MAX_STEPS = 60
@@ -82,7 +82,7 @@ def select_symmetric(family: BodyFamily,
         directions, bases = containment_bases(family, selected)
         cert = check(family, {
             "mode": "symmetric", "z": np.zeros(n), "selected": selected,
-            "d": d, "eps": None, "payload": {
+            "d": d, "payload": {
                 "coefficients": res.b * decomp.weights[res.sigma],
                 "frame": decomp.frame,
                 "frame_center": decomp.frame_center,
@@ -182,24 +182,21 @@ def _recenter(family: BodyFamily, z0: np.ndarray, radius: float):
     return z, offset, steps, norm, u
 
 
-def select_general(family: BodyFamily,
-                   eps: float = EPS_SHIFT_DEFAULT) -> SelectionCertificate:
+def select_general(family: BodyFamily) -> SelectionCertificate:
     """Translated selection for non-symmetric families.
 
     Finds a translate z (the Chebyshev center moved until the polar is
     centered), builds the centered John decomposition of the polar
     generators (accepted at ``john.TOL_JOHN_DEFAULT``), applies the shifted
-    sparsifier with slack eps, and completes the index set with a
-    Caratheodory witness of at most n+1 rows so the selected bodies keep
-    the translate well inside. The witness is sought first among the rows
-    of the bodies sigma already selects, from the first of them, so it
-    adds no body where it can; only when that fails (CaratheodoryFailed)
-    among all rows, from row 0. Every stage's claim lands in the
-    certificate. An eps that ``check`` would refuse is refused before any
-    stage.
+    sparsifier at the fixed slack ``sparsify.EPS_SHIFT``, and completes the
+    index set with a Caratheodory witness of at most n+1 rows so the
+    selected bodies keep the translate well inside. The witness is sought
+    first among the rows of the bodies sigma already selects, from the
+    first of them, so it adds no body where it can; only when that fails
+    (CaratheodoryFailed) among all rows, from row 0. Every stage's claim
+    lands in the certificate.
     """
     _require_mode(family, "general")
-    require_parameters(family.dim, eps=eps, error=InvalidInstance)
     stages: dict = {}
     t_start = time.perf_counter()
     n = family.dim
@@ -210,10 +207,10 @@ def select_general(family: BodyFamily,
     with _stage(stages, "john"):
         decomp = john_decomposition(norm.G, centered=True, start=u)
     with _stage(stages, "sparsify"):
-        shifted = shifted_select(decomp.vectors, decomp.weights, eps)
+        shifted = shifted_select(decomp.vectors, decomp.weights)
     sigma_rows = decomp.source_indices[shifted.sigma]
     with _stage(stages, "caratheodory"):
-        w = shifted.v / math.sqrt(eps * n)
+        w = shifted.v / math.sqrt(EPS_SHIFT * n)
         own = np.flatnonzero(np.isin(norm.owner[decomp.source_indices],
                                      norm.owner[sigma_rows]))
         try:
@@ -228,7 +225,7 @@ def select_general(family: BodyFamily,
         directions, bases = containment_bases(norm, selected)
         cert = check(family, {
             "mode": "general", "z": z, "selected": selected,
-            "d": float(shifted.d), "eps": eps, "payload": {
+            "d": float(shifted.d), "payload": {
                 "coefficients": shifted.b,
                 "rho": rho,
                 "frame": decomp.frame,
@@ -310,7 +307,7 @@ def reduce_to_2n(family: BodyFamily,
 
     cert = check(family, {
         "mode": selection.mode, "z": selection.z, "selected": sorted(sel),
-        "d": selection.d, "eps": selection.eps, "payload": {
+        "d": selection.d, "payload": {
             **selection.payload, "support_directions": directions,
             "support_bases": bases}})
     return replace(cert, stages=stages, notes=notes, diagnostics={

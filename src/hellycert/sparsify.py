@@ -7,7 +7,8 @@ gamma_d = (sqrt(d)+1)/(sqrt(d)-1). ``shifted_select`` adds the barycenter
 condition for decompositions of general (non-symmetric) bodies by lifting
 to dimension n+1, selecting there, and shifting back. Its four claims are
 judged by ``certify_operator_T``, the one function that computes them, at
-the one sandwich window ``SANDWICH_WINDOW``: it decides when
+the one slack ``EPS_SHIFT`` and the one sandwich window ``SANDWICH_WINDOW``,
+neither of them a parameter or a claim: it decides when
 ``shifted_select`` stops escalating d, and ``io.check`` calls it again on a
 certificate's stored witnesses. Every eigenvalue behind them comes from the
 residual-checked ``linalg.sym_eigen``, reached only from the verdict
@@ -27,7 +28,9 @@ from .john import TOL_JOHN_DEFAULT
 from .linalg import extremes
 
 D_ESCALATION = (9, 16, 25, 36)
-EPS_SHIFT_DEFAULT = 0.5
+# The shifted sparsifier's slack: the shift_norm, sum_b and sandwich
+# verdicts are judged at it, and no claim can move it.
+EPS_SHIFT = 0.5
 # The sandwich verdict's slack: 1e-6 plus the residual at which the producer
 # accepts its John decomposition. No claim can widen it.
 SANDWICH_WINDOW = 1e-6 + TOL_JOHN_DEFAULT
@@ -138,8 +141,7 @@ def bss_select(vectors, weights, d: float) -> SparsifierResult:
                             lambda_max=lam[-1] / lam[0])
 
 
-def shifted_select(vectors, weights,
-                   eps: float = EPS_SHIFT_DEFAULT) -> ShiftedDecomposition:
+def shifted_select(vectors, weights) -> ShiftedDecomposition:
     """Sparse reweighting with an exact barycenter shift.
 
     Given sum a_j v_j v_j^T = I and sum a_j v_j ~ 0, lifts each v_j to
@@ -159,7 +161,7 @@ def shifted_select(vectors, weights,
         res = bss_select(lifted, a, d)
         b = res.b * a[res.sigma]
         shift = -(b @ v_in[res.sigma]) / b.sum()
-        verdicts, diag = certify_operator_T(v_in[res.sigma], b, shift, eps)
+        verdicts, diag = certify_operator_T(v_in[res.sigma], b, shift)
         if all(verdicts.values()):
             return ShiftedDecomposition(sigma=res.sigma, b=b, v=shift, d=d)
         failed = ",".join(k for k, ok in verdicts.items() if not ok)
@@ -168,9 +170,9 @@ def shifted_select(vectors, weights,
     raise ShiftCertificateFailed(f"all retries failed: {'; '.join(trail)}")
 
 
-def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray,
-                       eps: float):
-    """(verdicts, diagnostics) of kept rows p_j, coefficients b, shift v.
+def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """(verdicts, diagnostics) of kept rows p_j, coefficients b, shift v,
+    with eps = ``EPS_SHIFT``.
 
     - shift_barycenter: |sum b_j (p_j + v)| <= 1e-10.
     - shift_norm: the rank-one defect T between the shifted and unshifted
@@ -182,7 +184,7 @@ def certify_operator_T(vectors: np.ndarray, b: np.ndarray, v: np.ndarray,
     The diagnostics add the residual of the exact trace identity
     tr(shifted) = sum b_j - (sum b_j) |v|^2.
     """
-    n, window = vectors.shape[1], SANDWICH_WINDOW
+    n, window, eps = vectors.shape[1], SANDWICH_WINDOW, EPS_SHIFT
     s = float(b.sum())
     norm_bound = float(s * (v @ v))
     shifted = vectors + v

@@ -14,6 +14,7 @@ from hellycert.geometry import (BodyFamily, containment_bases,
                                 normalize_family)
 from hellycert.lp import check_support, dual_bounds, walk_bases
 from hellycert.oracle import gen_halfspace_family
+from hellycert.sparsify import EPS_SHIFT
 
 MAX_SUBSETS = 200_000
 
@@ -47,6 +48,18 @@ def fan_through_corner(rng, n, count):
     w -= np.outer(w @ v, v) / n
     G = np.vstack([np.eye(n), -np.eye(n), v / n + w])
     return np.vstack([G, G[::3]])
+
+
+def twin_slab_family(n, count, seed):
+    """count random slabs in R^n, then exact twins of the first count // 4
+    (at least one), then those twins tilted by 1e-6: duplicated and
+    near-parallel slabs."""
+    rng = np.random.default_rng(seed)
+    rows = unit_rows(rng, count, n) / rng.uniform(0.3, 1.5, (count, 1))
+    twins = rows[:max(1, count // 4)]
+    tilted = twins + 1e-6 * unit_rows(rng, len(twins), n)
+    return BodyFamily.from_blocks(
+        "symmetric", n, [r[None] for r in np.vstack([rows, twins, tilted])])
 
 
 def walked_alpha(family, selected):
@@ -87,8 +100,8 @@ def best_subset_bruteforce(family, s: int):
 def derived_witnesses(family, cert):
     """(contact vectors, tau vectors, shift, w) of a SelectionCertificate,
     derived from its claims as ``io.check`` derives them: the unit framed
-    rows, the shift -sum b v / sum b and w = shift / sqrt(eps n). The tau
-    vectors, shift and w are None in symmetric mode."""
+    rows, the shift -sum b v / sum b and w = shift / sqrt(EPS_SHIFT n).
+    The tau vectors, shift and w are None in symmetric mode."""
     payload = cert.payload
     target = (family if cert.mode == "symmetric"
               else normalize_family(family, cert.z))
@@ -100,7 +113,7 @@ def derived_witnesses(family, cert):
     coef = np.asarray(payload["coefficients"], dtype=float)
     shift = -(coef @ vecs) / coef.sum()
     return (vecs, hio._unit_rows(framed, list(payload["tau_rows"])), shift,
-            shift / math.sqrt(cert.eps * family.dim))
+            shift / math.sqrt(EPS_SHIFT * family.dim))
 
 
 def chain_steps(notes):

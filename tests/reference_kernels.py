@@ -106,7 +106,10 @@ def _off(Q, v):
 
 
 def crash(G, U, norms):
-    """``lp._crash``: (basis, ray, edge, line)."""
+    """``lp._crash``: (basis, ray, edge, line), on the first of each set of
+    equal rows of G."""
+    first = np.sort(np.unique(G, axis=0, return_index=True)[1])
+    G, norms = G[first], norms[first]
     k, n = U.shape
     x, edge, Q = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n, n))
     basis, ray = np.zeros((k, n), dtype=int), np.zeros(k, dtype=bool)
@@ -130,7 +133,7 @@ def crash(G, U, norms):
                 d[back] @ G.T, slack[back], norms,
                 np.linalg.norm(d[back], axis=1), basis[live[back], :j])
             if (back & (row < 0)).any():
-                return basis, ray, edge, d[np.argmax(back & (row < 0))]
+                return first[basis], ray, edge, d[np.argmax(back & (row < 0))]
         keep = row >= 0
         ray[live[~keep]] = True
         edge[live[~keep]] = d[~keep]
@@ -139,7 +142,7 @@ def crash(G, U, norms):
         basis[live, j] = row
         g = _off(Q[live, :j], _off(Q[live, :j], G[row]))  # twice, for rounding
         Q[live, j] = g / np.linalg.norm(g, axis=1)[:, None]
-    return basis, ray, edge, None
+    return first[basis], ray, edge, None
 
 
 def vertex_walk(G, U):

@@ -178,7 +178,7 @@ def test_reduce_within_2n_checks_once_and_keeps_the_bytes(tmp_path,
 
 
 @pytest.mark.parametrize("command, own, other", [
-    ("select-sym", "--d", "--eps"), ("select-gen", "--eps", "--d")])
+    ("select-sym", "--d", "--eps")])
 def test_select_takes_only_its_own_parameter(command, own, other):
     parser = cli.build_parser()
     args = ["--in", "i.json", "--out", "c.json"]
@@ -187,6 +187,19 @@ def test_select_takes_only_its_own_parameter(command, own, other):
     with pytest.raises(SystemExit) as exc:
         parser.parse_args([command, *args, other, "9"])
     assert exc.value.code == 2
+
+
+def test_select_gen_takes_no_parameter():
+    """The general sparsifier's slack is the constant sparsify.EPS_SHIFT
+    and its d is escalated, so select-gen has no option for either."""
+    parser = cli.build_parser()
+    args = ["select-gen", "--in", "i.json", "--out", "c.json"]
+    assert set(vars(parser.parse_args(args))) == {
+        "command", "infile", "out", "seed", "exact_oracle", "func"}
+    for option in ("--eps", "--d"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*args, option, "9"])
+        assert exc.value.code == 2
 
 
 def test_exit_code_oracle_cap(tmp_path, monkeypatch):
@@ -304,9 +317,9 @@ def test_exit_code_bad_parameter(tmp_path, capsys, command, option, value):
         args = [command, "--in", inst]
     assert run([*args, option, value, "--out", out]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
-    if option == "--tol":
+    if command == "select-gen" or option == "--tol":
         # not an option: a usage error, which exits 3 like bad input
-        assert "unrecognized arguments: --tol" in err
+        assert f"unrecognized arguments: {option}" in err
     else:
         assert f"InvalidInstance: {option.lstrip('-')}=" in err
     assert not out.exists()
@@ -461,17 +474,20 @@ def test_certify_exit_codes_for_malformed_certificates(tmp_path, edit, code):
 @pytest.mark.parametrize("command, version", [
     ("certify", "0.5.0"), ("reduce", "0.5.0"),
     ("certify", "0.6.0"), ("reduce", "0.6.0"),
-], ids=["certify", "reduce", "certify-0.6.0", "reduce-0.6.0"])
+    ("certify", "0.7.0"), ("reduce", "0.7.0"),
+], ids=["certify", "reduce", "certify-0.6.0", "reduce-0.6.0",
+        "certify-0.7.0", "reduce-0.7.0"])
 def test_a_format_0_5_0_certificate_exits_3(tmp_path, capsys, command,
                                             version):
-    """0.5.0 stored derived copies of the witnesses, and 0.6.0 stored a
-    reduced selection's growth verdict without deriving it; this format
-    refuses both, and the message names the version found."""
+    """0.5.0 stored derived copies of the witnesses, 0.6.0 stored a reduced
+    selection's growth verdict without deriving it, and 0.7.0 claimed the
+    eps its general verdicts were judged at; this format refuses all
+    three, and the message names the version found."""
     inst, cert = tmp_path / "hs.json", tmp_path / "cert.json"
     hio.save_instance(gen_halfspace_family(2, 40, seed=102), inst)
     assert run(["select-gen", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    doc["version"] = version
+    doc.update(version=version, eps=0.5)
     hio.save_certificate(doc, cert)
     capsys.readouterr()
     extra = ["--out", tmp_path / "reduced.json"] if command == "reduce" else []
@@ -486,7 +502,7 @@ def test_certify_requires_support_bases(tmp_path, capsys):
     hio.save_instance(gen_slab_family(3, 12, seed=1), inst)
     assert run(["select-sym", "--in", inst, "--out", cert]) == 0
     doc = hio.load_certificate(cert)
-    assert doc["version"] == "0.7.0"
+    assert doc["version"] == "0.8.0"
     del doc["payload"]["support_bases"]
     hio.save_certificate(doc, cert)
     capsys.readouterr()
@@ -858,12 +874,12 @@ def test_reduce_reads_a_malformed_certificate_without_a_traceback(
 
 
 CLAIMS = {
-    "general": ["mode", "selected", "z", "d", "eps", "payload",
+    "general": ["mode", "selected", "z", "d", "payload",
                 "payload.coefficients", "payload.frame",
                 "payload.frame_center", "payload.rho", "payload.sigma_rows",
                 "payload.support_bases", "payload.support_directions",
                 "payload.tau_rows"],
-    "symmetric": ["mode", "selected", "z", "d", "eps", "payload",
+    "symmetric": ["mode", "selected", "z", "d", "payload",
                   "payload.coefficients", "payload.frame",
                   "payload.frame_center", "payload.sigma_rows",
                   "payload.support_bases", "payload.support_directions"],

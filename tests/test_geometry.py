@@ -20,8 +20,8 @@ from hellycert.lp import dual_bounds, support_h_polytope
 from hellycert.oracle import (enumerate_vertices, gen_halfspace_family,
                               gen_slab_family)
 
-from conftest import (cube_halfspace_family, cube_slab_family, unit_rows,
-                      walked_alpha)
+from conftest import (cube_halfspace_family, cube_slab_family,
+                      twin_slab_family, walked_alpha)
 
 
 def triangle_family():
@@ -292,12 +292,7 @@ def test_dual_bounds_are_sound_and_screening_keeps_alpha(n, count, seed,
     bound is at least the HiGHS support, and the screened alpha is the one
     of a walk and replay of every direction, to the bit."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(seed)
-    rows = unit_rows(rng, count, n) / rng.uniform(0.3, 1.5, (count, 1))
-    twins = rows[:max(1, count // 4)]
-    tilted = twins + 1e-6 * unit_rows(rng, len(twins), n)
-    fam = BodyFamily.from_blocks(
-        "symmetric", n, [r[None] for r in np.vstack([rows, twins, tilted])])
+    fam = twin_slab_family(n, count, seed)
     sel = data.draw(st.lists(st.integers(0, len(fam) - 1), min_size=1,
                              max_size=len(fam) - 1, unique=True))
     Gq, U = containment_system(fam, sel)
@@ -323,6 +318,19 @@ def test_dual_bounds_are_sound_and_screening_keeps_alpha(n, count, seed,
     got = alpha(lambda: containment_factor(fam, sel,
                                            containment_bases(fam, sel)))
     assert got == want or want is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_exact_twin_of_a_tight_row_does_not_block_the_crash():
+    """A draw of the test above (n=5, count=5, seed=141, bodies 0 to 5): a
+    direction next to a selected slab once let that slab's exact twin
+    block the crash by rounding, and the twin's zero projection filled the
+    crash with NaN. The walk and the screened walk now agree, and match
+    HiGHS's 1.0000048233133998."""
+    fam, sel = twin_slab_family(5, 5, 141), list(range(6))
+    want = walked_alpha(fam, sel)
+    assert containment_factor(fam, sel, containment_bases(fam, sel)) == want
+    assert want == pytest.approx(1.0000048233133998, rel=1e-12)
 
 
 def test_alpha_only_replays(monkeypatch):

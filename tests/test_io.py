@@ -4,13 +4,14 @@ import copy
 import csv
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hellycert import __version__, geometry, lp, pipeline
+from hellycert import __version__, geometry, lp, pipeline, sparsify
 from hellycert import io as hio
 from hellycert.errors import (CaratheodoryFailed, CertificateRejected,
                               InvalidInstance)
@@ -223,18 +224,20 @@ def test_report_blank_diameter_in_bound_mode(tmp_path):
         rows = list(csv.reader(fh))
     cols = {name: i for i, name in enumerate(rows[0])}
     assert rows[1][cols["diam_selected"]] == ""
-    assert rows[1][cols["eps"]] != ""
+    assert rows[1][cols["d"]] == "9.0"
+    assert "eps" not in cols
 
 
 # The tamper matrix: one edit per case, over every field of a certificate of
 # each mode and of a reduced one. Only the informational fields may absorb
-# an edit, and so may the stray keys: the tol and parameters of format 0.4.0
-# and the derived payload copies of format 0.5.0, which a document may still
-# carry and check ignores, so they cannot widen a verdict.
+# an edit, and so may the stray keys: the tol and parameters of format
+# 0.4.0, the derived payload copies of format 0.5.0 and the eps of format
+# 0.7.0, which a document may still carry and check ignores, so they cannot
+# widen a verdict.
 TOP_FIELDS = ("format", "version", "mode", "dimension", "m", "seed",
-              "selected", "s", "z", "d", "eps", "gamma_d", "bound_claimed",
+              "selected", "s", "z", "d", "gamma_d", "bound_claimed",
               "alpha_measured", "c_measured", "notes", "timing")
-STRAY = ("tol", "parameters", "payload.contact_vectors",
+STRAY = ("tol", "parameters", "eps", "payload.contact_vectors",
          "payload.tau_vectors", "payload.shift", "payload.w")
 VERDICTS = {
     "symmetric": ("cardinality", "sandwich", "alpha_within_bound"),
@@ -400,7 +403,7 @@ def test_certificate_from_json_reads_claims_and_information_only(
     edited["diagnostics"].update(frame_radius=-1.0, budget=0)
     cert, checked = (hio.certificate_from_json(fam, edited),
                      hio.check(fam, doc))
-    for f in ("selected", "s", "d", "eps", "gamma_d", "bound_claimed",
+    for f in ("selected", "s", "d", "gamma_d", "bound_claimed",
               "alpha_measured", "c_measured", "verdicts", "payload"):
         assert getattr(cert, f) == getattr(checked, f), f
     assert cert.diagnostics == {**doc["diagnostics"], **checked.diagnostics}
@@ -507,6 +510,54 @@ def test_a_general_d_off_the_schedule_is_rejected(monkeypatch):
     assert all(doc["verdicts"].values())
     ok, problems = hio.verify_certificate(fam, doc)
     assert not ok and "not a step of D_ESCALATION" in problems[0]
+
+
+def test_a_claimed_eps_cannot_widen_the_general_verdicts(monkeypatch):
+    """The shifted sparsifier's slack is sparsify.EPS_SHIFT, not a claim.
+    A forgery of the gen-n3 seed-100 certificate: coefficients scaled by 3,
+    a stored eps of 1000, and tau_rows, rho and every derived field
+    recomputed as if the slack were 1000, which an eps claim would make
+    verify. It is judged at EPS_SHIFT, and rejected."""
+    fam = gen_halfspace_family(3, count=8, seed=100)
+    doc = json.loads(json.dumps(hio.certificate_to_json(
+        select_general(fam), __version__)))
+    payload, slack = doc["payload"], 1000.0
+    payload["coefficients"] = [3.0 * c for c in payload["coefficients"]]
+    doc["eps"] = slack
+    # the shift, and so w = shift / sqrt(slack n), is the coefficients'
+    # weighted mean: scaling them leaves it as it was
+    shift = derived_witnesses(fam, hio.check(fam, doc))[2]
+    norm = normalize_family(fam, np.asarray(doc["z"]))
+    framed = ((norm.G - np.asarray(payload["frame_center"]))
+              @ np.asarray(payload["frame"]))
+    own = np.flatnonzero(np.isin(norm.owner, doc["selected"]))
+    tau, rho = caratheodory_express(shift / math.sqrt(slack * fam.dim),
+                                    hio._unit_rows(framed, own.tolist()))
+    payload.update(tau_rows=own[tau].tolist(), rho=rho.tolist())
+    with monkeypatch.context() as patched:
+        for module in (hio, sparsify):
+            patched.setattr(module, "EPS_SHIFT", slack, raising=False)
+        _recomputed(fam, doc)
+    assert all(doc["verdicts"].values())
+    failed = [k for k, ok in hio.check(fam, doc).verdicts.items() if not ok]
+    assert failed == ["sandwich", "caratheodory"]
+    ok, problems = hio.verify_certificate(fam, doc)
+    assert not ok and problems[-1] == (
+        f"verdicts fail: {', '.join(sorted(failed))}")
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general", "reduced"])
+@pytest.mark.parametrize("eps", [None, 0.5, 1e3, -1.0, math.nan, "x", [1]])
+def test_an_eps_key_leaves_check_unchanged(certificates, mode, eps):
+    """A document's eps, of any value, is an unknown key: check derives
+    the same certificate with it as without it, and it verifies."""
+    fam, doc = certificates[mode]
+    assert "eps" not in doc
+    edited = {**copy.deepcopy(doc), "eps": eps}
+    checked = [hio.canonical_certificate_bytes(hio.certificate_to_json(
+        hio.check(fam, d), __version__)) for d in (doc, edited)]
+    assert checked[0] == checked[1]
+    assert hio.verify_certificate(fam, edited) == (True, [])
 
 
 def test_a_larger_symmetric_d_only_tightens_the_claim(certificates):

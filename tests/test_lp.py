@@ -15,7 +15,7 @@ from hellycert.pipeline import select_symmetric
 
 import reference_kernels
 from conftest import (cube_slab_family, fan_through_corner, record_walks,
-                      unit_rows)
+                      twin_slab_family, unit_rows)
 
 
 def box_rows(n):
@@ -385,12 +385,17 @@ def test_crash_rays_pass_the_box_check(rng, system):
 
 
 def _crash_cases(rng):
-    """(label, G, U): the walk cases, random and at a degenerate corner, then
-    unbounded systems, an open cone (rays only) and a tilted line, with
-    directions that rise along them and directions that do not."""
+    """(label, G, U): the walk cases, random and at a degenerate corner, a
+    containment system with exact twins, then unbounded systems, an open
+    cone (rays only) and a tilted line, with directions that rise along
+    them and directions that do not."""
     for degenerate in (False, True):
         for G, U, _ in _walk_cases(rng, degenerate):
             yield "degenerate" if degenerate else "random", G, U
+    # a direction next to a selected slab once let its exact twin block by
+    # rounding (test_an_exact_twin_of_a_tight_row_does_not_block_the_crash)
+    yield "copies", *containment_system(twin_slab_family(5, 5, 141),
+                                        list(range(6)))
     for system in (_open_cone, _tilted_line):
         for n in (2, 3, 4, 5):
             G = system(rng, n)
@@ -399,15 +404,19 @@ def _crash_cases(rng):
             yield system.__name__, G, np.vstack([U, G[:2]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_crash_and_walk_match_the_loop_reference_bit_for_bit(rng):
     """The packed crash and the walk from it return exactly the bases, rays,
     edges and line of the loop versions in ``reference_kernels``; the cases
-    reach a flat projection, rays next to directions that stay, and lines."""
+    reach a flat projection, rays next to directions that stay, and lines.
+    Where G has exact copies, the crash bases name only the first copy."""
     seen = set()
     for label, G, U in _crash_cases(rng):
         norms = np.linalg.norm(G, axis=1)
         got = lp._crash(G, U, norms)
         want = reference_kernels.crash(G, U, norms)
+        first = np.unique(G, axis=0, return_index=True)[1]
+        assert np.isin(got[0], first).all(), label
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b), label
         assert (got[3] is None) == (want[3] is None), label

@@ -489,8 +489,7 @@ INF, NAN = float("inf"), float("nan")
 
 
 @pytest.mark.parametrize("select, name, value", [
-    *[(select_symmetric, "d", v) for v in (INF, 1e308, 1.0, NAN)],
-    *[(select_general, "eps", v) for v in (0.0, -1.0, NAN, INF)]])
+    *[(select_symmetric, "d", v) for v in (INF, 1e308, 1.0, NAN)]])
 def test_bad_parameters_fail_before_any_stage(monkeypatch, select, name,
                                               value):
     def no_stage(*args, **kwargs):
@@ -498,10 +497,8 @@ def test_bad_parameters_fail_before_any_stage(monkeypatch, select, name,
 
     for stage in ("validate_family", "chebyshev_center", "john_decomposition"):
         monkeypatch.setattr(pipeline, stage, no_stage)
-    family = (cube_slab_family(2) if select is select_symmetric
-              else cube_halfspace_family(2))
     with pytest.raises(InvalidInstance, match=f"^{name}="):
-        select(family, **{name: value})
+        select(cube_slab_family(2), **{name: value})
 
 
 # The walks of the sym-n6 and gen-n3 benchmark instances as the cold +-e_i

@@ -125,9 +125,9 @@ def test_bss_select_matches_the_loop_reference_bit_for_bit(n):
                 assert np.array_equal(got, ref), (n, d)
 
 
-def shift_check(vectors, out, eps=0.5):
+def shift_check(vectors, out):
     """certify_operator_T on a shifted selection."""
-    return certify_operator_T(vectors[out.sigma], out.b, out.v, eps)
+    return certify_operator_T(vectors[out.sigma], out.b, out.v)
 
 
 def tripod():
@@ -137,7 +137,7 @@ def tripod():
 
 def test_tripod_all_kept_and_certified():
     v, a = tripod()
-    out = shifted_select(v, a, eps=0.5)
+    out = shifted_select(v, a)
     assert sorted(out.sigma.tolist()) == [0, 1, 2]
     verdicts, diag = shift_check(v, out)
     assert all(verdicts.values())
@@ -149,7 +149,7 @@ def test_tripod_all_kept_and_certified():
 
 def test_tripod_frozen_values():
     v, a = tripod()
-    out = shifted_select(v, a, eps=0.5)
+    out = shifted_select(v, a)
     np.testing.assert_allclose(
         out.b,
         [0.8318213795991852, 0.7971628755627498, 0.6666666666666663],
@@ -178,7 +178,7 @@ def test_random_centered_4d(rng, monkeypatch):
     pts = rng.standard_normal((40, 4)) + 0.3
     monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-9)
     dec = john_decomposition(pts, centered=True)
-    out = shifted_select(dec.vectors, dec.weights, eps=0.5)
+    out = shifted_select(dec.vectors, dec.weights)
     verdicts, diag = shift_check(dec.vectors, out)
     assert all(verdicts.values())
     assert 4.0 - 1e-6 <= out.b.sum() <= 20.0 + 1e-6
@@ -187,7 +187,7 @@ def test_random_centered_4d(rng, monkeypatch):
 
 def test_operator_bound_zero_shift():
     verdicts, diag = certify_operator_T(np.eye(2), np.array([1.0, 1.0]),
-                                        np.zeros(2), eps=0.5)
+                                        np.zeros(2))
     assert diag["shift_norm_bound"] == 0.0
     assert verdicts["shift_norm"]
     assert diag["trace_residual"] <= 1e-12
@@ -195,8 +195,8 @@ def test_operator_bound_zero_shift():
 
 def test_operator_certificate_tripod():
     v, a = tripod()
-    out = shifted_select(v, a, eps=0.5)
-    verdicts, diag = certify_operator_T(v[out.sigma], out.b, out.v, eps=0.5)
+    out = shifted_select(v, a)
+    verdicts, diag = certify_operator_T(v[out.sigma], out.b, out.v)
     assert verdicts["shift_norm"]
     assert diag["shift_norm_bound"] == pytest.approx(
         out.b.sum() * float(out.v @ out.v), rel=1e-12)
@@ -209,9 +209,8 @@ def test_operator_trace_identity_random(rng, monkeypatch):
     pts = rng.standard_normal((25, 3)) - 0.2
     monkeypatch.setattr(john, "EPS_MVEE_DEFAULT", 1e-9)
     dec = john_decomposition(pts, centered=True)
-    out = shifted_select(dec.vectors, dec.weights, eps=0.5)
-    _, diag = certify_operator_T(dec.vectors[out.sigma], out.b, out.v,
-                                 eps=0.5)
+    out = shifted_select(dec.vectors, dec.weights)
+    _, diag = certify_operator_T(dec.vectors[out.sigma], out.b, out.v)
     assert diag["trace_residual"] <= 1e-8
     assert 0.5 - 1e-6 <= diag["unshifted_lo"]
     assert diag["unshifted_hi"] <= 5.5 + 1e-6
@@ -227,4 +226,4 @@ def test_shifted_select_escalates_on_a_failed_sandwich(monkeypatch):
 
     monkeypatch.setattr(sparsify, "certify_operator_T", forged)
     with pytest.raises(ShiftCertificateFailed, match="sandwich failed"):
-        shifted_select(v, a, eps=0.5)
+        shifted_select(v, a)
